@@ -303,18 +303,21 @@ def _cmd_learn(args) -> int:
 def _cmd_recreate(args) -> int:
     seed = _resolve_seed(args.seed)
     workers = args.workers if args.workers is not None else _default_workers()
+    try:
+        config = RecreateConfig(
+            runs=args.runs,
+            pilot_runs=args.pilot,
+            seed=seed,
+            workers=workers,
+            negative_ratio=args.negative_ratio,
+            alpha=args.alpha,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     g = _load_graph(args.infile, args.symmetrize)
     attrs = None
     if args.attrs:
         attrs = load_attributes(_read_file(args.attrs), expected_n=g.n)
-    config = RecreateConfig(
-        runs=args.runs,
-        pilot_runs=args.pilot,
-        seed=seed,
-        workers=workers,
-        negative_ratio=args.negative_ratio,
-        alpha=args.alpha,
-    )
     report = recreate(g, attrs, config)
     _write_json(report.to_json_dict(), args.report)
     if args.emit_best:

@@ -111,12 +111,7 @@ class DistanceContext:
 
 def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
     """Precompute every centrality vector a context may ask for."""
-    return {
-        "degree": metrics.degree_centrality(g, "total"),
-        "betweenness": metrics.betweenness_centrality(g, "count"),
-        "closeness": metrics.closeness_centrality(g, "reciprocal"),
-        "pagerank": metrics.pagerank_centrality(g),
-    }
+    return metrics.network_profile(g).centralities()
 
 
 @dataclass(frozen=True)
@@ -462,16 +457,16 @@ def build_training_set(
         raise ValueError(f"attribute table has {attrs.n} rows for a graph of n={g.n}")
     if negative_ratio <= 0:
         raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
-    positives = g.arc_list
-    if not positives:
+    positives = g.arc_array
+    if not len(positives):
         raise ValueError("graph has no arcs, so no positive examples")
-    non_arcs = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(g.n)
-        if i != j and (i, j) not in g.arcs
-    ]
-    if not non_arcs:
+    n = g.n
+    free = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(free, False)
+    free[positives[:, 0], positives[:, 1]] = False
+    # row-major flat indices i * n + j of every non-arc
+    non_arcs = np.flatnonzero(free)
+    if not len(non_arcs):
         raise ValueError("graph is complete, so no negative examples")
     wanted = math.ceil(negative_ratio * len(positives)) if math.isfinite(negative_ratio) else len(non_arcs)
     wanted = min(wanted, len(non_arcs))
@@ -479,16 +474,15 @@ def build_training_set(
         if rng is None:
             raise ValueError("negative subsampling needs an rng stream")
         picked = rng.generator.choice(len(non_arcs), size=wanted, replace=False)
-        negatives = [non_arcs[k] for k in sorted(picked)]
+        negatives = non_arcs[np.sort(picked)]
     else:
         negatives = non_arcs
     encoder = FeatureEncoder.from_table(attrs)
     phi = encoder.encode(attrs)
-    pairs = list(positives) + negatives
     feats = np.hstack(
         [
-            phi[np.fromiter((p[0] for p in pairs), dtype=np.int64)],
-            phi[np.fromiter((p[1] for p in pairs), dtype=np.int64)],
+            phi[np.concatenate([positives[:, 0], negatives // n])],
+            phi[np.concatenate([positives[:, 1], negatives % n])],
         ]
     )
     labels = np.concatenate(

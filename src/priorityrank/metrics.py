@@ -1,6 +1,9 @@
 """Centrality measures and scalar descriptors for directed graphs.
 
-All shortest-path quantities are unweighted (hop counts) and directed.
+All shortest-path quantities are unweighted (hop counts) and directed, and
+every one of them comes from a single sweep per graph: one BFS per source
+with Brandes' dependency accumulation, reduced in the same pass to
+betweenness, closeness, farness, diameter and average path length.
 Betweenness ships in two modes: ``count`` sums raw numbers of shortest
 paths passing through a vertex, ``fractional`` sums the usual pair
 dependencies sigma_st(v)/sigma_st.  Closeness ships as
@@ -73,19 +76,44 @@ def degree_centrality(g: Graph, direction: str = "total") -> np.ndarray:
     raise ValueError(f"unknown degree direction {direction!r}")
 
 
-def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
-    """Betweenness via Brandes accumulation over BFS DAGs.
+@dataclass(frozen=True)
+class _PathSweep:
+    betweenness: np.ndarray
+    closeness: np.ndarray
+    farness: np.ndarray
+    diameter: int
+    avg_path_length: float
 
-    ``count``: sum over ordered pairs (s, t), s,t != v, of the number of
-    shortest s->t paths passing through v.  ``fractional``: the standard
-    pair-dependency sum sigma_st(v) / sigma_st.
+
+def _path_sweep(g: Graph, mode: str | None) -> _PathSweep:
+    """One BFS per source, reduced to every shortest-path quantity.
+
+    ``mode`` selects the betweenness accumulation (``count`` or
+    ``fractional``); ``None`` skips it and leaves betweenness at zero.
     """
-    if mode not in ("count", "fractional"):
-        raise ValueError(f"unknown betweenness mode {mode!r}")
     n = g.n
     centrality = np.zeros(n)
+    closeness = np.zeros(n)
+    farness = np.zeros(n)
+    diam = 0
+    total = 0
+    count = 0
     for s in range(n):
         order, dist, sigma, preds = _bfs(g, s)
+        row_total = 0
+        reach = 0
+        for d in dist:
+            if d > 0:
+                row_total += d
+                reach += 1
+                if d > diam:
+                    diam = d
+        total += row_total
+        count += reach
+        closeness[s] = reach / row_total if row_total else 0.0
+        farness[s] = row_total / n
+        if mode is None:
+            continue
         acc = [0.0] * n
         if mode == "count":
             # acc[v] counts shortest-path continuations below v in the DAG;
@@ -103,7 +131,25 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
                     acc[v] += sigma[v] * coeff
                 if w != s:
                     centrality[w] += acc[w]
-    return centrality
+    return _PathSweep(
+        betweenness=centrality,
+        closeness=closeness,
+        farness=farness,
+        diameter=diam,
+        avg_path_length=total / count if count else 0.0,
+    )
+
+
+def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
+    """Betweenness via Brandes accumulation over BFS DAGs.
+
+    ``count``: sum over ordered pairs (s, t), s,t != v, of the number of
+    shortest s->t paths passing through v.  ``fractional``: the standard
+    pair-dependency sum sigma_st(v) / sigma_st.
+    """
+    if mode not in ("count", "fractional"):
+        raise ValueError(f"unknown betweenness mode {mode!r}")
+    return _path_sweep(g, mode).betweenness
 
 
 def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
@@ -115,21 +161,8 @@ def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
     """
     if mode not in ("reciprocal", "farness"):
         raise ValueError(f"unknown closeness mode {mode!r}")
-    n = g.n
-    out = np.zeros(n)
-    for s in range(n):
-        _, dist, _, _ = _bfs(g, s)
-        total = 0
-        reach = 0
-        for v in range(n):
-            if dist[v] > 0:
-                total += dist[v]
-                reach += 1
-        if mode == "farness":
-            out[s] = total / n if n else 0.0
-        else:
-            out[s] = reach / total if total else 0.0
-    return out
+    sweep = _path_sweep(g, None)
+    return sweep.closeness if mode == "reciprocal" else sweep.farness
 
 
 def pagerank_centrality(
@@ -172,28 +205,14 @@ def pagerank_centrality(
     )
 
 
-def _finite_pair_distances(g: Graph):
-    """Yield hop distances of all ordered reachable pairs (i != j)."""
-    for s in range(g.n):
-        _, dist, _, _ = _bfs(g, s)
-        for v, d in enumerate(dist):
-            if d > 0:
-                yield d
-
-
 def diameter(g: Graph) -> int:
     """Longest shortest path over reachable ordered pairs; 0 if none."""
-    return max(_finite_pair_distances(g), default=0)
+    return _path_sweep(g, None).diameter
 
 
 def avg_path_length(g: Graph) -> float:
     """Mean shortest-path length over reachable ordered pairs; 0 if none."""
-    total = 0
-    count = 0
-    for d in _finite_pair_distances(g):
-        total += d
-        count += 1
-    return total / count if count else 0.0
+    return _path_sweep(g, None).avg_path_length
 
 
 def density(g: Graph) -> float:
@@ -286,6 +305,15 @@ class NetworkProfile:
             "transitivity": self.transitivity,
         }
 
+    def centralities(self) -> dict[str, np.ndarray]:
+        """The centrality vectors by kind, as a distance context reads them."""
+        return {
+            "degree": self.degree,
+            "betweenness": self.betweenness,
+            "closeness": self.closeness,
+            "pagerank": self.pagerank,
+        }
+
     def to_json_dict(self) -> dict:
         doc = self.scalar_dict()
         doc["degree"] = [float(v) for v in self.degree]
@@ -299,39 +327,20 @@ class NetworkProfile:
 def network_profile(g: Graph, damping: float = 0.85) -> NetworkProfile:
     """Compute every profile field with the default measure modes
     (total degree, count betweenness, reciprocal closeness)."""
-    n = g.n
-    diam = 0
-    total = 0
-    count = 0
-    closeness = np.zeros(n)
-    farness = np.zeros(n)
-    for s in range(n):
-        _, dist, _, _ = _bfs(g, s)
-        row_total = 0
-        reach = 0
-        for d in dist:
-            if d > 0:
-                row_total += d
-                reach += 1
-                if d > diam:
-                    diam = d
-        total += row_total
-        count += reach
-        closeness[s] = reach / row_total if row_total else 0.0
-        farness[s] = row_total / n if n else 0.0
+    sweep = _path_sweep(g, "count")
     return NetworkProfile(
-        n=n,
+        n=g.n,
         arc_count=g.arc_count,
-        diameter=diam,
+        diameter=sweep.diameter,
         density=density(g),
-        avg_path_length=total / count if count else 0.0,
+        avg_path_length=sweep.avg_path_length,
         reciprocity=reciprocity(g),
         assortativity=assortativity(g),
         centralization=freeman_centralization(g),
         transitivity=transitivity(g),
         degree=degree_centrality(g, "total"),
-        betweenness=betweenness_centrality(g, "count"),
-        closeness=closeness,
-        closeness_farness=farness,
+        betweenness=sweep.betweenness,
+        closeness=sweep.closeness,
+        closeness_farness=sweep.farness,
         pagerank=pagerank_centrality(g, damping=damping),
     )

@@ -11,7 +11,6 @@ P(position i) = 1 / (H_{n-1} * i) with H the harmonic number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -36,10 +35,6 @@ class LocalRanking:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    @cached_property
-    def cum_weights(self) -> np.ndarray:
-        return np.cumsum(1.0 / self.ranks)
 
 
 def competition_ranks(sorted_values: np.ndarray) -> np.ndarray:
@@ -113,11 +108,6 @@ def sample_targets(ranking: LocalRanking, k: int, rng: RngStream) -> np.ndarray:
     if not 1 <= k <= m:
         raise ValueError(f"cannot draw {k} targets from {m} entries")
     gen = rng.generator
-    if k == 1:
-        cum = ranking.cum_weights
-        u = gen.random() * cum[-1]
-        idx = min(int(np.searchsorted(cum, u, side="right")), m - 1)
-        return ranking.targets[[idx]].copy()
     weights = 1.0 / ranking.ranks
     chosen = np.empty(k, dtype=np.int64)
     for step in range(k):

@@ -27,17 +27,10 @@ from .distance import (
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
-    reference_centralities,
 )
 from .generate import DegreeSpec, priority_rank_generate
 from .graph import AttributeColumn, AttributeTable, Graph, out_degree_sequence
-from .metrics import (
-    NetworkProfile,
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-    network_profile,
-)
+from .metrics import NetworkProfile, network_profile
 from .stats import KsResult, RngStream, ks_two_sample
 
 
@@ -103,6 +96,16 @@ class ComparisonRecord:
         return doc
 
 
+def _ks_statistics(
+    a: NetworkProfile, b: NetworkProfile
+) -> tuple[KsResult, KsResult, KsResult]:
+    """Two-sample K-S results for the degree, betweenness and closeness vectors."""
+    deg = ks_two_sample(a.degree, b.degree)
+    bet = ks_two_sample(a.betweenness, b.betweenness)
+    clo = ks_two_sample(a.closeness, b.closeness)
+    return deg, bet, clo
+
+
 def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRecord:
     """K-S tests over degree, betweenness, and closeness distributions plus
     side-by-side scalar profiles."""
@@ -110,10 +113,11 @@ def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRec
         raise ValueError("cannot compare empty graphs")
     p1 = network_profile(g1)
     p2 = network_profile(g2)
+    deg, bet, clo = _ks_statistics(p1, p2)
     return ComparisonRecord(
-        ks_degree=ks_two_sample(p1.degree, p2.degree),
-        ks_betweenness=ks_two_sample(p1.betweenness, p2.betweenness),
-        ks_closeness=ks_two_sample(p1.closeness, p2.closeness),
+        ks_degree=deg,
+        ks_betweenness=bet,
+        ks_closeness=clo,
         profile_a=p1,
         profile_b=p2,
         alpha=alpha,
@@ -129,6 +133,15 @@ class RecreateConfig:
     workers: int = 1
     negative_ratio: float = 1.0
     alpha: float = 0.05
+
+    def __post_init__(self):
+        for name in ("runs", "pilot_runs", "finalists"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.negative_ratio > 0:
+            raise ValueError(f"negative_ratio must be > 0, got {self.negative_ratio}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -282,13 +295,6 @@ def _candidate_specs(
     return candidates
 
 
-def _ks_statistics(source_vectors, generated: Graph) -> tuple[float, float, float]:
-    deg = ks_two_sample(source_vectors[0], degree_centrality(generated, "total"))
-    bet = ks_two_sample(source_vectors[1], betweenness_centrality(generated, "count"))
-    clo = ks_two_sample(source_vectors[2], closeness_centrality(generated, "reciprocal"))
-    return deg, bet, clo
-
-
 def _draw_distinct_seed(stream: RngStream, used: set[int]) -> int:
     seed = stream.spawn_seed()
     while seed in used:
@@ -314,12 +320,7 @@ def recreate(
         raise ValueError(f"attribute table has {attrs.n} rows for n={g.n}")
 
     source_profile = network_profile(g)
-    source_vectors = (
-        source_profile.degree,
-        source_profile.betweenness,
-        source_profile.closeness,
-    )
-    centralities = reference_centralities(g)
+    centralities = source_profile.centralities()
     degrees = DegreeSpec.resample(out_degree_sequence(g))
     candidates = _candidate_specs(g, attrs, config.negative_ratio, master.child(1))
 
@@ -348,7 +349,7 @@ def recreate(
             except (ValueError, ArithmeticError) as exc:
                 failure = str(exc)
                 break
-            deg, bet, clo = _ks_statistics(source_vectors, generated)
+            deg, bet, clo = _ks_statistics(source_profile, network_profile(generated))
             stats.append((deg.statistic + bet.statistic + clo.statistic) / 3.0)
         if failure is not None:
             outcomes.append(CandidateOutcome(kind=kind, pilot_statistic=None, error=failure))
@@ -382,8 +383,8 @@ def recreate(
                 workers=config.workers,
             )
             graphs.append(generated)
-            deg, bet, clo = _ks_statistics(source_vectors, generated)
             profile = network_profile(generated)
+            deg, bet, clo = _ks_statistics(source_profile, profile)
             runs.append(
                 RunRecord(
                     seed=run_seed,

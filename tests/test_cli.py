@@ -138,6 +138,29 @@ def test_recreate_writes_report_and_best(tmp_path, capsys):
         load_edge_list(f.read_text())
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--runs", "0"),
+        ("--pilot", "0"),
+        ("--negative-ratio", "0"),
+        ("--negative-ratio", "-1.5"),
+        ("--alpha", "2"),
+        ("--alpha", "0"),
+    ],
+)
+def test_recreate_rejects_bad_settings_up_front(tmp_path, capsys, flag, value):
+    src = tmp_path / "g.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
+    report = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "recreate", "--in", str(src), "--seed", "7", flag, value, "--report", str(report)
+    )
+    assert code == 1
+    assert "usage error" in err and value in err
+    assert not report.exists()
+
+
 def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--help"])

@@ -195,6 +195,44 @@ def test_training_set_positive_rows_match_arcs():
         assert ((i, j) in g.arcs) == bool(label)
 
 
+def list_training_set(g, attrs, negative_ratio, rng):
+    """Training set built from an explicit list of every non-arc."""
+    positives = list(g.arc_list)
+    non_arcs = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and (i, j) not in g.arcs]
+    wanted = len(non_arcs)
+    if math.isfinite(negative_ratio):
+        wanted = min(math.ceil(negative_ratio * len(positives)), wanted)
+    negatives = non_arcs
+    if wanted < len(non_arcs):
+        picked = rng.generator.choice(len(non_arcs), size=wanted, replace=False)
+        negatives = [non_arcs[k] for k in sorted(picked)]
+    phi = FeatureEncoder.from_table(attrs).encode(attrs)
+    pairs = positives + negatives
+    feats = np.hstack([phi[[i for i, _ in pairs]], phi[[j for _, j in pairs]]])
+    labels = np.array([1.0] * len(positives) + [0.0] * len(negatives))
+    return feats, labels
+
+
+@pytest.mark.parametrize("negative_ratio", [1.0, 2.5, math.inf])
+def test_training_set_matches_list_construction(negative_ratio):
+    gen = np.random.default_rng(17)
+    for n, p in ((4, 0.5), (7, 0.2), (12, 0.3), (15, 0.1)):
+        g = random_digraph(gen, n, p)
+        if not g.arcs:
+            continue
+        attrs = AttributeTable(
+            [
+                AttributeColumn("x", "continuous", tuple(gen.normal(size=n))),
+                AttributeColumn("c", "categorical", tuple(f"c{k}" for k in gen.integers(0, 3, size=n))),
+            ]
+        )
+        for seed in range(3):
+            ts = build_training_set(g, attrs, negative_ratio, RngStream(seed))
+            feats, labels = list_training_set(g, attrs, negative_ratio, RngStream(seed))
+            assert np.array_equal(ts.features, feats)
+            assert np.array_equal(ts.labels, labels)
+
+
 def test_training_set_errors():
     with pytest.raises(ValueError, match="no arcs"):
         build_training_set(Graph(3, []), numeric_table([1, 2, 3]), 1.0, RngStream(0))

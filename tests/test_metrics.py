@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from priorityrank.generate import gen_dorogovtsev_goltsev_mendes, gen_erdos_renyi
+from priorityrank.generate import (
+    gen_barabasi_albert,
+    gen_dorogovtsev_goltsev_mendes,
+    gen_erdos_renyi,
+)
 from priorityrank.graph import Graph, symmetrize
 from priorityrank.metrics import (
     assortativity,
@@ -187,3 +191,41 @@ def test_network_profile_path_and_dgm():
     g = gen_dorogovtsev_goltsev_mendes(5)
     prof = network_profile(g)
     assert prof.density == pytest.approx(g.arc_count / (123 * 122))
+
+
+def test_network_profile_sweeps_each_source_once(bfs_calls):
+    g = gen_dorogovtsev_goltsev_mendes(3)
+    network_profile(g)
+    assert sorted(bfs_calls) == list(range(g.n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_erdos_renyi(40, 0.08, seed=3),
+        gen_barabasi_albert(40, 2, seed=4),
+        gen_dorogovtsev_goltsev_mendes(4),
+        # a cycle, a lone arc, and an isolated vertex: many unreachable pairs
+        Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]),
+    ],
+    ids=["er", "ba", "dgm", "unreachable"],
+)
+def test_path_metrics_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.arc_list)
+    bet = nx.betweenness_centrality(G, normalized=False)
+    assert betweenness_centrality(g, "fractional") == pytest.approx([bet[v] for v in range(g.n)])
+    clo = nx.closeness_centrality(G.reverse(), wf_improved=False)
+    assert closeness_centrality(g, "reciprocal") == pytest.approx([clo[v] for v in range(g.n)])
+    pr = nx.pagerank(G, alpha=0.85, tol=1e-12)
+    assert pagerank_centrality(g, tol=1e-12) == pytest.approx([pr[v] for v in range(g.n)], rel=1e-6)
+    lengths = [
+        d for _, row in nx.all_pairs_shortest_path_length(G) for d in row.values() if d > 0
+    ]
+    assert diameter(g) == max(lengths)
+    assert avg_path_length(g) == pytest.approx(sum(lengths) / len(lengths))
+    prof = network_profile(g)
+    assert prof.diameter == max(lengths)
+    assert prof.avg_path_length == pytest.approx(sum(lengths) / len(lengths))

@@ -142,3 +142,11 @@ def test_pairs_include_near_over_far():
         eve += 1 in got
         bob += 4 in got
     assert eve > bob
+
+
+def test_single_draw_is_first_step_of_full_draw():
+    r = build_local_ranking(0, {1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0})
+    for seed in range(30):
+        single = sample_targets(r, 1, RngStream(seed))
+        full = sample_targets(r, len(r), RngStream(seed))
+        assert single.tolist() == full[:1].tolist()

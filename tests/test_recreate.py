@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -74,6 +75,41 @@ def test_er_same_distribution_self_test():
 
 def small_config(seed=5):
     return RecreateConfig(runs=4, pilot_runs=1, seed=seed)
+
+
+def test_recreate_sweeps_each_scored_graph_once(bfs_calls):
+    g = gen_erdos_renyi(15, 0.3, seed=7)
+    config = RecreateConfig(runs=2, pilot_runs=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = recreate(g, None, config)
+    scored = sum(c.pilot_statistic is not None for c in report.candidates)
+    graphs = 1 + scored * config.pilot_runs + len(report.finalists) * config.runs
+    assert len(bfs_calls) == g.n * graphs
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("runs", 0),
+        ("pilot_runs", 0),
+        ("finalists", 0),
+        ("negative_ratio", 0.0),
+        ("negative_ratio", -1.0),
+        ("negative_ratio", math.nan),
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("alpha", 2.0),
+        ("alpha", math.nan),
+    ],
+)
+def test_recreate_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RecreateConfig(**{field: value})
+
+
+def test_recreate_config_accepts_unbounded_negative_ratio():
+    assert RecreateConfig(negative_ratio=math.inf).negative_ratio == math.inf
 
 
 def test_recreate_report_reproducible_byte_for_byte():
