@@ -1,55 +1,146 @@
 """Centrality measures and scalar descriptors for directed graphs.
 
 All shortest-path quantities are unweighted (hop counts) and directed, and
-every one of them comes from a single sweep per graph: one BFS per source
-with Brandes' dependency accumulation, reduced in the same pass to
-betweenness, closeness, farness, diameter and average path length.
-Betweenness ships in two modes: ``count`` sums raw numbers of shortest
-paths passing through a vertex, ``fractional`` sums the usual pair
-dependencies sigma_st(v)/sigma_st.  Closeness ships as
-``reciprocal`` (reachable-count-1 over total distance) and ``farness``
-(mean distance over the full vertex count).
+every one of them comes from a single sweep per graph.  The sweep runs a
+chunk of sources at once, level by level, over flat ``row * n + v`` cell
+arrays and a CSR view of the arcs (the sparse-frontier BFS of Kepner &
+Gilbert); Brandes' dependency accumulation then walks the stored levels
+backwards.  Each chunk is reduced in the same pass to betweenness,
+closeness, farness, diameter and average path length.  Betweenness ships
+in two modes: ``count`` sums raw numbers of shortest paths passing through
+a vertex, ``fractional`` sums the usual pair dependencies
+sigma_st(v)/sigma_st.  Closeness ships as ``reciprocal`` (reachable-count-1
+over total distance) and ``farness`` (mean distance over the full vertex
+count).
+
+Count-mode betweenness is exact.  Path counts are integers, and float64
+sums of integers are exact below 2**53, so the result does not depend on
+how the sources are chunked.  A chunk whose path counts or betweenness
+reach 2**53 is redone with Python integers, and the running betweenness
+switches to them too.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, symmetrize
 
+# Sources per chunk times max(n, m) stays near this many cells, so the
+# transient memory of a chunk is O(chunk * n) and about 1.5 MB.
+_CHUNK_CELLS = 2**15
+_EXACT_LIMIT = 2.0**53
+
 
 class ConvergenceError(RuntimeError):
     """An iterative computation failed to reach its tolerance."""
 
 
-def _bfs(g: Graph, source: int):
-    """BFS from source: visit order, hop distances, path counts, predecessors."""
-    n = g.n
-    dist = [-1] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[source] = 0
-    sigma[source] = 1
-    order = []
-    queue = deque([source])
-    out_adj = g.out_adj
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv = dist[v]
-        sv = sigma[v]
-        for w in out_adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-                preds[w].append(v)
-    return order, dist, sigma, preds
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Out-arcs in CSR form (starts, degrees, indices): the heads of v's
+    arcs are ``indices[starts[v]:starts[v] + degrees[v]]``."""
+    degrees = g.out_degrees
+    return np.cumsum(degrees) - degrees, degrees, g.arc_array[:, 1]
+
+
+def _chunks(g: Graph) -> list[np.ndarray]:
+    size = max(1, _CHUNK_CELLS // max(g.n, g.arc_count, 1))
+    return [np.arange(lo, min(lo + size, g.n)) for lo in range(0, g.n, size)]
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum ``weights`` into ``size`` bins; exact Python ints for object arrays."""
+    if weights.dtype == object:
+        out = np.zeros(size, dtype=object)
+        np.add.at(out, index, weights)
+        return out
+    return np.bincount(index, weights=weights, minlength=size)
+
+
+def _frontier_sweep(csr, sources: np.ndarray, dtype):
+    """Level-synchronous BFS from every vertex of ``sources`` at once.
+
+    Returns the flat hop distances ``dist[row * n + v]`` from
+    ``sources[row]`` (-1 when unreachable) and, when ``dtype`` is given,
+    one record per level: its cell keys, their shortest-path counts (of
+    that dtype), and the arcs of the shortest-path DAG into the next level
+    as (parent, child) positions within the two levels.
+    """
+    starts, degrees, indices = csr
+    n = len(starts)
+    cells = len(sources) * n
+    dist = np.full(cells, -1, dtype=np.int64)
+    slot = np.empty(cells, dtype=np.int64)  # position of a cell within its level
+    keys = np.arange(len(sources)) * n + sources
+    dist[keys] = 0
+    sigma = None if dtype is None else np.ones(len(keys), dtype=dtype)
+    levels = []
+    depth = 0
+    while keys.size:
+        v = keys % n
+        deg = degrees[v]
+        parent = np.repeat(np.arange(keys.size), deg)
+        # each expanded pair's arc: its parent's first arc plus its rank there
+        arc = np.arange(parent.size) + (starts[v] - np.cumsum(deg) + deg)[parent]
+        child = (keys - v)[parent] + indices[arc]
+        fresh = dist[child] < 0
+        parent, child = parent[fresh], child[fresh]
+        # one position per distinct child, whichever duplicate's write lands
+        ordinal = np.arange(child.size)
+        slot[child] = ordinal
+        following = child[slot[child] == ordinal]
+        depth += 1
+        dist[following] = depth
+        if dtype is not None:
+            slot[following] = np.arange(following.size)
+            child = slot[child]
+            levels.append((keys, sigma, parent, child))
+            sigma = _scatter(child, sigma[parent], following.size)
+        keys = following
+    return dist, levels
+
+
+def _exact(levels, *sums: np.ndarray) -> bool:
+    """Whether every path count and every sum is below 2**53, where float64
+    still holds integers exactly."""
+    arrays = [sigma for _, sigma, _, _ in levels] + list(sums)
+    return all(not a.size or a.max() < _EXACT_LIMIT for a in arrays)
+
+
+def _chunk_betweenness(levels, n: int, mode: str) -> np.ndarray:
+    """Brandes' accumulation over the stored levels, deepest first, summed
+    over the chunk's sources."""
+    dtype = levels[0][1].dtype
+    acc = next_sigma = np.zeros(0, dtype=dtype)
+    cells = [np.zeros(0, dtype=np.int64)]
+    through = [np.zeros(0, dtype=dtype)]
+    for depth in range(len(levels) - 1, -1, -1):
+        keys, sigma, parent, child = levels[depth]
+        if mode == "count":
+            # acc counts shortest-path continuations below a cell; sigma * acc
+            # is the number of paths from the source through it.
+            acc = _scatter(parent, (acc + 1)[child], keys.size)
+            paths = sigma * acc
+        else:
+            acc = sigma * _scatter(parent, ((1.0 + acc) / next_sigma)[child], keys.size)
+            paths = acc
+        next_sigma = sigma
+        if depth:
+            cells.append(keys)
+            through.append(paths)
+    return _scatter(np.concatenate(cells) % n, np.concatenate(through), n)
+
+
+def _add_counts(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """``total + part`` for count betweenness; Python ints once either
+    operand holds them or a sum reaches 2**53."""
+    summed = total + part
+    if summed.dtype == object or not _exact((), summed):
+        summed = np.array([int(a) + int(b) for a, b in zip(total, part)], dtype=object)
+    return summed
 
 
 def shortest_path_summary(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -57,12 +148,17 @@ def shortest_path_summary(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     n = g.n
     dist = np.full((n, n), np.inf)
     sigma = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        _, d, sig, _ = _bfs(g, s)
-        for v in range(n):
-            if d[v] >= 0:
-                dist[s, v] = d[v]
-                sigma[s, v] = sig[v]
+    csr = _csr(g)
+    for sources in _chunks(g):
+        flat, levels = _frontier_sweep(csr, sources, np.float64)
+        if not _exact(levels):
+            flat, levels = _frontier_sweep(csr, sources, object)
+        rows = flat.reshape(len(sources), n)
+        dist[sources] = np.where(rows >= 0, rows, np.inf)
+        block = np.zeros(len(sources) * n, dtype=np.int64)
+        for keys, counts, _, _ in levels:
+            block[keys] = counts
+        sigma[sources] = block.reshape(len(sources), n)
     return dist, sigma
 
 
@@ -86,53 +182,42 @@ class _PathSweep:
 
 
 def _path_sweep(g: Graph, mode: str | None) -> _PathSweep:
-    """One BFS per source, reduced to every shortest-path quantity.
+    """One chunked frontier sweep, reduced to every shortest-path quantity.
 
     ``mode`` selects the betweenness accumulation (``count`` or
-    ``fractional``); ``None`` skips it and leaves betweenness at zero.
+    ``fractional``); ``None`` counts no paths and leaves betweenness at zero.
     """
     n = g.n
+    csr = _csr(g)
     centrality = np.zeros(n)
     closeness = np.zeros(n)
     farness = np.zeros(n)
     diam = 0
     total = 0
     count = 0
-    for s in range(n):
-        order, dist, sigma, preds = _bfs(g, s)
-        row_total = 0
-        reach = 0
-        for d in dist:
-            if d > 0:
-                row_total += d
-                reach += 1
-                if d > diam:
-                    diam = d
-        total += row_total
-        count += reach
-        closeness[s] = reach / row_total if row_total else 0.0
-        farness[s] = row_total / n
+    for sources in _chunks(g):
         if mode is None:
-            continue
-        acc = [0.0] * n
-        if mode == "count":
-            # acc[v] counts shortest-path continuations below v in the DAG;
-            # sigma[v] * acc[v] is the number of paths from s through v.
-            for w in reversed(order):
-                aw = acc[w] + 1.0
-                for v in preds[w]:
-                    acc[v] += aw
-                if w != s:
-                    centrality[w] += sigma[w] * acc[w]
+            dist, _ = _frontier_sweep(csr, sources, None)
         else:
-            for w in reversed(order):
-                coeff = (1.0 + acc[w]) / sigma[w]
-                for v in preds[w]:
-                    acc[v] += sigma[v] * coeff
-                if w != s:
-                    centrality[w] += acc[w]
+            dist, levels = _frontier_sweep(csr, sources, np.float64)
+            part = _chunk_betweenness(levels, n, mode)
+            if mode == "count" and not _exact(levels, part):
+                dist, levels = _frontier_sweep(csr, sources, object)
+                part = _chunk_betweenness(levels, n, mode)
+            centrality = _add_counts(centrality, part) if mode == "count" else centrality + part
+        rows = dist.reshape(len(sources), n)
+        reached = rows > 0
+        reach = reached.sum(axis=1)
+        row_total = np.where(reached, rows, 0).sum(axis=1)
+        closeness[sources] = np.divide(
+            reach, row_total, out=np.zeros(len(sources)), where=row_total > 0
+        )
+        farness[sources] = row_total / n
+        diam = max(diam, int(rows.max()))
+        total += int(row_total.sum())
+        count += int(reach.sum())
     return _PathSweep(
-        betweenness=centrality,
+        betweenness=centrality.astype(np.float64),
         closeness=closeness,
         farness=farness,
         diameter=diam,

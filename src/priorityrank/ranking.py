@@ -56,6 +56,16 @@ def selection_probabilities(ranks) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _first_duplicate(ids: np.ndarray) -> int | None:
+    """The smallest id that occurs twice among non-negative ``ids``."""
+    if ids.max() < 4 * len(ids):  # dense ids, as vertex ids are: count them
+        repeats = np.flatnonzero(np.bincount(ids) > 1)
+    else:
+        ordered = np.sort(ids)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats[0]) if repeats.size else None
+
+
 def build_local_ranking(source: int, distances, n: int | None = None) -> LocalRanking:
     """Rank all targets of one source vertex by distance.
 
@@ -74,8 +84,13 @@ def build_local_ranking(source: int, distances, n: int | None = None) -> LocalRa
         raise ValueError("ranking needs at least one target")
     if (ids == source).any():
         raise ValueError(f"source vertex {source} cannot rank itself")
-    if len(np.unique(ids)) != len(ids):
-        raise ValueError("duplicate target ids in distance map")
+    if (ids < 0).any():
+        raise ValueError(f"negative target id {int(ids[ids < 0][0])}")
+    if n is not None and (ids >= n).any():
+        raise ValueError(f"target id {int(ids[ids >= n][0])} is outside [0, {n})")
+    duplicate = _first_duplicate(ids)
+    if duplicate is not None:
+        raise ValueError(f"duplicate target id {duplicate} in distance map")
     if n is not None:
         expected = n - 1
         if len(ids) != expected:

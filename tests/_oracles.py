@@ -80,6 +80,31 @@ def betweenness_fractional_oracle(g: Graph) -> list[Fraction]:
     return totals
 
 
+def betweenness_count_brandes(g: Graph) -> list[int]:
+    """Raw pass-through counts in Python ints, by Brandes' accumulation over
+    each source's shortest-path DAG; exact at any size."""
+    n = g.n
+    totals = [0] * n
+    for s in range(n):
+        dist = bfs_distances(g.out_adj, s, n)
+        order = sorted((v for v in range(n) if dist[v] >= 0), key=lambda v: dist[v])
+        paths = [0] * n
+        paths[s] = 1
+        for v in order:
+            for w in g.out_adj[v]:
+                if dist[w] == dist[v] + 1:
+                    paths[w] += paths[v]
+        below = [0] * n  # shortest-path continuations from v onwards
+        for w in reversed(order):
+            for v in g.in_adj[w]:
+                if dist[v] >= 0 and dist[v] == dist[w] - 1:
+                    below[v] += below[w] + 1
+        for v in order:
+            if v != s:
+                totals[v] += paths[v] * below[v]
+    return totals
+
+
 def ks_statistic_oracle(a, b) -> float:
     """Max ECDF gap by direct evaluation at every pooled value."""
     a = list(a)

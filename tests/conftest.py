@@ -5,13 +5,13 @@ from priorityrank import metrics
 
 @pytest.fixture
 def bfs_calls(monkeypatch) -> list[int]:
-    """Log of the sources of every per-source BFS that metrics runs."""
+    """Log of the sources of every chunk that the shortest-path sweep runs."""
     calls = []
-    bfs = metrics._bfs
+    sweep = metrics._frontier_sweep
 
-    def counting(g, source):
-        calls.append(source)
-        return bfs(g, source)
+    def logging(csr, sources, dtype):
+        calls.extend(sources.tolist())
+        return sweep(csr, sources, dtype)
 
-    monkeypatch.setattr(metrics, "_bfs", counting)
+    monkeypatch.setattr(metrics, "_frontier_sweep", logging)
     return calls

@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from priorityrank import cli, metrics
 from priorityrank.generate import (
     gen_barabasi_albert,
     gen_dorogovtsev_goltsev_mendes,
     gen_erdos_renyi,
 )
-from priorityrank.graph import Graph, symmetrize
+from priorityrank.graph import Graph, save_edge_list, symmetrize
 from priorityrank.metrics import (
     assortativity,
     avg_path_length,
@@ -26,10 +28,14 @@ from priorityrank.metrics import (
 )
 
 from _oracles import (
+    betweenness_count_brandes,
     betweenness_count_oracle,
     betweenness_fractional_oracle,
+    bfs_distances,
     random_digraph,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def path3():
@@ -229,3 +235,121 @@ def test_path_metrics_match_networkx(g):
     prof = network_profile(g)
     assert prof.diameter == max(lengths)
     assert prof.avg_path_length == pytest.approx(sum(lengths) / len(lengths))
+
+
+def diamond_chain(diamonds: int) -> Graph:
+    """Joins 0, 3, 6, ... each fork to two middle vertices that meet again at
+    the next join: 2**diamonds shortest paths end to end."""
+    arcs = []
+    for i in range(diamonds):
+        join, nxt = 3 * i, 3 * i + 3
+        for middle in (join + 1, join + 2):
+            arcs += [(join, middle), (middle, nxt)]
+    return Graph(3 * diamonds + 1, arcs)
+
+
+def expected_path_metrics(g: Graph) -> dict:
+    """Closeness, farness, diameter and path length from oracle BFS rows."""
+    rows = [[d for d in bfs_distances(g.out_adj, s, g.n) if d > 0] for s in range(g.n)]
+    lengths = [d for row in rows for d in row]
+    return {
+        "closeness": [len(row) / sum(row) if row else 0.0 for row in rows],
+        "closeness_farness": [sum(row) / g.n for row in rows],
+        "diameter": max(lengths, default=0),
+        "avg_path_length": sum(lengths) / len(lengths) if lengths else 0.0,
+    }
+
+
+# one source per chunk, the default chunking, and the whole graph in one chunk
+CHUNK_CELLS = pytest.mark.parametrize(
+    "cells", [1, metrics._CHUNK_CELLS, 10**12], ids=["one_source", "default", "one_chunk"]
+)
+
+
+@CHUNK_CELLS
+def test_count_betweenness_exact_above_2_53(monkeypatch, cells):
+    monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+    g = diamond_chain(60)
+    oracle = betweenness_count_brandes(g)
+    assert max(oracle) > 2**53
+    assert betweenness_centrality(g, "count").tolist() == [float(x) for x in oracle]
+    prof = network_profile(g)
+    assert prof.betweenness.tolist() == [float(x) for x in oracle]
+    expected = expected_path_metrics(g)
+    assert prof.closeness.tolist() == expected["closeness"]
+    assert closeness_centrality(g, "reciprocal").tolist() == expected["closeness"]
+    assert diameter(g) == prof.diameter == expected["diameter"] == 120
+    assert avg_path_length(g) == prof.avg_path_length == expected["avg_path_length"]
+    dist, sigma = shortest_path_summary(g)
+    assert sigma[0, g.n - 1] == 2**60 and dist[0, g.n - 1] == 120
+
+
+def test_brandes_oracle_matches_enumeration():
+    gen = np.random.default_rng(19)
+    for _ in range(20):
+        g = random_digraph(gen, int(gen.integers(2, 8)), float(gen.uniform(0.1, 0.9)))
+        assert betweenness_count_brandes(g) == betweenness_count_oracle(g).tolist()
+
+
+EDGE_CASES = {
+    "empty": Graph(0),
+    "single": Graph(1),
+    "no_arcs": Graph(4),
+    "isolated": Graph(6, [(0, 1), (1, 0), (1, 2), (2, 1)]),
+    # vertex 3 only receives arcs; vertex 4 only sends them
+    "sink_only": Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (2, 3), (4, 0)]),
+}
+
+
+@CHUNK_CELLS
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_path_metrics_edge_cases(monkeypatch, cells, name):
+    monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+    g = EDGE_CASES[name]
+    prof = network_profile(g)
+    expected = expected_path_metrics(g)
+    assert prof.betweenness.tolist() == betweenness_count_oracle(g).tolist()
+    assert prof.closeness.tolist() == expected["closeness"]
+    assert prof.closeness_farness.tolist() == expected["closeness_farness"]
+    assert prof.diameter == expected["diameter"]
+    assert prof.avg_path_length == expected["avg_path_length"]
+    frac = betweenness_centrality(g, "fractional")
+    assert frac.tolist() == pytest.approx([float(x) for x in betweenness_fractional_oracle(g)])
+    dist, sigma = shortest_path_summary(g)
+    for s in range(g.n):
+        row = bfs_distances(g.out_adj, s, g.n)
+        assert dist[s].tolist() == [d if d >= 0 else math.inf for d in row]
+        assert [bool(x) for x in sigma[s]] == [d >= 0 for d in row]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_erdos_renyi(90, 0.05, seed=5),
+        gen_barabasi_albert(90, 3, seed=6),
+        gen_dorogovtsev_goltsev_mendes(4),
+        Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]),
+    ],
+    ids=["er", "ba", "dgm", "unreachable"],
+)
+def test_profile_independent_of_chunk_size(monkeypatch, g):
+    default = network_profile(g).to_json_dict()
+    for cells in (1, 10**12):
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+        assert network_profile(g).to_json_dict() == default
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [
+        ("profile_dgm5.json", gen_dorogovtsev_goltsev_mendes(5)),
+        ("profile_er120.json", gen_erdos_renyi(120, 0.05, seed=7)),
+        ("profile_ba120.json", gen_barabasi_albert(120, 3, seed=8)),
+    ],
+)
+def test_profile_matches_golden_file(tmp_path, name, g):
+    edges = tmp_path / "g.tsv"
+    edges.write_text(save_edge_list(g), encoding="utf-8")
+    out = tmp_path / name
+    assert cli.main(["profile", "--in", str(edges), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()

@@ -93,6 +93,23 @@ def test_build_validation():
         build_local_ranking(0, {1: 1.0}, n=4)
 
 
+def test_build_rejects_bad_target_ids():
+    with pytest.raises(ValueError, match="negative target id -2"):
+        build_local_ranking(0, {-2: 0.0, 1: 1.0}, n=3)
+    with pytest.raises(ValueError, match="negative target id -1"):
+        build_local_ranking(0, ([3, -1], [1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"target id 7 is outside \[0, 3\)"):
+        build_local_ranking(0, {1: 0.0, 7: 1.0}, n=3)
+    with pytest.raises(ValueError, match="target id 3 is outside"):
+        build_local_ranking(0, ([1, 3], [1.0, 2.0]), n=3)
+    with pytest.raises(ValueError, match="duplicate target id 2"):
+        build_local_ranking(0, ([1, 2, 3, 2, 3, 3], [1.0] * 6))
+    # sparse ids take the sort-based duplicate check
+    with pytest.raises(ValueError, match="duplicate target id 10000"):
+        build_local_ranking(0, ([10**9, 10000, 10000], [1.0, 2.0, 3.0]))
+    assert build_local_ranking(0, ([10**9, 10000], [1.0, 2.0])).targets.tolist() == [10**9, 10000]
+
+
 def test_sampling_exhaustion_and_minimal():
     r = alice_ranking()
     full = sample_targets(r, 4, RngStream(0))
