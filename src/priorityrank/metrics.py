@@ -30,7 +30,7 @@ import numpy as np
 from .graph import Graph, symmetrize
 
 # Sources per chunk times max(n, m) stays near this many cells, so the
-# transient memory of a chunk is O(chunk * n) and about 1.5 MB.
+# transient memory of a chunk is O(chunk * n), about 1.4 MB traced.
 _CHUNK_CELLS = 2**15
 _EXACT_LIMIT = 2.0**53
 

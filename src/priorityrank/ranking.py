@@ -57,12 +57,9 @@ def selection_probabilities(ranks) -> np.ndarray:
 
 
 def _first_duplicate(ids: np.ndarray) -> int | None:
-    """The smallest id that occurs twice among non-negative ``ids``."""
-    if ids.max() < 4 * len(ids):  # dense ids, as vertex ids are: count them
-        repeats = np.flatnonzero(np.bincount(ids) > 1)
-    else:
-        ordered = np.sort(ids)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    """The smallest id that occurs twice in ``ids``."""
+    ordered = np.sort(ids)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
     return int(repeats[0]) if repeats.size else None
 
 

@@ -104,7 +104,6 @@ def test_build_rejects_bad_target_ids():
         build_local_ranking(0, ([1, 3], [1.0, 2.0]), n=3)
     with pytest.raises(ValueError, match="duplicate target id 2"):
         build_local_ranking(0, ([1, 2, 3, 2, 3, 3], [1.0] * 6))
-    # sparse ids take the sort-based duplicate check
     with pytest.raises(ValueError, match="duplicate target id 10000"):
         build_local_ranking(0, ([10**9, 10000, 10000], [1.0, 2.0, 3.0]))
     assert build_local_ranking(0, ([10**9, 10000], [1.0, 2.0])).targets.tolist() == [10**9, 10000]
