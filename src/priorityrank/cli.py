@@ -53,6 +53,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_DISTANCES = ("random", "degree", "betweenness", "closeness", "pagerank")
+WORKERS_HELP = "worker count (default PRIORITY_RANK_WORKERS); never changes the output"
 
 
 class UsageError(Exception):
@@ -111,7 +112,7 @@ def _build_parser() -> _Parser:
     )
     gen.add_argument("--out", required=True, help="output edge-list path")
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--workers", type=int, default=None)
+    gen.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     gen.add_argument("--n", type=int, help="vertex count")
     gen.add_argument("--attrs", help="attribute CSV for priority-rank")
     gen.add_argument("--attrs-out", help="write the attribute table used")
@@ -162,7 +163,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--runs", type=int, default=20)
     rec.add_argument("--pilot", type=int, default=3)
     rec.add_argument("--seed", type=int)
-    rec.add_argument("--workers", type=int, default=None)
+    rec.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     rec.add_argument("--report", help="report JSON path (default stdout)")
     rec.add_argument("--emit-best", help="directory for the winner's edge lists")
     rec.add_argument("--negative-ratio", type=float, default=1.0)

@@ -62,7 +62,6 @@ class DistanceContext:
         self.reference = reference
         self.rng = rng
         self._centralities: dict[str, np.ndarray] = dict(centralities or {})
-        self._random_rows: dict[tuple, np.ndarray] = {}
         self._features: dict = {}
         self._scores: dict = {}
 
@@ -87,17 +86,12 @@ class DistanceContext:
         return vec
 
     def random_row(self, source: int, mu: float, sigma: float) -> np.ndarray:
-        """Memoized |N(mu, sigma)| draws for one source vertex, so repeated
-        queries of the same pair stay consistent within a ranking build."""
-        key = (source, mu, sigma)
-        row = self._random_rows.get(key)
-        if row is None:
-            if self.rng is None:
-                raise ValueError("random distance needs a context random stream")
-            gen = self.rng.child(source).generator
-            row = np.abs(gen.normal(mu, sigma, size=self.n))
-            self._random_rows[key] = row
-        return row
+        """|N(mu, sigma)| draws for one source vertex, from the source's own
+        child stream, so repeated queries of the same pair agree."""
+        if self.rng is None:
+            raise ValueError("random distance needs a context random stream")
+        gen = self.rng.child(source).generator
+        return np.abs(gen.normal(mu, sigma, size=self.n))
 
     def features(self, encoder: "FeatureEncoder") -> np.ndarray:
         mat = self._features.get(encoder)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import AttributeTable, Graph, symmetrize
 from .metrics import assortativity
-from .ranking import build_local_ranking, sample_targets
+from .ranking import sample_rows
 from .stats import RngStream
 
 
@@ -67,6 +66,11 @@ class DegreeSpec:
         return ks
 
 
+# Sources per block: about _BLOCK_CELLS distance cells, so a block's
+# transient arrays stay O(block·n), 0.5 MB each.
+_BLOCK_CELLS = 2**16
+
+
 def _generation_pass(
     n: int,
     attrs: AttributeTable | None,
@@ -75,7 +79,6 @@ def _generation_pass(
     stream: RngStream,
     reference: Graph | None,
     centralities,
-    workers: int,
 ) -> Graph:
     ks = degrees.draws(n, stream.child(0))
     ctx = DistanceContext(
@@ -85,26 +88,24 @@ def _generation_pass(
         rng=stream.child(1),
         centralities=centralities,
     )
-    all_ids = np.arange(n, dtype=np.int64)
-
-    def arcs_for(i: int) -> list[tuple[int, int]]:
-        if ks[i] == 0:
-            return []
-        row = spec.row(ctx, i)
-        ids = np.delete(all_ids, i)
-        ranking = build_local_ranking(i, (ids, np.delete(row, i)))
-        targets = sample_targets(ranking, int(ks[i]), stream.child(2, i))
-        return [(i, int(t)) for t in targets]
-
-    arcs: list[tuple[int, int]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(arcs_for, range(n)):
-                arcs.extend(chunk)
-    else:
-        for i in range(n):
-            arcs.extend(arcs_for(i))
-    return Graph(n, arcs)
+    # one contiguous n x n stream of uniforms, read a block of rows at a
+    # time, so the draws do not depend on the block size
+    uniforms = stream.child(2).generator
+    block = max(1, _BLOCK_CELLS // n)
+    heads, tails = [], []
+    for start in range(0, n, block):
+        u = uniforms.random((min(block, n - start), n))
+        sources = np.arange(start, start + len(u))
+        live = ks[sources] > 0
+        sources = sources[live]
+        if not len(sources):
+            continue
+        rows = np.stack([spec.row(ctx, int(i)) for i in sources])
+        heads.append(np.repeat(sources, ks[sources]))
+        tails.append(sample_rows(rows, sources, ks[sources], u[live]))
+    if not heads:
+        return Graph(n)
+    return Graph(n, zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist()))
 
 
 def priority_rank_generate(
@@ -122,7 +123,8 @@ def priority_rank_generate(
 
     Every vertex i receives its out-degree budget, ranks all other vertices
     with the distance function, and draws that many distinct targets.  The
-    output is deterministic for a fixed seed, independent of worker count.
+    output is deterministic for a fixed seed.  ``workers`` never changes the
+    output; the pass runs in one thread, a block of sources at a time.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
@@ -133,18 +135,10 @@ def priority_rank_generate(
         # No reference context: bootstrap from a random graph of the same
         # shape, then regenerate once more from the intermediate network's
         # own centralities.
-        bootstrap = _generation_pass(
-            n, attrs, RandomDistance(), degrees, root.child(1), None, None, workers
-        )
-        first = _generation_pass(
-            n, attrs, spec, degrees, root.child(2), bootstrap, None, workers
-        )
-        return _generation_pass(
-            n, attrs, spec, degrees, root.child(3), first, None, workers
-        )
-    return _generation_pass(
-        n, attrs, spec, degrees, root.child(0), reference, centralities, workers
-    )
+        bootstrap = _generation_pass(n, attrs, RandomDistance(), degrees, root.child(1), None, None)
+        first = _generation_pass(n, attrs, spec, degrees, root.child(2), bootstrap, None)
+        return _generation_pass(n, attrs, spec, degrees, root.child(3), first, None)
+    return _generation_pass(n, attrs, spec, degrees, root.child(0), reference, centralities)
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:

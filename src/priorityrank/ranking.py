@@ -6,6 +6,16 @@ position of their group and the next distinct entry skips ahead, so the
 rank sequence may contain gaps.  Entry weights are 1/rank; normalizing them
 gives the selection probabilities.  With no ties this reduces to
 P(position i) = 1 / (H_{n-1} * i) with H the harmonic number.
+
+Targets are drawn without replacement by exponential keys (Efraimidis and
+Spirakis, 2006): every entry gets the key ``rank * log(1 - u)`` from its own
+uniform u, and the k largest keys, in descending order, are the k draws.
+This has the same law as drawing one entry at a time with probability
+proportional to 1/rank among the entries left.  ``sample_rows`` does this
+for a block of sources at once, from their distance rows; ``sample_targets``
+does it for one ``LocalRanking``.  Seeded priority-rank graphs changed when
+these keys replaced the draw-by-draw ``cumsum`` walk.  The keys use
+``1 - u``, which lies in (0, 1], rather than u, so every key is finite.
 """
 
 from __future__ import annotations
@@ -37,16 +47,16 @@ class LocalRanking:
         return len(self.targets)
 
 
-def competition_ranks(sorted_values: np.ndarray) -> np.ndarray:
-    """1224-style ranks for a non-decreasing value sequence."""
-    m = len(sorted_values)
+def competition_ranks(sorted_values) -> np.ndarray:
+    """1224-style ranks along the last axis of non-decreasing values."""
+    sorted_values = np.asarray(sorted_values)
+    m = sorted_values.shape[-1]
     if m == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(sorted_values.shape, dtype=np.int64)
     positions = np.arange(1, m + 1, dtype=np.int64)
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_values[1:] != sorted_values[:-1]
-    return np.maximum.accumulate(np.where(new_group, positions, 0))
+    new_group = np.ones(sorted_values.shape, dtype=bool)
+    new_group[..., 1:] = sorted_values[..., 1:] != sorted_values[..., :-1]
+    return np.maximum.accumulate(np.where(new_group, positions, 0), axis=-1)
 
 
 def selection_probabilities(ranks) -> np.ndarray:
@@ -93,10 +103,7 @@ def build_local_ranking(source: int, distances, n: int | None = None) -> LocalRa
         if len(ids) != expected:
             missing = sorted(set(range(n)) - {source} - set(int(i) for i in ids))
             raise ValueError(f"distance map misses vertices {missing[:5]}")
-    if not np.isfinite(values).all():
-        raise ValueError("distances must be finite")
-    if (values < 0).any():
-        raise ValueError("distances must be non-negative")
+    _check_distances(values)
     order = np.lexsort((ids, values))
     targets = ids[order]
     sorted_values = values[order]
@@ -110,26 +117,75 @@ def build_local_ranking(source: int, distances, n: int | None = None) -> LocalRa
     )
 
 
+def _check_distances(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("distances must be finite")
+    if (values < 0).any():
+        raise ValueError("distances must be non-negative")
+
+
+def _top_keys(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Column indices of the ``ks[r]`` largest keys of each row r, in
+    descending key order, concatenated row after row."""
+    b, m = keys.shape
+    top = int(ks.max())
+    rows = np.arange(b)[:, None]
+    picked = np.argpartition(keys, m - top, axis=1)[:, m - top :]
+    picked = picked[rows, np.argsort(-keys[rows, picked], axis=1, kind="stable")]
+    return picked[np.arange(top) < ks[:, None]]
+
+
+def sample_rows(distances, sources, ks, u) -> np.ndarray:
+    """Draw ``ks[r]`` distinct targets for each source ``sources[r]``.
+
+    ``distances`` is a (b, n) block of distance rows, one per source, over
+    every vertex; the source's own entry is ignored.  ``u`` holds b x n
+    uniforms in [0, 1), indexed like ``distances``.  Each target gets the
+    competition rank of its distance among the other n - 1 and the key
+    ``rank * log(1 - u)``; a source takes its ``ks[r]`` largest keys.  The
+    result is every row's targets, in descending key order, concatenated
+    row after row.
+
+    Ranks are assigned in sorted order and scattered back by target id, so
+    tied distances share a rank whatever order the sort leaves them in.
+    """
+    distances = np.array(distances, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    b, n = distances.shape
+    if np.shape(u) != (b, n):
+        raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
+    bad = (ks < 1) | (ks > n - 1)
+    if bad.any():
+        raise ValueError(f"cannot draw {int(ks[bad][0])} targets from {n - 1} entries")
+    if b == 0:
+        return np.zeros(0, dtype=np.int64)
+    rows = np.arange(b)
+    distances[rows, sources] = 0.0
+    _check_distances(distances)
+    # the source's own entry sorts last, so it never shifts a target's rank
+    distances[rows, sources] = np.inf
+    order = np.argsort(distances, axis=1)
+    ranks = np.empty((b, n), dtype=np.int64)
+    np.put_along_axis(
+        ranks, order, competition_ranks(np.take_along_axis(distances, order, axis=1)), axis=1
+    )
+    keys = ranks * np.log1p(-u)
+    keys[rows, sources] = -np.inf
+    return _top_keys(keys, ks)
+
+
 def sample_targets(ranking: LocalRanking, k: int, rng: RngStream) -> np.ndarray:
     """Draw k distinct targets without replacement.
 
-    Each draw picks an entry with probability proportional to its current
-    1/rank weight, removes it, and renormalizes the remainder.
+    Each draw picks an entry with probability proportional to its 1/rank
+    weight among the entries not yet drawn.  The draws come from one key per
+    entry, ``rank * log(1 - u)`` with u uniform, taken in descending order
+    (Efraimidis and Spirakis, 2006), so the first of k draws is the single
+    draw of the same stream.
     """
     m = len(ranking)
     if not 1 <= k <= m:
         raise ValueError(f"cannot draw {k} targets from {m} entries")
-    gen = rng.generator
-    weights = 1.0 / ranking.ranks
-    chosen = np.empty(k, dtype=np.int64)
-    for step in range(k):
-        cum = np.cumsum(weights)
-        u = gen.random() * cum[-1]
-        idx = min(int(np.searchsorted(cum, u, side="right")), m - 1)
-        # a zeroed weight can only be hit through fp round-off at the
-        # boundary; walk to the nearest live entry
-        while weights[idx] == 0.0:
-            idx = idx - 1 if idx > 0 else idx + 1
-        chosen[step] = ranking.targets[idx]
-        weights[idx] = 0.0
-    return chosen
+    keys = ranking.ranks * np.log1p(-rng.generator.random(m))
+    return ranking.targets[_top_keys(keys[None, :], np.array([k]))]

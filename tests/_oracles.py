@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from priorityrank.graph import Graph
+from priorityrank.ranking import build_local_ranking
 
 
 def bfs_distances(adj, source: int, n: int) -> list[int]:
@@ -122,3 +124,38 @@ def random_digraph(gen: np.random.Generator, n: int, p: float) -> Graph:
     np.fill_diagonal(mat, False)
     src, dst = np.nonzero(mat)
     return Graph(n, zip(src.tolist(), dst.tolist()))
+
+
+def sequential_draw_law(ranks, k: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact probability of every ordered k-draw of distinct positions when
+    each draw picks a remaining position with probability proportional to
+    1/rank, by enumerating all sequences."""
+    weights = [Fraction(1, int(r)) for r in ranks]
+    total = sum(weights)
+    law = {}
+    for seq in permutations(range(len(weights)), k):
+        p, left = Fraction(1), total
+        for pos in seq:
+            p *= weights[pos] / left
+            left -= weights[pos]
+        law[seq] = p
+    return law
+
+
+def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:
+    """Arcs of one priority-rank pass, one vertex at a time: stable
+    ``lexsort`` ranks from ``build_local_ranking``, the key
+    ``rank * log(1 - u[i, t])`` for every target t, and the ``ks[i]``
+    largest keys."""
+    n = ctx.n
+    ids = np.arange(n)
+    arcs = set()
+    for i in range(n):
+        if ks[i] == 0:
+            continue
+        row = spec.row(ctx, i)
+        ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
+        keys = ranking.ranks * np.log1p(-u[i, ranking.targets])
+        best = np.argsort(-keys, kind="stable")[: ks[i]]
+        arcs.update((i, int(t)) for t in ranking.targets[best])
+    return arcs

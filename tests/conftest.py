@@ -1,6 +1,9 @@
+from functools import cached_property
+
 import pytest
 
 from priorityrank import metrics
+from priorityrank.stats import RngStream
 
 
 @pytest.fixture
@@ -15,3 +18,19 @@ def bfs_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(metrics, "_frontier_sweep", logging)
     return calls
+
+
+@pytest.fixture
+def rng_streams(monkeypatch) -> list[tuple[int, ...]]:
+    """Log of the paths of every ``RngStream`` whose numpy generator is built."""
+    built = []
+    generator = RngStream.__dict__["generator"].func
+
+    def logging(stream):
+        built.append(stream.path)
+        return generator(stream)
+
+    prop = cached_property(logging)
+    prop.__set_name__(RngStream, "generator")
+    monkeypatch.setattr(RngStream, "generator", prop)
+    return built

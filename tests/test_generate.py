@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from priorityrank import generate
 from priorityrank.distance import (
     CentralityDistance,
+    DistanceContext,
     Euclidean1D,
     RandomDistance,
     reference_centralities,
@@ -21,12 +25,18 @@ from priorityrank.generate import (
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, symmetrize
 from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter
+from priorityrank.ranking import build_local_ranking
 from priorityrank.stats import RngStream, ks_two_sample
+
+from _oracles import priority_rank_oracle, sequential_draw_law
+
+
+def attr_table(values):
+    return AttributeTable([AttributeColumn("x", "continuous", tuple(float(v) for v in values))])
 
 
 def uniform_attr(n, seed):
-    vals = RngStream(seed).generator.uniform(0, 1, n)
-    return AttributeTable([AttributeColumn("x", "continuous", tuple(vals))])
+    return attr_table(RngStream(seed).generator.uniform(0, 1, n))
 
 
 def test_priority_rank_two_vertices():
@@ -198,3 +208,96 @@ def test_locality_raises_path_length():
         ls_local.append(avg_path_length(local))
         ls_random.append(avg_path_length(rand))
     assert float(np.median(ls_local)) > float(np.median(ls_random))
+
+
+def test_generated_target_sets_follow_sequential_law():
+    # chi-square, over seeds, of each source's drawn target set against the
+    # exact law of drawing one target at a time without replacement; the
+    # distances have ties
+    x = [0, 1, 1, 2, 3, 3, 5]
+    n, k, trials = len(x), 3, 4000
+    attrs = attr_table(x)
+    spec = Euclidean1D(attr="x")
+    ctx = DistanceContext(attrs=attrs)
+    laws, counts = [], []
+    for i in range(n):
+        row = spec.row(ctx, i)
+        ranking = build_local_ranking(i, (np.delete(np.arange(n), i), np.delete(row, i)))
+        law: dict[frozenset, float] = {}
+        for seq, p in sequential_draw_law(ranking.ranks, k).items():
+            key = frozenset(int(ranking.targets[pos]) for pos in seq)
+            law[key] = law.get(key, 0.0) + float(p)
+        laws.append(law)
+        counts.append(dict.fromkeys(law, 0))
+    for seed in range(trials):
+        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(k), seed=seed)
+        for i in range(n):
+            counts[i][frozenset(g.out_adj[i])] += 1
+    stat = dof = 0.0
+    for law, got in zip(laws, counts):
+        expected = np.array([trials * law[s] for s in law])
+        observed = np.array([got[s] for s in law])
+        assert expected.min() >= 5
+        stat += float(((observed - expected) ** 2 / expected).sum())
+        dof += len(law) - 1
+    assert chi2.sf(stat, dof) > 1e-3
+
+
+CASES = {
+    "random": lambda n: (None, RandomDistance(), DegreeSpec.constant(5), None),
+    "tied_euclidean": lambda n: (
+        attr_table(RngStream(3).generator.integers(0, 4, n)),
+        Euclidean1D(attr="x"),
+        DegreeSpec.constant(7),
+        None,
+    ),
+    "degree_resampled": lambda n: (
+        None,
+        CentralityDistance(centrality="degree"),
+        DegreeSpec.resample([0, 0, 1, 2, 7, n + 5]),
+        gen_erdos_renyi(n, 0.1, seed=8),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_priority_rank_independent_of_block_size(monkeypatch, case):
+    n = 40
+    attrs, spec, degrees, reference = CASES[case](n)
+    graphs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resampled degrees get clamped
+        for cells in (1, generate._BLOCK_CELLS, 10**12):
+            monkeypatch.setattr(generate, "_BLOCK_CELLS", cells)
+            graphs.append(
+                priority_rank_generate(n, attrs, spec, degrees, seed=13, reference=reference)
+            )
+    assert graphs[0].arc_count > 0
+    assert graphs[0] == graphs[1] == graphs[2]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_priority_rank_matches_per_vertex_oracle(case):
+    # the per-vertex oracle ranks ties with a stable lexsort; the pass sorts
+    # with numpy's default sort, so tied entries may land in another order
+    n, seed = 60, 21
+    attrs, spec, degrees, reference = CASES[case](n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = priority_rank_generate(n, attrs, spec, degrees, seed, reference=reference)
+        stream = RngStream(seed).child(0)
+        ks = degrees.draws(n, stream.child(0))
+    ctx = DistanceContext(n=n, attrs=attrs, reference=reference, rng=stream.child(1))
+    u = stream.child(2).generator.random((n, n))
+    assert g.arcs == priority_rank_oracle(spec, ctx, ks, u)
+
+
+def test_non_random_pass_builds_constant_rng_streams(rng_streams):
+    # one stream of uniforms per pass, not one generator per vertex
+    built = []
+    for n in (20, 200):
+        attrs = uniform_attr(n, 1)
+        rng_streams.clear()
+        priority_rank_generate(n, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(3), seed=2)
+        built.append(len(rng_streams))
+    assert built == [1, 1]

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from priorityrank.ranking import (
     build_local_ranking,
     competition_ranks,
+    sample_rows,
     sample_targets,
     selection_probabilities,
 )
 from priorityrank.stats import RngStream, harmonic
+
+from _oracles import sequential_draw_law
 
 
 def alice_ranking():
@@ -51,6 +55,8 @@ def test_competition_ranks_gap_structure():
     assert competition_ranks(np.array([1.0, 1.0, 1.0, 2.0])).tolist() == [1, 1, 1, 4]
     assert competition_ranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1, 2, 2, 4]
     assert competition_ranks(np.array([])).tolist() == []
+    rows = np.array([[1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 3.0]])
+    assert competition_ranks(rows).tolist() == [[1, 1, 1, 4], [1, 2, 2, 4]]
 
 
 def test_probabilities_sum_to_one_large():
@@ -166,3 +172,67 @@ def test_single_draw_is_first_step_of_full_draw():
         single = sample_targets(r, 1, RngStream(seed))
         full = sample_targets(r, len(r), RngStream(seed))
         assert single.tolist() == full[:1].tolist()
+
+
+@pytest.mark.parametrize(
+    "distances, k",
+    [
+        ({1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0}, 2),
+        ({1: 15.0, 2: 15.0, 3: 20.0, 4: 30.0}, 2),
+        ({1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0}, 3),
+        ({1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0}, 1),
+        ({1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0, 5: 2.0}, 3),
+    ],
+)
+def test_ordered_draws_follow_sequential_law(distances, k):
+    # chi-square of the ordered k-draws against the exact law of drawing one
+    # entry at a time without replacement
+    r = build_local_ranking(0, distances)
+    law = sequential_draw_law(r.ranks, k)
+    position = {int(t): p for p, t in enumerate(r.targets)}
+    index = {seq: c for c, seq in enumerate(law)}
+    rng = RngStream(2006)
+    trials = 20_000
+    counts = np.zeros(len(law))
+    for _ in range(trials):
+        counts[index[tuple(position[int(t)] for t in sample_targets(r, k, rng))]] += 1
+    expected = trials * np.array([float(p) for p in law.values()])
+    assert expected.min() >= 5
+    assert chisquare(counts, expected).pvalue > 1e-3
+
+
+def test_sample_rows_skips_the_source_entry():
+    # the source's own entry is ignored, even when it is not a valid distance
+    rows = np.array([[np.nan, 1.0, 2.0, 2.0], [3.0, -1.0, 1.0, 0.0]])
+    u = RngStream(3).generator.random((2, 4))
+    got = sample_rows(rows, [0, 1], [3, 3], u)
+    assert sorted(got[:3].tolist()) == [1, 2, 3]
+    assert sorted(got[3:].tolist()) == [0, 2, 3]
+    assert sample_rows(rows[:0], [], [], u[:0]).tolist() == []
+
+
+def test_sample_rows_matches_sample_targets():
+    # one row through the block kernel draws what sample_targets draws from
+    # the same ranking and the same uniforms, id-ordered
+    distances = {1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0}
+    r = build_local_ranking(0, distances)
+    row = np.array([0.0] + [distances[j] for j in range(1, 7)])
+    for seed in range(20):
+        u = np.zeros((1, 7))
+        u[0, r.targets] = RngStream(seed).generator.random(6)
+        full = sample_targets(r, 6, RngStream(seed))
+        assert sample_rows(row[None, :], [0], [6], u).tolist() == full.tolist()
+
+
+def test_sample_rows_validation():
+    u = np.full((1, 3), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        sample_rows([[0.0, np.inf, 1.0]], [0], [1], u)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_rows([[0.0, 1.0, -2.0]], [0], [1], u)
+    with pytest.raises(ValueError, match="cannot draw 3 targets from 2"):
+        sample_rows([[0.0, 1.0, 2.0]], [0], [3], u)
+    with pytest.raises(ValueError, match="cannot draw 0 targets"):
+        sample_rows([[0.0, 1.0, 2.0]], [0], [0], u)
+    with pytest.raises(ValueError, match="uniforms"):
+        sample_rows([[0.0, 1.0, 2.0]], [0], [1], u[:, :2])
