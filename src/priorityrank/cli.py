@@ -211,7 +211,6 @@ def _dump_rankings(path: str, spec, attrs, n: int, reference, centralities, seed
 
 def _cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
-    workers = args.workers if args.workers is not None else _default_workers()
     model = args.model
     if model == "er":
         if args.n is None or args.p is None:
@@ -256,9 +255,7 @@ def _cmd_generate(args) -> int:
         else:
             raise UsageError("priority-rank needs --k or --degrees-from")
         reference = _load_graph(args.reference) if args.reference else None
-        g = priority_rank_generate(
-            args.n, attrs, spec, degrees, seed, reference=reference, workers=workers
-        )
+        g = priority_rank_generate(args.n, attrs, spec, degrees, seed, reference=reference)
         if args.dump_rankings:
             if spec.requires_centrality and reference is None:
                 raise UsageError("--dump-rankings with a centrality kind needs --reference")

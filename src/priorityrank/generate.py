@@ -105,7 +105,7 @@ def _generation_pass(
         tails.append(sample_rows(rows, sources, ks[sources], u[live]))
     if not heads:
         return Graph(n)
-    return Graph(n, zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist()))
+    return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))
 
 
 def priority_rank_generate(
@@ -117,14 +117,13 @@ def priority_rank_generate(
     *,
     reference: Graph | None = None,
     centralities=None,
-    workers: int = 1,
 ) -> Graph:
     """Generate a directed graph by rank-based priority sampling.
 
     Every vertex i receives its out-degree budget, ranks all other vertices
     with the distance function, and draws that many distinct targets.  The
-    output is deterministic for a fixed seed.  ``workers`` never changes the
-    output; the pass runs in one thread, a block of sources at a time.
+    output is deterministic for a fixed seed.  The pass runs in one thread,
+    a block of sources at a time.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
@@ -148,8 +147,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     gen = RngStream(seed).generator
     mat = gen.random((n, n)) < p
     np.fill_diagonal(mat, False)
-    src, dst = np.nonzero(mat)
-    return Graph(n, zip(src.tolist(), dst.tolist()))
+    return Graph(n, np.column_stack(np.nonzero(mat)))
 
 
 def gen_watts_strogatz(n: int, k_neighbors: int, p_rewire: float, seed: int) -> Graph:
@@ -195,15 +193,9 @@ def gen_barabasi_albert(n: int, k: int, n0: int | None = None, seed: int = 0) ->
     if n <= n0:
         raise ValueError(f"need n > n0, got n={n}, n0={n0}")
     gen = RngStream(seed).generator
-    arcs: set[tuple[int, int]] = set()
+    edges = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
     deg = np.zeros(n, dtype=np.float64)
-    for i in range(n0):
-        for j in range(n0):
-            if i != j:
-                arcs.add((i, j))
-        deg[i] = n0 - 1 if n0 > 1 else 0
-    if n0 == 1:
-        deg[0] = 1.0  # lone seed vertex still needs sampling mass
+    deg[:n0] = max(n0 - 1, 1)  # a lone seed vertex still needs sampling mass
     for v in range(n0, n):
         weights = deg[:v].copy()
         cum = np.cumsum(weights)
@@ -213,11 +205,10 @@ def gen_barabasi_albert(n: int, k: int, n0: int | None = None, seed: int = 0) ->
             t = min(int(np.searchsorted(cum, u, side="right")), v - 1)
             chosen.add(t)
         for t in chosen:
-            arcs.add((v, t))
-            arcs.add((t, v))
+            edges.append((v, t))
             deg[t] += 2
         deg[v] += 2 * len(chosen)
-    return Graph(n, arcs)
+    return symmetrize(Graph(n, edges))
 
 
 def gen_forest_fire(n: int, p_burn: float, ambassadors: int = 1, seed: int = 0) -> Graph:
@@ -278,11 +269,7 @@ def gen_dorogovtsev_goltsev_mendes(steps: int, max_vertices: int = 2_000_000) ->
             new_edges.append((a, new_vertex))
             new_edges.append((b, new_vertex))
         edges = new_edges
-    arcs: list[tuple[int, int]] = []
-    for a, b in edges:
-        arcs.append((a, b))
-        arcs.append((b, a))
-    return Graph(n, arcs)
+    return symmetrize(Graph(n, edges))
 
 
 def gen_disassortative(

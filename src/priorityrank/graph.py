@@ -1,8 +1,13 @@
 """Directed graph container, vertex attributes, and file I/O.
 
 Vertices are dense integers ``0..n-1``.  Arcs are ordered pairs with set
-semantics: no duplicates, no self-loops.  Graphs and attribute tables are
-immutable after construction and safe to share between threads.
+semantics: no duplicates, no self-loops.  A graph stores its arcs once, as
+the sorted unique int64 codes ``src * n + dst``, built and validated in
+numpy; the arc array, the ``(src, dst)`` set, the degrees and the CSR are
+views derived from the codes on first use.  Codes must fit in int64, so
+``n * n`` may not exceed ``2**63 - 1`` (n up to 3,037,000,499).  Graphs and
+attribute tables are immutable after construction and safe to share
+between threads.
 
 Edge-list format: UTF-8 lines ``src dst`` (space or tab separated),
 ``#`` comment lines, and an optional first line ``n=<int>`` declaring the
@@ -30,81 +35,77 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable simple directed graph on vertices ``0..n-1``."""
+    """Immutable simple directed graph on vertices ``0..n-1``, built from any
+    iterable of ``(src, dst)`` pairs or an ``(m, 2)`` integer array.  It
+    stores ``n`` and ``codes``; every other attribute derives from them."""
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray = ()):
         n = int(n)
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        arc_set: set[tuple[int, int]] = set()
-        for a, b in arcs:
-            i, j = int(a), int(b)
+        if n * n > 2**63 - 1:
+            raise ValueError(f"vertex count n={n} is too large: arc codes need n * n <= 2**63 - 1")
+        items = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+        try:
+            pairs = np.asarray(items, dtype=np.int64)
+        except OverflowError:
+            # an id past int64 lies outside [0, n); Python ints name the first bad arc
+            pairs = np.asarray(items, dtype=object)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"arcs must be (src, dst) pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        bad = (src == dst) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            i, j = (int(v) for v in pairs[bad.argmax()])
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) is not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"arc ({i}, {j}) has an endpoint outside [0, {n})")
-            arc_set.add((i, j))
+            raise ValueError(f"arc ({i}, {j}) has an endpoint outside [0, {n})")
+        codes = np.unique(src * n + dst)
+        codes.flags.writeable = False
         self.n = n
-        self.arcs: frozenset[tuple[int, int]] = frozenset(arc_set)
+        self.codes = codes
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
-
-    @cached_property
-    def arc_list(self) -> tuple[tuple[int, int], ...]:
-        """Arcs sorted by (src, dst)."""
-        return tuple(sorted(self.arcs))
+        return len(self.codes)
 
     @cached_property
     def arc_array(self) -> np.ndarray:
         """Sorted arcs as an (m, 2) int array; shape (0, 2) when empty."""
-        if not self.arcs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(self.arc_list, dtype=np.int64)
+        return np.stack(np.divmod(self.codes, max(self.n, 1)), axis=1)
 
     @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.arc_list:
-            adj[i].append(j)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.arc_list:
-            adj[j].append(i)
-        return tuple(tuple(a) for a in adj)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs as a set of ``(src, dst)`` tuples."""
+        return frozenset(map(tuple, self.arc_array.tolist()))
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.arcs:
-            deg += np.bincount(self.arc_array[:, 0], minlength=self.n)
-        return deg
+        return np.bincount(self.arc_array[:, 0], minlength=self.n)
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.arcs:
-            deg += np.bincount(self.arc_array[:, 1], minlength=self.n)
-        return deg
+        return np.bincount(self.arc_array[:, 1], minlength=self.n)
 
     @cached_property
     def total_degrees(self) -> np.ndarray:
         return self.out_degrees + self.in_degrees
 
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Out-arcs in CSR form (starts, degrees, heads): the heads of v's
+        arcs are ``heads[starts[v]:starts[v] + degrees[v]]``, in id order."""
+        degrees = self.out_degrees
+        return np.cumsum(degrees) - degrees, degrees, self.arc_array[:, 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and np.array_equal(self.codes, other.codes)
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, arcs={self.arc_count})"
@@ -131,8 +132,6 @@ def load_edge_list(stream) -> Graph:
     text = _as_text(stream)
     declared_n: int | None = None
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     saw_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -163,20 +162,18 @@ def load_edge_list(stream) -> Graph:
             raise GraphFormatError(
                 f"line {lineno}: vertex id out of declared range n={declared_n}"
             )
-        if (i, j) in seen:
-            duplicates += 1
-            continue
-        seen.add((i, j))
         pairs.append((i, j))
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate arc(s) collapsed", stacklevel=2)
     if declared_n is not None:
         n = declared_n
     elif pairs:
         n = 1 + max(max(i, j) for i, j in pairs)
     else:
         n = 0
-    return Graph(n, pairs)
+    g = Graph(n, pairs)
+    duplicates = len(pairs) - g.arc_count
+    if duplicates:
+        warnings.warn(f"{duplicates} duplicate arc(s) collapsed", stacklevel=2)
+    return g
 
 
 def save_edge_list(g: Graph) -> str:
@@ -185,11 +182,11 @@ def save_edge_list(g: Graph) -> str:
     The ``n=`` header is emitted only when the vertex count cannot be
     inferred from the arcs.
     """
+    arcs = g.arc_array
     lines = []
-    max_id = max((max(i, j) for i, j in g.arcs), default=-1)
-    if not g.arcs or g.n != max_id + 1:
+    if not len(arcs) or g.n != arcs.max() + 1:
         lines.append(f"n={g.n}")
-    lines.extend(f"{i} {j}" for i, j in g.arc_list)
+    lines.extend(f"{i} {j}" for i, j in arcs.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -350,9 +347,7 @@ def save_attributes(table: AttributeTable) -> str:
 
 def symmetrize(g: Graph) -> Graph:
     """Add the reverse of every arc; idempotent."""
-    arcs = set(g.arcs)
-    arcs.update((j, i) for i, j in g.arcs)
-    return Graph(g.n, arcs)
+    return Graph(g.n, np.vstack([g.arc_array, g.arc_array[:, ::-1]]))
 
 
 def out_degree_sequence(g: Graph) -> np.ndarray:

@@ -39,13 +39,6 @@ class ConvergenceError(RuntimeError):
     """An iterative computation failed to reach its tolerance."""
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Out-arcs in CSR form (starts, degrees, indices): the heads of v's
-    arcs are ``indices[starts[v]:starts[v] + degrees[v]]``."""
-    degrees = g.out_degrees
-    return np.cumsum(degrees) - degrees, degrees, g.arc_array[:, 1]
-
-
 def _chunks(g: Graph) -> list[np.ndarray]:
     size = max(1, _CHUNK_CELLS // max(g.n, g.arc_count, 1))
     return [np.arange(lo, min(lo + size, g.n)) for lo in range(0, g.n, size)]
@@ -148,7 +141,7 @@ def shortest_path_summary(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     n = g.n
     dist = np.full((n, n), np.inf)
     sigma = np.zeros((n, n), dtype=np.int64)
-    csr = _csr(g)
+    csr = g.csr
     for sources in _chunks(g):
         flat, levels = _frontier_sweep(csr, sources, np.float64)
         if not _exact(levels):
@@ -188,7 +181,7 @@ def _path_sweep(g: Graph, mode: str | None) -> _PathSweep:
     ``fractional``); ``None`` counts no paths and leaves betweenness at zero.
     """
     n = g.n
-    csr = _csr(g)
+    csr = g.csr
     centrality = np.zeros(n)
     closeness = np.zeros(n)
     farness = np.zeros(n)
@@ -306,18 +299,24 @@ def density(g: Graph) -> float:
     return g.arc_count / (g.n * (g.n - 1))
 
 
+def _count_members(codes: np.ndarray, queries: np.ndarray) -> int:
+    """How many ``queries`` occur in the sorted, non-empty ``codes``."""
+    pos = np.minimum(np.searchsorted(codes, queries), len(codes) - 1)
+    return int(np.count_nonzero(codes[pos] == queries))
+
+
 def reciprocity(g: Graph) -> float:
     """Fraction of arcs whose reverse arc is also present."""
-    if not g.arcs:
+    if not g.arc_count:
         return 0.0
-    mutual = sum(1 for i, j in g.arcs if (j, i) in g.arcs)
-    return mutual / g.arc_count
+    src, dst = g.arc_array.T
+    return _count_members(g.codes, dst * g.n + src) / g.arc_count
 
 
 def assortativity(g: Graph) -> float:
     """Pearson correlation of (total degree of source, total degree of target)
     over arcs.  Returns NaN when either side has zero variance."""
-    if g.n < 2 or not g.arcs:
+    if g.n < 2 or not g.arc_count:
         return math.nan
     deg = g.total_degrees.astype(np.float64)
     x = deg[g.arc_array[:, 0]]
@@ -343,19 +342,31 @@ def freeman_centralization(g: Graph) -> float:
 
 def transitivity(g: Graph) -> float:
     """Global clustering coefficient, 3 * triangles / connected triples,
-    computed on the symmetrized graph."""
+    computed on the symmetrized graph.
+
+    Each edge is oriented toward its higher (degree, id) end, so a triangle
+    is found once, from its lowest vertex, as a pair of that vertex's
+    oriented out-neighbours that are themselves joined.
+    """
     sym = symmetrize(g)
-    neighbors = [set(adj) for adj in sym.out_adj]
-    und_deg = np.array([len(s) for s in neighbors], dtype=np.int64)
-    triples = int(np.sum(und_deg * (und_deg - 1) // 2))
+    n = sym.n
+    degrees = sym.out_degrees
+    triples = int(np.sum(degrees * (degrees - 1) // 2))
     if triples == 0:
         return 0.0
-    closed = 0
-    for i, j in sym.arcs:
-        if i < j:
-            closed += len(neighbors[i] & neighbors[j])
-    # each triangle contributes one common neighbour per undirected edge
-    return closed / triples
+    order = degrees * n + np.arange(n)
+    src, dst = sym.arc_array.T
+    up = order[src] < order[dst]
+    src, dst = src[up], dst[up]
+    codes = src * n + dst  # sorted: a subsequence of sym.codes
+    # every pair (a, b) of positions a < b within one source's oriented arcs
+    later = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
+    a = np.repeat(np.arange(len(src)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    v, w = dst[a], dst[b]
+    closing = np.where(order[v] < order[w], v * n + w, w * n + v)
+    triangles = _count_members(codes, closing)
+    return 3 * triangles / triples
 
 
 @dataclass(frozen=True)

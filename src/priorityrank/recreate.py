@@ -344,7 +344,6 @@ def recreate(
                     run_seed,
                     reference=g,
                     centralities=centralities,
-                    workers=config.workers,
                 )
             except (ValueError, ArithmeticError) as exc:
                 failure = str(exc)
@@ -380,7 +379,6 @@ def recreate(
                 run_seed,
                 reference=g,
                 centralities=centralities,
-                workers=config.workers,
             )
             graphs.append(generated)
             profile = network_profile(generated)

@@ -12,6 +12,17 @@ from priorityrank.graph import Graph
 from priorityrank.ranking import build_local_ranking
 
 
+def adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-neighbour lists of every vertex, in id order, built from
+    the graph's arc set alone."""
+    out_adj: list[list[int]] = [[] for _ in range(g.n)]
+    in_adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in sorted(g.arcs):
+        out_adj[i].append(j)
+        in_adj[j].append(i)
+    return out_adj, in_adj
+
+
 def bfs_distances(adj, source: int, n: int) -> list[int]:
     dist = [-1] * n
     dist[source] = 0
@@ -25,13 +36,15 @@ def bfs_distances(adj, source: int, n: int) -> list[int]:
     return dist
 
 
-def enumerate_shortest_paths(g: Graph, s: int, t: int) -> list[list[int]]:
-    """All shortest s->t paths by DFS restricted to the shortest-path DAG."""
-    n = g.n
-    dist_s = bfs_distances(g.out_adj, s, n)
+def enumerate_shortest_paths(adj, s: int, t: int) -> list[list[int]]:
+    """All shortest s->t paths by DFS restricted to the shortest-path DAG;
+    ``adj`` is ``adjacency(g)``."""
+    out_adj, in_adj = adj
+    n = len(out_adj)
+    dist_s = bfs_distances(out_adj, s, n)
     if s == t or dist_s[t] < 0:
         return []
-    dist_to_t = bfs_distances(g.in_adj, t, n)
+    dist_to_t = bfs_distances(in_adj, t, n)
     paths = []
 
     def extend(path):
@@ -39,7 +52,7 @@ def enumerate_shortest_paths(g: Graph, s: int, t: int) -> list[list[int]]:
         if u == t:
             paths.append(list(path))
             return
-        for w in g.out_adj[u]:
+        for w in out_adj[u]:
             if dist_s[w] == dist_s[u] + 1 and dist_to_t[w] == dist_to_t[u] - 1:
                 path.append(w)
                 extend(path)
@@ -51,12 +64,13 @@ def enumerate_shortest_paths(g: Graph, s: int, t: int) -> list[list[int]]:
 
 def betweenness_count_oracle(g: Graph) -> np.ndarray:
     """Raw pass-through counts by full path enumeration."""
+    adj = adjacency(g)
     counts = np.zeros(g.n)
     for s in range(g.n):
         for t in range(g.n):
             if s == t:
                 continue
-            for path in enumerate_shortest_paths(g, s, t):
+            for path in enumerate_shortest_paths(adj, s, t):
                 for v in path[1:-1]:
                     counts[v] += 1
     return counts
@@ -64,12 +78,13 @@ def betweenness_count_oracle(g: Graph) -> np.ndarray:
 
 def betweenness_fractional_oracle(g: Graph) -> list[Fraction]:
     """Pair-dependency sums in exact rational arithmetic."""
+    adj = adjacency(g)
     totals = [Fraction(0) for _ in range(g.n)]
     for s in range(g.n):
         for t in range(g.n):
             if s == t:
                 continue
-            paths = enumerate_shortest_paths(g, s, t)
+            paths = enumerate_shortest_paths(adj, s, t)
             if not paths:
                 continue
             sigma = len(paths)
@@ -86,19 +101,20 @@ def betweenness_count_brandes(g: Graph) -> list[int]:
     """Raw pass-through counts in Python ints, by Brandes' accumulation over
     each source's shortest-path DAG; exact at any size."""
     n = g.n
+    out_adj, in_adj = adjacency(g)
     totals = [0] * n
     for s in range(n):
-        dist = bfs_distances(g.out_adj, s, n)
+        dist = bfs_distances(out_adj, s, n)
         order = sorted((v for v in range(n) if dist[v] >= 0), key=lambda v: dist[v])
         paths = [0] * n
         paths[s] = 1
         for v in order:
-            for w in g.out_adj[v]:
+            for w in out_adj[v]:
                 if dist[w] == dist[v] + 1:
                     paths[w] += paths[v]
         below = [0] * n  # shortest-path continuations from v onwards
         for w in reversed(order):
-            for v in g.in_adj[w]:
+            for v in in_adj[w]:
                 if dist[v] >= 0 and dist[v] == dist[w] - 1:
                     below[v] += below[w] + 1
         for v in order:

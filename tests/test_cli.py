@@ -196,3 +196,12 @@ def test_workers_env_default(tmp_path, capsys, monkeypatch):
         "--distance", "random", "--seed", "8", "--out", str(out2),
     )
     assert out.read_text() == out2.read_text()
+
+
+def test_profile_rejects_ids_too_large_for_arc_codes(tmp_path, capsys):
+    path = tmp_path / "huge.tsv"
+    path.write_text("0 100000000000000000000000\n", encoding="utf-8")
+    code, out, err = run(capsys, "profile", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "data error" in err and "2**63 - 1" in err

@@ -197,7 +197,7 @@ def test_training_set_positive_rows_match_arcs():
 
 def list_training_set(g, attrs, negative_ratio, rng):
     """Training set built from an explicit list of every non-arc."""
-    positives = list(g.arc_list)
+    positives = sorted(g.arcs)
     non_arcs = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and (i, j) not in g.arcs]
     wanted = len(non_arcs)
     if math.isfinite(negative_ratio):

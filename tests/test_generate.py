@@ -28,7 +28,7 @@ from priorityrank.metrics import assortativity, avg_path_length, degree_centrali
 from priorityrank.ranking import build_local_ranking
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import priority_rank_oracle, sequential_draw_law
+from _oracles import adjacency, priority_rank_oracle, sequential_draw_law
 
 
 def attr_table(values):
@@ -59,15 +59,13 @@ def test_priority_rank_exact_out_degrees_no_self_loops():
         assert all(i != j for i, j in g.arcs)
 
 
-def test_priority_rank_deterministic_and_worker_independent():
+def test_priority_rank_deterministic():
     attrs = uniform_attr(30, 7)
     runs = [
-        priority_rank_generate(
-            30, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=11, workers=w
-        )
-        for w in (1, 1, 4)
+        priority_rank_generate(30, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=11)
+        for _ in range(2)
     ]
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 def test_priority_rank_centrality_kind_reference_and_bootstrap():
@@ -231,8 +229,9 @@ def test_generated_target_sets_follow_sequential_law():
         counts.append(dict.fromkeys(law, 0))
     for seed in range(trials):
         g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(k), seed=seed)
+        out_adj, _ = adjacency(g)
         for i in range(n):
-            counts[i][frozenset(g.out_adj[i])] += 1
+            counts[i][frozenset(out_adj[i])] += 1
     stat = dof = 0.0
     for law, got in zip(laws, counts):
         expected = np.array([trials * law[s] for s in law])

@@ -79,6 +79,64 @@ def test_graph_validation():
         Graph(2, [(0, 5)])
 
 
+def test_graph_accepts_any_form_of_the_same_arcs():
+    arcs = [(3, 0), (0, 1), (2, 4), (0, 1), (4, 2), (1, 3)]
+    shuffled = np.array(arcs, dtype=np.int64)[np.random.default_rng(5).permutation(len(arcs))]
+    forms = [arcs, set(arcs), (pair for pair in arcs), shuffled, shuffled.astype(np.int32)]
+    graphs = [Graph(5, form) for form in forms]
+    for g in graphs:
+        assert g == graphs[0]
+        assert hash(g) == hash(graphs[0])
+        assert g.arc_count == 5
+        assert g.arc_array.tolist() == [list(pair) for pair in sorted(set(arcs))]
+        assert g.arcs == set(arcs)
+    assert Graph(5, arcs) != Graph(6, arcs)
+    assert Graph(3, []) == Graph(3, np.empty((0, 2), dtype=np.int64)) == Graph(3)
+    assert Graph(3).arc_array.shape == (0, 2)
+
+
+def test_graph_names_the_first_bad_arc_in_input_order():
+    with pytest.raises(ValueError, match=r"arc \(0, 5\) has an endpoint outside \[0, 3\)"):
+        Graph(3, [(0, 5), (1, 1)])
+    with pytest.raises(ValueError, match=r"self-loop \(1, 1\) is not allowed"):
+        Graph(3, [(1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"arc \(-1, 2\)"):
+        Graph(3, np.array([[0, 1], [-1, 2], [2, 2]]))
+    huge = 10**30  # past int64
+    with pytest.raises(ValueError, match=rf"arc \(0, {huge}\) has an endpoint outside"):
+        Graph(3, [(0, 1), (0, huge), (2, 2)])
+    with pytest.raises(ValueError, match=r"self-loop \(2, 2\)"):
+        Graph(3, [(2, 2), (0, huge)])
+
+
+def test_graph_rejects_arcs_that_are_not_pairs():
+    with pytest.raises(ValueError):
+        Graph(5, [(0, 1, 2), (2, 3, 4)])
+    with pytest.raises(ValueError):
+        Graph(5, [(0, 1), (2, 3, 4)])
+    with pytest.raises(ValueError):
+        Graph(5, np.arange(6))
+
+
+def test_graph_rejects_n_whose_codes_overflow_without_allocating():
+    import tracemalloc
+
+    largest = 3_037_000_499  # the largest n with n * n <= 2**63 - 1
+    assert Graph(largest, [(largest - 1, 0)]).codes.tolist() == [(largest - 1) * largest]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=4000000000 .*2\*\*63 - 1"):
+            Graph(4_000_000_000)
+        with pytest.raises(ValueError, match=r"n=3037000500"):
+            Graph(largest + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(ValueError, match="n=100000000000000000000000"):
+        load_edge_list("0 99999999999999999999999")
+
+
 def test_symmetrize_and_idempotence():
     g = Graph(2, [(0, 1)])
     s = symmetrize(g)

@@ -28,6 +28,7 @@ from priorityrank.metrics import (
 )
 
 from _oracles import (
+    adjacency,
     betweenness_count_brandes,
     betweenness_count_oracle,
     betweenness_fractional_oracle,
@@ -171,6 +172,32 @@ def test_symmetrized_reciprocity_is_one():
             assert reciprocity(g) == 1.0
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_erdos_renyi(60, 0.1, seed=5),
+        gen_barabasi_albert(60, 3, seed=6),
+        gen_dorogovtsev_goltsev_mendes(5),
+        # one-way and mutual arcs mixed, with a directed and a mutual triangle
+        Graph(7, [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 3), (4, 5), (5, 4), (5, 3), (6, 0)]),
+        Graph(6, [(0, 1), (2, 3), (4, 5), (5, 4)]),  # no wedges
+        Graph(0),
+        Graph(1),
+        Graph(2, [(0, 1)]),
+        Graph(2, [(0, 1), (1, 0)]),
+    ],
+    ids=["er", "ba", "dgm", "mixed", "no-wedges", "n0", "n1", "n2-one-way", "n2-mutual"],
+)
+def test_transitivity_and_reciprocity_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.arcs)
+    assert transitivity(g) == pytest.approx(nx.transitivity(G.to_undirected()))
+    expected = nx.overall_reciprocity(G) if g.arc_count else 0.0
+    assert reciprocity(g) == pytest.approx(expected)
+
+
 def test_shortest_path_summary_invariants():
     g = path3()
     dist, sigma = shortest_path_summary(g)
@@ -220,7 +247,7 @@ def test_path_metrics_match_networkx(g):
     nx = pytest.importorskip("networkx")
     G = nx.DiGraph()
     G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.arc_list)
+    G.add_edges_from(g.arcs)
     bet = nx.betweenness_centrality(G, normalized=False)
     assert betweenness_centrality(g, "fractional") == pytest.approx([bet[v] for v in range(g.n)])
     clo = nx.closeness_centrality(G.reverse(), wf_improved=False)
@@ -250,7 +277,8 @@ def diamond_chain(diamonds: int) -> Graph:
 
 def expected_path_metrics(g: Graph) -> dict:
     """Closeness, farness, diameter and path length from oracle BFS rows."""
-    rows = [[d for d in bfs_distances(g.out_adj, s, g.n) if d > 0] for s in range(g.n)]
+    out_adj, _ = adjacency(g)
+    rows = [[d for d in bfs_distances(out_adj, s, g.n) if d > 0] for s in range(g.n)]
     lengths = [d for row in rows for d in row]
     return {
         "closeness": [len(row) / sum(row) if row else 0.0 for row in rows],
@@ -316,8 +344,9 @@ def test_path_metrics_edge_cases(monkeypatch, cells, name):
     frac = betweenness_centrality(g, "fractional")
     assert frac.tolist() == pytest.approx([float(x) for x in betweenness_fractional_oracle(g)])
     dist, sigma = shortest_path_summary(g)
+    out_adj, _ = adjacency(g)
     for s in range(g.n):
-        row = bfs_distances(g.out_adj, s, g.n)
+        row = bfs_distances(out_adj, s, g.n)
         assert dist[s].tolist() == [d if d >= 0 else math.inf for d in row]
         assert [bool(x) for x in sigma[s]] == [d >= 0 for d in row]
 
