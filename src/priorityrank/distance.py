@@ -8,6 +8,15 @@ machine-learned distances fitted from a graph's adjacency structure.
 
 Evaluation runs against a :class:`DistanceContext` holding the attribute
 table, the centrality vectors of a reference graph, and a random stream.
+
+Every kind implements ``rows(ctx, sources)``, the distances from a block of
+sources to every vertex as one (len(sources), n) array; work that all
+sources share (a centrality vector, a norm, a per-target score) runs once
+per call.  ``row(ctx, i)`` is ``rows(ctx, [i])[0]``.  A kind whose rows all
+sort the targets the same way may also return that permutation from
+``order(ctx)``.  The order is only a hint: ``ranking.sample_rows`` checks
+every row against it and argsorts any row that is not non-decreasing in it,
+so correctness never depends on it.
 """
 
 from __future__ import annotations
@@ -85,14 +94,6 @@ class DistanceContext:
         self._centralities[kind] = vec
         return vec
 
-    def random_row(self, source: int, mu: float, sigma: float) -> np.ndarray:
-        """|N(mu, sigma)| draws for one source vertex, from the source's own
-        child stream, so repeated queries of the same pair agree."""
-        if self.rng is None:
-            raise ValueError("random distance needs a context random stream")
-        gen = self.rng.child(source).generator
-        return np.abs(gen.normal(mu, sigma, size=self.n))
-
     def features(self, encoder: "FeatureEncoder") -> np.ndarray:
         mat = self._features.get(encoder)
         if mat is None:
@@ -110,16 +111,28 @@ def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Base class; concrete kinds implement ``row``."""
+    """Base class; concrete kinds implement ``rows`` and may offer ``order``."""
 
     kind: ClassVar[str] = ""
     requires_attributes: ClassVar[bool] = False
     requires_centrality: ClassVar[bool] = False
 
-    def row(self, ctx: DistanceContext, i: int) -> np.ndarray:
-        """Distances from source i to every vertex; the self entry is a
-        placeholder and must never be consumed."""
+    def rows(self, ctx: DistanceContext, sources: np.ndarray) -> np.ndarray:
+        """Distances from each source in the 1-d integer array ``sources`` to
+        every vertex, as a (len(sources), n) block that may be a read-only
+        view.  Each source's own entry is a placeholder and must never be
+        consumed."""
         raise NotImplementedError
+
+    def row(self, ctx: DistanceContext, i: int) -> np.ndarray:
+        """Distances from source i to every vertex: ``rows(ctx, [i])[0]``."""
+        return self.rows(ctx, np.array([i], dtype=np.int64))[0]
+
+    def order(self, ctx: DistanceContext) -> np.ndarray | None:
+        """A permutation of the targets in which every row is non-decreasing
+        up to rounding, or None when sources order targets differently.
+        A hint only: ``ranking.sample_rows`` checks each row against it."""
+        return None
 
     def evaluate(self, ctx: DistanceContext, i: int, j: int) -> float:
         if i == j:
@@ -144,8 +157,16 @@ class RandomDistance(DistanceFunction):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    def row(self, ctx, i):
-        return ctx.random_row(i, self.mu, self.sigma)
+    def rows(self, ctx, sources):
+        if ctx.rng is None:
+            raise ValueError("random distance needs a context random stream")
+        out = np.empty((len(sources), ctx.n))
+        for r, i in enumerate(sources.tolist()):
+            # each source draws from its own child stream, so repeated
+            # queries of the same pair agree
+            gen = ctx.rng.child(i).generator
+            np.abs(gen.normal(self.mu, self.sigma, size=ctx.n), out=out[r])
+        return out
 
     def to_json_dict(self):
         return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
@@ -170,8 +191,14 @@ class CentralityDistance(DistanceFunction):
     def kind(self) -> str:  # type: ignore[override]
         return self.centrality
 
-    def row(self, ctx, i):
+    def _distances(self, ctx) -> np.ndarray:
         return 1.0 / (ctx.centrality(self.centrality) + self.eps)
+
+    def rows(self, ctx, sources):
+        return np.broadcast_to(self._distances(ctx), (len(sources), ctx.n))
+
+    def order(self, ctx):
+        return np.argsort(self._distances(ctx), kind="stable")
 
     def to_json_dict(self):
         return {"kind": self.centrality, "eps": self.eps}
@@ -191,9 +218,10 @@ class Euclidean1D(DistanceFunction):
     kind: ClassVar[str] = "euclidean1d"
     requires_attributes: ClassVar[bool] = True
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         vals = _numeric_column(ctx, self.attr)
-        return np.abs(vals - vals[i])
+        out = np.subtract(vals, vals[sources, None])
+        return np.abs(out, out=out)
 
     def to_json_dict(self):
         return {"kind": self.kind, "attr": self.attr}
@@ -208,10 +236,12 @@ class Euclidean2D(DistanceFunction):
     kind: ClassVar[str] = "euclidean2d"
     requires_attributes: ClassVar[bool] = True
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         a = _numeric_column(ctx, self.attr1)
         b = _numeric_column(ctx, self.attr2)
-        return np.sqrt((a - a[i]) ** 2 + (b - b[i]) ** 2)
+        out = np.square(np.subtract(a, a[sources, None]))
+        out += np.square(np.subtract(b, b[sources, None]))
+        return np.sqrt(out, out=out)
 
     def to_json_dict(self):
         return {"kind": self.kind, "attr1": self.attr1, "attr2": self.attr2}
@@ -233,14 +263,20 @@ class CosineDistance(DistanceFunction):
             raise ValueError("cosine distance needs at least one numeric attribute")
         return np.column_stack([_numeric_column(ctx, n) for n in names])
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         mat = self._matrix(ctx)
         norms = np.linalg.norm(mat, axis=1)
         if (norms == 0.0).any():
             bad = int(np.argmin(norms))
             raise ValueError(f"vertex {bad} has a zero-norm attribute vector")
-        sims = (mat @ mat[i]) / (norms * norms[i])
-        return np.maximum(1.0 - sims, 0.0)
+        out = np.empty((len(sources), ctx.n))
+        for r, i in enumerate(sources.tolist()):
+            # one product per source: a block matrix product may round
+            # differently, and rows must not depend on the block
+            np.matmul(mat, mat[i], out=out[r])
+        out /= norms * norms[sources, None]
+        np.subtract(1.0, out, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     def evaluate(self, ctx, i, j):
         if i == j:
@@ -272,18 +308,21 @@ class AggregateDistance(DistanceFunction):
         if any(w < 0 for _, w in self.weights):
             raise ValueError("aggregate weights must be non-negative")
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         if ctx.attrs is None:
             raise ValueError("aggregate distance needs an attribute table")
-        total = np.zeros(ctx.n)
+        total = np.zeros((len(sources), ctx.n))
+        term = np.empty_like(total)
         for name, w in self.weights:
-            col = ctx.attrs.column(name)
-            if col.is_numeric:
+            if ctx.attrs.column(name).is_numeric:
                 vals = ctx.attrs.numeric_array(name)
-                total += w * np.abs(vals - vals[i])
+                np.subtract(vals, vals[sources, None], out=term)
+                np.abs(term, out=term)
             else:
                 codes = ctx.attrs.codes(name)
-                total += w * (codes != codes[i]).astype(np.float64)
+                np.not_equal(codes, codes[sources, None], out=term)
+            term *= w
+            total += term
         return total
 
     def to_json_dict(self):
@@ -311,21 +350,28 @@ class HierarchicalMixDistance(DistanceFunction):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         if len(self.class_ranks) != ctx.n:
             missing = ctx.n - len(self.class_ranks)
             raise ValueError(f"class map leaves {missing} vertex(es) unmapped")
         ranks = np.array(self.class_ranks, dtype=np.float64)
-        hier = np.abs(ranks - ranks[i])
+        hier = np.subtract(ranks, ranks[sources, None])
+        np.abs(hier, out=hier)
         if self.alpha == 0.0:
             return hier
         cols = [_numeric_column(ctx, name) for name in self.euclid_attrs]
         if not cols:
             raise ValueError("hierarchical mix with alpha > 0 needs euclidean attributes")
-        sq = np.zeros(ctx.n)
+        sq = np.zeros_like(hier)
+        term = np.empty_like(hier)
         for vals in cols:
-            sq += (vals - vals[i]) ** 2
-        return self.alpha * np.sqrt(sq) + (1.0 - self.alpha) * hier
+            np.subtract(vals, vals[sources, None], out=term)
+            sq += np.square(term, out=term)
+        np.sqrt(sq, out=sq)
+        sq *= self.alpha
+        hier *= 1.0 - self.alpha
+        sq += hier
+        return sq
 
     def to_json_dict(self):
         return {
@@ -495,12 +541,28 @@ class LinearRegressionDistance(DistanceFunction):
     kind: ClassVar[str] = "linear_regression"
     requires_attributes: ClassVar[bool] = True
 
-    def row(self, ctx, i):
+    def _target_scores(self, ctx) -> np.ndarray:
+        """phi(j) . beta_target for every vertex j, once per context."""
+        scores = ctx._scores.get(self)
+        if scores is None:
+            phi = ctx.features(self.encoder)
+            p = phi.shape[1]
+            scores = ctx._scores[self] = phi @ np.array(self.beta)[p : 2 * p]
+        return scores
+
+    def rows(self, ctx, sources):
         phi = ctx.features(self.encoder)
         p = phi.shape[1]
         beta = np.array(self.beta)
-        const = float(phi[i] @ beta[:p]) + beta[2 * p]
-        return np.maximum(phi @ beta[p : 2 * p] + const, 0.0)
+        # one dot product per source: a block product may round differently,
+        # and rows must not depend on the block
+        consts = np.array([float(phi[i] @ beta[:p]) for i in sources.tolist()]) + beta[2 * p]
+        out = np.add(self._target_scores(ctx), consts[:, None])
+        return np.maximum(out, 0.0, out=out)
+
+    def order(self, ctx):
+        # a per-target score plus a per-source constant, clamped at 0
+        return np.argsort(self._target_scores(ctx), kind="stable")
 
     def to_json_dict(self):
         return {
@@ -585,15 +647,28 @@ class NaiveBayesDistance(DistanceFunction):
             ctx._scores[self] = cached
         return cached
 
-    def row(self, ctx, i):
+    def rows(self, ctx, sources):
         src_edge, src_no, dst_edge, dst_no = self._scores(ctx)
-        s_edge = math.log(self.prior_edge) + src_edge[i] + dst_edge
-        s_no = math.log(self.prior_no_edge) + src_no[i] + dst_no
-        top = np.maximum(s_edge, s_no)
-        p_edge = np.exp(s_edge - top)
-        p_no = np.exp(s_no - top)
-        norm = p_edge + p_no
-        return (p_no / norm) / (p_edge / norm + self.eps)
+        # class log-scores, turned into posteriors in place
+        p_edge = np.add((math.log(self.prior_edge) + src_edge[sources])[:, None], dst_edge)
+        p_no = np.add((math.log(self.prior_no_edge) + src_no[sources])[:, None], dst_no)
+        norm = np.maximum(p_edge, p_no)
+        p_edge -= norm
+        p_no -= norm
+        np.exp(p_edge, out=p_edge)
+        np.exp(p_no, out=p_no)
+        np.add(p_edge, p_no, out=norm)
+        p_no /= norm
+        p_edge /= norm
+        p_edge += self.eps
+        p_no /= p_edge
+        return p_no
+
+    def order(self, ctx):
+        # the distance falls as the edge log-odds, a per-source plus a
+        # per-target sum, rise
+        _, _, dst_edge, dst_no = self._scores(ctx)
+        return np.argsort(dst_no - dst_edge, kind="stable")
 
     def to_json_dict(self):
         return {

@@ -91,6 +91,7 @@ def _generation_pass(
     # one contiguous n x n stream of uniforms, read a block of rows at a
     # time, so the draws do not depend on the block size
     uniforms = stream.child(2).generator
+    order = spec.order(ctx)
     block = max(1, _BLOCK_CELLS // n)
     heads, tails = [], []
     for start in range(0, n, block):
@@ -100,9 +101,8 @@ def _generation_pass(
         sources = sources[live]
         if not len(sources):
             continue
-        rows = np.stack([spec.row(ctx, int(i)) for i in sources])
         heads.append(np.repeat(sources, ks[sources]))
-        tails.append(sample_rows(rows, sources, ks[sources], u[live]))
+        tails.append(sample_rows(spec.rows(ctx, sources), sources, ks[sources], u[live], order))
     if not heads:
         return Graph(n)
     return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))

@@ -16,6 +16,14 @@ for a block of sources at once, from their distance rows; ``sample_targets``
 does it for one ``LocalRanking``.  Seeded priority-rank graphs changed when
 these keys replaced the draw-by-draw ``cumsum`` walk.  The keys use
 ``1 - u``, which lies in (0, 1], rather than u, so every key is finite.
+
+The keys need only each target's competition rank.  ``sample_rows`` gets
+them by argsorting each distance row, or, when the caller passes a shared
+``order`` hint (``DistanceFunction.order``), by reading them straight from
+the rows gathered in that order.  The hint is validated per block: if any
+row is not non-decreasing in it, the block is argsorted instead.  Ranks
+depend only on the distances, so the draws are the same with or without
+the hint, and with a wrong one.
 """
 
 from __future__ import annotations
@@ -129,13 +137,56 @@ def _top_keys(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     descending key order, concatenated row after row."""
     b, m = keys.shape
     top = int(ks.max())
+    if top == 1:
+        return np.argmax(keys, axis=1)
     rows = np.arange(b)[:, None]
     picked = np.argpartition(keys, m - top, axis=1)[:, m - top :]
     picked = picked[rows, np.argsort(-keys[rows, picked], axis=1, kind="stable")]
     return picked[np.arange(top) < ks[:, None]]
 
 
-def sample_rows(distances, sources, ks, u) -> np.ndarray:
+def _ranks_by_sort(distances: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Competition ranks of every row's targets, by argsorting each row."""
+    rows = np.arange(len(sources))
+    distances = distances.copy()
+    distances[rows, sources] = 0.0
+    _check_distances(distances)
+    # the source's own entry sorts last, so it never shifts a target's rank
+    distances[rows, sources] = np.inf
+    order = np.argsort(distances, axis=1)
+    ranks = np.empty(distances.shape, dtype=np.int64)
+    np.put_along_axis(
+        ranks, order, competition_ranks(np.take_along_axis(distances, order, axis=1)), axis=1
+    )
+    return ranks
+
+
+def _ranks_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray) -> np.ndarray | None:
+    """Competition ranks of every row's targets, read from the rows gathered
+    in the permutation ``order``; None if some row is not non-decreasing in
+    it."""
+    n = distances.shape[1]
+    place = np.full(n, -1, dtype=np.int64)
+    if order.shape == (n,) and ((order >= 0) & (order < n)).all():
+        place[order] = np.arange(n)
+    if (place < 0).any():
+        raise ValueError(f"order hint is not a permutation of 0..{n - 1}")
+    rows = np.arange(len(sources))
+    at = place[sources]
+    hinted = distances[:, order]
+    # the source's own entry copies its hint neighbour, so it neither
+    # breaks the order nor starts a group of its own
+    hinted[rows, at] = hinted[rows, np.where(at > 0, at - 1, 1)]
+    _check_distances(hinted)
+    if not (hinted[:, 1:] >= hinted[:, :-1]).all():
+        return None
+    ranks = competition_ranks(hinted)
+    # groups that start after the source's position lose its slot
+    ranks -= ranks > at[:, None] + 1
+    return ranks[:, place]
+
+
+def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
     """Draw ``ks[r]`` distinct targets for each source ``sources[r]``.
 
     ``distances`` is a (b, n) block of distance rows, one per source, over
@@ -146,13 +197,21 @@ def sample_rows(distances, sources, ks, u) -> np.ndarray:
     result is every row's targets, in descending key order, concatenated
     row after row.
 
-    Ranks are assigned in sorted order and scattered back by target id, so
-    tied distances share a rank whatever order the sort leaves them in.
+    ``order``, if given, is a permutation of 0..n-1 expected to sort every
+    row; ranks are then read in that order.  Otherwise, or if a row is not
+    non-decreasing in it, each row is argsorted and the ranks are scattered
+    back by target id.  Either way tied distances share a rank, so the
+    draws do not depend on the hint.
     """
-    distances = np.array(distances, dtype=np.float64)
+    distances = np.asarray(distances, dtype=np.float64)
     sources = np.asarray(sources, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
     b, n = distances.shape
+    if sources.shape != (b,):
+        raise ValueError(f"need one source per row, got {sources.shape} for {b} rows")
+    bad = (sources < 0) | (sources >= n)
+    if bad.any():
+        raise ValueError(f"source id {int(sources[bad][0])} is outside [0, {n})")
     if np.shape(u) != (b, n):
         raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
     bad = (ks < 1) | (ks > n - 1)
@@ -160,18 +219,13 @@ def sample_rows(distances, sources, ks, u) -> np.ndarray:
         raise ValueError(f"cannot draw {int(ks[bad][0])} targets from {n - 1} entries")
     if b == 0:
         return np.zeros(0, dtype=np.int64)
-    rows = np.arange(b)
-    distances[rows, sources] = 0.0
-    _check_distances(distances)
-    # the source's own entry sorts last, so it never shifts a target's rank
-    distances[rows, sources] = np.inf
-    order = np.argsort(distances, axis=1)
-    ranks = np.empty((b, n), dtype=np.int64)
-    np.put_along_axis(
-        ranks, order, competition_ranks(np.take_along_axis(distances, order, axis=1)), axis=1
-    )
+    ranks = None
+    if order is not None:
+        ranks = _ranks_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
+    if ranks is None:
+        ranks = _ranks_by_sort(distances, sources)
     keys = ranks * np.log1p(-u)
-    keys[rows, sources] = -np.inf
+    keys[np.arange(b), sources] = -np.inf
     return _top_keys(keys, ks)
 
 

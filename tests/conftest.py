@@ -2,7 +2,7 @@ from functools import cached_property
 
 import pytest
 
-from priorityrank import metrics
+from priorityrank import metrics, ranking
 from priorityrank.stats import RngStream
 
 
@@ -18,6 +18,28 @@ def bfs_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(metrics, "_frontier_sweep", logging)
     return calls
+
+
+@pytest.fixture
+def ranked_rows(monkeypatch) -> dict[str, int]:
+    """Count of the rows that the sampler ranks through a shared order hint
+    ("hinted") and of those it argsorts ("sorted"), fallbacks included."""
+    counts = {"hinted": 0, "sorted": 0}
+    by_hint, by_sort = ranking._ranks_by_hint, ranking._ranks_by_sort
+
+    def hinted(distances, sources, order):
+        ranks = by_hint(distances, sources, order)
+        if ranks is not None:
+            counts["hinted"] += len(sources)
+        return ranks
+
+    def argsorted(distances, sources):
+        counts["sorted"] += len(sources)
+        return by_sort(distances, sources)
+
+    monkeypatch.setattr(ranking, "_ranks_by_hint", hinted)
+    monkeypatch.setattr(ranking, "_ranks_by_sort", argsorted)
+    return counts
 
 
 @pytest.fixture

@@ -418,6 +418,48 @@ def test_row_matches_pairwise_evaluate():
                     assert spec.evaluate(ctx, i, j) == pytest.approx(float(row[j]))
 
 
+def catalog(n, gen):
+    """One context and every catalog kind, over mixed attributes."""
+    g = random_digraph(gen, n, 0.2)
+    table = AttributeTable(
+        [
+            AttributeColumn("x", "continuous", tuple(gen.normal(size=n))),
+            AttributeColumn("y", "continuous", tuple(gen.exponential(size=n) + 0.1)),
+            AttributeColumn("lab", "categorical", tuple("abc"[int(v)] for v in gen.integers(0, 3, n))),
+        ]
+    )
+    ts = build_training_set(g, table, 1.0, RngStream(16))
+    classes = gen.integers(0, 4, n).tolist()
+    specs = [
+        RandomDistance(),
+        *(CentralityDistance(centrality=c) for c in ("degree", "betweenness", "closeness", "pagerank")),
+        Euclidean1D(attr="x"),
+        Euclidean2D(attr1="x", attr2="y"),
+        CosineDistance(attrs=("x", "y")),
+        AggregateDistance(weights=(("x", 1.0), ("lab", 2.0), ("y", 0.5))),
+        make_hierarchical_mix_distance(0.0, classes),
+        make_hierarchical_mix_distance(0.5, classes, ("x", "y")),
+        fit_linear_regression_distance(ts),
+        fit_naive_bayes_distance(ts),
+    ]
+    return DistanceContext(n=n, attrs=table, reference=g, rng=RngStream(17)), specs
+
+
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+def test_rows_match_row_bitwise():
+    # a block of sources, unsorted and repeated, gives each source's row
+    # bit for bit, whatever else is in the block
+    n = 50
+    ctx, specs = catalog(n, np.random.default_rng(31))
+    sources = np.array([7, 3, 49, 3, 0, 7, 21])
+    for spec in specs:
+        block = spec.rows(ctx, sources)
+        assert block.shape == (len(sources), n), spec.kind
+        expected = np.stack([spec.row(ctx, int(i)) for i in sources])
+        assert block.tobytes() == expected.tobytes(), spec.kind
+        assert spec.rows(ctx, np.array([], dtype=np.int64)).shape == (0, n), spec.kind
+
+
 def test_evaluate_rejects_diagonal():
     with pytest.raises(ValueError, match="i != j"):
         RandomDistance().evaluate(DistanceContext(n=3, rng=RngStream(0)), 1, 1)

@@ -7,10 +7,13 @@ from scipy.stats import chi2
 
 from priorityrank import generate
 from priorityrank.distance import (
+    AggregateDistance,
     CentralityDistance,
     DistanceContext,
     Euclidean1D,
     RandomDistance,
+    build_training_set,
+    fit_naive_bayes_distance,
     reference_centralities,
 )
 from priorityrank.generate import (
@@ -37,6 +40,25 @@ def attr_table(values):
 
 def uniform_attr(n, seed):
     return attr_table(RngStream(seed).generator.uniform(0, 1, n))
+
+
+def mixed_attr(n, seed):
+    gen = RngStream(seed).generator
+    return AttributeTable(
+        [
+            AttributeColumn("x", "continuous", tuple(gen.lognormal(size=n))),
+            AttributeColumn("y", "continuous", tuple(gen.exponential(size=n))),
+            AttributeColumn("lab", "categorical", tuple(f"c{v}" for v in gen.integers(0, 5, n))),
+        ]
+    )
+
+
+def learned_case(n):
+    """A naive-Bayes distance fitted on an ER graph, with its out-degrees."""
+    attrs = mixed_attr(n, 4)
+    g = gen_erdos_renyi(n, 5 / n, seed=9)
+    spec = fit_naive_bayes_distance(build_training_set(g, attrs, 1.0, RngStream(6)))
+    return attrs, spec, DegreeSpec.resample(out_degree_sequence(g)), None
 
 
 def test_priority_rank_two_vertices():
@@ -256,6 +278,7 @@ CASES = {
         DegreeSpec.resample([0, 0, 1, 2, 7, n + 5]),
         gen_erdos_renyi(n, 0.1, seed=8),
     ),
+    "naive_bayes": learned_case,
 }
 
 
@@ -300,3 +323,23 @@ def test_non_random_pass_builds_constant_rng_streams(rng_streams):
         priority_rank_generate(n, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(3), seed=2)
         built.append(len(rng_streams))
     assert built == [1, 1]
+
+
+def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
+    # at n=2000, passes of the degree and naive-Bayes kinds rank every row
+    # through their order hint, with no fallback; the random and aggregate
+    # kinds offer no hint, so every row is argsorted
+    n = 2000
+    attrs = mixed_attr(n, 7)
+    reference = gen_erdos_renyi(n, 5 / n, seed=3)
+    learned = fit_naive_bayes_distance(build_training_set(reference, attrs, 1.0, RngStream(8)))
+    aggregate = AggregateDistance(weights=(("x", 1.0), ("y", 1.0), ("lab", 1.0)))
+    for spec, ref, path in (
+        (CentralityDistance(centrality="degree"), reference, "hinted"),
+        (learned, None, "hinted"),
+        (RandomDistance(), None, "sorted"),
+        (aggregate, None, "sorted"),
+    ):
+        ranked_rows.update(hinted=0, sorted=0)
+        priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
+        assert ranked_rows[path] == n and sum(ranked_rows.values()) == n, spec.kind

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from priorityrank import ranking
 from priorityrank.ranking import (
     build_local_ranking,
     competition_ranks,
@@ -236,3 +237,68 @@ def test_sample_rows_validation():
         sample_rows([[0.0, 1.0, 2.0]], [0], [0], u)
     with pytest.raises(ValueError, match="uniforms"):
         sample_rows([[0.0, 1.0, 2.0]], [0], [1], u[:, :2])
+
+
+def test_sample_rows_rejects_out_of_range_sources():
+    u = np.full((1, 5), 0.5)
+    for source in (-1, 7):
+        with pytest.raises(ValueError, match=f"source id {source} is outside"):
+            sample_rows(np.ones((1, 5)), [source], [1], u)
+
+
+def test_top_keys_argmax_path_matches_argpartition_path():
+    # single draws take the argmax; the first of two draws, on the same
+    # keys, comes from the argpartition path
+    gen = np.random.default_rng(4)
+    for b, m in ((1, 2), (7, 5), (40, 300)):
+        keys = gen.integers(1, m, (b, m)) * np.log1p(-gen.random((b, m)))
+        keys[np.arange(b), gen.integers(0, m, b)] = -np.inf
+        single = ranking._top_keys(keys, np.ones(b, dtype=np.int64))
+        pairs = ranking._top_keys(keys, np.full(b, 2, dtype=np.int64)).reshape(b, 2)
+        assert single.tolist() == pairs[:, 0].tolist()
+
+
+def shared_order_block():
+    """Rows with tied groups that all sort the targets one way, and that
+    way as a hint.  The sources sit at hint positions 0 (first), 1 and 2
+    (start and middle of a tie group), 6 (end of a tie group) and 9 (last);
+    their own entries are NaN, which the sampler ignores."""
+    gen = np.random.default_rng(8)
+    base = gen.permutation([0.5, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 4.5, 6.0])
+    order = np.argsort(base, kind="stable")
+    sources = order[[0, 1, 2, 6, 9, 2]]
+    rows = np.vstack([base, 2.0 * base, base + 1.0, base, base, base])
+    rows[np.arange(len(sources)), sources] = np.nan
+    return rows, sources, order
+
+
+def test_order_hint_ranks_like_the_argsort():
+    rows, sources, order = shared_order_block()
+    targets = np.ones(rows.shape, dtype=bool)
+    targets[np.arange(len(sources)), sources] = False
+    by_hint = ranking._ranks_by_hint(rows, sources, order)
+    assert by_hint is not None
+    assert by_hint[targets].tolist() == ranking._ranks_by_sort(rows, sources)[targets].tolist()
+
+
+def test_order_hint_never_changes_draws(ranked_rows):
+    # a reversed or shuffled hint fails the per-row check, so the block is
+    # argsorted; every hint gives the draws of no hint
+    rows, sources, order = shared_order_block()
+    b, n = rows.shape
+    ks = np.array([1, 3, 9, 2, 5, 1])
+    wrong = (order[::-1], np.random.default_rng(2).permutation(order))
+    for seed in range(20):
+        u = RngStream(seed).generator.random((b, n))
+        plain = sample_rows(rows, sources, ks, u).tolist()
+        assert sample_rows(rows, sources, ks, u, order).tolist() == plain
+        for hint in wrong:
+            assert sample_rows(rows, sources, ks, u, hint).tolist() == plain
+    assert ranked_rows == {"hinted": 20 * b, "sorted": 20 * b * 3}
+
+
+def test_sample_rows_rejects_a_hint_that_is_not_a_permutation():
+    u = np.full((1, 3), 0.5)
+    for hint in ([0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            sample_rows([[0.0, 1.0, 2.0]], [0], [1], u, hint)
