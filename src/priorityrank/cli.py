@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -41,6 +40,7 @@ from .metrics import ConvergenceError, network_profile
 from .ranking import build_local_ranking
 from .recreate import (
     RecreateConfig,
+    _check_alpha,
     compare_networks,
     generate_synthetic_attributes,
     recreate,
@@ -53,7 +53,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_DISTANCES = ("random", "degree", "betweenness", "closeness", "pagerank")
-WORKERS_HELP = "worker count (default PRIORITY_RANK_WORKERS); never changes the output"
+WORKERS_HELP = "accepted and ignored; kept so older command lines still run"
 
 
 class UsageError(Exception):
@@ -63,14 +63,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("PRIORITY_RANK_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -112,7 +104,7 @@ def _build_parser() -> _Parser:
     )
     gen.add_argument("--out", required=True, help="output edge-list path")
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    gen.add_argument("--workers", type=int, help=WORKERS_HELP)
     gen.add_argument("--n", type=int, help="vertex count")
     gen.add_argument("--attrs", help="attribute CSV for priority-rank")
     gen.add_argument("--attrs-out", help="write the attribute table used")
@@ -163,7 +155,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--runs", type=int, default=20)
     rec.add_argument("--pilot", type=int, default=3)
     rec.add_argument("--seed", type=int)
-    rec.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
+    rec.add_argument("--workers", type=int, help=WORKERS_HELP)
     rec.add_argument("--report", help="report JSON path (default stdout)")
     rec.add_argument("--emit-best", help="directory for the winner's edge lists")
     rec.add_argument("--negative-ratio", type=float, default=1.0)
@@ -273,6 +265,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    try:
+        _check_alpha(args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     ga = _load_graph(args.a, args.symmetrize)
     gb = _load_graph(args.b, args.symmetrize)
     record = compare_networks(ga, gb, alpha=args.alpha)
@@ -300,13 +296,11 @@ def _cmd_learn(args) -> int:
 
 def _cmd_recreate(args) -> int:
     seed = _resolve_seed(args.seed)
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
         config = RecreateConfig(
             runs=args.runs,
             pilot_runs=args.pilot,
             seed=seed,
-            workers=workers,
             negative_ratio=args.negative_ratio,
             alpha=args.alpha,
         )

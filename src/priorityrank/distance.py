@@ -419,10 +419,6 @@ class FeatureEncoder:
             cols.append((col.name, col.kind, labels))
         return cls(columns=tuple(cols))
 
-    @property
-    def width(self) -> int:
-        return sum(len(labels) if labels else 1 for _, _, labels in self.columns)
-
     @cached_property
     def binary_mask(self) -> np.ndarray:
         mask = []
@@ -432,15 +428,6 @@ class FeatureEncoder:
             else:
                 mask.append(False)
         return np.array(mask, dtype=bool)
-
-    def feature_names(self) -> list[str]:
-        names = []
-        for name, _, labels in self.columns:
-            if labels:
-                names.extend(f"{name}={lab}" for lab in labels)
-            else:
-                names.append(name)
-        return names
 
     def encode(self, table: AttributeTable) -> np.ndarray:
         blocks = []

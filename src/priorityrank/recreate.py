@@ -12,7 +12,8 @@ the source; pick the winner with the smallest mean combined statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -106,9 +107,15 @@ def _ks_statistics(
     return deg, bet, clo
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRecord:
     """K-S tests over degree, betweenness, and closeness distributions plus
     side-by-side scalar profiles."""
+    _check_alpha(alpha)
     if g1.n == 0 or g2.n == 0:
         raise ValueError("cannot compare empty graphs")
     p1 = network_profile(g1)
@@ -130,7 +137,6 @@ class RecreateConfig:
     pilot_runs: int = 3
     finalists: int = 3
     seed: int = 0
-    workers: int = 1
     negative_ratio: float = 1.0
     alpha: float = 0.05
 
@@ -140,8 +146,7 @@ class RecreateConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.negative_ratio > 0:
             raise ValueError(f"negative_ratio must be > 0, got {self.negative_ratio}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -150,16 +155,11 @@ class CandidateOutcome:
     pilot_statistic: float | None
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pilot_statistic": self.pilot_statistic,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One generated graph scored against the source."""
+
     seed: int
     statistic_mean: float
     p_degree: float
@@ -172,42 +172,39 @@ class RunRecord:
     reciprocity: float
     centralization: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "statistic_mean": self.statistic_mean,
-            "p_degree": self.p_degree,
-            "p_betweenness": self.p_betweenness,
-            "p_closeness": self.p_closeness,
-            "arc_count": self.arc_count,
-            "diameter": self.diameter,
-            "density": self.density,
-            "avg_path_length": self.avg_path_length,
-            "reciprocity": self.reciprocity,
-            "centralization": self.centralization,
-        }
+    @classmethod
+    def score(cls, seed: int, source: NetworkProfile, profile: NetworkProfile) -> "RunRecord":
+        deg, bet, clo = _ks_statistics(source, profile)
+        return cls(
+            seed=seed,
+            statistic_mean=(deg.statistic + bet.statistic + clo.statistic) / 3.0,
+            p_degree=deg.p_value,
+            p_betweenness=bet.p_value,
+            p_closeness=clo.p_value,
+            arc_count=profile.arc_count,
+            diameter=profile.diameter,
+            density=profile.density,
+            avg_path_length=profile.avg_path_length,
+            reciprocity=profile.reciprocity,
+            centralization=profile.centralization,
+        )
 
 
-_AGGREGATE_FIELDS = (
-    "statistic_mean",
-    "p_degree",
-    "p_betweenness",
-    "p_closeness",
-    "arc_count",
-    "diameter",
-    "density",
-    "avg_path_length",
-    "reciprocity",
-    "centralization",
-)
+_AGGREGATE_FIELDS = tuple(f.name for f in fields(RunRecord) if f.name != "seed")
 
 
 @dataclass(frozen=True)
 class FinalistResult:
     kind: str
-    seeds: tuple[int, ...]
     runs: tuple[RunRecord, ...]
-    mean_statistic: float
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        return tuple(r.seed for r in self.runs)
+
+    @property
+    def mean_statistic(self) -> float:
+        return float(np.mean([r.statistic_mean for r in self.runs]))
 
     def aggregates(self) -> dict:
         out = {}
@@ -222,7 +219,7 @@ class FinalistResult:
             "seeds": list(self.seeds),
             "mean_statistic": self.mean_statistic,
             "aggregates": self.aggregates(),
-            "runs": [r.to_json_dict() for r in self.runs],
+            "runs": [asdict(r) for r in self.runs],
         }
 
 
@@ -237,17 +234,15 @@ class RecreationReport:
     winner_graphs: tuple[Graph, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
+        config = asdict(self.config)
+        del config["seed"]
+        if math.isinf(config["negative_ratio"]):
+            config["negative_ratio"] = None  # JSON has no infinity
         return {
             "master_seed": self.master_seed,
-            "config": {
-                "runs": self.config.runs,
-                "pilot_runs": self.config.pilot_runs,
-                "finalists": self.config.finalists,
-                "negative_ratio": self.config.negative_ratio,
-                "alpha": self.config.alpha,
-            },
+            "config": config,
             "source_profile": self.source_profile.scalar_dict(),
-            "candidates": [c.to_json_dict() for c in self.candidates],
+            "candidates": [asdict(c) for c in self.candidates],
             "finalists": [f.to_json_dict() for f in self.finalists],
             "winner": self.winner,
         }
@@ -325,33 +320,29 @@ def recreate(
     candidates = _candidate_specs(g, attrs, config.negative_ratio, master.child(1))
 
     used_seeds: set[int] = set()
+
+    def one_run(spec: DistanceFunction, stage: int, index: int, run: int):
+        """Generate one graph from ``spec`` and score it against the source;
+        stage 2 draws pilot seeds, stage 3 finalist seeds."""
+        seed = _draw_distinct_seed(master.child(stage, index, run), used_seeds)
+        generated = priority_rank_generate(
+            g.n, attrs, spec, degrees, seed, reference=g, centralities=centralities
+        )
+        return generated, RunRecord.score(seed, source_profile, network_profile(generated))
+
     outcomes: list[CandidateOutcome] = []
     scored: list[tuple[float, str, DistanceFunction]] = []
     for index, (kind, spec, error) in enumerate(candidates):
         if spec is None:
             outcomes.append(CandidateOutcome(kind=kind, pilot_statistic=None, error=error))
             continue
-        stats = []
-        failure = None
-        for run in range(config.pilot_runs):
-            run_seed = _draw_distinct_seed(master.child(2, index, run), used_seeds)
-            try:
-                generated = priority_rank_generate(
-                    g.n,
-                    attrs,
-                    spec,
-                    degrees,
-                    run_seed,
-                    reference=g,
-                    centralities=centralities,
-                )
-            except (ValueError, ArithmeticError) as exc:
-                failure = str(exc)
-                break
-            deg, bet, clo = _ks_statistics(source_profile, network_profile(generated))
-            stats.append((deg.statistic + bet.statistic + clo.statistic) / 3.0)
-        if failure is not None:
-            outcomes.append(CandidateOutcome(kind=kind, pilot_statistic=None, error=failure))
+        try:
+            stats = [
+                one_run(spec, 2, index, run)[1].statistic_mean
+                for run in range(config.pilot_runs)
+            ]
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(CandidateOutcome(kind=kind, pilot_statistic=None, error=str(exc)))
             continue
         pilot = float(np.mean(stats))
         outcomes.append(CandidateOutcome(kind=kind, pilot_statistic=pilot, error=None))
@@ -360,54 +351,13 @@ def recreate(
     if not scored:
         raise RuntimeError("no usable candidate distance functions")
     scored.sort(key=lambda item: (item[0], item[1]))
-    finalists_specs = scored[: config.finalists]
 
     finalists: list[FinalistResult] = []
     graphs_by_kind: dict[str, tuple[Graph, ...]] = {}
-    for index, (_, kind, spec) in enumerate(finalists_specs):
-        seeds = []
-        runs = []
-        graphs = []
-        for run in range(config.runs):
-            run_seed = _draw_distinct_seed(master.child(3, index, run), used_seeds)
-            seeds.append(run_seed)
-            generated = priority_rank_generate(
-                g.n,
-                attrs,
-                spec,
-                degrees,
-                run_seed,
-                reference=g,
-                centralities=centralities,
-            )
-            graphs.append(generated)
-            profile = network_profile(generated)
-            deg, bet, clo = _ks_statistics(source_profile, profile)
-            runs.append(
-                RunRecord(
-                    seed=run_seed,
-                    statistic_mean=(deg.statistic + bet.statistic + clo.statistic) / 3.0,
-                    p_degree=deg.p_value,
-                    p_betweenness=bet.p_value,
-                    p_closeness=clo.p_value,
-                    arc_count=profile.arc_count,
-                    diameter=profile.diameter,
-                    density=profile.density,
-                    avg_path_length=profile.avg_path_length,
-                    reciprocity=profile.reciprocity,
-                    centralization=profile.centralization,
-                )
-            )
-        mean_statistic = float(np.mean([r.statistic_mean for r in runs]))
-        finalists.append(
-            FinalistResult(
-                kind=kind,
-                seeds=tuple(seeds),
-                runs=tuple(runs),
-                mean_statistic=mean_statistic,
-            )
-        )
-        graphs_by_kind[kind] = tuple(graphs)
+    for index, (_, kind, spec) in enumerate(scored[: config.finalists]):
+        graphs, runs = zip(*(one_run(spec, 3, index, run) for run in range(config.runs)))
+        finalists.append(FinalistResult(kind=kind, runs=runs))
+        graphs_by_kind[kind] = graphs
 
     winner = min(finalists, key=lambda f: (f.mean_statistic, f.kind))
     return RecreationReport(

@@ -118,13 +118,6 @@ class RngStream:
         """Draw a fresh 63-bit seed from this stream."""
         return int(self.generator.integers(0, 2**63))
 
-    # Convenience draws delegating to the numpy generator.
-    def random(self) -> float:
-        return float(self.generator.random())
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self.generator.integers(low, high, size=size)
-
 
 def draw(dist: tuple, rng: RngStream, size: int | None = None):
     """Draw from a named distribution: ('normal', mu, sigma),

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from priorityrank import generate as generate_mod
 from priorityrank.cli import main
 from priorityrank.distance import spec_from_json_dict
 from priorityrank.graph import load_edge_list
@@ -107,6 +109,34 @@ def test_generate_priority_rank_with_dump_rankings(tmp_path, capsys):
     assert float(first[4]) == pytest.approx(0.48)
 
 
+def test_dump_rankings_random_kind_matches_the_ranked_rows(tmp_path, capsys, monkeypatch):
+    # the dump rebuilds the pass's context stream; a wrong stream path would
+    # dump random rows the pass never ranked
+    ranked = {}
+    sample_rows = generate_mod.sample_rows
+
+    def spy(distances, sources, *rest):
+        for source, row in zip(sources, distances):
+            ranked[int(source)] = np.array(row)
+        return sample_rows(distances, sources, *rest)
+
+    monkeypatch.setattr(generate_mod, "sample_rows", spy)
+    out = tmp_path / "g.tsv"
+    dump = tmp_path / "rankings.tsv"
+    code, _, _ = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "6", "--k", "2",
+        "--distance", "random", "--seed", "11", "--out", str(out), "--dump-rankings", str(dump),
+    )
+    assert code == 0
+    assert sorted(ranked) == list(range(6))
+    lines = dump.read_text().splitlines()[1:]
+    assert len(lines) == 6 * 5
+    for line in lines:
+        source, target, distance, _, _ = line.split("\t")
+        assert float(distance) == ranked[int(source)][int(target)]
+
+
 def test_learn_emits_loadable_spec(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "4", "--out", str(src))
@@ -159,6 +189,33 @@ def test_recreate_rejects_bad_settings_up_front(tmp_path, capsys, flag, value):
     assert code == 1
     assert "usage error" in err and value in err
     assert not report.exists()
+
+
+def test_recreate_reports_unbounded_negative_ratio_as_null(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys,
+        "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
+        "--negative-ratio", "inf", "--report", str(report),
+    )
+    assert code == 0
+    assert '"negative_ratio": null' in report.read_text()
+    assert json.loads(report.read_text())["config"]["negative_ratio"] is None
+
+
+@pytest.mark.parametrize("value", ["2", "1", "0", "-0.5", "nan"])
+def test_compare_rejects_bad_alpha_up_front(tmp_path, capsys, value):
+    # neither file exists: the check must run before either is loaded
+    missing = tmp_path / "missing.tsv"
+    out = tmp_path / "compare.json"
+    code, _, err = run(
+        capsys, "compare", "--a", str(missing), "--b", str(missing), "--alpha", value, "--out", str(out)
+    )
+    assert code == 1
+    assert "usage error" in err and value in err
+    assert not out.exists()
 
 
 def test_help_lists_documented_flags(capsys):

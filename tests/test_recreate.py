@@ -1,12 +1,14 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from priorityrank import cli
 from priorityrank.generate import gen_erdos_renyi
-from priorityrank.graph import Graph
+from priorityrank.graph import Graph, save_edge_list
 from priorityrank.metrics import degree_centrality
 from priorityrank.recreate import (
     RecreateConfig,
@@ -194,3 +196,23 @@ def test_recreate_report_json_shape():
         assert 0.0 <= run["p_closeness"] <= 1.0
     # NaN never leaks into the report (assortativity maps to null)
     json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1, math.nan])
+def test_compare_networks_rejects_alpha_outside_unit_interval(alpha):
+    g = gen_erdos_renyi(10, 0.3, seed=2)
+    with pytest.raises(ValueError, match="alpha"):
+        compare_networks(g, g, alpha=alpha)
+
+
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_recreate_report_matches_golden_file(tmp_path, workers):
+    # synthetic attributes, so the learned kinds race too
+    edges = tmp_path / "er20.tsv"
+    edges.write_text(save_edge_list(gen_erdos_renyi(20, 0.3, seed=3)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["recreate", "--in", str(edges), "--runs", "4", "--pilot", "1", "--seed", "5"]
+    assert cli.main(argv + ["--workers", workers, "--report", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "recreate_er20.json"
+    assert out.read_bytes() == golden.read_bytes()
