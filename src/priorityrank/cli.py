@@ -277,6 +277,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    try:
+        dist_mod._check_negative_ratio(args.negative_ratio)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     seed = _resolve_seed(args.seed)
     g = _load_graph(args.infile, args.symmetrize)
     if args.attrs:

@@ -25,6 +25,7 @@ from .distance import (
     Euclidean1D,
     Euclidean2D,
     RandomDistance,
+    _check_negative_ratio,
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
@@ -144,8 +145,7 @@ class RecreateConfig:
         for name in ("runs", "pilot_runs", "finalists"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.negative_ratio > 0:
-            raise ValueError(f"negative_ratio must be > 0, got {self.negative_ratio}")
+        _check_negative_ratio(self.negative_ratio)
         _check_alpha(self.alpha)
 
 

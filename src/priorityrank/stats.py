@@ -129,7 +129,7 @@ def draw(dist: tuple, rng: RngStream, size: int | None = None):
     gen = rng.generator
     if kind == "normal":
         mu, sigma = params
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError(f"normal needs sigma > 0, got {sigma}")
         out = gen.normal(mu, sigma, size=size)
     elif kind == "uniform":
@@ -139,12 +139,12 @@ def draw(dist: tuple, rng: RngStream, size: int | None = None):
         out = gen.uniform(a, b, size=size)
     elif kind == "lognormal":
         mu, sigma = params
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError(f"lognormal needs sigma > 0, got {sigma}")
         out = gen.lognormal(mu, sigma, size=size)
     elif kind == "exponential":
         (rate,) = params
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError(f"exponential needs rate > 0, got {rate}")
         out = gen.exponential(1.0 / rate, size=size)
     else:

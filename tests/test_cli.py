@@ -218,6 +218,20 @@ def test_compare_rejects_bad_alpha_up_front(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1.5", "nan"])
+def test_learn_rejects_bad_negative_ratio_up_front(tmp_path, capsys, value):
+    # the input file does not exist: the check must run before it is loaded
+    missing = tmp_path / "missing.tsv"
+    out = tmp_path / "spec.json"
+    code, _, err = run(
+        capsys, "learn", "--in", str(missing), "--kind", "linear-regression",
+        "--negative-ratio", value, "--seed", "1", "--out", str(out),
+    )
+    assert code == 1
+    assert "usage error" in err and value in err
+    assert not out.exists()
+
+
 def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--help"])

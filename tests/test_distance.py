@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from priorityrank.distance import (
     HierarchicalMixDistance,
     NaiveBayesDistance,
     RandomDistance,
+    TrainingSet,
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
@@ -22,7 +24,9 @@ from priorityrank.distance import (
     make_hierarchical_mix_distance,
     spec_from_json_dict,
 )
+from priorityrank.generate import gen_barabasi_albert
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph
+from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
 from _oracles import random_digraph
@@ -234,6 +238,9 @@ def test_training_set_matches_list_construction(negative_ratio):
 
 
 def test_training_set_errors():
+    for ratio in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="negative_ratio must be > 0"):
+            build_training_set(Graph(3, [(0, 1)]), numeric_table([1, 2, 3]), ratio, RngStream(0))
     with pytest.raises(ValueError, match="no arcs"):
         build_training_set(Graph(3, []), numeric_table([1, 2, 3]), 1.0, RngStream(0))
     complete = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j])
@@ -259,6 +266,93 @@ def test_ols_satisfies_normal_equations_and_pinv_oracle():
         if np.linalg.matrix_rank(X) == X.shape[1]:
             oracle = np.linalg.pinv(X) @ y
             assert np.max(np.abs(beta - oracle)) < 1e-8
+
+
+def ols_design(ts):
+    X = np.hstack([ts.features, np.ones((ts.features.shape[0], 1))])
+    return X, 1.0 - ts.labels
+
+
+def random_training_set(gen, m, p, scale=1.0):
+    labels = np.zeros(m)
+    labels[: m // 3] = 1.0
+    encoder = FeatureEncoder.from_table(numeric_table([0.0, 1.0]))
+    return TrainingSet(features=gen.normal(size=(m, p)) * scale, labels=labels, encoder=encoder)
+
+
+@pytest.mark.parametrize("m, p", [(5, 3), (40, 6), (400, 16), (2000, 30)])
+def test_ols_full_rank_matches_lstsq(m, p):
+    gen = np.random.default_rng(m * 31 + p)
+    for _ in range(3):
+        ts = random_training_set(gen, m, p)
+        X, y = ols_design(ts)
+        oracle, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        assert rank == X.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # full rank: no rank-deficient warning
+            beta = np.array(fit_linear_regression_distance(ts).beta)
+        assert np.max(np.abs(beta - oracle)) < 1e-9
+
+
+def test_ols_one_hot_design_is_rank_15_of_17_like_lstsq():
+    # the re-creation pipeline's design: each pair side's 5-label one-hot
+    # sums to the intercept column, so two directions are null
+    n = 150
+    g = gen_barabasi_albert(n, 3, seed=4)
+    attrs = generate_synthetic_attributes(n, 8)
+    ts = build_training_set(g, attrs, 1.0, RngStream(2))
+    X, y = ols_design(ts)
+    assert X.shape[1] == 17
+    _, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    assert rank == 15
+    with pytest.warns(UserWarning, match=r"rank 15 of 17\)"):
+        spec = fit_linear_regression_distance(ts)
+    assert np.max(np.abs(np.array(spec.beta) - np.linalg.pinv(X) @ y)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_ols_extreme_feature_scales_match_scaled_lstsq(scale):
+    # at 1e200 the Gram matrix of the unscaled design would overflow; at
+    # 1e-200 the features fall below the rank cutoff, as they do for lstsq
+    gen = np.random.default_rng(41)
+    ts = random_training_set(gen, 300, 4, scale)
+    X, y = ols_design(ts)
+    oracle, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        beta = np.array(fit_linear_regression_distance(ts).beta)
+    assert np.isfinite(beta).all()
+    expected = [] if rank == 5 else [
+        f"design matrix is rank-deficient (rank {rank} of 5); using the minimum-norm solution"
+    ]
+    assert [str(w.message) for w in caught] == expected
+    # compare in units of the unscaled features
+    units = np.append(np.full(4, scale), 1.0)
+    assert np.max(np.abs(beta * units - oracle * units)) < 1e-9
+
+
+def test_ols_gives_linalg_no_operand_with_more_than_k_rows(monkeypatch):
+    # m-row operands are what wake BLAS worker threads; only k x k ones may pass
+    gen = np.random.default_rng(3)
+    ts = random_training_set(gen, 500, 8)
+    k = ts.features.shape[1] + 1
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            rows = [np.shape(a)[0] for a in (*args, *kwargs.values()) if np.ndim(a) >= 1]
+            calls.append(name)
+            assert all(r <= k for r in rows), f"np.linalg.{name} got an operand with {max(rows)} rows"
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not name.startswith("_") and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, spy(name, fn))
+    fit_linear_regression_distance(ts)
+    assert calls  # the spy did see the solve
 
 
 def test_ols_constant_features_give_constant_distance():

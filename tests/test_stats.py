@@ -122,3 +122,7 @@ def test_draw_validates_parameters():
         draw(("exponential", -1.0), rng)
     with pytest.raises(ValueError):
         draw(("cauchy", 1.0), rng)
+    # NaN scales fail the check as well as non-positive ones
+    for dist in (("normal", 0.0, math.nan), ("lognormal", 0.0, math.nan), ("exponential", math.nan)):
+        with pytest.raises(ValueError, match="> 0"):
+            draw(dist, rng)
