@@ -246,11 +246,11 @@ def _cmd_generate(args) -> int:
             degrees = DegreeSpec.constant(args.k)
         else:
             raise UsageError("priority-rank needs --k or --degrees-from")
+        if args.dump_rankings and spec.requires_centrality and not args.reference:
+            raise UsageError("--dump-rankings with a centrality kind needs --reference")
         reference = _load_graph(args.reference) if args.reference else None
         g = priority_rank_generate(args.n, attrs, spec, degrees, seed, reference=reference)
         if args.dump_rankings:
-            if spec.requires_centrality and reference is None:
-                raise UsageError("--dump-rankings with a centrality kind needs --reference")
             _dump_rankings(args.dump_rankings, spec, attrs, args.n, reference, None, seed)
         if args.attrs_out and attrs is not None:
             Path(args.attrs_out).write_text(save_attributes(attrs), encoding="utf-8")

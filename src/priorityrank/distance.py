@@ -33,7 +33,7 @@ from . import metrics
 from .graph import AttributeTable, Graph
 from .stats import RngStream
 
-CENTRALITY_KINDS = ("degree", "betweenness", "closeness", "pagerank")
+CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
 DEFAULT_EPS = 1e-6
 
 _VAR_FLOOR = 1e-9

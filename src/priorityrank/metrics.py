@@ -18,12 +18,18 @@ sums of integers are exact below 2**53, so the result does not depend on
 how the sources are chunked.  A chunk whose path counts or betweenness
 reach 2**53 is redone with Python integers, and the running betweenness
 switches to them too.
+
+``network_profile`` checks its arguments and returns a lazy view: each
+field is computed on first read, at most once, so a caller pays only for
+what it reads (``recreate`` scores a generated graph without its pagerank,
+transitivity or assortativity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from .graph import Graph, symmetrize
 # transient memory of a chunk is O(chunk * n), about 1.4 MB traced.
 _CHUNK_CELLS = 2**15
 _EXACT_LIMIT = 2.0**53
+
+CENTRALITY_KINDS = ("degree", "betweenness", "closeness", "pagerank")
 
 
 class ConvergenceError(RuntimeError):
@@ -166,7 +174,9 @@ def degree_centrality(g: Graph, direction: str = "total") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PathSweep:
+class PathSweep:
+    """Every shortest-path quantity of one graph, from one sweep."""
+
     betweenness: np.ndarray
     closeness: np.ndarray
     farness: np.ndarray
@@ -174,11 +184,12 @@ class _PathSweep:
     avg_path_length: float
 
 
-def _path_sweep(g: Graph, mode: str | None) -> _PathSweep:
+def path_sweep(g: Graph, mode: str | None) -> PathSweep:
     """One chunked frontier sweep, reduced to every shortest-path quantity.
 
     ``mode`` selects the betweenness accumulation (``count`` or
     ``fractional``); ``None`` counts no paths and leaves betweenness at zero.
+    A caller that needs several of these quantities runs the sweep once.
     """
     n = g.n
     csr = g.csr
@@ -209,7 +220,7 @@ def _path_sweep(g: Graph, mode: str | None) -> _PathSweep:
         diam = max(diam, int(rows.max()))
         total += int(row_total.sum())
         count += int(reach.sum())
-    return _PathSweep(
+    return PathSweep(
         betweenness=centrality.astype(np.float64),
         closeness=closeness,
         farness=farness,
@@ -227,7 +238,7 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
     """
     if mode not in ("count", "fractional"):
         raise ValueError(f"unknown betweenness mode {mode!r}")
-    return _path_sweep(g, mode).betweenness
+    return path_sweep(g, mode).betweenness
 
 
 def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
@@ -239,8 +250,13 @@ def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
     """
     if mode not in ("reciprocal", "farness"):
         raise ValueError(f"unknown closeness mode {mode!r}")
-    sweep = _path_sweep(g, None)
+    sweep = path_sweep(g, None)
     return sweep.closeness if mode == "reciprocal" else sweep.farness
+
+
+def _check_damping(damping: float) -> None:
+    if not 0.0 < damping < 1.0:
+        raise ValueError(f"damping must be in (0, 1), got {damping}")
 
 
 def pagerank_centrality(
@@ -255,8 +271,7 @@ def pagerank_centrality(
     + dangling mass / n) + (1 - damping) / n.  Iterates until the L1
     change drops below tol.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
+    _check_damping(damping)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = g.n
@@ -285,12 +300,12 @@ def pagerank_centrality(
 
 def diameter(g: Graph) -> int:
     """Longest shortest path over reachable ordered pairs; 0 if none."""
-    return _path_sweep(g, None).diameter
+    return path_sweep(g, None).diameter
 
 
 def avg_path_length(g: Graph) -> float:
     """Mean shortest-path length over reachable ordered pairs; 0 if none."""
-    return _path_sweep(g, None).avg_path_length
+    return path_sweep(g, None).avg_path_length
 
 
 def density(g: Graph) -> float:
@@ -371,22 +386,36 @@ def transitivity(g: Graph) -> float:
 
 @dataclass(frozen=True)
 class NetworkProfile:
-    """Scalar descriptors plus the centrality vectors used for comparisons."""
+    """Scalar descriptors of one graph plus the centrality vectors used for
+    comparisons, with the default measure modes (total degree, count
+    betweenness, reciprocal closeness).
 
-    n: int
-    arc_count: int
-    diameter: int
-    density: float
-    avg_path_length: float
-    reciprocity: float
-    assortativity: float
-    centralization: float
-    transitivity: float
-    degree: np.ndarray
-    betweenness: np.ndarray
-    closeness: np.ndarray
-    closeness_farness: np.ndarray
-    pagerank: np.ndarray
+    The profile is a lazy view: each field is computed on first read, at
+    most once, and the shortest-path fields share one count-mode sweep.
+    """
+
+    graph: Graph
+    damping: float = 0.85
+
+    def __post_init__(self):
+        _check_damping(self.damping)
+
+    n = property(lambda self: self.graph.n)
+    arc_count = property(lambda self: self.graph.arc_count)
+    _sweep = cached_property(lambda self: path_sweep(self.graph, "count"))
+    diameter = property(lambda self: self._sweep.diameter)
+    avg_path_length = property(lambda self: self._sweep.avg_path_length)
+    betweenness = property(lambda self: self._sweep.betweenness)
+    closeness = property(lambda self: self._sweep.closeness)
+    closeness_farness = property(lambda self: self._sweep.farness)
+    # each lambda below calls the module-level function, not the field
+    degree = cached_property(lambda self: degree_centrality(self.graph, "total"))
+    pagerank = cached_property(lambda self: pagerank_centrality(self.graph, self.damping))
+    density = cached_property(lambda self: density(self.graph))
+    reciprocity = cached_property(lambda self: reciprocity(self.graph))
+    assortativity = cached_property(lambda self: assortativity(self.graph))
+    centralization = cached_property(lambda self: freeman_centralization(self.graph))
+    transitivity = cached_property(lambda self: transitivity(self.graph))
 
     def scalar_dict(self) -> dict:
         return {
@@ -403,12 +432,7 @@ class NetworkProfile:
 
     def centralities(self) -> dict[str, np.ndarray]:
         """The centrality vectors by kind, as a distance context reads them."""
-        return {
-            "degree": self.degree,
-            "betweenness": self.betweenness,
-            "closeness": self.closeness,
-            "pagerank": self.pagerank,
-        }
+        return {kind: getattr(self, kind) for kind in CENTRALITY_KINDS}
 
     def to_json_dict(self) -> dict:
         doc = self.scalar_dict()
@@ -421,22 +445,6 @@ class NetworkProfile:
 
 
 def network_profile(g: Graph, damping: float = 0.85) -> NetworkProfile:
-    """Compute every profile field with the default measure modes
-    (total degree, count betweenness, reciprocal closeness)."""
-    sweep = _path_sweep(g, "count")
-    return NetworkProfile(
-        n=g.n,
-        arc_count=g.arc_count,
-        diameter=sweep.diameter,
-        density=density(g),
-        avg_path_length=sweep.avg_path_length,
-        reciprocity=reciprocity(g),
-        assortativity=assortativity(g),
-        centralization=freeman_centralization(g),
-        transitivity=transitivity(g),
-        degree=degree_centrality(g, "total"),
-        betweenness=sweep.betweenness,
-        closeness=sweep.closeness,
-        closeness_farness=sweep.farness,
-        pagerank=pagerank_centrality(g, damping=damping),
-    )
+    """The lazy profile of ``g``; ``damping`` is checked now, although
+    pagerank runs only when first read."""
+    return NetworkProfile(g, damping)

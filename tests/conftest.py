@@ -21,6 +21,26 @@ def bfs_calls(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def profile_calls(monkeypatch) -> dict[str, list]:
+    """Log of the graphs that ``metrics.pagerank_centrality`` and
+    ``metrics.transitivity`` run on, by function name."""
+    calls = {"pagerank_centrality": [], "transitivity": []}
+
+    def logged(name):
+        fn = getattr(metrics, name)
+
+        def logging(g, *args, **kwargs):
+            calls[name].append(g)
+            return fn(g, *args, **kwargs)
+
+        return logging
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, logged(name))
+    return calls
+
+
+@pytest.fixture
 def ranked_rows(monkeypatch) -> dict[str, int]:
     """Count of the rows that the sampler ranks through a shared order hint
     ("hinted") and of those it argsorts ("sorted"), fallbacks included."""

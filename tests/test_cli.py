@@ -137,6 +137,24 @@ def test_dump_rankings_random_kind_matches_the_ranked_rows(tmp_path, capsys, mon
         assert float(distance) == ranked[int(source)][int(target)]
 
 
+def test_dump_rankings_centrality_kind_without_reference_fails_before_generating(
+    tmp_path, capsys, monkeypatch
+):
+    passes = []
+    monkeypatch.setattr(generate_mod, "_generation_pass", lambda *a: passes.append(a))
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "6", "--k", "2",
+        "--distance", "betweenness", "--seed", "11", "--out", str(out),
+        "--dump-rankings", str(tmp_path / "rankings.tsv"),
+    )
+    assert code == 1
+    assert "needs --reference" in err
+    assert passes == []
+    assert not out.exists()
+
+
 def test_learn_emits_loadable_spec(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "4", "--out", str(src))

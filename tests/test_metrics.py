@@ -228,8 +228,19 @@ def test_network_profile_path_and_dgm():
 
 def test_network_profile_sweeps_each_source_once(bfs_calls):
     g = gen_dorogovtsev_goltsev_mendes(3)
-    network_profile(g)
+    prof = network_profile(g)
+    prof.degree
+    assert bfs_calls == []
+    prof.to_json_dict()
+    prof.to_json_dict()
     assert sorted(bfs_calls) == list(range(g.n))
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_network_profile_rejects_bad_damping_at_call_time(damping, profile_calls):
+    with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
+        network_profile(path3(), damping=damping)
+    assert profile_calls["pagerank_centrality"] == []
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,15 @@ def test_recreate_sweeps_each_scored_graph_once(bfs_calls):
     assert len(bfs_calls) == g.n * graphs
 
 
+def test_recreate_reads_pagerank_and_transitivity_of_the_source_only(profile_calls):
+    g = gen_erdos_renyi(20, 0.3, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        recreate(g, None, RecreateConfig(runs=2, pilot_runs=1, seed=3)).to_json_dict()
+    for graphs in profile_calls.values():
+        assert len(graphs) == 1 and graphs[0] is g
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
