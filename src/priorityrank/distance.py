@@ -12,11 +12,18 @@ table, the centrality vectors of a reference graph, and a random stream.
 Every kind implements ``rows(ctx, sources)``, the distances from a block of
 sources to every vertex as one (len(sources), n) array; work that all
 sources share (a centrality vector, a norm, a per-target score) runs once
-per call.  ``row(ctx, i)`` is ``rows(ctx, [i])[0]``.  A kind whose rows all
-sort the targets the same way may also return that permutation from
-``order(ctx)``.  The order is only a hint: ``ranking.sample_rows`` checks
-every row against it and argsorts any row that is not non-decreasing in it,
-so correctness never depends on it.
+per call.  ``row(ctx, i)`` is ``rows(ctx, [i])[0]``.
+
+Two optional methods let the generator skip work.  A kind whose rows all
+sort the targets the same way, but whose ties differ per source (linear
+regression, naive Bayes), returns that permutation from ``order(ctx)``.
+The order is only a hint: ``ranking.sample_rows`` checks every row against
+it and argsorts any row that is not non-decreasing in it, so correctness
+never depends on it.  A kind whose draws follow the law of one distance
+vector shared by every source returns it from ``shared_distances(ctx)``:
+the centrality kinds their target scores, the random kind an all-tied
+vector.  The generator then draws with ``ranking.sample_shared`` and
+evaluates no rows.
 """
 
 from __future__ import annotations
@@ -111,7 +118,8 @@ def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Base class; concrete kinds implement ``rows`` and may offer ``order``."""
+    """Base class; concrete kinds implement ``rows`` and may offer ``order``
+    or ``shared_distances``."""
 
     kind: ClassVar[str] = ""
     requires_attributes: ClassVar[bool] = False
@@ -132,6 +140,11 @@ class DistanceFunction:
         """A permutation of the targets in which every row is non-decreasing
         up to rounding, or None when sources order targets differently.
         A hint only: ``ranking.sample_rows`` checks each row against it."""
+        return None
+
+    def shared_distances(self, ctx: DistanceContext) -> np.ndarray | None:
+        """One length-n vector d such that every source i draws its targets
+        with the law of ranking the vertices j != i by d[j], or None."""
         return None
 
     def evaluate(self, ctx: DistanceContext, i: int, j: int) -> float:
@@ -156,6 +169,12 @@ class RandomDistance(DistanceFunction):
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+    def shared_distances(self, ctx):
+        # i.i.d. distances make every ranking a uniform permutation, so each
+        # ordered draw is uniform over ordered k-tuples of targets: the law
+        # of an all-tied row (exact float ties between |N| draws aside)
+        return np.zeros(ctx.n)
 
     def rows(self, ctx, sources):
         if ctx.rng is None:
@@ -191,14 +210,11 @@ class CentralityDistance(DistanceFunction):
     def kind(self) -> str:  # type: ignore[override]
         return self.centrality
 
-    def _distances(self, ctx) -> np.ndarray:
+    def shared_distances(self, ctx):
         return 1.0 / (ctx.centrality(self.centrality) + self.eps)
 
     def rows(self, ctx, sources):
-        return np.broadcast_to(self._distances(ctx), (len(sources), ctx.n))
-
-    def order(self, ctx):
-        return np.argsort(self._distances(ctx), kind="stable")
+        return np.broadcast_to(self.shared_distances(ctx), (len(sources), ctx.n))
 
     def to_json_dict(self):
         return {"kind": self.centrality, "eps": self.eps}

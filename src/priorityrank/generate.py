@@ -20,7 +20,7 @@ import numpy as np
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import AttributeTable, Graph, symmetrize
 from .metrics import assortativity
-from .ranking import sample_rows
+from .ranking import by_rejection, sample_rows, sample_shared
 from .stats import RngStream
 
 
@@ -71,6 +71,24 @@ class DegreeSpec:
 _BLOCK_CELLS = 2**16
 
 
+def _keyed_draws(candidates: np.ndarray, ks: np.ndarray, rows, stream: RngStream, order):
+    """Heads and tails of ``sample_rows`` draws for the candidates with
+    ks > 0, a block at a time.  ``stream`` gives one contiguous row of n
+    uniforms per candidate, so the draws do not depend on the block size."""
+    n = len(ks)
+    block = max(1, _BLOCK_CELLS // n)
+    heads, tails = [], []
+    for start in range(0, len(candidates), block):
+        sources = candidates[start : start + block]
+        u = stream.generator.random((len(sources), n))
+        live = ks[sources] > 0
+        sources = sources[live]
+        if len(sources):
+            heads.append(np.repeat(sources, ks[sources]))
+            tails.append(sample_rows(rows(sources), sources, ks[sources], u[live], order))
+    return heads, tails
+
+
 def _generation_pass(
     n: int,
     attrs: AttributeTable | None,
@@ -88,21 +106,24 @@ def _generation_pass(
         rng=stream.child(1),
         centralities=centralities,
     )
-    # one contiguous n x n stream of uniforms, read a block of rows at a
-    # time, so the draws do not depend on the block size
-    uniforms = stream.child(2).generator
-    order = spec.order(ctx)
-    block = max(1, _BLOCK_CELLS // n)
-    heads, tails = [], []
-    for start in range(0, n, block):
-        u = uniforms.random((min(block, n - start), n))
-        sources = np.arange(start, start + len(u))
-        live = ks[sources] > 0
-        sources = sources[live]
-        if not len(sources):
-            continue
+    shared = spec.shared_distances(ctx)
+    if shared is None:
+        heads, tails = _keyed_draws(
+            np.arange(n), ks, lambda sources: spec.rows(ctx, sources), stream.child(2), spec.order(ctx)
+        )
+    else:
+        sources = np.flatnonzero(ks > 0)
+        fast = by_rejection(n, ks[sources])
+        heads, tails = _keyed_draws(
+            sources[~fast],
+            ks,
+            lambda block: np.broadcast_to(shared, (len(block), n)),
+            stream.child(3),
+            None,
+        )
+        sources = sources[fast]
         heads.append(np.repeat(sources, ks[sources]))
-        tails.append(sample_rows(spec.rows(ctx, sources), sources, ks[sources], u[live], order))
+        tails.append(sample_shared(shared, sources, ks[sources], stream.child(2).generator))
     if not heads:
         return Graph(n)
     return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))
@@ -122,8 +143,11 @@ def priority_rank_generate(
 
     Every vertex i receives its out-degree budget, ranks all other vertices
     with the distance function, and draws that many distinct targets.  The
-    output is deterministic for a fixed seed.  The pass runs in one thread,
-    a block of sources at a time.
+    output is deterministic for a fixed seed.  The pass runs in one thread.
+    Kinds with shared distances (centrality, random) draw through
+    ``sample_shared`` where ``by_rejection`` holds and evaluate no rows;
+    their other sources, and every source of the other kinds, are ranked a
+    block of sources at a time by ``sample_rows``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")

@@ -7,23 +7,33 @@ rank sequence may contain gaps.  Entry weights are 1/rank; normalizing them
 gives the selection probabilities.  With no ties this reduces to
 P(position i) = 1 / (H_{n-1} * i) with H the harmonic number.
 
-Targets are drawn without replacement by exponential keys (Efraimidis and
-Spirakis, 2006): every entry gets the key ``rank * log(1 - u)`` from its own
-uniform u, and the k largest keys, in descending order, are the k draws.
-This has the same law as drawing one entry at a time with probability
-proportional to 1/rank among the entries left.  ``sample_rows`` does this
-for a block of sources at once, from their distance rows; ``sample_targets``
-does it for one ``LocalRanking``.  Seeded priority-rank graphs changed when
-these keys replaced the draw-by-draw ``cumsum`` walk.  The keys use
-``1 - u``, which lies in (0, 1], rather than u, so every key is finite.
+Targets are drawn without replacement: each draw picks an entry with
+probability proportional to 1/rank among the entries left (successive
+sampling).  Three kernels draw from this law.
 
-The keys need only each target's competition rank.  ``sample_rows`` gets
-them by argsorting each distance row, or, when the caller passes a shared
-``order`` hint (``DistanceFunction.order``), by reading them straight from
-the rows gathered in that order.  The hint is validated per block: if any
-row is not non-decreasing in it, the block is argsorted instead.  Ranks
-depend only on the distances, so the draws are the same with or without
-the hint, and with a wrong one.
+- ``sample_rows`` takes a block of distance rows, one per source, and gives
+  every entry the exponential key ``rank * log(1 - u)`` from its own uniform
+  u (Efraimidis and Spirakis, 2006); the k largest keys, in descending
+  order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
+  every key is finite.  Ranks come from argsorting each row, or, when the
+  caller passes a shared ``order`` hint (``DistanceFunction.order``), from
+  the rows gathered in that order.  The hint is validated per block: if any
+  row is not non-decreasing in it, the block is argsorted instead, so the
+  draws are the same with or without the hint, and with a wrong one.
+- ``sample_shared`` serves sources that all rank the targets by one vector.
+  One stable argsort gives the tie groups, and two prefix sums over them
+  give every source's distribution over groups: the source's own group
+  loses one member, and the ranks of the groups after it drop by one.  A draw
+  is a binary search over the groups plus a uniform pick inside the group
+  that skips the source; repeats are rejected and redrawn, in vectorised
+  rounds over all pending sources.  A pass costs O(n log n + n k) rather
+  than O(n^2).  Rejection slows as the drawn mass nears 1, so callers send
+  a source here only when ``by_rejection`` holds, k <= (n - 1) / 4, a rule
+  of n and k alone, and use ``sample_rows`` on the broadcast vector above it.
+- ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
+
+Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
+``cumsum`` walk, and again for the kinds that ``sample_shared`` serves.
 """
 
 from __future__ import annotations
@@ -132,6 +142,24 @@ def _check_distances(values: np.ndarray) -> None:
         raise ValueError("distances must be non-negative")
 
 
+def _check_draws(sources, ks, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sources`` and ``ks`` as int64 arrays of b sources in [0, n) and b
+    draw counts in [1, n - 1]."""
+    sources = np.asarray(sources, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    if sources.shape != (b,):
+        raise ValueError(f"need one source per row, got {sources.shape} for {b} rows")
+    bad = (sources < 0) | (sources >= n)
+    if bad.any():
+        raise ValueError(f"source id {int(sources[bad][0])} is outside [0, {n})")
+    if ks.shape != (b,):
+        raise ValueError(f"need one draw count per row, got {ks.shape} for {b} rows")
+    bad = (ks < 1) | (ks > n - 1)
+    if bad.any():
+        raise ValueError(f"cannot draw {int(ks[bad][0])} targets from {n - 1} entries")
+    return sources, ks
+
+
 def _top_keys(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Column indices of the ``ks[r]`` largest keys of each row r, in
     descending key order, concatenated row after row."""
@@ -204,19 +232,10 @@ def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
     draws do not depend on the hint.
     """
     distances = np.asarray(distances, dtype=np.float64)
-    sources = np.asarray(sources, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
     b, n = distances.shape
-    if sources.shape != (b,):
-        raise ValueError(f"need one source per row, got {sources.shape} for {b} rows")
-    bad = (sources < 0) | (sources >= n)
-    if bad.any():
-        raise ValueError(f"source id {int(sources[bad][0])} is outside [0, {n})")
+    sources, ks = _check_draws(sources, ks, b, n)
     if np.shape(u) != (b, n):
         raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
-    bad = (ks < 1) | (ks > n - 1)
-    if bad.any():
-        raise ValueError(f"cannot draw {int(ks[bad][0])} targets from {n - 1} entries")
     if b == 0:
         return np.zeros(0, dtype=np.int64)
     ranks = None
@@ -227,6 +246,87 @@ def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
     keys = ranks * np.log1p(-u)
     keys[np.arange(b), sources] = -np.inf
     return _top_keys(keys, ks)
+
+
+def by_rejection(n: int, ks) -> np.ndarray:
+    """Where ``sample_shared`` draws ``ks`` of n - 1 targets: k <= (n - 1) / 4.
+
+    The rule reads only n and k, so which kernel serves a source never
+    depends on timing or on how the sources are blocked."""
+    return 4 * np.asarray(ks) <= n - 1
+
+
+def sample_shared(distances, sources, ks, gen: np.random.Generator) -> np.ndarray:
+    """Draw ``ks[r]`` distinct targets for each ``sources[r]`` when every
+    source ranks the other vertices by the one vector ``distances``.
+
+    The law and the output are those of ``sample_rows`` on the rows
+    ``distances`` broadcast to every source: each source's targets, in draw
+    order, concatenated row after row.  Rows are independent, so a source
+    may repeat.  ``gen`` is read in a fixed order: per round, the group
+    uniforms of every pending draw, then their in-group uniforms.  Each
+    round draws as many candidates per row as the row still needs, and
+    keeps those whose target the row has not drawn yet.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.ndim != 1:
+        raise ValueError(f"need one shared distance vector, got shape {distances.shape}")
+    n = len(distances)
+    b = len(np.atleast_1d(sources))
+    sources, ks = _check_draws(sources, ks, b, n)
+    _check_distances(distances)
+    if b == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(distances, kind="stable")
+    ordered = distances[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    last = len(starts) - 1
+    # a group's competition rank is its 1-based start p_g; for a source,
+    # the ranks of the groups after its own drop by one, so a group of size
+    # s_g weighs s_g / p_g before the source's group and s_g / (p_g - 1)
+    # after it
+    before = np.r_[0.0, np.cumsum(sizes / (starts + 1))]
+    after = np.r_[0.0, np.cumsum(sizes / np.maximum(starts, 1))]
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    group = np.repeat(np.arange(len(starts)), sizes)[place[sources]]
+    low = before[group]
+    high = low + (sizes[group] - 1) / (starts[group] + 1)
+    total = high + (after[-1] - after[group + 1])
+
+    need = ks.copy()
+    pending = np.arange(b)
+    taken = np.zeros(0, dtype=np.int64)  # sorted codes row * n + target
+    drawn = []
+    while len(pending):
+        rows = np.repeat(pending, need[pending])
+        u = gen.random((2, len(rows)))
+        h = group[rows]
+        x = u[0] * total[rows]
+        g = np.where(x < low[rows], np.searchsorted(before, x, "right") - 1, h)
+        tail = x >= high[rows]
+        shifted = x[tail] - high[rows[tail]] + after[h[tail] + 1]
+        g[tail] = np.clip(np.searchsorted(after, shifted, "right") - 1, h[tail] + 1, last)
+        own = g == h
+        room = sizes[g] - own
+        pos = starts[g] + np.minimum((u[1] * room).astype(np.int64), room - 1)
+        pos += own & (pos >= place[sources[rows]])
+        codes = rows * n + order[pos]
+        # rounding can put x at the total, past the last group that has room
+        codes[x >= total[rows]] = -1
+        fresh = np.zeros(len(codes), dtype=bool)
+        fresh[np.unique(codes, return_index=True)[1]] = True
+        fresh &= codes >= 0
+        if len(taken):
+            at = np.minimum(np.searchsorted(taken, codes), len(taken) - 1)
+            fresh &= taken[at] != codes
+        drawn.append(codes[fresh])
+        taken = np.sort(np.concatenate([taken, codes[fresh]]), kind="stable")
+        need -= np.bincount(rows[fresh], minlength=b)
+        pending = pending[need[pending] > 0]
+    codes = np.concatenate(drawn)
+    return codes[np.argsort(codes // n, kind="stable")] % n
 
 
 def sample_targets(ranking: LocalRanking, k: int, rng: RngStream) -> np.ndarray:

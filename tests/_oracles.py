@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from scipy.stats import chisquare
 
 from priorityrank.graph import Graph
 from priorityrank.ranking import build_local_ranking
@@ -156,6 +157,35 @@ def sequential_draw_law(ranks, k: int) -> dict[tuple[int, ...], Fraction]:
             left -= weights[pos]
         law[seq] = p
     return law
+
+
+def shared_vector_law(distances, source: int, k: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact law of the ordered k-draw of ``source`` when it ranks every
+    other vertex j by ``distances[j]``, keyed by target ids: ranks from
+    ``build_local_ranking``, probabilities from ``sequential_draw_law``."""
+    distances = np.asarray(distances, dtype=np.float64)
+    ids = np.delete(np.arange(len(distances)), source)
+    ranking = build_local_ranking(source, (ids, np.delete(distances, source)))
+    return {
+        tuple(int(ranking.targets[pos]) for pos in seq): p
+        for seq, p in sequential_draw_law(ranking.ranks, k).items()
+    }
+
+
+def chisquare_pvalue(law, draws) -> float:
+    """Chi-square p-value of the observed ``draws`` (hashable outcomes)
+    against ``law`` ({outcome: probability}); cells expected below 5 are
+    pooled into one."""
+    counts = dict.fromkeys(law, 0)
+    for outcome in draws:
+        counts[outcome] += 1
+    observed = np.array([counts[o] for o in law], dtype=np.float64)
+    expected = len(draws) * np.array([float(p) for p in law.values()])
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return float(chisquare(observed, expected).pvalue)
 
 
 def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:

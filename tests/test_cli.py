@@ -5,8 +5,9 @@ import pytest
 
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
-from priorityrank.distance import spec_from_json_dict
+from priorityrank.distance import DistanceContext, RandomDistance, spec_from_json_dict
 from priorityrank.graph import load_edge_list
+from priorityrank.stats import RngStream
 
 PEOPLE_CSV = (
     "age:continuous,sex:categorical\n"
@@ -109,32 +110,28 @@ def test_generate_priority_rank_with_dump_rankings(tmp_path, capsys):
     assert float(first[4]) == pytest.approx(0.48)
 
 
-def test_dump_rankings_random_kind_matches_the_ranked_rows(tmp_path, capsys, monkeypatch):
-    # the dump rebuilds the pass's context stream; a wrong stream path would
-    # dump random rows the pass never ranked
-    ranked = {}
-    sample_rows = generate_mod.sample_rows
-
-    def spy(distances, sources, *rest):
-        for source, row in zip(sources, distances):
-            ranked[int(source)] = np.array(row)
-        return sample_rows(distances, sources, *rest)
-
-    monkeypatch.setattr(generate_mod, "sample_rows", spy)
-    out = tmp_path / "g.tsv"
-    dump = tmp_path / "rankings.tsv"
-    code, _, _ = run(
-        capsys,
-        "generate", "--model", "priority-rank", "--n", "6", "--k", "2",
-        "--distance", "random", "--seed", "11", "--out", str(out), "--dump-rankings", str(dump),
-    )
-    assert code == 0
-    assert sorted(ranked) == list(range(6))
-    lines = dump.read_text().splitlines()[1:]
+def test_dump_rankings_random_kind_reads_the_pass_context_stream(tmp_path, capsys):
+    # the random kind's pass draws uniform target sets and evaluates no
+    # rows; the dump shows the rows of the pass's context stream, the same
+    # bytes on every run
+    dumps = []
+    for tag in ("a", "b"):
+        dump = tmp_path / f"rankings_{tag}.tsv"
+        code, _, _ = run(
+            capsys,
+            "generate", "--model", "priority-rank", "--n", "6", "--k", "2", "--distance", "random",
+            "--seed", "11", "--out", str(tmp_path / f"g_{tag}.tsv"), "--dump-rankings", str(dump),
+        )
+        assert code == 0
+        dumps.append(dump.read_bytes())
+    assert dumps[0] == dumps[1]
+    ctx = DistanceContext(n=6, rng=RngStream(11).child(0).child(1))
+    rows = RandomDistance().rows(ctx, np.arange(6))
+    lines = dumps[0].decode().splitlines()[1:]
     assert len(lines) == 6 * 5
     for line in lines:
         source, target, distance, _, _ = line.split("\t")
-        assert float(distance) == ranked[int(source)][int(target)]
+        assert float(distance) == rows[int(source), int(target)]
 
 
 def test_dump_rankings_centrality_kind_without_reference_fails_before_generating(

@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from priorityrank.metrics import assortativity, avg_path_length, degree_centrali
 from priorityrank.ranking import build_local_ranking
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import adjacency, priority_rank_oracle, sequential_draw_law
+from _oracles import adjacency, priority_rank_oracle, sequential_draw_law, shared_vector_law
 
 
 def attr_table(values):
@@ -298,10 +299,12 @@ def test_priority_rank_independent_of_block_size(monkeypatch, case):
     assert graphs[0] == graphs[1] == graphs[2]
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", ["naive_bayes", "tied_euclidean"])
 def test_priority_rank_matches_per_vertex_oracle(case):
     # the per-vertex oracle ranks ties with a stable lexsort; the pass sorts
-    # with numpy's default sort, so tied entries may land in another order
+    # with numpy's default sort, so tied entries may land in another order.
+    # The random and degree kinds draw through the shared-vector kernel, and
+    # the law tests below check them.
     n, seed = 60, 21
     attrs, spec, degrees, reference = CASES[case](n)
     with warnings.catch_warnings():
@@ -314,32 +317,97 @@ def test_priority_rank_matches_per_vertex_oracle(case):
     assert g.arcs == priority_rank_oracle(spec, ctx, ks, u)
 
 
-def test_non_random_pass_builds_constant_rng_streams(rng_streams):
-    # one stream of uniforms per pass, not one generator per vertex
-    built = []
-    for n in (20, 200):
-        attrs = uniform_attr(n, 1)
-        rng_streams.clear()
-        priority_rank_generate(n, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(3), seed=2)
-        built.append(len(rng_streams))
-    assert built == [1, 1]
+def test_pass_builds_constant_rng_streams(rng_streams):
+    # one stream of uniforms per pass, not one generator per vertex; the
+    # random kind never reads its context stream, since it evaluates no rows
+    for spec, attrs in ((Euclidean1D(attr="x"), uniform_attr), (RandomDistance(), lambda n, s: None)):
+        built = []
+        for n in (20, 200):
+            table = attrs(n, 1)
+            rng_streams.clear()
+            priority_rank_generate(n, table, spec, DegreeSpec.constant(3), seed=2)
+            built.append(len(rng_streams))
+        assert built == [1, 1], spec.kind
 
 
 def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
-    # at n=2000, passes of the degree and naive-Bayes kinds rank every row
-    # through their order hint, with no fallback; the random and aggregate
-    # kinds offer no hint, so every row is argsorted
+    # at n=2000, a naive-Bayes pass ranks every row through its order hint,
+    # with no fallback, and an aggregate pass argsorts every row; the degree
+    # and random kinds draw from their shared distances and rank no rows
     n = 2000
     attrs = mixed_attr(n, 7)
     reference = gen_erdos_renyi(n, 5 / n, seed=3)
     learned = fit_naive_bayes_distance(build_training_set(reference, attrs, 1.0, RngStream(8)))
     aggregate = AggregateDistance(weights=(("x", 1.0), ("y", 1.0), ("lab", 1.0)))
     for spec, ref, path in (
-        (CentralityDistance(centrality="degree"), reference, "hinted"),
+        (CentralityDistance(centrality="degree"), reference, None),
         (learned, None, "hinted"),
-        (RandomDistance(), None, "sorted"),
+        (RandomDistance(), None, None),
         (aggregate, None, "sorted"),
     ):
         ranked_rows.update(hinted=0, sorted=0)
-        priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
-        assert ranked_rows[path] == n and sum(ranked_rows.values()) == n, spec.kind
+        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
+        assert g.out_degrees.tolist() == [10] * n
+        assert sum(ranked_rows.values()) == (n if path else 0), spec.kind
+        if path:
+            assert ranked_rows[path] == n, spec.kind
+
+
+def tally_target_sets(n, spec, degrees, trials, **kwargs):
+    """{(source, k): [frozenset of targets, one per seed]} over ``trials``
+    single passes."""
+    drawn: dict[tuple[int, int], list[frozenset]] = {}
+    for seed in range(trials):
+        out_adj, _ = adjacency(priority_rank_generate(n, None, spec, degrees, seed=seed, **kwargs))
+        for i, targets in enumerate(out_adj):
+            drawn.setdefault((i, len(targets)), []).append(frozenset(targets))
+    return drawn
+
+
+def combined_pvalue(laws, drawn):
+    """Chi-square p-value of every (source, k) tally against its set law,
+    summed over the tallies."""
+    stat = dof = 0.0
+    for key, draws in drawn.items():
+        law = laws(*key)
+        expected = len(draws) * np.array([float(p) for p in law.values()])
+        observed = np.array([sum(d == s for d in draws) for s in law])
+        assert expected.min() >= 5, key
+        stat += float(((observed - expected) ** 2 / expected).sum())
+        dof += len(law) - 1
+    return chi2.sf(stat, dof)
+
+
+def test_shared_kind_pass_follows_exact_law():
+    # centrality scores with ties; out-degree 1 lies under the rejection
+    # limit of n = 7 and n - 2 = 5 above it, so both kernels of a pass run
+    n = 7
+    scores = np.array([3.0, 1.0, 1.0, 0.0, 1.0, 5.0, 2.0])
+    spec = CentralityDistance(centrality="degree")
+    distances = spec.shared_distances(DistanceContext(n=n, centralities={"degree": scores}))
+    drawn = tally_target_sets(
+        n, spec, DegreeSpec.resample([1, n - 2]), 1000, centralities={"degree": scores}
+    )
+    assert {k for _, k in drawn} == {1, n - 2}
+
+    def laws(source, k):
+        law: dict[frozenset, float] = {}
+        for seq, p in shared_vector_law(distances, source, k).items():
+            law[frozenset(seq)] = law.get(frozenset(seq), 0.0) + float(p)
+        return law
+
+    assert combined_pvalue(laws, drawn) > 1e-3
+
+
+def test_random_kind_draws_uniform_k_subsets():
+    # every k-subset of the other n - 1 vertices is equally likely, for k
+    # under the rejection limit of n = 7 (1) and above it (2, 4)
+    n = 7
+    drawn = tally_target_sets(n, RandomDistance(), DegreeSpec.resample([1, 2, 4]), 1000)
+    assert {k for _, k in drawn} == {1, 2, 4}
+
+    def laws(source, k):
+        subsets = list(combinations(sorted(set(range(n)) - {source}), k))
+        return {frozenset(s): 1 / len(subsets) for s in subsets}
+
+    assert combined_pvalue(laws, drawn) > 1e-3

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -5,14 +7,16 @@ from scipy.stats import chisquare
 from priorityrank import ranking
 from priorityrank.ranking import (
     build_local_ranking,
+    by_rejection,
     competition_ranks,
     sample_rows,
+    sample_shared,
     sample_targets,
     selection_probabilities,
 )
 from priorityrank.stats import RngStream, harmonic
 
-from _oracles import sequential_draw_law
+from _oracles import chisquare_pvalue, sequential_draw_law, shared_vector_law
 
 
 def alice_ranking():
@@ -302,3 +306,79 @@ def test_sample_rows_rejects_a_hint_that_is_not_a_permutation():
     for hint in ([0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]):
         with pytest.raises(ValueError, match="not a permutation"):
             sample_rows([[0.0, 1.0, 2.0]], [0], [1], u, hint)
+
+
+# Sorted, the vector reads 0.5 | 1.0 1.0 1.0 | 2.0 | 3.0 | 4.0: vertices
+# 1, 2 and 4 start, sit inside and end a tie group; 5, 0 and 6 are
+# singletons, first, inside and last.
+SHARED = np.array([2.0, 1.0, 1.0, 3.0, 1.0, 0.5, 4.0])
+
+
+@pytest.mark.parametrize("kernel", ["shared", "rows"])
+@pytest.mark.parametrize("k", [1, 2, len(SHARED) - 2])
+@pytest.mark.parametrize("source", [1, 2, 4, 5, 0, 6])
+def test_shared_vector_draws_follow_exact_law(kernel, k, source):
+    # chi-square of ordered k-draws against exact enumeration; k = 1 lies
+    # under the rejection limit of n = 7, k = 2 and n - 2 above it, and
+    # both kernels must draw the same law on the broadcast rows
+    n, trials = len(SHARED), 10_000
+    assert by_rejection(n, [1, 2]).tolist() == [True, False]
+    sources, ks = np.full(trials, source), np.full(trials, k)
+    gen = RngStream(31, (source, k)).generator
+    if kernel == "shared":
+        got = sample_shared(SHARED, sources, ks, gen)
+    else:
+        rows = np.broadcast_to(SHARED, (trials, n))
+        got = sample_rows(rows, sources, ks, gen.random((trials, n)))
+    draws = [tuple(row) for row in got.reshape(trials, k).tolist()]
+    assert chisquare_pvalue(shared_vector_law(SHARED, source, k), draws) > 1e-3
+
+
+def test_shared_kernel_uniform_on_an_all_tied_vector():
+    # every ordered pair of distinct targets is equally likely
+    n, k, trials = 6, 2, 12_000
+    got = sample_shared(np.zeros(n), np.full(trials, 3), np.full(trials, k), RngStream(5).generator)
+    law = shared_vector_law(np.zeros(n), 3, k)
+    assert set(law.values()) == {Fraction(1, 20)}
+    assert chisquare_pvalue(law, [tuple(r) for r in got.reshape(trials, k).tolist()]) > 1e-3
+
+
+def test_shared_kernel_draws_distinct_targets_in_row_order():
+    gen = np.random.default_rng(1)
+    d = gen.integers(0, 5, 300).astype(float)
+    sources = np.arange(300)
+    ks = gen.integers(1, 75, 300)
+    got = sample_shared(d, sources, ks, RngStream(2).generator)
+    assert len(got) == ks.sum()
+    for source, targets in zip(sources, np.split(got, np.cumsum(ks)[:-1])):
+        assert len(set(targets.tolist())) == len(targets)
+        assert source not in targets
+    again = sample_shared(d, sources, ks, RngStream(2).generator)
+    assert again.tolist() == got.tolist()
+
+
+def test_shared_kernel_exhausts_and_validates():
+    d = np.array([1.0, 1.0, 2.0, 0.0])
+    got = sample_shared(d, [0, 3], [3, 3], RngStream(3).generator)
+    assert sorted(got[:3].tolist()) == [1, 2, 3]
+    assert sorted(got[3:].tolist()) == [0, 1, 2]
+    assert sample_shared(d, [], [], RngStream(3).generator).tolist() == []
+    gen = RngStream(4).generator
+    with pytest.raises(ValueError, match="finite"):
+        sample_shared([0.0, np.inf, 1.0], [0], [1], gen)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_shared([0.0, 1.0, -2.0], [0], [1], gen)
+    with pytest.raises(ValueError, match="cannot draw 3 targets from 2"):
+        sample_shared([0.0, 1.0, 2.0], [0], [3], gen)
+    with pytest.raises(ValueError, match="source id 3 is outside"):
+        sample_shared([0.0, 1.0, 2.0], [3], [1], gen)
+    with pytest.raises(ValueError, match="one shared distance vector"):
+        sample_shared([[0.0, 1.0, 2.0]], [0], [1], gen)
+    with pytest.raises(ValueError, match="one draw count per row"):
+        sample_shared([0.0, 1.0, 2.0], [0, 1], [1], gen)
+
+
+def test_rejection_limit_reads_only_n_and_k():
+    assert by_rejection(9, [1, 2, 3]).tolist() == [True, True, False]
+    assert by_rejection(2, [1]).tolist() == [False]
+    assert by_rejection(2001, [500, 501]).tolist() == [True, False]
