@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distance as dist_mod
-from .distance import spec_from_json_dict
+from .distance import CENTRALITY_KINDS, spec_from_json_dict
 from .generate import (
     DegreeSpec,
     gen_barabasi_albert,
@@ -52,7 +52,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_DISTANCES = ("random", "degree", "betweenness", "closeness", "pagerank")
+DEFAULT_DISTANCES = ("random", *CENTRALITY_KINDS)
 WORKERS_HELP = "accepted and ignored; kept so older command lines still run"
 
 
@@ -164,10 +164,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _distance_spec_from_args(args, attrs):
+def _distance_spec_from_args(args):
     if args.distance_spec:
         raw = args.distance_spec
-        if Path(raw).exists():
+        # inline JSON can be longer than a file name may be: never look it up
+        if not raw.lstrip().startswith(("{", "[")) and Path(raw).exists():
             raw = _read_file(raw)
         try:
             doc = json.loads(raw)
@@ -237,7 +238,7 @@ def _cmd_generate(args) -> int:
         attrs = None
         if args.attrs:
             attrs = load_attributes(_read_file(args.attrs), expected_n=args.n)
-        spec = _distance_spec_from_args(args, attrs)
+        spec = _distance_spec_from_args(args)
         if attrs is None and spec.requires_attributes:
             attrs = generate_synthetic_attributes(args.n, RngStream(seed).child(9).spawn_seed())
         if args.degrees_from:
@@ -345,10 +346,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConvergenceError as exc:

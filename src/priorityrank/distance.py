@@ -24,13 +24,18 @@ vector shared by every source returns it from ``shared_distances(ctx)``:
 the centrality kinds their target scores, the random kind an all-tied
 vector.  The generator then draws with ``ranking.sample_shared`` and
 evaluates no rows.
+
+Each kind is a frozen dataclass whose fields, in order and with tuples as
+lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
+centrality.  ``spec_from_json_dict`` reads a missing or null field as its
+default and raises ``ValueError`` on a malformed document.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import ClassVar, Mapping
 
@@ -155,7 +160,14 @@ class DistanceFunction:
         return float(self.row(ctx, i)[j])
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """``{"kind": ...}`` then every field in field order, tuples as lists."""
+        return {"kind": self.kind, **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
+
+
+def _json_value(value):
+    if isinstance(value, FeatureEncoder):
+        return value.to_json()
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -186,9 +198,6 @@ class RandomDistance(DistanceFunction):
             gen = ctx.rng.child(i).generator
             np.abs(gen.normal(self.mu, self.sigma, size=ctx.n), out=out[r])
         return out
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -239,9 +248,6 @@ class Euclidean1D(DistanceFunction):
         out = np.subtract(vals, vals[sources, None])
         return np.abs(out, out=out)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "attr": self.attr}
-
 
 @dataclass(frozen=True)
 class Euclidean2D(DistanceFunction):
@@ -258,9 +264,6 @@ class Euclidean2D(DistanceFunction):
         out = np.square(np.subtract(a, a[sources, None]))
         out += np.square(np.subtract(b, b[sources, None]))
         return np.sqrt(out, out=out)
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "attr1": self.attr1, "attr2": self.attr2}
 
 
 @dataclass(frozen=True)
@@ -305,9 +308,6 @@ class CosineDistance(DistanceFunction):
             raise ValueError(f"vertex {bad} has a zero-norm attribute vector")
         return max(1.0 - float(mat[i] @ mat[j]) / (ni * nj), 0.0)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "attrs": list(self.attrs) if self.attrs else None}
-
 
 @dataclass(frozen=True)
 class AggregateDistance(DistanceFunction):
@@ -340,9 +340,6 @@ class AggregateDistance(DistanceFunction):
             term *= w
             total += term
         return total
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "weights": [[n, w] for n, w in self.weights]}
 
 
 def make_age_sex_distance() -> AggregateDistance:
@@ -388,14 +385,6 @@ class HierarchicalMixDistance(DistanceFunction):
         hier *= 1.0 - self.alpha
         sq += hier
         return sq
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "class_ranks": list(self.class_ranks),
-            "euclid_attrs": list(self.euclid_attrs),
-        }
 
 
 def make_hierarchical_mix_distance(
@@ -555,13 +544,13 @@ class LinearRegressionDistance(DistanceFunction):
         if scores is None:
             phi = ctx.features(self.encoder)
             p = phi.shape[1]
-            scores = ctx._scores[self] = phi @ np.array(self.beta)[p : 2 * p]
+            scores = ctx._scores[self] = phi @ np.array(self.beta, dtype=np.float64)[p : 2 * p]
         return scores
 
     def rows(self, ctx, sources):
         phi = ctx.features(self.encoder)
         p = phi.shape[1]
-        beta = np.array(self.beta)
+        beta = np.array(self.beta, dtype=np.float64)
         # one dot product per source: a block product may round differently,
         # and rows must not depend on the block
         consts = np.array([float(phi[i] @ beta[:p]) for i in sources.tolist()]) + beta[2 * p]
@@ -571,13 +560,6 @@ class LinearRegressionDistance(DistanceFunction):
     def order(self, ctx):
         # a per-target score plus a per-source constant, clamped at 0
         return np.argsort(self._target_scores(ctx), kind="stable")
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "beta": list(self.beta),
-            "encoder": self.encoder.to_json(),
-        }
 
 
 def fit_linear_regression_distance(ts: TrainingSet) -> LinearRegressionDistance:
@@ -634,8 +616,8 @@ class NaiveBayesDistance(DistanceFunction):
     variances: tuple
     bernoulli: tuple
     binary_mask: tuple
-    encoder: FeatureEncoder
     eps: float = DEFAULT_EPS
+    encoder: FeatureEncoder = field(kw_only=True)  # after eps in the JSON form
     kind: ClassVar[str] = "naive_bayes"
     requires_attributes: ClassVar[bool] = True
 
@@ -699,19 +681,6 @@ class NaiveBayesDistance(DistanceFunction):
         _, _, dst_edge, dst_no = self._scores(ctx)
         return np.argsort(dst_no - dst_edge, kind="stable")
 
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "prior_edge": self.prior_edge,
-            "prior_no_edge": self.prior_no_edge,
-            "means": [list(row) for row in self.means],
-            "variances": [list(row) for row in self.variances],
-            "bernoulli": [list(row) for row in self.bernoulli],
-            "binary_mask": list(self.binary_mask),
-            "eps": self.eps,
-            "encoder": self.encoder.to_json(),
-        }
-
 
 def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> NaiveBayesDistance:
     """Class-conditional Gaussian/Bernoulli fit; class order is (edge, no edge)."""
@@ -739,44 +708,44 @@ def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> Naive
     )
 
 
-def spec_from_json_dict(doc: dict) -> DistanceFunction:
-    """Rebuild a distance function from its JSON document."""
-    kind = doc["kind"]
-    if kind == "random":
-        return RandomDistance(mu=doc.get("mu", 0.0), sigma=doc.get("sigma", 1.0))
-    if kind in CENTRALITY_KINDS:
-        return CentralityDistance(centrality=kind, eps=doc.get("eps", DEFAULT_EPS))
-    if kind == "euclidean1d":
-        return Euclidean1D(attr=doc["attr"])
-    if kind == "euclidean2d":
-        return Euclidean2D(attr1=doc["attr1"], attr2=doc["attr2"])
-    if kind == "cosine":
-        attrs = doc.get("attrs")
-        return CosineDistance(attrs=tuple(attrs) if attrs else None)
-    if kind == "aggregate":
-        return AggregateDistance(
-            weights=tuple((name, float(w)) for name, w in doc["weights"])
-        )
-    if kind == "hierarchical_mix":
-        return HierarchicalMixDistance(
-            alpha=doc["alpha"],
-            class_ranks=tuple(int(r) for r in doc["class_ranks"]),
-            euclid_attrs=tuple(doc.get("euclid_attrs") or ()),
-        )
-    if kind == "linear_regression":
-        return LinearRegressionDistance(
-            beta=tuple(float(b) for b in doc["beta"]),
-            encoder=FeatureEncoder.from_json(doc["encoder"]),
-        )
-    if kind == "naive_bayes":
-        return NaiveBayesDistance(
-            prior_edge=doc["prior_edge"],
-            prior_no_edge=doc["prior_no_edge"],
-            means=tuple(tuple(row) for row in doc["means"]),
-            variances=tuple(tuple(row) for row in doc["variances"]),
-            bernoulli=tuple(tuple(row) for row in doc["bernoulli"]),
-            binary_mask=tuple(bool(b) for b in doc["binary_mask"]),
-            encoder=FeatureEncoder.from_json(doc["encoder"]),
-            eps=doc.get("eps", DEFAULT_EPS),
-        )
-    raise ValueError(f"unknown distance kind {kind!r}")
+# every catalog class by kind; a centrality kind's class holds it as a field
+_KINDS = dict.fromkeys(CENTRALITY_KINDS, CentralityDistance)
+_KINDS.update((c.kind, c) for c in DistanceFunction.__subclasses__() if c is not CentralityDistance)
+
+
+# a field's JSON type by the head of its annotation; any other field is a list
+_JSON_TYPES = {"float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _spec_value(value):
+    return tuple(_spec_value(v) for v in value) if isinstance(value, list) else value
+
+
+def spec_from_json_dict(doc) -> DistanceFunction:
+    """Rebuild a distance function from its JSON document.
+
+    Each field of the kind's class is read by name, lists as tuples; a
+    missing or null field takes its default.  A malformed document raises
+    ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"distance spec must be a JSON object, got {type(doc).__name__}")
+    kind = doc.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown distance kind {kind!r}")
+    values = {"centrality": kind} if cls is CentralityDistance else {}
+    try:
+        for f in fields(cls):
+            value = doc.get(f.name)
+            if f.name in values or (value is None and f.default is not MISSING):
+                continue
+            if value is None:
+                raise ValueError(f"{kind} spec needs field {f.name!r}")
+            value = _spec_value(value)
+            types, what = _JSON_TYPES.get(f.type.split("[")[0], (tuple, "a list"))
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{kind} spec field {f.name!r} must be {what}, got {value!r}")
+            values[f.name] = FeatureEncoder.from_json(value) if f.name == "encoder" else value
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} spec: {exc}") from exc

@@ -144,25 +144,6 @@ def _add_counts(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return summed
 
 
-def shortest_path_summary(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop distances (inf when unreachable) and shortest-path counts."""
-    n = g.n
-    dist = np.full((n, n), np.inf)
-    sigma = np.zeros((n, n), dtype=np.int64)
-    csr = g.csr
-    for sources in _chunks(g):
-        flat, levels = _frontier_sweep(csr, sources, np.float64)
-        if not _exact(levels):
-            flat, levels = _frontier_sweep(csr, sources, object)
-        rows = flat.reshape(len(sources), n)
-        dist[sources] = np.where(rows >= 0, rows, np.inf)
-        block = np.zeros(len(sources) * n, dtype=np.int64)
-        for keys, counts, _, _ in levels:
-            block[keys] = counts
-        sigma[sources] = block.reshape(len(sources), n)
-    return dist, sigma
-
-
 def degree_centrality(g: Graph, direction: str = "total") -> np.ndarray:
     if direction == "in":
         return g.in_degrees.astype(np.float64)

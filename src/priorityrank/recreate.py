@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .distance import (
+    CENTRALITY_KINDS,
     AggregateDistance,
     CentralityDistance,
     CosineDistance,
@@ -256,7 +257,7 @@ def _candidate_specs(
     candidates: list[tuple[str, DistanceFunction | None, str | None]] = [
         ("random", RandomDistance(), None)
     ]
-    for centrality in ("degree", "betweenness", "closeness", "pagerank"):
+    for centrality in CENTRALITY_KINDS:
         candidates.append((centrality, CentralityDistance(centrality=centrality), None))
     if len(numeric) >= 1:
         candidates.append(("euclidean1d", Euclidean1D(attr=numeric[0]), None))

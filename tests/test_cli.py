@@ -80,6 +80,44 @@ def test_malformed_edge_list_is_data_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ('{"kind": "euclidean1d"}', ["euclidean1d", "'attr'"]),
+        ("[1, 2]", ["JSON object"]),
+        ('{"kind": "random", "sigma": "x"}', ["random", "'sigma'"]),
+        ('{"kind": "nope"}', ["'nope'"]),
+    ],
+    ids=["missing_field", "array", "wrong_type", "unknown_kind"],
+)
+def test_malformed_distance_spec_is_data_error(tmp_path, capsys, doc, names):
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "6", "--k", "2",
+        "--distance-spec", doc, "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+def test_long_inline_distance_spec_is_read_as_json(tmp_path, capsys):
+    # longer than a file name may be, so it must never reach the file system
+    spec = json.dumps({"kind": "aggregate", "weights": [["age", 1.0]] * 40})
+    attrs = tmp_path / "people.csv"
+    attrs.write_text(PEOPLE_CSV)
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
+        "--distance-spec", spec, "--seed", "1", "--out", str(out),
+    )
+    assert code == 0, err
+    assert load_edge_list(out.read_text()).arc_count == 10
+
+
 def test_seed_is_printed_when_absent(tmp_path, capsys):
     out = tmp_path / "g.tsv"
     code, _, err = run(capsys, "generate", "--model", "er", "--n", "10", "--p", "0.2", "--out", str(out))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -572,12 +573,14 @@ def test_spec_json_round_trip():
     ts = build_training_set(g, table, 1.0, RngStream(14))
     specs = [
         RandomDistance(mu=1.0, sigma=2.0),
-        CentralityDistance(centrality="closeness", eps=1e-5),
+        *(CentralityDistance(centrality=c, eps=1e-5) for c in ("degree", "betweenness", "closeness", "pagerank")),
         Euclidean1D(attr="x"),
         Euclidean2D(attr1="x", attr2="x"),
         CosineDistance(attrs=("x",)),
+        CosineDistance(),
         AggregateDistance(weights=(("x", 1.5), ("lab", 2.0))),
         make_hierarchical_mix_distance(0.25, list(range(n)), ("x",)),
+        make_hierarchical_mix_distance(0.0, list(range(n))),
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
@@ -585,8 +588,8 @@ def test_spec_json_round_trip():
     for spec in specs:
         doc = json.loads(json.dumps(spec.to_json_dict()))
         clone = spec_from_json_dict(doc)
+        assert clone == spec and hash(clone) == hash(spec), spec.kind
         if isinstance(spec, RandomDistance):
-            assert clone == spec
             continue
         for i in (0, 2):
             for j in (1, n - 1):
@@ -594,3 +597,53 @@ def test_spec_json_round_trip():
                     assert clone.evaluate(ctx, i, j) == pytest.approx(
                         spec.evaluate(ctx, i, j), rel=1e-12
                     )
+    # an empty attribute list stays empty; it does not read as every column
+    empty = CosineDistance(attrs=())
+    clone = spec_from_json_dict(json.loads(json.dumps(empty.to_json_dict())))
+    assert clone == empty
+    with pytest.raises(ValueError, match="at least one numeric attribute"):
+        clone.evaluate(ctx, 0, 1)
+    # the learned kinds keep their key order, so `learn` output is unchanged
+    assert list(specs[-1].to_json_dict()) == [
+        "kind", "prior_edge", "prior_no_edge", "means", "variances", "bernoulli",
+        "binary_mask", "eps", "encoder",
+    ]
+    assert list(specs[-2].to_json_dict()) == ["kind", "beta", "encoder"]
+
+
+def test_spec_null_or_missing_fields_take_defaults():
+    assert spec_from_json_dict({"kind": "cosine", "attrs": None}) == CosineDistance()
+    assert spec_from_json_dict({"kind": "random", "sigma": None}) == RandomDistance()
+    assert spec_from_json_dict({"kind": "pagerank"}) == CentralityDistance(centrality="pagerank")
+    doc = {"kind": "hierarchical_mix", "alpha": 0.0, "class_ranks": [0, 1], "euclid_attrs": None}
+    assert spec_from_json_dict(doc) == HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "euclidean2d", "attr1": "x"}, "euclidean2d spec needs field 'attr2'"),
+        ({"kind": "hierarchical_mix", "alpha": 0.5, "class_ranks": None}, "needs field 'class_ranks'"),
+        ([1, 2], "must be a JSON object, got list"),
+        ("degree", "must be a JSON object, got str"),
+        ({"kind": "nope"}, "unknown distance kind 'nope'"),
+        ({"kind": ["degree"]}, "unknown distance kind"),
+        ({}, "unknown distance kind None"),
+        ({"kind": "random", "sigma": "x"}, "random spec field 'sigma' must be a number"),
+        ({"kind": "degree", "eps": True}, "degree spec field 'eps' must be a number"),
+        ({"kind": "euclidean1d", "attr": 3}, "euclidean1d spec field 'attr' must be a string"),
+        ({"kind": "cosine", "attrs": "xy"}, "cosine spec field 'attrs' must be a list"),
+        ({"kind": "linear_regression", "beta": [1.0], "encoder": 5}, "field 'encoder' must be a list"),
+        ({"kind": "linear_regression", "beta": [1.0], "encoder": [5]}, "bad linear_regression spec"),
+        ({"kind": "aggregate", "weights": [["x", "1"]]}, "bad aggregate spec"),
+        ({"kind": "random", "sigma": 0}, "sigma must be positive"),
+    ],
+    ids=[
+        "missing_field", "null_required_field", "array", "string", "unknown_kind", "list_kind",
+        "no_kind", "string_number", "bool_number", "number_string", "string_list", "number_encoder",
+        "bad_encoder_column", "string_weight", "post_init_check",
+    ],
+)
+def test_malformed_spec_raises_value_error(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json_dict(doc)

@@ -23,7 +23,6 @@ from priorityrank.metrics import (
     network_profile,
     pagerank_centrality,
     reciprocity,
-    shortest_path_summary,
     transitivity,
 )
 
@@ -198,14 +197,6 @@ def test_transitivity_and_reciprocity_match_networkx(g):
     assert reciprocity(g) == pytest.approx(expected)
 
 
-def test_shortest_path_summary_invariants():
-    g = path3()
-    dist, sigma = shortest_path_summary(g)
-    assert dist[0, 0] == 0 and sigma[0, 0] == 1
-    assert dist[2, 0] == np.inf and sigma[2, 0] == 0
-    assert dist[0, 2] == 2 and sigma[0, 2] == 1
-
-
 def test_network_profile_er_scale():
     g = gen_erdos_renyi(50, 0.4, seed=11)
     prof = network_profile(g)
@@ -319,8 +310,6 @@ def test_count_betweenness_exact_above_2_53(monkeypatch, cells):
     assert closeness_centrality(g, "reciprocal").tolist() == expected["closeness"]
     assert diameter(g) == prof.diameter == expected["diameter"] == 120
     assert avg_path_length(g) == prof.avg_path_length == expected["avg_path_length"]
-    dist, sigma = shortest_path_summary(g)
-    assert sigma[0, g.n - 1] == 2**60 and dist[0, g.n - 1] == 120
 
 
 def test_brandes_oracle_matches_enumeration():
@@ -354,12 +343,6 @@ def test_path_metrics_edge_cases(monkeypatch, cells, name):
     assert prof.avg_path_length == expected["avg_path_length"]
     frac = betweenness_centrality(g, "fractional")
     assert frac.tolist() == pytest.approx([float(x) for x in betweenness_fractional_oracle(g)])
-    dist, sigma = shortest_path_summary(g)
-    out_adj, _ = adjacency(g)
-    for s in range(g.n):
-        row = bfs_distances(out_adj, s, g.n)
-        assert dist[s].tolist() == [d if d >= 0 else math.inf for d in row]
-        assert [bool(x) for x in sigma[s]] == [d >= 0 for d in row]
 
 
 @pytest.mark.parametrize(
