@@ -180,15 +180,9 @@ def _distance_spec_from_args(args):
     return dist_mod.CentralityDistance(centrality=args.distance)
 
 
-def _dump_rankings(path: str, spec, attrs, n: int, reference, centralities, seed: int) -> None:
+def _dump_rankings(path: str, spec, attrs, n: int, reference) -> None:
     """TSV of every source's ranking: target order, distance, rank, probability."""
-    ctx = dist_mod.DistanceContext(
-        n=n,
-        attrs=attrs,
-        reference=reference,
-        rng=RngStream(seed).child(0).child(1),
-        centralities=centralities,
-    )
+    ctx = dist_mod.DistanceContext(n=n, attrs=attrs, reference=reference)
     lines = ["source\ttarget\tdistance\trank\tprobability"]
     all_ids = np.arange(n, dtype=np.int64)
     for i in range(n):
@@ -252,7 +246,7 @@ def _cmd_generate(args) -> int:
         reference = _load_graph(args.reference) if args.reference else None
         g = priority_rank_generate(args.n, attrs, spec, degrees, seed, reference=reference)
         if args.dump_rankings:
-            _dump_rankings(args.dump_rankings, spec, attrs, args.n, reference, None, seed)
+            _dump_rankings(args.dump_rankings, spec, attrs, args.n, reference)
         if args.attrs_out and attrs is not None:
             Path(args.attrs_out).write_text(save_attributes(attrs), encoding="utf-8")
     Path(args.out).write_text(save_edge_list(g), encoding="utf-8")

@@ -7,28 +7,28 @@ attribute-space metrics, weighted aggregates, a hierarchical blend, and two
 machine-learned distances fitted from a graph's adjacency structure.
 
 Evaluation runs against a :class:`DistanceContext` holding the attribute
-table, the centrality vectors of a reference graph, and a random stream.
+table and the centrality vectors of a reference graph.
 
-Every kind implements ``rows(ctx, sources)``, the distances from a block of
-sources to every vertex as one (len(sources), n) array; work that all
-sources share (a centrality vector, a norm, a per-target score) runs once
-per call.  ``row(ctx, i)`` is ``rows(ctx, [i])[0]``.
+``rows(ctx, sources)`` gives the distances from a block of sources to every
+vertex as one (len(sources), n) array, ``row(ctx, i)`` is
+``rows(ctx, [i])[0]`` and ``evaluate(ctx, i, j)`` is ``row(ctx, i)[j]``.
 
-Two optional methods let the generator skip work.  A kind whose rows all
-sort the targets the same way, but whose ties differ per source (linear
-regression, naive Bayes), returns that permutation from ``order(ctx)``.
-The order is only a hint: ``ranking.sample_rows`` checks every row against
-it and argsorts any row that is not non-decreasing in it, so correctness
-never depends on it.  A kind whose draws follow the law of one distance
-vector shared by every source returns it from ``shared_distances(ctx)``:
-the centrality kinds their target scores, the random kind an all-tied
-vector.  The generator then draws with ``ranking.sample_shared`` and
-evaluates no rows.
+A kind whose every source ranks the targets by one vector returns it from
+``shared_distances(ctx)``: the centrality kinds their target scores, the
+random kind an all-tied vector.  Its rows broadcast that vector, and the
+generator draws with ``ranking.sample_shared`` without evaluating rows.
+Every other kind defines ``rows`` and runs work that all sources share once
+per call.  If its rows all sort the targets the same way, but tie
+differently per source (linear regression, naive Bayes), ``order(ctx)``
+returns that permutation.  The order is only a hint: ``ranking.sample_rows``
+checks every row against it and argsorts any row that is not non-decreasing
+in it, so correctness never depends on it.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
 centrality.  ``spec_from_json_dict`` reads a missing or null field as its
-default and raises ``ValueError`` on a malformed document.
+default and raises ``ValueError`` on a malformed document, such as one
+with a key that is not among the kind's fields.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ _VAR_FLOOR = 1e-9
 
 
 class DistanceContext:
-    """Evaluation context: vertex count, attributes, reference centralities,
-    and a random stream for the stochastic distance kind.
+    """Evaluation context: vertex count, attributes and reference centralities.
 
     Centrality-based kinds read vectors computed on ``reference`` (or passed
     in directly via ``centralities``); they never see the graph being built.
@@ -64,7 +63,6 @@ class DistanceContext:
         n: int | None = None,
         attrs: AttributeTable | None = None,
         reference: Graph | None = None,
-        rng: RngStream | None = None,
         centralities: Mapping[str, np.ndarray] | None = None,
     ):
         if n is None:
@@ -81,7 +79,6 @@ class DistanceContext:
             raise ValueError(f"reference graph has n={reference.n}, context n={self.n}")
         self.attrs = attrs
         self.reference = reference
-        self.rng = rng
         self._centralities: dict[str, np.ndarray] = dict(centralities or {})
         self._features: dict = {}
         self._scores: dict = {}
@@ -123,8 +120,8 @@ def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Base class; concrete kinds implement ``rows`` and may offer ``order``
-    or ``shared_distances``."""
+    """Base class; concrete kinds implement ``shared_distances`` or
+    ``rows``, and may offer ``order``."""
 
     kind: ClassVar[str] = ""
     requires_attributes: ClassVar[bool] = False
@@ -134,8 +131,11 @@ class DistanceFunction:
         """Distances from each source in the 1-d integer array ``sources`` to
         every vertex, as a (len(sources), n) block that may be a read-only
         view.  Each source's own entry is a placeholder and must never be
-        consumed."""
-        raise NotImplementedError
+        consumed.  A kind with shared distances broadcasts them."""
+        shared = self.shared_distances(ctx)
+        if shared is None:
+            raise NotImplementedError
+        return np.broadcast_to(shared, (len(sources), ctx.n))
 
     def row(self, ctx: DistanceContext, i: int) -> np.ndarray:
         """Distances from source i to every vertex: ``rows(ctx, [i])[0]``."""
@@ -172,32 +172,15 @@ def _json_value(value):
 
 @dataclass(frozen=True)
 class RandomDistance(DistanceFunction):
-    """|N(mu, sigma)| per pair; rankings are uniform random permutations."""
+    """The paper's i.i.d. random distances, as their law: any continuous
+    i.i.d. distances rank the targets in a uniform random permutation, so
+    every ordered draw is uniform over ordered k-tuples of targets.  That is
+    the law of an all-tied row, so every distance is 0.0."""
 
-    mu: float = 0.0
-    sigma: float = 1.0
     kind: ClassVar[str] = "random"
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
     def shared_distances(self, ctx):
-        # i.i.d. distances make every ranking a uniform permutation, so each
-        # ordered draw is uniform over ordered k-tuples of targets: the law
-        # of an all-tied row (exact float ties between |N| draws aside)
         return np.zeros(ctx.n)
-
-    def rows(self, ctx, sources):
-        if ctx.rng is None:
-            raise ValueError("random distance needs a context random stream")
-        out = np.empty((len(sources), ctx.n))
-        for r, i in enumerate(sources.tolist()):
-            # each source draws from its own child stream, so repeated
-            # queries of the same pair agree
-            gen = ctx.rng.child(i).generator
-            np.abs(gen.normal(self.mu, self.sigma, size=ctx.n), out=out[r])
-        return out
 
 
 @dataclass(frozen=True)
@@ -221,9 +204,6 @@ class CentralityDistance(DistanceFunction):
 
     def shared_distances(self, ctx):
         return 1.0 / (ctx.centrality(self.centrality) + self.eps)
-
-    def rows(self, ctx, sources):
-        return np.broadcast_to(self.shared_distances(ctx), (len(sources), ctx.n))
 
     def to_json_dict(self):
         return {"kind": self.centrality, "eps": self.eps}
@@ -296,17 +276,6 @@ class CosineDistance(DistanceFunction):
         out /= norms * norms[sources, None]
         np.subtract(1.0, out, out=out)
         return np.maximum(out, 0.0, out=out)
-
-    def evaluate(self, ctx, i, j):
-        if i == j:
-            raise ValueError("distance is only queried for i != j")
-        mat = self._matrix(ctx)
-        ni = float(np.linalg.norm(mat[i]))
-        nj = float(np.linalg.norm(mat[j]))
-        if ni == 0.0 or nj == 0.0:
-            bad = i if ni == 0.0 else j
-            raise ValueError(f"vertex {bad} has a zero-norm attribute vector")
-        return max(1.0 - float(mat[i] @ mat[j]) / (ni * nj), 0.0)
 
 
 @dataclass(frozen=True)
@@ -725,8 +694,8 @@ def spec_from_json_dict(doc) -> DistanceFunction:
     """Rebuild a distance function from its JSON document.
 
     Each field of the kind's class is read by name, lists as tuples; a
-    missing or null field takes its default.  A malformed document raises
-    ``ValueError``."""
+    missing or null field takes its default.  A malformed document, or a key
+    that is no field of the kind, raises ``ValueError``."""
     if not isinstance(doc, dict):
         raise ValueError(f"distance spec must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
@@ -734,6 +703,10 @@ def spec_from_json_dict(doc) -> DistanceFunction:
     if cls is None:
         raise ValueError(f"unknown distance kind {kind!r}")
     values = {"centrality": kind} if cls is CentralityDistance else {}
+    known = {"kind"} | {f.name for f in fields(cls)} - values.keys()
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"{kind} spec has no field {unknown[0]!r}")
     try:
         for f in fields(cls):
             value = doc.get(f.name)

@@ -2,11 +2,13 @@
 
 The priority sampler builds, for every vertex, a local ranking of all other
 vertices from a distance function, then draws that vertex's out-neighbours
-without replacement using the 1/rank probability mass.  Centrality-based
-distance kinds need a frozen reference graph for their centrality vectors:
-when re-creating a source network the source itself is the reference; when
-generating from scratch a random bootstrap graph seeds the centralities and
-one refinement pass regenerates the network from its own.
+without replacement using the 1/rank probability mass.  Kinds that rank every
+source's targets by one shared vector (centrality scores, or the random
+kind's all-tied vector) draw from it without per-source rows.
+Centrality-based distance kinds need a frozen reference graph for their
+centrality vectors: when re-creating a source network the source itself is
+the reference; when generating from scratch a random bootstrap graph seeds
+the centralities and one refinement pass regenerates the network from its own.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,29 +101,17 @@ def _generation_pass(
     reference: Graph | None,
     centralities,
 ) -> Graph:
+    # stream children: 0 degrees, 2 and 3 draws; 1 is unused (renumbering would change seeded graphs)
     ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(
-        n=n,
-        attrs=attrs,
-        reference=reference,
-        rng=stream.child(1),
-        centralities=centralities,
-    )
+    ctx = DistanceContext(n=n, attrs=attrs, reference=reference, centralities=centralities)
     shared = spec.shared_distances(ctx)
+    rows = partial(spec.rows, ctx)
     if shared is None:
-        heads, tails = _keyed_draws(
-            np.arange(n), ks, lambda sources: spec.rows(ctx, sources), stream.child(2), spec.order(ctx)
-        )
+        heads, tails = _keyed_draws(np.arange(n), ks, rows, stream.child(2), spec.order(ctx))
     else:
         sources = np.flatnonzero(ks > 0)
         fast = by_rejection(n, ks[sources])
-        heads, tails = _keyed_draws(
-            sources[~fast],
-            ks,
-            lambda block: np.broadcast_to(shared, (len(block), n)),
-            stream.child(3),
-            None,
-        )
+        heads, tails = _keyed_draws(sources[~fast], ks, rows, stream.child(3), None)
         sources = sources[fast]
         heads.append(np.repeat(sources, ks[sources]))
         tails.append(sample_shared(shared, sources, ks[sources], stream.child(2).generator))

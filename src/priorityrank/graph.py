@@ -46,13 +46,22 @@ class Graph:
         if n * n > 2**63 - 1:
             raise ValueError(f"vertex count n={n} is too large: arc codes need n * n <= 2**63 - 1")
         items = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+        given = np.asarray(items)
+        if given.size and (given.ndim != 2 or given.shape[1] != 2):
+            raise ValueError(f"arcs must be (src, dst) pairs, got shape {given.shape}")
+        given = given.reshape(-1, 2)
+        if given.dtype.kind == "f":
+            # the int64 conversion truncates, so a float id must be whole
+            whole = (np.isfinite(given) & (given == np.trunc(given))).all(axis=1)
+            if not whole.all():
+                i, j = given[whole.argmin()].tolist()
+                raise ValueError(f"arc ({i}, {j}) has a non-integer vertex id")
+        # Python ints past int64 may have rounded in a float `given`; convert the items
         try:
-            pairs = np.asarray(items, dtype=np.int64)
+            pairs = np.asarray(given if given.dtype.kind in "iu" else items, dtype=np.int64)
         except OverflowError:
             # an id past int64 lies outside [0, n); Python ints name the first bad arc
             pairs = np.asarray(items, dtype=object)
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
-            raise ValueError(f"arcs must be (src, dst) pairs, got shape {pairs.shape}")
         pairs = pairs.reshape(-1, 2)
         src, dst = pairs[:, 0], pairs[:, 1]
         bad = (src == dst) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)

@@ -253,8 +253,11 @@ def pagerank_centrality(
     change drops below tol.
     """
     _check_damping(damping)
-    if tol <= 0.0:
+    # written so that NaN fails too
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = g.n
     if n == 0:
         return np.zeros(0)

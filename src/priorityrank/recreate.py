@@ -326,9 +326,7 @@ def recreate(
         """Generate one graph from ``spec`` and score it against the source;
         stage 2 draws pilot seeds, stage 3 finalist seeds."""
         seed = _draw_distinct_seed(master.child(stage, index, run), used_seeds)
-        generated = priority_rank_generate(
-            g.n, attrs, spec, degrees, seed, reference=g, centralities=centralities
-        )
+        generated = priority_rank_generate(g.n, attrs, spec, degrees, seed, centralities=centralities)
         return generated, RunRecord.score(seed, source_profile, network_profile(generated))
 
     outcomes: list[CandidateOutcome] = []

@@ -1,13 +1,11 @@
 import json
 
-import numpy as np
 import pytest
 
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
-from priorityrank.distance import DistanceContext, RandomDistance, spec_from_json_dict
+from priorityrank.distance import spec_from_json_dict
 from priorityrank.graph import load_edge_list
-from priorityrank.stats import RngStream
 
 PEOPLE_CSV = (
     "age:continuous,sex:categorical\n"
@@ -85,10 +83,11 @@ def test_malformed_edge_list_is_data_error(tmp_path, capsys):
     [
         ('{"kind": "euclidean1d"}', ["euclidean1d", "'attr'"]),
         ("[1, 2]", ["JSON object"]),
-        ('{"kind": "random", "sigma": "x"}', ["random", "'sigma'"]),
+        ('{"kind": "degree", "eps": "x"}', ["degree", "'eps'"]),
         ('{"kind": "nope"}', ["'nope'"]),
+        ('{"kind": "degree", "esp": 0.5}', ["degree", "'esp'"]),
     ],
-    ids=["missing_field", "array", "wrong_type", "unknown_kind"],
+    ids=["missing_field", "array", "wrong_type", "unknown_kind", "unknown_field"],
 )
 def test_malformed_distance_spec_is_data_error(tmp_path, capsys, doc, names):
     out = tmp_path / "g.tsv"
@@ -148,28 +147,24 @@ def test_generate_priority_rank_with_dump_rankings(tmp_path, capsys):
     assert float(first[4]) == pytest.approx(0.48)
 
 
-def test_dump_rankings_random_kind_reads_the_pass_context_stream(tmp_path, capsys):
-    # the random kind's pass draws uniform target sets and evaluates no
-    # rows; the dump shows the rows of the pass's context stream, the same
-    # bytes on every run
-    dumps = []
-    for tag in ("a", "b"):
-        dump = tmp_path / f"rankings_{tag}.tsv"
+def test_dump_rankings_random_kind_reports_the_all_tied_law(tmp_path, capsys):
+    # the random kind draws every target set as an all-tied row would, so
+    # each line reads distance 0.0, rank 1 and probability 1/(n-1), whatever
+    # the seed
+    for seed in ("11", "12"):
+        dump = tmp_path / f"rankings_{seed}.tsv"
         code, _, _ = run(
             capsys,
             "generate", "--model", "priority-rank", "--n", "6", "--k", "2", "--distance", "random",
-            "--seed", "11", "--out", str(tmp_path / f"g_{tag}.tsv"), "--dump-rankings", str(dump),
+            "--seed", seed, "--out", str(tmp_path / f"g_{seed}.tsv"), "--dump-rankings", str(dump),
         )
         assert code == 0
-        dumps.append(dump.read_bytes())
-    assert dumps[0] == dumps[1]
-    ctx = DistanceContext(n=6, rng=RngStream(11).child(0).child(1))
-    rows = RandomDistance().rows(ctx, np.arange(6))
-    lines = dumps[0].decode().splitlines()[1:]
-    assert len(lines) == 6 * 5
-    for line in lines:
-        source, target, distance, _, _ = line.split("\t")
-        assert float(distance) == rows[int(source), int(target)]
+        lines = dump.read_text().splitlines()[1:]
+        assert len(lines) == 6 * 5
+        for line in lines:
+            source, target, distance, rank, probability = line.split("\t")
+            assert source != target
+            assert (distance, rank, probability) == ("0.0", "1", repr(1 / 5))
 
 
 def test_dump_rankings_centrality_kind_without_reference_fails_before_generating(

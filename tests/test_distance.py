@@ -101,13 +101,13 @@ def test_degree_distance_orders_by_descending_degree():
 
 
 def test_random_distance_memoized_and_deterministic():
-    ctx = DistanceContext(n=6, rng=RngStream(4, (1,)))
+    # every pair reads the all-tied distance 0.0, in any context
+    ctx = DistanceContext(n=6)
     spec = RandomDistance()
     first = spec.evaluate(ctx, 0, 3)
     assert spec.evaluate(ctx, 0, 3) == first
-    ctx2 = DistanceContext(n=6, rng=RngStream(4, (1,)))
-    assert spec.evaluate(ctx2, 0, 3) == first
-    assert first >= 0.0
+    assert spec.evaluate(DistanceContext(n=6), 0, 3) == first == 0.0
+    assert not spec.rows(ctx, np.arange(6)).any()
 
 
 def test_euclidean_kinds():
@@ -125,7 +125,19 @@ def test_euclidean_kinds():
         Euclidean1D(attr="lab").evaluate(ctx, 0, 1)
 
 
+def test_cosine_distance_of_opposite_vectors():
+    table = AttributeTable(
+        [
+            AttributeColumn("x", "continuous", (1.0, 0.5, -1.0)),
+            AttributeColumn("y", "continuous", (0.0, 0.5, 0.0)),
+        ]
+    )
+    spec = CosineDistance(attrs=("x", "y"))
+    assert spec.evaluate(DistanceContext(attrs=table), 0, 2) == pytest.approx(2.0)
+
+
 def test_cosine_distance_and_zero_norm():
+    # a zero-norm vertex fails every pair, as it fails rows and a generation pass
     table = AttributeTable(
         [
             AttributeColumn("x", "continuous", (1.0, 0.0, -1.0)),
@@ -134,9 +146,9 @@ def test_cosine_distance_and_zero_norm():
     )
     ctx = DistanceContext(attrs=table)
     spec = CosineDistance(attrs=("x", "y"))
-    assert spec.evaluate(ctx, 0, 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="zero-norm"):
-        spec.evaluate(ctx, 0, 1)
+    for i, j in ((0, 2), (0, 1), (2, 0)):
+        with pytest.raises(ValueError, match="vertex 1 has a zero-norm"):
+            spec.evaluate(ctx, i, j)
 
 
 def test_aggregate_mixed_kinds():
@@ -484,7 +496,7 @@ def test_every_kind_stays_finite_nonnegative():
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, reference=g, rng=RngStream(11))
+    ctx = DistanceContext(n=n, attrs=table, reference=g)
     for spec in specs:
         rows = np.vstack([spec.row(ctx, i) for i in range(n)])
         off_diag = rows[~np.eye(n, dtype=bool)]
@@ -498,7 +510,7 @@ def test_row_matches_pairwise_evaluate():
     g = random_digraph(gen, n, 0.4)
     table = numeric_table(gen.normal(size=n))
     ts = build_training_set(g, table, 1.0, RngStream(12))
-    ctx = DistanceContext(n=n, attrs=table, reference=g, rng=RngStream(13))
+    ctx = DistanceContext(n=n, attrs=table, reference=g)
     for spec in (
         CentralityDistance(centrality="pagerank"),
         Euclidean1D(attr="x"),
@@ -537,7 +549,7 @@ def catalog(n, gen):
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    return DistanceContext(n=n, attrs=table, reference=g, rng=RngStream(17)), specs
+    return DistanceContext(n=n, attrs=table, reference=g), specs
 
 
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
@@ -557,7 +569,13 @@ def test_rows_match_row_bitwise():
 
 def test_evaluate_rejects_diagonal():
     with pytest.raises(ValueError, match="i != j"):
-        RandomDistance().evaluate(DistanceContext(n=3, rng=RngStream(0)), 1, 1)
+        RandomDistance().evaluate(DistanceContext(n=3), 1, 1)
+    # every kind checks the vertex range, cosine included
+    n = 3
+    ctx = DistanceContext(attrs=numeric_table([1.0, 2.0, 3.0]))
+    for i, j in ((-1, 0), (0, n + 4)):
+        with pytest.raises(ValueError, match=rf"vertex pair \({i}, {j}\) outside context n=3"):
+            CosineDistance().evaluate(ctx, i, j)
 
 
 def test_spec_json_round_trip():
@@ -572,7 +590,7 @@ def test_spec_json_round_trip():
     )
     ts = build_training_set(g, table, 1.0, RngStream(14))
     specs = [
-        RandomDistance(mu=1.0, sigma=2.0),
+        RandomDistance(),
         *(CentralityDistance(centrality=c, eps=1e-5) for c in ("degree", "betweenness", "closeness", "pagerank")),
         Euclidean1D(attr="x"),
         Euclidean2D(attr1="x", attr2="x"),
@@ -584,13 +602,12 @@ def test_spec_json_round_trip():
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, reference=g, rng=RngStream(15))
+    ctx = DistanceContext(n=n, attrs=table, reference=g)
+    assert RandomDistance().to_json_dict() == {"kind": "random"}
     for spec in specs:
         doc = json.loads(json.dumps(spec.to_json_dict()))
         clone = spec_from_json_dict(doc)
         assert clone == spec and hash(clone) == hash(spec), spec.kind
-        if isinstance(spec, RandomDistance):
-            continue
         for i in (0, 2):
             for j in (1, n - 1):
                 if i != j:
@@ -613,7 +630,8 @@ def test_spec_json_round_trip():
 
 def test_spec_null_or_missing_fields_take_defaults():
     assert spec_from_json_dict({"kind": "cosine", "attrs": None}) == CosineDistance()
-    assert spec_from_json_dict({"kind": "random", "sigma": None}) == RandomDistance()
+    assert spec_from_json_dict({"kind": "degree", "eps": None}) == CentralityDistance(centrality="degree")
+    assert spec_from_json_dict({"kind": "random"}) == RandomDistance()
     assert spec_from_json_dict({"kind": "pagerank"}) == CentralityDistance(centrality="pagerank")
     doc = {"kind": "hierarchical_mix", "alpha": 0.0, "class_ranks": [0, 1], "euclid_attrs": None}
     assert spec_from_json_dict(doc) == HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1))
@@ -629,19 +647,23 @@ def test_spec_null_or_missing_fields_take_defaults():
         ({"kind": "nope"}, "unknown distance kind 'nope'"),
         ({"kind": ["degree"]}, "unknown distance kind"),
         ({}, "unknown distance kind None"),
-        ({"kind": "random", "sigma": "x"}, "random spec field 'sigma' must be a number"),
+        ({"kind": "degree", "eps": "x"}, "degree spec field 'eps' must be a number"),
         ({"kind": "degree", "eps": True}, "degree spec field 'eps' must be a number"),
         ({"kind": "euclidean1d", "attr": 3}, "euclidean1d spec field 'attr' must be a string"),
         ({"kind": "cosine", "attrs": "xy"}, "cosine spec field 'attrs' must be a list"),
         ({"kind": "linear_regression", "beta": [1.0], "encoder": 5}, "field 'encoder' must be a list"),
         ({"kind": "linear_regression", "beta": [1.0], "encoder": [5]}, "bad linear_regression spec"),
         ({"kind": "aggregate", "weights": [["x", "1"]]}, "bad aggregate spec"),
-        ({"kind": "random", "sigma": 0}, "sigma must be positive"),
+        ({"kind": "degree", "eps": 0}, "eps must be positive"),
+        ({"kind": "degree", "esp": 0.5}, "degree spec has no field 'esp'"),
+        ({"kind": "random", "mu": 0.0, "sigma": 1.0}, "random spec has no field 'mu'"),
+        ({"kind": "pagerank", "centrality": "degree"}, "pagerank spec has no field 'centrality'"),
     ],
     ids=[
         "missing_field", "null_required_field", "array", "string", "unknown_kind", "list_kind",
         "no_kind", "string_number", "bool_number", "number_string", "string_list", "number_encoder",
-        "bad_encoder_column", "string_weight", "post_init_check",
+        "bad_encoder_column", "string_weight", "post_init_check", "unknown_field",
+        "random_mu_sigma", "implied_centrality",
     ],
 )
 def test_malformed_spec_raises_value_error(doc, message):

@@ -312,14 +312,14 @@ def test_priority_rank_matches_per_vertex_oracle(case):
         g = priority_rank_generate(n, attrs, spec, degrees, seed, reference=reference)
         stream = RngStream(seed).child(0)
         ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(n=n, attrs=attrs, reference=reference, rng=stream.child(1))
+    ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
     u = stream.child(2).generator.random((n, n))
     assert g.arcs == priority_rank_oracle(spec, ctx, ks, u)
 
 
 def test_pass_builds_constant_rng_streams(rng_streams):
     # one stream of uniforms per pass, not one generator per vertex; the
-    # random kind never reads its context stream, since it evaluates no rows
+    # random kind evaluates no rows
     for spec, attrs in ((Euclidean1D(attr="x"), uniform_attr), (RandomDistance(), lambda n, s: None)):
         built = []
         for n in (20, 200):

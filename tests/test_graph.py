@@ -107,6 +107,16 @@ def test_graph_names_the_first_bad_arc_in_input_order():
         Graph(3, [(0, 1), (0, huge), (2, 2)])
     with pytest.raises(ValueError, match=r"self-loop \(2, 2\)"):
         Graph(3, [(2, 2), (0, huge)])
+    # a fractional or non-finite id is not truncated into another vertex
+    for arcs, named in (
+        ([(0, 1), (0.7, 1), (2.5, 0)], r"\(0.7, 1.0\)"),
+        (np.array([[0.7, 1.9]]), r"\(0.7, 1.9\)"),
+        ([(0, 1), (float("nan"), 1)], r"\(nan, 1.0\)"),
+        (np.array([[0.0, 1.0], [np.inf, 1.0]]), r"\(inf, 1.0\)"),
+    ):
+        with pytest.raises(ValueError, match=rf"arc {named} has a non-integer vertex id"):
+            Graph(3, arcs)
+    assert Graph(3, [(0.0, 2.0)]) == Graph(3, [(0, 2)]) == Graph(3, np.array([[0, 2]], dtype=np.uint8))
 
 
 def test_graph_rejects_arcs_that_are_not_pairs():

@@ -118,6 +118,12 @@ def test_pagerank_validates_and_reports_nonconvergence():
 
     with pytest.raises(ValueError):
         pagerank_centrality(Graph(2, []), damping=1.0)
+    # both limits are checked up front, with comparisons that NaN fails
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        pagerank_centrality(path3(), max_iter=0)
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            pagerank_centrality(path3(), tol=tol)
     with pytest.raises(ConvergenceError, match="residual"):
         pagerank_centrality(path3(), tol=1e-15, max_iter=1)
 
