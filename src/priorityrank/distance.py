@@ -20,9 +20,9 @@ generator draws with ``ranking.sample_shared`` without evaluating rows.
 Every other kind defines ``rows`` and runs work that all sources share once
 per call.  If its rows all sort the targets the same way, but tie
 differently per source (linear regression, naive Bayes), ``order(ctx)``
-returns that permutation.  The order is only a hint: ``ranking.sample_rows``
-checks every row against it and argsorts any row that is not non-decreasing
-in it, so correctness never depends on it.
+returns that permutation.  The order is only a hint: ``ranking.sort_rows``
+checks every row against it and argsorts any block with a row that is not
+non-decreasing in it, so correctness never depends on it.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
@@ -144,7 +144,7 @@ class DistanceFunction:
     def order(self, ctx: DistanceContext) -> np.ndarray | None:
         """A permutation of the targets in which every row is non-decreasing
         up to rounding, or None when sources order targets differently.
-        A hint only: ``ranking.sample_rows`` checks each row against it."""
+        A hint only: ``ranking.sort_rows`` checks each row against it."""
         return None
 
     def shared_distances(self, ctx: DistanceContext) -> np.ndarray | None:

@@ -4,7 +4,8 @@ The priority sampler builds, for every vertex, a local ranking of all other
 vertices from a distance function, then draws that vertex's out-neighbours
 without replacement using the 1/rank probability mass.  Kinds that rank every
 source's targets by one shared vector (centrality scores, or the random
-kind's all-tied vector) draw from it without per-source rows.
+kind's all-tied vector) draw from it without per-source rows; a per-source
+row with no tied targets takes its draws as slots of its sorted order.
 Centrality-based distance kinds need a frozen reference graph for their
 centrality vectors: when re-creating a source network the source itself is
 the reference; when generating from scratch a random bootstrap graph seeds
@@ -23,7 +24,7 @@ import numpy as np
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import AttributeTable, Graph, symmetrize
 from .metrics import assortativity
-from .ranking import by_rejection, sample_rows, sample_shared
+from .ranking import by_rejection, sample_shared, sample_sorted, sort_rows
 from .stats import RngStream
 
 
@@ -74,21 +75,41 @@ class DegreeSpec:
 _BLOCK_CELLS = 2**16
 
 
-def _keyed_draws(candidates: np.ndarray, ks: np.ndarray, rows, stream: RngStream, order):
-    """Heads and tails of ``sample_rows`` draws for the candidates with
-    ks > 0, a block at a time.  ``stream`` gives one contiguous row of n
-    uniforms per candidate, so the draws do not depend on the block size."""
+def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
+    """Heads and tails of the draws of ``sources`` from their distance rows,
+    sorted a block at a time by ``sort_rows``.
+
+    ``positions`` holds ks slots for every source where ``by_rejection``
+    holds, source after source.  Such a source whose row has no tied
+    targets takes its slots of its sorted row.  Every other source draws
+    exponential keys (``sample_sorted``) from its own row of n uniforms of
+    ``stream``, in source order.  Which path a source takes depends only on
+    n, its k and its own row, so the draws do not depend on the block
+    size."""
     n = len(ks)
     block = max(1, _BLOCK_CELLS // n)
+    direct = by_rejection(n, ks[sources])
+    ends = np.cumsum(np.where(direct, ks[sources], 0))
     heads, tails = [], []
-    for start in range(0, len(candidates), block):
-        sources = candidates[start : start + block]
-        u = stream.generator.random((len(sources), n))
-        live = ks[sources] > 0
-        sources = sources[live]
-        if len(sources):
-            heads.append(np.repeat(sources, ks[sources]))
-            tails.append(sample_rows(rows(sources), sources, ks[sources], u[live], order))
+    for start in range(0, len(sources), block):
+        stop = min(start + block, len(sources))
+        block_sources = sources[start:stop]
+        perm, ordered, at = sort_rows(rows(block_sources), block_sources, order)
+        # the source's slot copies a neighbour: one equal pair, and no tie
+        tie_free = np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
+        marked = direct[start:stop]
+        owner = np.repeat(np.flatnonzero(marked), ks[block_sources[marked]])
+        slots = positions[ends[stop - 1] - len(owner) : ends[stop - 1]]
+        use = tie_free[owner]
+        owner, slots = owner[use], slots[use]
+        heads.append(block_sources[owner])
+        tails.append(perm[owner, slots + (slots >= at[owner])])
+        keyed = np.flatnonzero(~(marked & tie_free))
+        if len(keyed):
+            u = stream.generator.random((len(keyed), n))
+            keyed_ks = ks[block_sources[keyed]]
+            heads.append(np.repeat(block_sources[keyed], keyed_ks))
+            tails.append(sample_sorted(perm[keyed], ordered[keyed], at[keyed], keyed_ks, u))
     return heads, tails
 
 
@@ -101,20 +122,26 @@ def _generation_pass(
     reference: Graph | None,
     centralities,
 ) -> Graph:
-    # stream children: 0 degrees, 2 and 3 draws; 1 is unused (renumbering would change seeded graphs)
+    # stream children: 0 degrees, 2 sample_shared, 3 keyed rows; 1 is unused
+    # (renumbering would change seeded graphs)
     ks = degrees.draws(n, stream.child(0))
     ctx = DistanceContext(n=n, attrs=attrs, reference=reference, centralities=centralities)
     shared = spec.shared_distances(ctx)
     rows = partial(spec.rows, ctx)
+    sources = np.flatnonzero(ks > 0)
+    fast = by_rejection(n, ks[sources])
+    drawn = sources[fast]
+    gen = stream.child(2).generator
     if shared is None:
-        heads, tails = _keyed_draws(np.arange(n), ks, rows, stream.child(2), spec.order(ctx))
+        # a tie-free row's targets, sorted, rank 1..n-1: their slots follow
+        # the law of the vector 0..n-1 seen from n - 1, the slot sorted last
+        positions = sample_shared(np.arange(n), np.full(len(drawn), n - 1), ks[drawn], gen)
+        heads, tails = _row_draws(sources, ks, positions, rows, spec.order(ctx), stream.child(3))
     else:
-        sources = np.flatnonzero(ks > 0)
-        fast = by_rejection(n, ks[sources])
-        heads, tails = _keyed_draws(sources[~fast], ks, rows, stream.child(3), None)
-        sources = sources[fast]
-        heads.append(np.repeat(sources, ks[sources]))
-        tails.append(sample_shared(shared, sources, ks[sources], stream.child(2).generator))
+        no_slots = np.zeros(0, dtype=np.int64)
+        heads, tails = _row_draws(sources[~fast], ks, no_slots, rows, None, stream.child(3))
+        heads.append(np.repeat(drawn, ks[drawn]))
+        tails.append(sample_shared(shared, drawn, ks[drawn], gen))
     if not heads:
         return Graph(n)
     return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))
@@ -135,10 +162,12 @@ def priority_rank_generate(
     Every vertex i receives its out-degree budget, ranks all other vertices
     with the distance function, and draws that many distinct targets.  The
     output is deterministic for a fixed seed.  The pass runs in one thread.
-    Kinds with shared distances (centrality, random) draw through
-    ``sample_shared`` where ``by_rejection`` holds and evaluate no rows;
-    their other sources, and every source of the other kinds, are ranked a
-    block of sources at a time by ``sample_rows``.
+    Where ``by_rejection`` holds, kinds with shared distances (centrality,
+    random) draw targets through ``sample_shared`` and evaluate no rows,
+    and the other kinds draw slots of their sorted rows through it, one
+    call for the whole pass.  The other kinds evaluate and sort their rows
+    a block of sources at a time; a row with tied targets, and every source
+    over the rejection limit, draws exponential keys (``sample_sorted``).
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")

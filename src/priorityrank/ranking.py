@@ -11,15 +11,6 @@ Targets are drawn without replacement: each draw picks an entry with
 probability proportional to 1/rank among the entries left (successive
 sampling).  Three kernels draw from this law.
 
-- ``sample_rows`` takes a block of distance rows, one per source, and gives
-  every entry the exponential key ``rank * log(1 - u)`` from its own uniform
-  u (Efraimidis and Spirakis, 2006); the k largest keys, in descending
-  order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
-  every key is finite.  Ranks come from argsorting each row, or, when the
-  caller passes a shared ``order`` hint (``DistanceFunction.order``), from
-  the rows gathered in that order.  The hint is validated per block: if any
-  row is not non-decreasing in it, the block is argsorted instead, so the
-  draws are the same with or without the hint, and with a wrong one.
 - ``sample_shared`` serves sources that all rank the targets by one vector.
   One stable argsort gives the tie groups, and two prefix sums over them
   give every source's distribution over groups: the source's own group
@@ -29,11 +20,25 @@ sampling).  Three kernels draw from this law.
   rounds over all pending sources.  A pass costs O(n log n + n k) rather
   than O(n^2).  Rejection slows as the drawn mass nears 1, so callers send
   a source here only when ``by_rejection`` holds, k <= (n - 1) / 4, a rule
-  of n and k alone, and use ``sample_rows`` on the broadcast vector above it.
+  of n and k alone.  The kernel also serves per-source rows with no tied
+  targets: sorted, their targets have ranks 1..n-1, the ranks of the vector
+  0..n-1 seen from n - 1, so its draws from that vector are slots of every
+  such row.
+- ``sample_sorted`` draws from rows that ``sort_rows`` sorted: every entry
+  gets the exponential key ``rank * log(1 - u)`` from its own uniform u
+  (Efraimidis and Spirakis, 2006), and the k largest keys, in descending
+  order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
+  every key is finite.  ``sort_rows`` argsorts each row or, when the caller
+  passes a shared ``order`` hint (``DistanceFunction.order``), gathers the
+  rows in that order; the hint is validated per block, and a block in
+  which some row is not non-decreasing in it is argsorted instead, so the
+  draws are the same with or without the hint, and with a wrong one.
+  ``sample_rows`` is ``sort_rows`` then ``sample_sorted``.
 - ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
-``cumsum`` walk, and again for the kinds that ``sample_shared`` serves.
+``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
+again when tie-free per-source rows moved to it.
 """
 
 from __future__ import annotations
@@ -173,45 +178,81 @@ def _top_keys(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return picked[np.arange(top) < ks[:, None]]
 
 
-def _ranks_by_sort(distances: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Competition ranks of every row's targets, by argsorting each row."""
-    rows = np.arange(len(sources))
+def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
+    """``sort_rows`` by argsorting each row; every source's slot is last."""
+    b, n = distances.shape
+    rows = np.arange(b)
     distances = distances.copy()
     distances[rows, sources] = 0.0
     _check_distances(distances)
-    # the source's own entry sorts last, so it never shifts a target's rank
     distances[rows, sources] = np.inf
-    order = np.argsort(distances, axis=1)
-    ranks = np.empty(distances.shape, dtype=np.int64)
-    np.put_along_axis(
-        ranks, order, competition_ranks(np.take_along_axis(distances, order, axis=1)), axis=1
-    )
-    return ranks
+    perm = np.argsort(distances, axis=1)
+    ordered = np.take_along_axis(distances, perm, axis=1)
+    ordered[:, -1] = ordered[:, -2]
+    return perm, ordered, np.full(b, n - 1)
 
 
-def _ranks_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray) -> np.ndarray | None:
-    """Competition ranks of every row's targets, read from the rows gathered
-    in the permutation ``order``; None if some row is not non-decreasing in
-    it."""
-    n = distances.shape[1]
+def _rows_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray):
+    """``sort_rows`` by gathering every row in the permutation ``order``;
+    None if some row is not non-decreasing in it."""
+    b, n = distances.shape
     place = np.full(n, -1, dtype=np.int64)
     if order.shape == (n,) and ((order >= 0) & (order < n)).all():
         place[order] = np.arange(n)
     if (place < 0).any():
         raise ValueError(f"order hint is not a permutation of 0..{n - 1}")
-    rows = np.arange(len(sources))
+    rows = np.arange(b)
     at = place[sources]
-    hinted = distances[:, order]
-    # the source's own entry copies its hint neighbour, so it neither
-    # breaks the order nor starts a group of its own
-    hinted[rows, at] = hinted[rows, np.where(at > 0, at - 1, 1)]
-    _check_distances(hinted)
-    if not (hinted[:, 1:] >= hinted[:, :-1]).all():
+    ordered = distances[:, order]
+    ordered[rows, at] = ordered[rows, np.where(at > 0, at - 1, 1)]
+    _check_distances(ordered)
+    if not (ordered[:, 1:] >= ordered[:, :-1]).all():
         return None
-    ranks = competition_ranks(hinted)
-    # groups that start after the source's position lose its slot
+    return np.broadcast_to(order, (b, n)), ordered, at
+
+
+def sort_rows(distances, sources, order=None):
+    """Every row of a (b, n) block sorted by distance from its source.
+
+    Returns ``(perm, ordered, at)``: ``perm[r]`` lists all n vertices by
+    non-decreasing distance from ``sources[r]``, ``ordered[r]`` holds their
+    distances, and ``at[r]`` is the slot of the source itself.  That slot
+    copies its neighbour's distance, so it neither breaks the order nor
+    starts a tie group; a row whose n - 1 targets have no tie therefore has
+    exactly one pair of equal neighbours.  A negative or non-finite distance
+    outside the sources' own entries raises ``ValueError``.
+
+    ``order``, if given, is a permutation of 0..n-1 expected to sort every
+    row: ``perm`` is then that permutation in every row.  If some row is not
+    non-decreasing in it, the block is argsorted instead, which puts every
+    source last.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.int64)
+    if order is not None:
+        hinted = _rows_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
+        if hinted is not None:
+            return hinted
+    return _rows_by_sort(distances, sources)
+
+
+def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:
+    """Draw ``ks[r]`` distinct targets per row of ``sort_rows`` output by
+    exponential keys.
+
+    ``u`` holds b x n uniforms in [0, 1), indexed by vertex id.  A target
+    gets the competition rank of its distance among the other n - 1 and the
+    key ``rank * log(1 - u)``; a row takes its ``ks[r]`` largest keys.  The
+    result is every row's targets, in descending key order, concatenated
+    row after row.
+    """
+    rows = np.arange(len(at))
+    ranks = competition_ranks(ordered)
+    # groups that start after the source's slot lose it
     ranks -= ranks > at[:, None] + 1
-    return ranks[:, place]
+    keys = ranks * np.log1p(-np.take_along_axis(u, perm, axis=1))
+    keys[rows, at] = -np.inf
+    return perm[np.repeat(rows, ks), _top_keys(keys, ks)]
 
 
 def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
@@ -219,17 +260,10 @@ def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
 
     ``distances`` is a (b, n) block of distance rows, one per source, over
     every vertex; the source's own entry is ignored.  ``u`` holds b x n
-    uniforms in [0, 1), indexed like ``distances``.  Each target gets the
-    competition rank of its distance among the other n - 1 and the key
-    ``rank * log(1 - u)``; a source takes its ``ks[r]`` largest keys.  The
-    result is every row's targets, in descending key order, concatenated
-    row after row.
-
-    ``order``, if given, is a permutation of 0..n-1 expected to sort every
-    row; ranks are then read in that order.  Otherwise, or if a row is not
-    non-decreasing in it, each row is argsorted and the ranks are scattered
-    back by target id.  Either way tied distances share a rank, so the
-    draws do not depend on the hint.
+    uniforms in [0, 1), indexed like ``distances``.  The rows are sorted by
+    ``sort_rows`` (with the optional ``order`` hint) and drawn by
+    ``sample_sorted``.  Tied distances share a rank, so the draws depend
+    neither on the hint nor on how a sort leaves tied entries.
     """
     distances = np.asarray(distances, dtype=np.float64)
     b, n = distances.shape
@@ -238,14 +272,7 @@ def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
         raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
     if b == 0:
         return np.zeros(0, dtype=np.int64)
-    ranks = None
-    if order is not None:
-        ranks = _ranks_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
-    if ranks is None:
-        ranks = _ranks_by_sort(distances, sources)
-    keys = ranks * np.log1p(-u)
-    keys[np.arange(b), sources] = -np.inf
-    return _top_keys(keys, ks)
+    return sample_sorted(*sort_rows(distances, sources, order), ks, u)
 
 
 def by_rejection(n: int, ks) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import chisquare
@@ -146,17 +146,23 @@ def random_digraph(gen: np.random.Generator, n: int, p: float) -> Graph:
 def sequential_draw_law(ranks, k: int) -> dict[tuple[int, ...], Fraction]:
     """Exact probability of every ordered k-draw of distinct positions when
     each draw picks a remaining position with probability proportional to
-    1/rank, by enumerating all sequences."""
-    weights = [Fraction(1, int(r)) for r in ranks]
-    total = sum(weights)
-    law = {}
-    for seq in permutations(range(len(weights)), k):
-        p, left = Fraction(1), total
-        for pos in seq:
-            p *= weights[pos] / left
-            left -= weights[pos]
-        law[seq] = p
-    return law
+    1/rank, by enumerating all sequences (once per distinct ranks and k)."""
+    return dict(_sequential_draw_law(tuple(int(r) for r in ranks), k))
+
+
+@lru_cache(maxsize=None)
+def _sequential_draw_law(ranks: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fraction]:
+    weights = [Fraction(1, r) for r in ranks]
+    # every prefix, with its probability and the weight it leaves
+    level = {(): (Fraction(1), sum(weights))}
+    for _ in range(k):
+        level = {
+            seq + (pos,): (p * w / left, left - w)
+            for seq, (p, left) in level.items()
+            for pos, w in enumerate(weights)
+            if pos not in seq
+        }
+    return {seq: p for seq, (p, _) in level.items()}
 
 
 def shared_vector_law(distances, source: int, k: int) -> dict[tuple[int, ...], Fraction]:
@@ -205,3 +211,34 @@ def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:
         best = np.argsort(-keys, kind="stable")[: ks[i]]
         arcs.update((i, int(t)) for t in ranking.targets[best])
     return arcs
+
+
+def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
+    """Arcs of one priority-rank pass of a per-source kind, one vertex at a
+    time.  A source with 4 k <= n - 1 takes its next k ``positions``; if its
+    ``build_local_ranking`` has ranks 1..n-1 (no tie), its targets are that
+    ranking's targets at those positions.  Every other source with k > 0
+    reads the next row of n uniforms of ``gen`` and draws by
+    ``priority_rank_oracle``."""
+    n = ctx.n
+    ids = np.arange(n)
+    arcs = set()
+    keyed = np.zeros(n, dtype=np.int64)
+    u = np.zeros((n, n))
+    taken = 0
+    for i in range(n):
+        k = int(ks[i])
+        if k == 0:
+            continue
+        if 4 * k <= n - 1:
+            drawn = positions[taken : taken + k]
+            taken += k
+            row = spec.row(ctx, i)
+            ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
+            if ranking.ranks.tolist() == list(range(1, n)):
+                arcs.update((i, int(t)) for t in ranking.targets[drawn])
+                continue
+        keyed[i] = k
+        u[i] = gen.random(n)
+    assert taken == len(positions)
+    return arcs | priority_rank_oracle(spec, ctx, keyed, u)

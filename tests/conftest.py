@@ -42,23 +42,29 @@ def profile_calls(monkeypatch) -> dict[str, list]:
 
 @pytest.fixture
 def ranked_rows(monkeypatch) -> dict[str, int]:
-    """Count of the rows that the sampler ranks through a shared order hint
-    ("hinted") and of those it argsorts ("sorted"), fallbacks included."""
-    counts = {"hinted": 0, "sorted": 0}
-    by_hint, by_sort = ranking._ranks_by_hint, ranking._ranks_by_sort
+    """Count of the rows that the sampler sorts through a shared order hint
+    ("hinted"), of those it argsorts ("sorted"), and of those it draws by
+    exponential keys ("keyed")."""
+    counts = {"hinted": 0, "sorted": 0, "keyed": 0}
+    by_hint, by_sort, top_keys = ranking._rows_by_hint, ranking._rows_by_sort, ranking._top_keys
 
     def hinted(distances, sources, order):
-        ranks = by_hint(distances, sources, order)
-        if ranks is not None:
+        out = by_hint(distances, sources, order)
+        if out is not None:
             counts["hinted"] += len(sources)
-        return ranks
+        return out
 
     def argsorted(distances, sources):
         counts["sorted"] += len(sources)
         return by_sort(distances, sources)
 
-    monkeypatch.setattr(ranking, "_ranks_by_hint", hinted)
-    monkeypatch.setattr(ranking, "_ranks_by_sort", argsorted)
+    def keyed(keys, ks):
+        counts["keyed"] += len(keys)
+        return top_keys(keys, ks)
+
+    monkeypatch.setattr(ranking, "_rows_by_hint", hinted)
+    monkeypatch.setattr(ranking, "_rows_by_sort", argsorted)
+    monkeypatch.setattr(ranking, "_top_keys", keyed)
     return counts
 
 

@@ -29,10 +29,10 @@ from priorityrank.generate import (
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, symmetrize
 from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter
-from priorityrank.ranking import build_local_ranking
+from priorityrank.ranking import build_local_ranking, sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import adjacency, priority_rank_oracle, sequential_draw_law, shared_vector_law
+from _oracles import adjacency, rank_space_oracle, sequential_draw_law, shared_vector_law
 
 
 def attr_table(values):
@@ -267,6 +267,12 @@ def test_generated_target_sets_follow_sequential_law():
 
 CASES = {
     "random": lambda n: (None, RandomDistance(), DegreeSpec.constant(5), None),
+    "euclidean": lambda n: (
+        uniform_attr(n, 3),
+        Euclidean1D(attr="x"),
+        DegreeSpec.resample([1, 3, 7, 16]),
+        None,
+    ),
     "tied_euclidean": lambda n: (
         attr_table(RngStream(3).generator.integers(0, 4, n)),
         Euclidean1D(attr="x"),
@@ -299,12 +305,14 @@ def test_priority_rank_independent_of_block_size(monkeypatch, case):
     assert graphs[0] == graphs[1] == graphs[2]
 
 
-@pytest.mark.parametrize("case", ["naive_bayes", "tied_euclidean"])
+@pytest.mark.parametrize("case", ["euclidean", "naive_bayes", "tied_euclidean"])
 def test_priority_rank_matches_per_vertex_oracle(case):
-    # the per-vertex oracle ranks ties with a stable lexsort; the pass sorts
-    # with numpy's default sort, so tied entries may land in another order.
-    # The random and degree kinds draw through the shared-vector kernel, and
-    # the law tests below check them.
+    # tie-free rows under the rejection limit take their slots from
+    # child(2)'s shared-kernel positions; the others draw keys from child(3).
+    # Euclidean and naive Bayes rows are tie-free (argsorted and hinted),
+    # and their resampled out-degrees cross the limit; every tied Euclidean
+    # row draws keys.  The random and degree kinds draw through the
+    # shared-vector kernel, and the law tests below check them.
     n, seed = 60, 21
     attrs, spec, degrees, reference = CASES[case](n)
     with warnings.catch_warnings():
@@ -313,8 +321,10 @@ def test_priority_rank_matches_per_vertex_oracle(case):
         stream = RngStream(seed).child(0)
         ks = degrees.draws(n, stream.child(0))
     ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
-    u = stream.child(2).generator.random((n, n))
-    assert g.arcs == priority_rank_oracle(spec, ctx, ks, u)
+    fast = (ks > 0) & (4 * ks <= n - 1)
+    gen = stream.child(2).generator
+    positions = sample_shared(np.arange(n), np.full(fast.sum(), n - 1), ks[fast], gen)
+    assert g.arcs == rank_space_oracle(spec, ctx, ks, positions, stream.child(3).generator)
 
 
 def test_pass_builds_constant_rng_streams(rng_streams):
@@ -331,9 +341,10 @@ def test_pass_builds_constant_rng_streams(rng_streams):
 
 
 def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
-    # at n=2000, a naive-Bayes pass ranks every row through its order hint,
-    # with no fallback, and an aggregate pass argsorts every row; the degree
-    # and random kinds draw from their shared distances and rank no rows
+    # at n=2000, a naive-Bayes pass sorts every row through its order hint
+    # and an aggregate pass argsorts every row, and neither draws a row by
+    # keys; the degree and random kinds draw from their shared distances
+    # and sort no rows
     n = 2000
     attrs = mixed_attr(n, 7)
     reference = gen_erdos_renyi(n, 5 / n, seed=3)
@@ -345,20 +356,21 @@ def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
         (RandomDistance(), None, None),
         (aggregate, None, "sorted"),
     ):
-        ranked_rows.update(hinted=0, sorted=0)
+        ranked_rows.update(hinted=0, sorted=0, keyed=0)
         g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
         assert g.out_degrees.tolist() == [10] * n
-        assert sum(ranked_rows.values()) == (n if path else 0), spec.kind
+        expected = {"hinted": 0, "sorted": 0, "keyed": 0}
         if path:
-            assert ranked_rows[path] == n, spec.kind
+            expected[path] = n
+        assert ranked_rows == expected, spec.kind
 
 
-def tally_target_sets(n, spec, degrees, trials, **kwargs):
+def tally_target_sets(n, spec, degrees, trials, attrs=None, **kwargs):
     """{(source, k): [frozenset of targets, one per seed]} over ``trials``
     single passes."""
     drawn: dict[tuple[int, int], list[frozenset]] = {}
     for seed in range(trials):
-        out_adj, _ = adjacency(priority_rank_generate(n, None, spec, degrees, seed=seed, **kwargs))
+        out_adj, _ = adjacency(priority_rank_generate(n, attrs, spec, degrees, seed=seed, **kwargs))
         for i, targets in enumerate(out_adj):
             drawn.setdefault((i, len(targets)), []).append(frozenset(targets))
     return drawn
@@ -366,15 +378,22 @@ def tally_target_sets(n, spec, degrees, trials, **kwargs):
 
 def combined_pvalue(laws, drawn):
     """Chi-square p-value of every (source, k) tally against its set law,
-    summed over the tallies."""
+    summed over the tallies.  In each tally the sets expected fewer than 5
+    times are pooled into one cell, with the next least likely sets while
+    that cell expects fewer than 5 draws."""
     stat = dof = 0.0
     for key, draws in drawn.items():
         law = laws(*key)
         expected = len(draws) * np.array([float(p) for p in law.values()])
         observed = np.array([sum(d == s for d in draws) for s in law])
-        assert expected.min() >= 5, key
+        order = np.argsort(expected, kind="stable")
+        expected, observed = expected[order], observed[order]
+        pooled = max(int(np.searchsorted(np.cumsum(expected), 5.0)) + 1, int((expected < 5).sum()))
+        expected = np.r_[expected[:pooled].sum(), expected[pooled:]]
+        observed = np.r_[observed[:pooled].sum(), observed[pooled:]]
+        assert len(expected) > 1 and expected.min() >= 5, key
         stat += float(((observed - expected) ** 2 / expected).sum())
-        dof += len(law) - 1
+        dof += len(expected) - 1
     return chi2.sf(stat, dof)
 
 
@@ -411,3 +430,66 @@ def test_random_kind_draws_uniform_k_subsets():
         return {frozenset(s): 1 / len(subsets) for s in subsets}
 
     assert combined_pvalue(laws, drawn) > 1e-3
+
+
+def set_law(distances, source, k):
+    """{frozenset of targets: probability} of ``source``'s k-draw."""
+    law: dict[frozenset, float] = {}
+    for seq, p in shared_vector_law(distances, source, k).items():
+        law[frozenset(seq)] = law.get(frozenset(seq), 0.0) + float(p)
+    return law
+
+
+def test_per_source_pass_follows_exact_law():
+    # Euclidean distances on these values tie only in vertex 3's row
+    # (|5 - 2| = |5 - 8|); out-degree 2 lies under the rejection limit of
+    # n = 9 and 7 above it, so the rank-space, tied and over-limit paths all
+    # run in one pass
+    x = [1, 2, 4, 5, 8, 16, 32, 64, 128]
+    n = len(x)
+    attrs = attr_table(x)
+    spec = Euclidean1D(attr="x")
+    ctx = DistanceContext(attrs=attrs)
+    tied = [i for i in range(n) if len(set(np.delete(spec.row(ctx, i), i).tolist())) < n - 1]
+    assert tied == [3]
+    drawn = tally_target_sets(n, spec, DegreeSpec.resample([2, 7]), 1500, attrs=attrs)
+    assert {k for _, k in drawn} == {2, 7}
+
+    def laws(i, k):
+        return set_law(spec.row(ctx, i), i, k)
+
+    assert combined_pvalue(laws, drawn) > 1e-3
+    # on its own too, or one row's shift hides among the 18 tallies
+    assert combined_pvalue(laws, {key: d for key, d in drawn.items() if key[0] in tied}) > 1e-3
+
+
+@pytest.mark.parametrize("bad, message", [(-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite")])
+@pytest.mark.parametrize("case", ["euclidean", "naive_bayes"])
+def test_bad_distance_raises_on_every_path(monkeypatch, case, bad, message):
+    # a bad entry in vertex 2's row fails the one distance check whether
+    # the row is argsorted (Euclidean) or hinted (naive Bayes), and whether
+    # its k lies under the rejection limit (rank space) or above it
+    # (keys); a bad entry in a source's own slot is a placeholder, ignored
+    n = 40
+    attrs, spec, _, _ = CASES[case](n)
+    rows = type(spec).rows
+    corrupt = {"own": False, "target": False}
+
+    def bad_rows(self, ctx, sources):
+        out = rows(self, ctx, sources).copy()
+        if corrupt["own"]:
+            out[np.arange(len(sources)), sources] = bad
+        if corrupt["target"]:
+            out[sources == 2, 5] = bad
+        return out
+
+    monkeypatch.setattr(type(spec), "rows", bad_rows)
+    for k in (2, 20):
+        degrees = DegreeSpec.constant(k)
+        clean = priority_rank_generate(n, attrs, spec, degrees, seed=3)
+        corrupt["own"] = True
+        assert priority_rank_generate(n, attrs, spec, degrees, seed=3) == clean
+        corrupt["target"] = True
+        with pytest.raises(ValueError, match=f"^distances must be {message}$"):
+            priority_rank_generate(n, attrs, spec, degrees, seed=3)
+        corrupt.update(own=False, target=False)

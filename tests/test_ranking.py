@@ -277,12 +277,20 @@ def shared_order_block():
 
 
 def test_order_hint_ranks_like_the_argsort():
+    # both paths of sort_rows list every row's targets in the order of the
+    # per-vertex ranking, up to ties, with the source in slot ``at``
     rows, sources, order = shared_order_block()
-    targets = np.ones(rows.shape, dtype=bool)
-    targets[np.arange(len(sources)), sources] = False
-    by_hint = ranking._ranks_by_hint(rows, sources, order)
-    assert by_hint is not None
-    assert by_hint[targets].tolist() == ranking._ranks_by_sort(rows, sources)[targets].tolist()
+    n = rows.shape[1]
+    hinted = ranking._rows_by_hint(rows, sources, order)
+    assert hinted is not None
+    for perm, ordered, at in (hinted, ranking._rows_by_sort(rows, sources)):
+        for r, source in enumerate(sources.tolist()):
+            assert perm[r, at[r]] == source
+            ids = np.delete(perm[r], at[r])
+            assert sorted(ids.tolist()) == sorted(set(range(n)) - {source})
+            expected = build_local_ranking(source, (ids, rows[r, ids])).distances
+            assert np.delete(ordered[r], at[r]).tolist() == expected.tolist()
+            assert rows[r, ids].tolist() == expected.tolist()
 
 
 def test_order_hint_never_changes_draws(ranked_rows):
@@ -298,7 +306,7 @@ def test_order_hint_never_changes_draws(ranked_rows):
         assert sample_rows(rows, sources, ks, u, order).tolist() == plain
         for hint in wrong:
             assert sample_rows(rows, sources, ks, u, hint).tolist() == plain
-    assert ranked_rows == {"hinted": 20 * b, "sorted": 20 * b * 3}
+    assert ranked_rows == {"hinted": 20 * b, "sorted": 20 * b * 3, "keyed": 20 * b * 4}
 
 
 def test_sample_rows_rejects_a_hint_that_is_not_a_permutation():
