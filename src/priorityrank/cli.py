@@ -10,6 +10,7 @@ import argparse
 import json
 import secrets
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,8 @@ EXIT_INTERNAL = 3
 
 DEFAULT_DISTANCES = ("random", *CENTRALITY_KINDS)
 WORKERS_HELP = "accepted and ignored; kept so older command lines still run"
+# one --dump-rankings line; %r is repr, so floats round-trip exactly
+_RANKING_LINE = "%d\t%d\t%r\t%d\t%r\n"
 
 
 class UsageError(Exception):
@@ -181,19 +184,23 @@ def _distance_spec_from_args(args):
 
 
 def _dump_rankings(path: str, spec, attrs, n: int, reference) -> None:
-    """TSV of every source's ranking: target order, distance, rank, probability."""
+    """TSV of every source's ranking: target order, distance, rank, probability.
+    Lines are written source by source, so memory stays O(n)."""
     ctx = dist_mod.DistanceContext(n=n, attrs=attrs, reference=reference)
-    lines = ["source\ttarget\tdistance\trank\tprobability"]
     all_ids = np.arange(n, dtype=np.int64)
-    for i in range(n):
-        row = spec.row(ctx, i)
-        ids = np.delete(all_ids, i)
-        ranking = build_local_ranking(i, (ids, np.delete(row, i)))
-        for t, d, r, p in zip(
-            ranking.targets, ranking.distances, ranking.ranks, ranking.probabilities
-        ):
-            lines.append(f"{i}\t{int(t)}\t{float(d)!r}\t{int(r)}\t{float(p)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("source\ttarget\tdistance\trank\tprobability\n")
+        for i in range(n):
+            row = spec.row(ctx, i)
+            ranking = build_local_ranking(i, (np.delete(all_ids, i), np.delete(row, i)))
+            fields = zip(
+                repeat(i),
+                ranking.targets.tolist(),
+                ranking.distances.tolist(),
+                ranking.ranks.tolist(),
+                ranking.probabilities.tolist(),
+            )
+            out.write(_RANKING_LINE * len(ranking) % tuple(chain.from_iterable(fields)))
 
 
 def _cmd_generate(args) -> int:

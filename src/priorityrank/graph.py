@@ -13,13 +13,28 @@ Edge-list format: UTF-8 lines ``src dst`` (space or tab separated),
 ``#`` comment lines, and an optional first line ``n=<int>`` declaring the
 vertex count.  Attribute format: CSV with ``name:kind`` headers where kind
 is one of ``ordinal``, ``categorical``, ``continuous``; one data row per
-vertex in id order.
+vertex in id order.  Both readers ignore one leading byte-order mark.
+
+Two parsers read each format, and they accept the same language.  An edge
+list in the plain grammar (an optional ``n=<digits>`` header, then only
+``<digits>[ \\t]+<digits>`` lines ended by LF or CRLF, each number at most
+18 ASCII digits) is parsed by a regex check and ``np.fromstring``, and its
+self-loops and declared range are checked vectorised.  An attribute table
+whose rows all have one cell per column is converted a column at a time
+and checked by one ``np.isfinite``.  Anything else (comments, blank lines,
+other whitespace, signs, underscores, longer numbers, a failed check) goes
+to the line loop (``_edge_list_lines``) or the row loop
+(``_attribute_rows``).  The loops are the only code that writes an
+edge-list or attribute-row error message, so every message names its line
+or row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,23 +137,43 @@ class Graph:
 
 def _as_text(stream) -> str:
     if isinstance(stream, bytes):
-        return stream.decode("utf-8")
-    if isinstance(stream, str):
-        return stream
-    data = stream.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        text = stream.decode("utf-8")
+    elif isinstance(stream, str):
+        text = stream
+    else:
+        data = stream.read()
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text[1:] if text.startswith("\ufeff") else text
 
 
-def load_edge_list(stream) -> Graph:
-    """Parse an edge list into a Graph.
+# The plain edge-list grammar: an optional ``n=<digits>`` header line, then
+# only ``<digits>[ \t]+<digits>`` lines ended by LF or CRLF.  A number has at
+# most 18 ASCII digits, so it fits in int64.  Searching for the first line
+# outside the grammar keeps no state per line, where a full match of the
+# repeated grammar would keep a backtracking record for every line.
+_HEADER = re.compile(r"n=([0-9]{1,18})\r?(?:\n|\Z)")
+_NON_ARC_LINE = re.compile(r"^(?![0-9]{1,18}[ \t]+[0-9]{1,18}\r?$)", re.MULTILINE)
 
-    ``stream`` may be text, bytes, or a file-like object.  The vertex count
-    is ``1 + max id`` unless an ``n=<int>`` header line declares it.
-    Duplicate arcs are collapsed; a warning reports how many.
-    """
-    text = _as_text(stream)
+
+def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
+    """``(n, (m, 2) int64 pairs)`` for text in the plain grammar whose arcs
+    pass the line loop's checks; None for any other text."""
+    header = _HEADER.match(text)
+    start = header.end() if header else 0
+    if _NON_ARC_LINE.search(text, start, len(text) - text.endswith("\n")):
+        return None
+    pairs = np.fromstring(text[start:], dtype=np.int64, sep=" ").reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    top = int(pairs.max()) if pairs.size else -1
+    if header is None:
+        return top + 1, pairs
+    declared_n = int(header.group(1))
+    return (declared_n, pairs) if top < declared_n else None
+
+
+def _edge_list_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The line loop: parses every accepted form and names the first bad line."""
     declared_n: int | None = None
     pairs: list[tuple[int, int]] = []
     saw_content = False
@@ -173,11 +208,20 @@ def load_edge_list(stream) -> Graph:
             )
         pairs.append((i, j))
     if declared_n is not None:
-        n = declared_n
-    elif pairs:
-        n = 1 + max(max(i, j) for i, j in pairs)
-    else:
-        n = 0
+        return declared_n, pairs
+    return (1 + max(max(i, j) for i, j in pairs) if pairs else 0), pairs
+
+
+def load_edge_list(stream) -> Graph:
+    """Parse an edge list into a Graph.
+
+    ``stream`` may be text, bytes, or a file-like object.  The vertex count
+    is ``1 + max id`` unless an ``n=<int>`` header line declares it.
+    Duplicate arcs are collapsed; a warning reports how many.
+    """
+    text = _as_text(stream)
+    parsed = _plain_edge_list(text)
+    n, pairs = parsed if parsed is not None else _edge_list_lines(text)
     g = Graph(n, pairs)
     duplicates = len(pairs) - g.arc_count
     if duplicates:
@@ -192,11 +236,8 @@ def save_edge_list(g: Graph) -> str:
     inferred from the arcs.
     """
     arcs = g.arc_array
-    lines = []
-    if not len(arcs) or g.n != arcs.max() + 1:
-        lines.append(f"n={g.n}")
-    lines.extend(f"{i} {j}" for i, j in arcs.tolist())
-    return "\n".join(lines) + "\n"
+    header = "" if len(arcs) and g.n == arcs.max() + 1 else f"n={g.n}\n"
+    return header + ("%d %d\n" * len(arcs)) % tuple(arcs.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -213,8 +254,8 @@ class AttributeColumn:
         if self.kind == "categorical":
             object.__setattr__(self, "values", tuple(str(v) for v in self.values))
         else:
-            vals = tuple(float(v) for v in self.values)
-            if any(not np.isfinite(v) for v in vals):
+            vals = tuple(map(float, self.values))
+            if not np.isfinite(vals).all():
                 raise ValueError(f"non-finite value in numeric column {self.name!r}")
             object.__setattr__(self, "values", vals)
 
@@ -292,29 +333,28 @@ class AttributeTable:
         return cache[name]
 
 
-def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
-    """Parse a CSV attribute table with ``name:kind`` headers."""
-    text = _as_text(stream)
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise GraphFormatError("attribute table has no header row")
-    header = rows[0]
-    specs: list[tuple[str, str]] = []
-    for cell in header:
-        cell = cell.strip()
-        if ":" not in cell:
-            raise GraphFormatError(f"header cell {cell!r} is not 'name:kind'")
-        name, kind = cell.rsplit(":", 1)
-        name, kind = name.strip(), kind.strip()
-        if kind not in ATTRIBUTE_KINDS:
-            raise GraphFormatError(f"unknown attribute kind {kind!r} for column {name!r}")
-        specs.append((name, kind))
-    body = rows[1:]
-    if expected_n is not None and len(body) != expected_n:
-        raise GraphFormatError(
-            f"attribute table has {len(body)} rows, expected {expected_n}"
-        )
+def _attribute_columns(specs: list[tuple[str, str]], body: list[list[str]]) -> list[tuple] | None:
+    """Each column's values, converted by one ``map`` and validated by one
+    ``np.isfinite``; None when any row or cell is bad."""
+    if set(map(len, body)) - {len(specs)}:
+        return None
+    columns = []
+    for (_, kind), cells in zip(specs, zip(*body) if body else [()] * len(specs)):
+        if kind == "categorical":
+            columns.append(tuple(map(str.strip, cells)))
+            continue
+        try:
+            values = tuple(map(float, cells))
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        columns.append(values)
+    return columns
+
+
+def _attribute_rows(specs: list[tuple[str, str]], body: list[list[str]]) -> list[tuple]:
+    """The row loop: converts every cell and names the first bad row."""
     raw_columns: list[list] = [[] for _ in specs]
     for rowno, row in enumerate(body, start=2):
         if len(row) != len(specs):
@@ -325,18 +365,51 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
             cell = cell.strip()
             if kind == "categorical":
                 raw_columns[colno].append(cell)
-            else:
-                try:
-                    raw_columns[colno].append(float(cell))
-                except ValueError:
-                    raise GraphFormatError(
-                        f"row {rowno}, column {name!r}: non-numeric value {cell!r}"
-                    ) from None
-    columns = [
-        AttributeColumn(name, kind, tuple(values))
-        for (name, kind), values in zip(specs, raw_columns)
-    ]
-    return AttributeTable(columns)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise GraphFormatError(
+                    f"row {rowno}, column {name!r}: non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise GraphFormatError(
+                    f"row {rowno}, column {name!r}: non-finite value {cell!r}"
+                )
+            raw_columns[colno].append(value)
+    return [tuple(values) for values in raw_columns]
+
+
+def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
+    """Parse a CSV attribute table with ``name:kind`` headers."""
+    text = _as_text(stream)
+    rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    if not rows:
+        raise GraphFormatError("attribute table has no header row")
+    header = rows[0]
+    specs: list[tuple[str, str]] = []
+    for cell in header:
+        cell = cell.strip()
+        if ":" not in cell:
+            raise GraphFormatError(f"header cell {cell!r} is not 'name:kind'")
+        name, kind = cell.rsplit(":", 1)
+        name, kind = name.strip(), kind.strip()
+        if not name:
+            raise GraphFormatError(f"header cell {cell!r} has an empty name")
+        if kind not in ATTRIBUTE_KINDS:
+            raise GraphFormatError(f"unknown attribute kind {kind!r} for column {name!r}")
+        specs.append((name, kind))
+    body = rows[1:]
+    if expected_n is not None and len(body) != expected_n:
+        raise GraphFormatError(
+            f"attribute table has {len(body)} rows, expected {expected_n}"
+        )
+    columns = _attribute_columns(specs, body)
+    if columns is None:
+        columns = _attribute_rows(specs, body)
+    return AttributeTable(
+        [AttributeColumn(name, kind, values) for (name, kind), values in zip(specs, columns)]
+    )
 
 
 def save_attributes(table: AttributeTable) -> str:

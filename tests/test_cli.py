@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
-from priorityrank.distance import spec_from_json_dict
-from priorityrank.graph import load_edge_list
+from priorityrank.distance import DistanceContext, spec_from_json_dict
+from priorityrank.graph import load_attributes, load_edge_list
+from priorityrank.ranking import build_local_ranking
 
 PEOPLE_CSV = (
     "age:continuous,sex:categorical\n"
@@ -324,3 +326,81 @@ def test_profile_rejects_ids_too_large_for_arc_codes(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "data error" in err and "2**63 - 1" in err
+
+
+def _dump_rankings_by_lines(path, spec, attrs, n):
+    """The ranking dump built as one list of f-string lines, for byte comparison."""
+    ctx = DistanceContext(n=n, attrs=attrs, reference=None)
+    lines = ["source\ttarget\tdistance\trank\tprobability"]
+    all_ids = np.arange(n, dtype=np.int64)
+    for i in range(n):
+        row = spec.row(ctx, i)
+        ranking = build_local_ranking(i, (np.delete(all_ids, i), np.delete(row, i)))
+        for t, d, r, p in zip(ranking.targets, ranking.distances, ranking.ranks, ranking.probabilities):
+            lines.append(f"{i}\t{int(t)}\t{float(d)!r}\t{int(r)}\t{float(p)!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "weights, tied",
+    [([["sex", 1.0]], True), ([["age", 1.0]], False), ([["age", 0.3], ["sex", 10.0]], False)],
+    ids=["tied", "untied", "mixed"],
+)
+def test_dump_rankings_bytes_match_a_line_by_line_dump(tmp_path, capsys, weights, tied):
+    # ages 2**k: every source sees distinct age gaps, so only sex ties
+    people = "age:continuous,sex:categorical\n" + "".join(
+        f"{2.0**k!r},{'fe' * (k % 2)}male\n" for k in range(7)
+    )
+    attrs = tmp_path / "people.csv"
+    attrs.write_text(people)
+    doc = {"kind": "aggregate", "weights": weights}
+    dump = tmp_path / "rankings.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "7", "--k", "2", "--attrs", str(attrs),
+        "--distance-spec", json.dumps(doc), "--seed", "5", "--out", str(tmp_path / "g.tsv"),
+        "--dump-rankings", str(dump),
+    )
+    assert code == 0, err
+    expected = tmp_path / "expected.tsv"
+    _dump_rankings_by_lines(expected, spec_from_json_dict(doc), load_attributes(people), 7)
+    assert dump.read_bytes() == expected.read_bytes()
+    ranks = {}
+    for line in dump.read_text().splitlines()[1:]:
+        source, _, _, rank, _ = line.split("\t")
+        ranks.setdefault(source, []).append(int(rank))
+    assert len(ranks) == 7
+    assert any(len(set(r)) < 6 for r in ranks.values()) == tied
+
+
+def test_learn_and_generate_read_comments_crlf_and_bom_as_the_plain_file(tmp_path, capsys):
+    src = tmp_path / "plain.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "30", "--p", "0.2", "--seed", "8", "--out", str(src))
+    edges = src.read_text()
+    people = "age:continuous,sex:categorical\n" + "".join(
+        f"{20 + 1.5 * v!r},{'fe' * (v % 3 == 0)}male\n" for v in range(30)
+    )
+    variants = {
+        "plain": (edges, people),
+        "comments": ("# an edge list\n" + edges.replace("\n", "\n# arc\n", 3), "\n" + people + "\n"),
+        "crlf": (edges.replace("\n", "\r\n"), people.replace("\n", "\r\n")),
+        "bom": ("\ufeff" + edges, "\ufeff" + people),
+    }
+    outputs = {}
+    for name, (edge_text, attr_text) in variants.items():
+        g, attrs = tmp_path / f"{name}.tsv", tmp_path / f"{name}.csv"
+        g.write_text(edge_text, encoding="utf-8", newline="")
+        attrs.write_text(attr_text, encoding="utf-8", newline="")
+        spec, out = tmp_path / f"{name}_spec.json", tmp_path / f"{name}_out.tsv"
+        code, _, err = run(
+            capsys, "learn", "--in", str(g), "--attrs", str(attrs), "--kind", "naive-bayes",
+            "--seed", "3", "--out", str(spec),
+        )
+        assert code == 0, err
+        code, _, err = run(
+            capsys, "generate", "--model", "priority-rank", "--n", "30", "--attrs", str(attrs),
+            "--distance-spec", str(spec), "--degrees-from", str(g), "--seed", "4", "--out", str(out),
+        )
+        assert code == 0, err
+        outputs[name] = (spec.read_bytes(), out.read_bytes())
+    assert all(value == outputs["plain"] for value in outputs.values())

@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from priorityrank import graph as graph_mod
 from priorityrank.graph import (
     AttributeColumn,
     AttributeTable,
@@ -191,6 +195,12 @@ def test_load_attributes_empty_body_and_errors():
         load_attributes("a:continuous\n1.0\n", expected_n=3)
     with pytest.raises(GraphFormatError, match="unknown attribute kind"):
         load_attributes("a:weird\n1\n")
+    with pytest.raises(GraphFormatError, match=r"header cell ':continuous' has an empty name"):
+        load_attributes("b:ordinal, :continuous\n1,2\n")
+    for cell in ("nan", "inf", "-Infinity"):
+        with pytest.raises(GraphFormatError) as info:
+            load_attributes(f"a:continuous,b:ordinal\n1,2\n3, {cell}\n")
+        assert str(info.value) == f"row 3, column 'b': non-finite value {cell!r}"
 
 
 def test_attributes_round_trip():
@@ -218,3 +228,170 @@ def test_attribute_table_validation():
         )
     with pytest.raises(ValueError, match="non-finite"):
         AttributeColumn("a", "continuous", (float("nan"),))
+
+
+def test_leading_byte_order_mark_is_ignored():
+    bom = "\ufeff"
+    assert load_attributes(bom + "age:continuous\n1\n").names == ("age",)
+    assert load_attributes((bom + "age:continuous\n1\n").encode("utf-8")).names == ("age",)
+    assert load_edge_list(bom + "0 1\n") == Graph(2, [(0, 1)])
+    assert load_edge_list((bom + "# c\r\n0 1\r\n").encode("utf-8")) == Graph(2, [(0, 1)])
+    # only one: a second mark is content, and the line loop names its line
+    with pytest.raises(GraphFormatError, match="line 1: non-integer vertex id"):
+        load_edge_list(bom + bom + "0 1\n")
+
+
+def _outcome(load, text):
+    """What a loader makes of text: the value and its warnings' messages, or
+    the error's type and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = load(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return value, [str(w.message) for w in caught]
+
+
+def _line_loop_outcome(monkeypatch, load, fast_name, text):
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_mod, fast_name, lambda *args: None)
+        return _outcome(load, text)
+
+
+def _table_view(outcome):
+    value, rest = outcome
+    if not isinstance(value, AttributeTable):
+        return outcome
+    return [(c.name, c.kind, c.values) for c in value.columns], rest
+
+
+SEPARATORS = (" ", "\t", "  ", " \t ")
+
+
+def _edge_lines(gen, n, m):
+    """m random arcs on 0..n-1, duplicates likely, self-loops never."""
+    lines = []
+    for _ in range(m):
+        i, step = int(gen.integers(n)), int(gen.integers(1, n))
+        j = (i + step) % n
+        lines.append(f"{i}{SEPARATORS[int(gen.integers(len(SEPARATORS)))]}{j}")
+    return lines
+
+
+EDGE_PERTURBATIONS = (
+    "# comment",
+    "",
+    "   ",
+    "{v} {v}",
+    "{n} 0",
+    "0 {big}",
+    "+1 0",
+    "1_0 2",
+    "1\x0c2",
+    "1 \x0c2",
+    " 1 2",
+    "1 2 ",
+    "1\u20032",
+    "\u0661 0",
+    "-1 0",
+    "0 x",
+    "0 1 2",
+    "n=3",
+    "9999999999999999999 0",
+    "99999999999999999999 0",
+    "0000000000000000001 0",
+    "9223372036854775808 1",
+)
+
+
+def _random_edge_text(gen, perturb: bool) -> str:
+    n = int(gen.integers(2, 25))
+    lines = _edge_lines(gen, n, int(gen.integers(1, 20)))
+    if perturb:
+        for _ in range(int(gen.integers(1, 3))):
+            line = str(gen.choice(EDGE_PERTURBATIONS)).format(
+                v=int(gen.integers(n)), n=n, big=int(gen.integers(n, 10 * n + 1))
+            )
+            lines.insert(int(gen.integers(len(lines) + 1)), line)
+    if gen.random() < 0.5:
+        lines.insert(0, f"n={n + int(gen.integers(0, 3))}")
+    eol = "\r\n" if gen.random() < 0.25 else "\n"
+    return eol.join(lines) + (eol if gen.random() < 0.7 else "")
+
+
+EDGE_CORNER_TEXTS = (
+    "", "\n", "n=5", "n=5\r", "n=5\r\n", "n=5\n\n", "n=05\n1 2", "n=2\n1 2", "0 1\r", "0 1\r2 3",
+    "0 1\r\r\n", "0 1\n\r\n", "n=3\n0 1\nn=3\n", "0 1\x0b1 0", "0 1\x852 3", "0 1\u20282 3",
+    "0 1 \n", "0 1\x1c\n1 0\n", "0 1\u2003\n",
+)
+
+
+def test_edge_list_fast_path_matches_the_line_loop(monkeypatch):
+    for text in EDGE_CORNER_TEXTS:
+        expected = _line_loop_outcome(monkeypatch, load_edge_list, "_plain_edge_list", text)
+        assert _outcome(load_edge_list, text) == expected, repr(text)
+    gen = np.random.default_rng(2024)
+    fast = {False: 0, True: 0}
+    for trial in range(1500):
+        perturb = trial % 2 == 1
+        text = _random_edge_text(gen, perturb)
+        expected = _line_loop_outcome(monkeypatch, load_edge_list, "_plain_edge_list", text)
+        assert _outcome(load_edge_list, text) == expected, repr(text)
+        fast[perturb] += graph_mod._plain_edge_list(text) is not None
+    # every plain text takes the numpy path, and so do a few perturbed ones
+    # (a new id past the others with no header); the rest go to the loop
+    assert fast[False] == 750
+    assert 0 < fast[True] < 150
+
+
+def test_edge_list_ids_past_int64_are_never_saturated():
+    # np.fromstring would read 99999999999999999999 as 2**63 - 1, silently
+    for text in ("99999999999999999999 1", "9223372036854775808 1\n", "n=99999999999999999999\n"):
+        assert graph_mod._plain_edge_list(text) is None
+    with pytest.raises(ValueError, match=r"n=100000000000000000000 is too large"):
+        load_edge_list("99999999999999999999 1")
+    with pytest.raises(ValueError, match=r"n=9223372036854775809 is too large"):
+        load_edge_list("9223372036854775808 1")
+    assert graph_mod._plain_edge_list("999999999999999999 1")[0] == 10**18
+
+
+def test_duplicate_warning_names_the_callers_file():
+    for text in ("0 1\n0 1\n", "# either path\n0 1\n0 1\n"):
+        with pytest.warns(UserWarning, match="1 duplicate") as record:
+            load_edge_list(text)
+        assert [w.filename for w in record] == [__file__]
+
+
+ATTRIBUTE_PERTURBATIONS = (
+    "nan", "inf", "-inf", "abc", "", " 1.5 ", "1_0", "\u20032.5\u2003", "\u0661", "1e400", '"7"', "0x1",
+)
+
+
+def _random_attribute_text(gen, perturb: bool) -> str:
+    kinds = [str(k) for k in gen.choice(graph_mod.ATTRIBUTE_KINDS, size=int(gen.integers(1, 4)))]
+    rows = [",".join(f"c{k}:{kind}" for k, kind in enumerate(kinds))]
+    for _ in range(int(gen.integers(0, 8))):
+        cells = [
+            f"lab{int(gen.integers(3))}" if kind == "categorical" else repr(float(gen.normal()))
+            for kind in kinds
+        ]
+        if perturb and gen.random() < 0.3:
+            cells[int(gen.integers(len(cells)))] = str(gen.choice(ATTRIBUTE_PERTURBATIONS))
+        if perturb and gen.random() < 0.1:
+            cells = cells[:-1] if gen.random() < 0.5 else cells + ["1"]
+        rows.append(",".join(cells))
+        if perturb and gen.random() < 0.1:
+            rows.append(" , " if gen.random() < 0.5 else "")
+    return "\r\n".join(rows) if gen.random() < 0.25 else "\n".join(rows) + "\n"
+
+
+def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
+    gen = np.random.default_rng(77)
+    outcomes = set()
+    for trial in range(1000):
+        text = _random_attribute_text(gen, perturb=trial % 2 == 1)
+        expected = _line_loop_outcome(monkeypatch, load_attributes, "_attribute_columns", text)
+        assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
+        outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
+    assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'"} <= outcomes
