@@ -26,7 +26,7 @@ other whitespace, signs, underscores, longer numbers, a failed check) goes
 to the line loop (``_edge_list_lines``) or the row loop
 (``_attribute_rows``).  The loops are the only code that writes an
 edge-list or attribute-row error message, so every message names its line
-or row.
+or row; a row is numbered by the text line it starts on.
 """
 
 from __future__ import annotations
@@ -353,10 +353,13 @@ def _attribute_columns(specs: list[tuple[str, str]], body: list[list[str]]) -> l
     return columns
 
 
-def _attribute_rows(specs: list[tuple[str, str]], body: list[list[str]]) -> list[tuple]:
-    """The row loop: converts every cell and names the first bad row."""
+def _attribute_rows(
+    specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]
+) -> list[tuple]:
+    """The row loop: converts every cell and names the first bad row by the
+    text line that it starts on."""
     raw_columns: list[list] = [[] for _ in specs]
-    for rowno, row in enumerate(body, start=2):
+    for rowno, row in zip(lines, body):
         if len(row) != len(specs):
             raise GraphFormatError(
                 f"row {rowno}: {len(row)} cells for {len(specs)} columns"
@@ -383,7 +386,14 @@ def _attribute_rows(specs: list[tuple[str, str]], body: list[list[str]]) -> list
 def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
     """Parse a CSV attribute table with ``name:kind`` headers."""
     text = _as_text(stream)
-    rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    reader = csv.reader(io.StringIO(text))
+    rows, lines = [], []
+    start = 1  # the text line that the next row starts on
+    for row in reader:
+        if "".join(row).strip():
+            rows.append(row)
+            lines.append(start)
+        start = reader.line_num + 1
     if not rows:
         raise GraphFormatError("attribute table has no header row")
     header = rows[0]
@@ -406,7 +416,7 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
         )
     columns = _attribute_columns(specs, body)
     if columns is None:
-        columns = _attribute_rows(specs, body)
+        columns = _attribute_rows(specs, body, lines[1:])
     return AttributeTable(
         [AttributeColumn(name, kind, values) for (name, kind), values in zip(specs, columns)]
     )

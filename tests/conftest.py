@@ -6,18 +6,31 @@ from priorityrank import metrics, ranking
 from priorityrank.stats import RngStream
 
 
+def _log_sweeps(monkeypatch, log) -> None:
+    sweep = metrics._frontier_sweep
+
+    def logging(csr, sources, dtype):
+        log(sources)
+        return sweep(csr, sources, dtype)
+
+    monkeypatch.setattr(metrics, "_frontier_sweep", logging)
+
+
 @pytest.fixture
 def bfs_calls(monkeypatch) -> list[int]:
     """Log of the sources of every chunk that the shortest-path sweep runs."""
     calls = []
-    sweep = metrics._frontier_sweep
-
-    def logging(csr, sources, dtype):
-        calls.extend(sources.tolist())
-        return sweep(csr, sources, dtype)
-
-    monkeypatch.setattr(metrics, "_frontier_sweep", logging)
+    _log_sweeps(monkeypatch, lambda sources: calls.extend(sources.tolist()))
     return calls
+
+
+@pytest.fixture
+def sweep_chunks(monkeypatch) -> list[int]:
+    """Log of the size of every chunk that the shortest-path sweep runs, in
+    order; a chunk redone with Python integers is logged twice."""
+    sizes = []
+    _log_sweeps(monkeypatch, lambda sources: sizes.append(len(sources)))
+    return sizes
 
 
 @pytest.fixture

@@ -395,3 +395,31 @@ def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
         assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
         outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
     assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'"} <= outcomes
+
+
+ATTRIBUTE_LINE_CASES = [
+    # (text, the error message, or None for a good table)
+    ("a:continuous\n\n\n1\nabc\n", "row 5, column 'a': non-numeric value 'abc'"),
+    ("a:continuous,b:categorical\n1,x\n\n2\n", "row 4: 1 cells for 2 columns"),
+    ("\n\na:continuous\n1\nnan\n", "row 5, column 'a': non-finite value 'nan'"),
+    ("a:continuous\r\n\r\n1\r\n , \r\n2,3\r\n", "row 5: 2 cells for 1 columns"),
+    # a quoted cell that spans lines: the next row starts two lines later
+    ('a:continuous,b:categorical\n1,"x\ny"\n2,z\nabc,w\n', "row 5, column 'a': non-numeric value 'abc'"),
+    ('a:continuous,b:categorical\n1,"x\n\ny"\n\n2,z\n', None),
+    ("a:continuous\n\n1\n\n\n2\n", None),
+]
+
+
+@pytest.mark.parametrize("text, message", ATTRIBUTE_LINE_CASES)
+def test_attribute_rows_are_numbered_by_their_text_line(monkeypatch, text, message):
+    loop = _line_loop_outcome(monkeypatch, load_attributes, "_attribute_columns", text)
+    assert _table_view(_outcome(load_attributes, text)) == _table_view(loop)
+    if message is None:
+        # the vectorised path reads a good table without calling the row loop
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_mod, "_attribute_rows", None)
+            fast = _outcome(load_attributes, text)
+        assert _table_view(fast) == _table_view(loop)
+        assert loop[0].n == 2
+    else:
+        assert loop == (GraphFormatError, message)

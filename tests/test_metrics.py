@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -297,14 +298,14 @@ def expected_path_metrics(g: Graph) -> dict:
 
 
 # one source per chunk, the default chunking, and the whole graph in one chunk
-CHUNK_CELLS = pytest.mark.parametrize(
-    "cells", [1, metrics._CHUNK_CELLS, 10**12], ids=["one_source", "default", "one_chunk"]
+CHUNK_BYTES = pytest.mark.parametrize(
+    "budget", [1, metrics._CHUNK_BYTES, 10**12], ids=["one_source", "default", "one_chunk"]
 )
 
 
-@CHUNK_CELLS
-def test_count_betweenness_exact_above_2_53(monkeypatch, cells):
-    monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+@CHUNK_BYTES
+def test_count_betweenness_exact_above_2_53(monkeypatch, budget):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
     g = diamond_chain(60)
     oracle = betweenness_count_brandes(g)
     assert max(oracle) > 2**53
@@ -335,10 +336,10 @@ EDGE_CASES = {
 }
 
 
-@CHUNK_CELLS
+@CHUNK_BYTES
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
-def test_path_metrics_edge_cases(monkeypatch, cells, name):
-    monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+def test_path_metrics_edge_cases(monkeypatch, budget, name):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
     g = EDGE_CASES[name]
     prof = network_profile(g)
     expected = expected_path_metrics(g)
@@ -363,9 +364,62 @@ def test_path_metrics_edge_cases(monkeypatch, cells, name):
 )
 def test_profile_independent_of_chunk_size(monkeypatch, g):
     default = network_profile(g).to_json_dict()
-    for cells in (1, 10**12):
-        monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+    for budget in (1, 10**12):
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
         assert network_profile(g).to_json_dict() == default
+
+
+# one source per chunk runs n levels per source, so its cycle is shorter
+@pytest.mark.parametrize(
+    "budget, n", [(1, 200), (metrics._CHUNK_BYTES, 600)], ids=["one_source", "default"]
+)
+def test_directed_cycle_matches_closed_forms(monkeypatch, sweep_chunks, budget, n):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    prof = network_profile(g)
+    # every source reaches the others once each, at hops 1..n-1
+    assert prof.closeness.tolist() == [2 / n] * n
+    assert prof.closeness_farness.tolist() == [(n - 1) / 2] * n
+    assert prof.diameter == n - 1
+    assert prof.avg_path_length == n / 2
+    # v is interior to the one path s -> t exactly when it lies strictly
+    # between them going round: (n - 1)(n - 2) / 2 ordered pairs
+    through = [(n - 1) * (n - 2) / 2] * n
+    assert prof.betweenness.tolist() == through
+    assert betweenness_centrality(g, "fractional").tolist() == through
+    # the default budget holds 109 sources of the 600-cycle, in 6 chunks a sweep
+    sizes = [1] * n if budget == 1 else [109] * 5 + [55]
+    assert sweep_chunks == sizes + sizes
+
+
+def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks):
+    g = gen_erdos_renyi(800, 0.01, seed=3)
+    g.csr  # built once per graph, outside the sweep
+    tracemalloc.start()
+    try:
+        metrics.path_sweep(g, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 45 chunks of up to 18 sources; the traced peak measured 0.99-1.01 of
+    # the budget on seeds 1-5, so 15% slack
+    assert sweep_chunks == [18] * 44 + [8]
+    assert peak < 1.15 * metrics._CHUNK_BYTES
+
+
+def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
+    monkeypatch, sweep_chunks
+):
+    g = gen_barabasi_albert(40, 2, seed=4)
+    default = network_profile(g).to_json_dict()
+    sweep_chunks.clear()
+    # one source needs 32 * (n + m) bytes, one more than this budget
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 32 * (g.n + g.arc_count) - 1)
+    assert network_profile(g).to_json_dict() == default
+    assert sweep_chunks == [1] * g.n
+    sweep_chunks.clear()
+    metrics.path_sweep(Graph(0), "count")  # its values: test_path_metrics_edge_cases
+    assert sweep_chunks == []
 
 
 @pytest.mark.parametrize(
