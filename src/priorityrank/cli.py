@@ -167,6 +167,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _reject_constant(token: str):
+    raise GraphFormatError(f"bad distance spec JSON: {token} is not a finite number")
+
+
 def _distance_spec_from_args(args):
     if args.distance_spec:
         raw = args.distance_spec
@@ -174,7 +178,7 @@ def _distance_spec_from_args(args):
         if not raw.lstrip().startswith(("{", "[")) and Path(raw).exists():
             raw = _read_file(raw)
         try:
-            doc = json.loads(raw)
+            doc = json.loads(raw, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"bad distance spec JSON: {exc}") from exc
         return spec_from_json_dict(doc)

@@ -290,8 +290,9 @@ class AggregateDistance(DistanceFunction):
     def __post_init__(self):
         if not self.weights:
             raise ValueError("aggregate distance needs at least one attribute weight")
-        if any(w < 0 for _, w in self.weights):
-            raise ValueError("aggregate weights must be non-negative")
+        for name, w in self.weights:
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"aggregate weight of {name!r} must be finite and non-negative, got {w}")
 
     def rows(self, ctx, sources):
         if ctx.attrs is None:

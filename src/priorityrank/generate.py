@@ -24,7 +24,7 @@ import numpy as np
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import AttributeTable, Graph, symmetrize
 from .metrics import assortativity
-from .ranking import by_rejection, sample_shared, sample_sorted, sort_rows
+from .ranking import by_rejection, sample_shared, sample_sorted, sort_block
 from .stats import RngStream
 
 
@@ -77,7 +77,7 @@ _BLOCK_CELLS = 2**16
 
 def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
     """Heads and tails of the draws of ``sources`` from their distance rows,
-    sorted a block at a time by ``sort_rows``.
+    sorted a block at a time by ``sort_block``.
 
     ``positions`` holds ks slots for every source where ``by_rejection``
     holds, source after source.  Such a source whose row has no tied
@@ -94,22 +94,23 @@ def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
     for start in range(0, len(sources), block):
         stop = min(start + block, len(sources))
         block_sources = sources[start:stop]
-        perm, ordered, at = sort_rows(rows(block_sources), block_sources, order)
-        # the source's slot copies a neighbour: one equal pair, and no tie
-        tie_free = np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
         marked = direct[start:stop]
+        ranked = sort_block(rows(block_sources), block_sources, order, ~marked)
         owner = np.repeat(np.flatnonzero(marked), ks[block_sources[marked]])
         slots = positions[ends[stop - 1] - len(owner) : ends[stop - 1]]
-        use = tie_free[owner]
+        use = ranked.tie_free[owner]
         owner, slots = owner[use], slots[use]
         heads.append(block_sources[owner])
-        tails.append(perm[owner, slots + (slots >= at[owner])])
-        keyed = np.flatnonzero(~(marked & tie_free))
-        if len(keyed):
-            u = stream.generator.random((len(keyed), n))
-            keyed_ks = ks[block_sources[keyed]]
-            heads.append(np.repeat(block_sources[keyed], keyed_ks))
-            tails.append(sample_sorted(perm[keyed], ordered[keyed], at[keyed], keyed_ks, u))
+        tails.append(ranked.targets(owner, slots))
+        # every keyed row is among the rows held in full
+        keyed = ~(marked & ranked.tie_free)[ranked.rows]
+        if keyed.any():
+            chosen = ranked.rows[keyed]
+            u = stream.generator.random((len(chosen), n))
+            keyed_ks = ks[block_sources[chosen]]
+            heads.append(np.repeat(block_sources[chosen], keyed_ks))
+            perm, ordered, at = ranked.perm[keyed], ranked.ordered[keyed], ranked.at[keyed]
+            tails.append(sample_sorted(perm, ordered, at, keyed_ks, u))
     return heads, tails
 
 

@@ -5,14 +5,14 @@ every one of them comes from a single sweep per graph.  The sweep runs a
 chunk of sources at once, level by level, over flat ``row * n + v`` cell
 arrays and a CSR view of the arcs (the sparse-frontier BFS of Kepner &
 Gilbert); Brandes' dependency accumulation then walks the stored levels
-backwards.  A chunk holds as many sources as fit a byte budget at about
-32 * (n + m) bytes per source, the measured peak of a count-mode chunk;
-the sweep's cost is numpy calls per level, so fewer, larger chunks run
-faster.  Each chunk is reduced in the same pass to betweenness,
-closeness, farness, diameter and average path length.  Betweenness ships
-in two modes: ``count`` sums raw numbers of shortest paths passing through
-a vertex, ``fractional`` sums the usual pair dependencies
-sigma_st(v)/sigma_st.  Closeness ships as ``reciprocal`` (reachable-count-1
+backwards.  A chunk holds as many sources as fit a byte budget at the
+measured peak per source of its mode: about 32 * (n + m) bytes when it
+counts paths, 24 * (n + m) when it keeps distances only; the sweep's cost
+is numpy calls per level, so fewer, larger chunks run faster.  Each chunk
+is reduced in the same pass to betweenness, closeness, farness, diameter
+and average path length.  Betweenness ships in two modes: ``count`` sums
+raw numbers of shortest paths passing through a vertex, ``fractional``
+sums the usual pair dependencies sigma_st(v)/sigma_st.  Closeness ships as ``reciprocal`` (reachable-count-1
 over total distance) and ``farness`` (mean distance over the full vertex
 count).
 
@@ -38,13 +38,16 @@ import numpy as np
 
 from .graph import Graph, symmetrize
 
-# A chunk runs _CHUNK_BYTES // (32 * (n + m)) sources, at least one.  A
-# count-mode chunk peaks at about 32 * (n + m) bytes per source: tracemalloc
-# read 1.00-1.07 times that on ER, BA and DGM graphs (n=800-1095, 18-23
-# sources a chunk), and 1.55 times on a directed 600-cycle, whose hundreds
-# of stored levels each carry fixed per-array overhead.  A distances-only
-# chunk read 0.64-0.75 times.
+# A chunk runs _CHUNK_BYTES // (c * (n + m)) sources, at least one, where c
+# is the measured peak of a chunk in bytes per source and per vertex or arc.
+# A chunk that counts paths peaks at about c = 32: tracemalloc read
+# 1.00-1.07 times that on ER, BA and DGM graphs (n=800-1095, 18-23 sources
+# a chunk), and 1.55 times on a directed 600-cycle, whose hundreds of stored
+# levels each carry fixed per-array overhead.  A distances-only chunk, which
+# stores no levels, read 20-24 bytes on the same graphs, so c = 24 there.
 _CHUNK_BYTES = 2**22
+_SOURCE_BYTES = 32
+_DISTANCE_SOURCE_BYTES = 24
 _EXACT_LIMIT = 2.0**53
 
 CENTRALITY_KINDS = ("degree", "betweenness", "closeness", "pagerank")
@@ -54,8 +57,9 @@ class ConvergenceError(RuntimeError):
     """An iterative computation failed to reach its tolerance."""
 
 
-def _chunks(g: Graph) -> list[np.ndarray]:
-    size = max(1, _CHUNK_BYTES // max(32 * (g.n + g.arc_count), 1))
+def _chunks(g: Graph, mode: str | None) -> list[np.ndarray]:
+    per_source = _DISTANCE_SOURCE_BYTES if mode is None else _SOURCE_BYTES
+    size = max(1, _CHUNK_BYTES // max(per_source * (g.n + g.arc_count), 1))
     return [np.arange(lo, min(lo + size, g.n)) for lo in range(0, g.n, size)]
 
 
@@ -187,7 +191,7 @@ def path_sweep(g: Graph, mode: str | None) -> PathSweep:
     diam = 0
     total = 0
     count = 0
-    for sources in _chunks(g):
+    for sources in _chunks(g, mode):
         if mode is None:
             dist, _ = _frontier_sweep(csr, sources, None)
         else:

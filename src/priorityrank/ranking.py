@@ -9,7 +9,7 @@ P(position i) = 1 / (H_{n-1} * i) with H the harmonic number.
 
 Targets are drawn without replacement: each draw picks an entry with
 probability proportional to 1/rank among the entries left (successive
-sampling).  Three kernels draw from this law.
+sampling).  Three kernels draw from this law, from rows sorted as below.
 
 - ``sample_shared`` serves sources that all rank the targets by one vector.
   One stable argsort gives the tie groups, and two prefix sums over them
@@ -28,13 +28,27 @@ sampling).  Three kernels draw from this law.
   gets the exponential key ``rank * log(1 - u)`` from its own uniform u
   (Efraimidis and Spirakis, 2006), and the k largest keys, in descending
   order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
-  every key is finite.  ``sort_rows`` argsorts each row or, when the caller
-  passes a shared ``order`` hint (``DistanceFunction.order``), gathers the
-  rows in that order; the hint is validated per block, and a block in
-  which some row is not non-decreasing in it is argsorted instead, so the
-  draws are the same with or without the hint, and with a wrong one.
-  ``sample_rows`` is ``sort_rows`` then ``sample_sorted``.
+  every key is finite.  ``sample_rows`` is ``sort_rows`` then
+  ``sample_sorted``.
 - ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
+
+``sort_block`` sorts a block of per-source rows (``sort_rows`` returns it
+in full) with one value sort of packed keys.  A key is a distance's bit
+pattern, after ``+ 0.0`` turns -0.0 into +0.0, with its low
+``(n - 1).bit_length()`` bits replaced by the target id; the source's key
+is all ones, so it sorts last.  Finite non-negative floats order like their
+bit patterns, so a row whose sorted keys all differ above the id bits is
+strictly increasing in distance: tie-free, and sorted exactly.  Such a row
+reads its targets from its keys and never gathers a distance.  Every other
+row (true ties, distances that differ only in the id bits, and any row the
+caller needs in full) gathers its distances along the packed order, which
+puts tied targets by id, and must then be non-decreasing, as a hinted row
+must; a row that is not is argsorted.  Ties may come out in any order,
+since tied targets share a rank.  When the caller passes a shared ``order`` hint
+(``DistanceFunction.order``), the rows are gathered in that order instead;
+the hint is validated per block, and a block in which some row is not
+non-decreasing in it is sorted by packed keys, so the draws are the same
+with or without the hint, and with a wrong one.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -178,6 +192,23 @@ def _top_keys(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return picked[np.arange(top) < ks[:, None]]
 
 
+def _non_decreasing(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of ``ordered`` is non-decreasing."""
+    return (ordered[:, 1:] >= ordered[:, :-1]).all(axis=1)
+
+
+def _tie_free(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of ``sort_rows``'s ``ordered`` has no tied targets:
+    the source's slot copies a neighbour, so such a row has exactly one
+    pair of equal neighbours."""
+    return np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
+
+
+def _id_mask(n: int) -> int:
+    """The low bits of a packed key that hold a target id in [0, n)."""
+    return (1 << (n - 1).bit_length()) - 1
+
+
 def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
     """``sort_rows`` by argsorting each row; every source's slot is last."""
     b, n = distances.shape
@@ -206,9 +237,102 @@ def _rows_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray)
     ordered = distances[:, order]
     ordered[rows, at] = ordered[rows, np.where(at > 0, at - 1, 1)]
     _check_distances(ordered)
-    if not (ordered[:, 1:] >= ordered[:, :-1]).all():
+    if not _non_decreasing(ordered).all():
         return None
     return np.broadcast_to(order, (b, n)), ordered, at
+
+
+def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
+    """Every row's packed keys (see the module docstring), sorted, and
+    whether they differ above the id bits, which proves the row tie-free."""
+    b, n = distances.shape
+    rows = np.arange(b)
+    keys = distances + 0.0  # a copy, in which -0.0 reads +0.0
+    keys[rows, sources] = 0.0
+    _check_distances(keys)
+    keys = keys.view(np.uint64)
+    mask = np.uint64(_id_mask(n))
+    keys &= ~mask
+    keys |= np.arange(n, dtype=np.uint64)
+    keys[rows, sources] = np.iinfo(np.uint64).max
+    keys.sort(axis=1)
+    return keys, ~((keys[:, 1:-1] ^ keys[:, :-2]) <= mask).any(axis=1)
+
+
+def _rows_along_keys(distances: np.ndarray, sources: np.ndarray, keys: np.ndarray):
+    """``sort_rows`` in the order of sorted packed keys.  Ties among the
+    kept distance bits come out by id; a row that this leaves decreasing
+    (distances that differ only in the id bits) is argsorted."""
+    b, n = distances.shape
+    perm = keys.view(np.int64) & _id_mask(n)
+    perm[:, -1] = sources
+    ordered = np.take_along_axis(distances, perm, axis=1)
+    ordered[:, -1] = ordered[:, -2]
+    wrong = ~_non_decreasing(ordered)
+    if wrong.any():
+        perm[wrong], ordered[wrong], _ = _rows_by_sort(distances[wrong], sources[wrong])
+    return perm, ordered, np.full(b, n - 1)
+
+
+@dataclass(frozen=True)
+class SortedRows:
+    """A (b, n) block of distance rows that ``sort_block`` sorted.
+
+    ``tie_free[r]`` says whether row r's n - 1 targets hold no tie.  The
+    rows listed in ``rows`` are also held as ``sort_rows`` returns them, in
+    ``perm``, ``ordered`` and ``at``.  Row r of ``ids``, masked by ``mask``,
+    lists the vertices in sorted order, with the source in slot
+    ``source_slot[r]``.
+    """
+
+    tie_free: np.ndarray
+    rows: np.ndarray
+    perm: np.ndarray
+    ordered: np.ndarray
+    at: np.ndarray
+    ids: np.ndarray
+    mask: int
+    source_slot: np.ndarray
+
+    def targets(self, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The targets at ``slots`` of sorted rows ``rows``, counted without
+        the source."""
+        return self.ids[rows, slots + (slots >= self.source_slot[rows])] & self.mask
+
+
+def sort_block(distances, sources, order=None, need=None) -> SortedRows:
+    """Every row of a (b, n) block sorted by distance from its source, for
+    both ways of drawing from it.
+
+    The rows held in full are every row that ``need`` marks (all rows when
+    it is None) and every row whose packed keys do not prove it tie-free;
+    the other rows are never gathered.  A negative or non-finite distance
+    outside the sources' own entries raises ``ValueError``.
+
+    ``order``, if given, is a permutation of 0..n-1 expected to sort every
+    row: ``perm`` is then that permutation in every row.  If some row is not
+    non-decreasing in it, the block is sorted by packed keys instead, which
+    puts every source last.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.int64)
+    b, n = distances.shape
+    hinted = None
+    if order is not None:
+        hinted = _rows_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
+    if hinted is not None:
+        perm, ordered, at = hinted
+        return SortedRows(_tie_free(ordered), np.arange(b), perm, ordered, at, perm, -1, at)
+    if need is None:
+        need = np.ones(b, dtype=bool)
+    keys, tie_free = _rows_by_keys(distances, sources)
+    rows = np.flatnonzero(need | ~tie_free)
+    perm, ordered, at = _rows_along_keys(distances[rows], sources[rows], keys[rows])
+    tie_free[rows] = _tie_free(ordered)
+    # argsorted rows replace their keys; an id is at most the mask
+    ids = keys.view(np.int64)
+    ids[rows] = perm
+    return SortedRows(tie_free, rows, perm, ordered, at, ids, _id_mask(n), np.full(b, n - 1))
 
 
 def sort_rows(distances, sources, order=None):
@@ -219,21 +343,11 @@ def sort_rows(distances, sources, order=None):
     distances, and ``at[r]`` is the slot of the source itself.  That slot
     copies its neighbour's distance, so it neither breaks the order nor
     starts a tie group; a row whose n - 1 targets have no tie therefore has
-    exactly one pair of equal neighbours.  A negative or non-finite distance
-    outside the sources' own entries raises ``ValueError``.
-
-    ``order``, if given, is a permutation of 0..n-1 expected to sort every
-    row: ``perm`` is then that permutation in every row.  If some row is not
-    non-decreasing in it, the block is argsorted instead, which puts every
-    source last.
+    exactly one pair of equal neighbours.  ``order`` and the errors are those
+    of ``sort_block``.
     """
-    distances = np.asarray(distances, dtype=np.float64)
-    sources = np.asarray(sources, dtype=np.int64)
-    if order is not None:
-        hinted = _rows_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
-        if hinted is not None:
-            return hinted
-    return _rows_by_sort(distances, sources)
+    ranked = sort_block(distances, sources, order)
+    return ranked.perm, ranked.ordered, ranked.at
 
 
 def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:

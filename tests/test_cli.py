@@ -104,6 +104,29 @@ def test_malformed_distance_spec_is_data_error(tmp_path, capsys, doc, names):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight, names", [
+    ("NaN", ["NaN"]), ("Infinity", ["Infinity"]), ("-Infinity", ["-Infinity"]), ("1e999", ["'age'", "inf"]),
+])
+def test_non_finite_distance_spec_number_is_data_error(tmp_path, capsys, recwarn, weight, names):
+    # the JSON constants fail at parse time; a number too large for a
+    # double parses to inf and fails at the weight check; neither reaches
+    # the distance rows
+    attrs = tmp_path / "people.csv"
+    attrs.write_text(PEOPLE_CSV)
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
+        "--distance-spec", f'{{"kind": "aggregate", "weights": [["age", {weight}]]}}',
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert all(name in err for name in names), err
+    assert not out.exists()
+    assert not recwarn.list
+
+
 def test_long_inline_distance_spec_is_read_as_json(tmp_path, capsys):
     # longer than a file name may be, so it must never reach the file system
     spec = json.dumps({"kind": "aggregate", "weights": [["age", 1.0]] * 40})

@@ -160,6 +160,13 @@ def test_aggregate_mixed_kinds():
         AggregateDistance(weights=(("age", -1.0),))
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])
+def test_aggregate_weights_must_be_finite_and_non_negative(recwarn, weight):
+    with pytest.raises(ValueError, match="weight of 'age' must be finite and non-negative"):
+        AggregateDistance(weights=(("sex", 1.0), ("age", weight)))
+    assert not recwarn.list
+
+
 def test_hierarchical_mix():
     table = AttributeTable([AttributeColumn("x", "continuous", (0.0, 4.0, 8.0))])
     ctx = DistanceContext(attrs=table)

@@ -342,9 +342,10 @@ def test_pass_builds_constant_rng_streams(rng_streams):
 
 def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
     # at n=2000, a naive-Bayes pass sorts every row through its order hint
-    # and an aggregate pass argsorts every row, and neither draws a row by
-    # keys; the degree and random kinds draw from their shared distances
-    # and sort no rows
+    # and an aggregate pass sorts every row by packed keys, which prove
+    # every row tie-free, so it gathers and argsorts none; neither draws a
+    # row by keys; the degree and random kinds draw from their shared
+    # distances and sort no rows
     n = 2000
     attrs = mixed_attr(n, 7)
     reference = gen_erdos_renyi(n, 5 / n, seed=3)
@@ -354,12 +355,12 @@ def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
         (CentralityDistance(centrality="degree"), reference, None),
         (learned, None, "hinted"),
         (RandomDistance(), None, None),
-        (aggregate, None, "sorted"),
+        (aggregate, None, "packed"),
     ):
-        ranked_rows.update(hinted=0, sorted=0, keyed=0)
+        ranked_rows.update(hinted=0, packed=0, gathered=0, sorted=0, keyed=0)
         g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
         assert g.out_degrees.tolist() == [10] * n
-        expected = {"hinted": 0, "sorted": 0, "keyed": 0}
+        expected = {"hinted": 0, "packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
         if path:
             expected[path] = n
         assert ranked_rows == expected, spec.kind

@@ -407,6 +407,21 @@ def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks):
     assert peak < 1.15 * metrics._CHUNK_BYTES
 
 
+def test_distances_only_sweep_fills_its_own_chunk_budget(sweep_chunks):
+    g = gen_erdos_renyi(800, 0.01, seed=3)
+    g.csr
+    tracemalloc.start()
+    try:
+        metrics.path_sweep(g, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 34 chunks of up to 24 sources, not the 45 of a sweep that counts
+    # paths; the traced peak measured 0.90-0.92 of the budget on seeds 1-5
+    assert sweep_chunks == [24] * 33 + [8]
+    assert 0.8 * metrics._CHUNK_BYTES < peak < 1.15 * metrics._CHUNK_BYTES
+
+
 def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     monkeypatch, sweep_chunks
 ):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from priorityrank import ranking
+from priorityrank.generate import _row_draws
 from priorityrank.ranking import (
     build_local_ranking,
     by_rejection,
@@ -277,13 +278,14 @@ def shared_order_block():
 
 
 def test_order_hint_ranks_like_the_argsort():
-    # both paths of sort_rows list every row's targets in the order of the
-    # per-vertex ranking, up to ties, with the source in slot ``at``
+    # the three sorts of sort_rows list every row's targets in the order of
+    # the per-vertex ranking, up to ties, with the source in slot ``at``
     rows, sources, order = shared_order_block()
     n = rows.shape[1]
     hinted = ranking._rows_by_hint(rows, sources, order)
     assert hinted is not None
-    for perm, ordered, at in (hinted, ranking._rows_by_sort(rows, sources)):
+    packed = ranking.sort_rows(rows, sources)
+    for perm, ordered, at in (hinted, ranking._rows_by_sort(rows, sources), packed):
         for r, source in enumerate(sources.tolist()):
             assert perm[r, at[r]] == source
             ids = np.delete(perm[r], at[r])
@@ -291,11 +293,17 @@ def test_order_hint_ranks_like_the_argsort():
             expected = build_local_ranking(source, (ids, rows[r, ids])).distances
             assert np.delete(ordered[r], at[r]).tolist() == expected.tolist()
             assert rows[r, ids].tolist() == expected.tolist()
+    # packed keys break ties by id
+    for r in range(len(sources)):
+        groups = np.split(packed[0][r, :-1], np.flatnonzero(np.diff(packed[1][r, :-1])) + 1)
+        assert all((np.diff(group) > 0).all() for group in groups)
 
 
 def test_order_hint_never_changes_draws(ranked_rows):
     # a reversed or shuffled hint fails the per-row check, so the block is
-    # argsorted; every hint gives the draws of no hint
+    # sorted by packed keys; every hint gives the draws of no hint.  Each
+    # row has tied targets, so sort_rows gathers every packed row, and the
+    # ties come out by id, which leaves no row to argsort
     rows, sources, order = shared_order_block()
     b, n = rows.shape
     ks = np.array([1, 3, 9, 2, 5, 1])
@@ -306,7 +314,101 @@ def test_order_hint_never_changes_draws(ranked_rows):
         assert sample_rows(rows, sources, ks, u, order).tolist() == plain
         for hint in wrong:
             assert sample_rows(rows, sources, ks, u, hint).tolist() == plain
-    assert ranked_rows == {"hinted": 20 * b, "sorted": 20 * b * 3, "keyed": 20 * b * 4}
+    packed = 20 * b * 3
+    expected = {"hinted": 20 * b, "packed": packed, "gathered": packed, "sorted": 0, "keyed": 20 * b * 4}
+    assert ranked_rows == expected
+
+
+def packed_cases(n, b, seed):
+    """``b`` sources of n vertices and, by name, a (b, n) block of their
+    distance rows for each kind of row that the packed keys must sort like
+    an argsort.  A source's own entry is NaN, which the sampler ignores."""
+    gen = np.random.default_rng(seed)
+    sources = np.sort(gen.choice(n, size=min(b, n), replace=False))
+    rows = np.arange(len(sources))
+    shape = (len(sources), n)
+    bits = (n - 1).bit_length()
+    # one pair per row that differs only in the id bits, as a nextafter
+    # step or a flipped low bit, at random ids: the packed order puts about
+    # half of them the wrong way round
+    near = gen.random(shape)
+    i, j = gen.integers(0, n, (2, len(sources)))
+    step = np.nextafter(near[rows, i], np.inf)
+    low_bit = np.uint64(1) << gen.integers(0, bits, len(sources)).astype(np.uint64)
+    flipped = (near[rows, i].view(np.uint64) ^ low_bit).view(np.float64)
+    near[rows, j] = np.where(rows % 2 == 0, step, flipped)
+    # a +0.0 and a -0.0 tie; a lone -0.0 leaves a row tie-free
+    zeros = gen.random(shape)
+    zeros[rows, i] = -0.0
+    zeros[rows[::2], j[::2]] = 0.0
+    # subnormals, with ties, beside values near the largest double
+    extreme = np.where(
+        gen.random(shape) < 0.5,
+        gen.integers(0, 40, shape) * 5e-324,
+        1e308 * (1.0 - 1e-13 * gen.random(shape)),
+    )
+    cases = {
+        "continuous": gen.random(shape),
+        "integers": gen.integers(0, 4, shape).astype(np.float64),
+        "low_bits": near,
+        "signed_zeros": zeros,
+        "extreme": extreme,
+    }
+    for block in cases.values():
+        block[rows, sources] = np.nan
+    return sources, cases
+
+
+def argsorted_keys(distances, sources):
+    """A stand-in for the packed sort: the argsort's order in place of the
+    keys, and the tie check on the argsort's sorted values."""
+    perm, ordered, _ = ranking._rows_by_sort(distances, sources)
+    return perm.astype(np.uint64), np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
+
+
+def draws_of_rows(sources, block, seed):
+    """The targets that ``sample_rows`` and the generator's row draws take
+    from ``block``, the rows of ``sources``, and which rows are tie-free."""
+    n = block.shape[1]
+    gen = np.random.default_rng(seed)
+    small = gen.integers(1, max(2, (n - 1) // 4 + 1), n)
+    ks = np.where(gen.random(n) < 0.7, small, gen.integers(1, n, n))
+    direct = by_rejection(n, ks[sources])
+    slots = sample_shared(np.arange(n), np.full(direct.sum(), n - 1), ks[sources][direct], gen)
+    u = RngStream(seed).generator.random(block.shape)
+    keyed = sample_rows(block, sources, ks[sources], u)
+    heads, tails = _row_draws(
+        sources, ks, slots, lambda s: block[np.searchsorted(sources, s)], None, RngStream(seed)
+    )
+    tie_free = ranking.sort_block(block, sources).tie_free
+    return keyed.tolist(), np.concatenate(heads).tolist(), np.concatenate(tails).tolist(), tie_free.tolist()
+
+
+@pytest.mark.parametrize("n, b", [(2, 2), (9, 9), (64, 64), (1024, 24), (1025, 24)])
+def test_packed_keys_draw_like_the_argsort(monkeypatch, ranked_rows, n, b):
+    # the packed sort, with its tie check, gather and argsort fallback,
+    # gives the draws of an argsort of every row on rows that test its
+    # exactness argument, at the edges of the id bit width
+    tie_free, argsorted = {}, {}
+    for seed in range(20):
+        sources, cases = packed_cases(n, b, seed)
+        for name, block in cases.items():
+            ranked_rows["sorted"] = 0
+            packed = draws_of_rows(sources, block, seed)
+            argsorted[name] = argsorted.get(name, 0) + ranked_rows["sorted"]
+            tie_free.setdefault(name, set()).update(packed[3])
+            with monkeypatch.context() as patched:
+                patched.setattr(ranking, "_rows_by_keys", argsorted_keys)
+                assert draws_of_rows(sources, block, seed) == packed, (name, seed)
+    if n > 2:
+        # tie-free and tied rows where the case makes them; pairs that differ
+        # only in the id bits need the argsort, as do the near-1e308 values,
+        # which lie within a few thousand steps of each other
+        assert False in tie_free.pop("extreme")
+        assert tie_free == {"continuous": {True}, "integers": {False}, "low_bits": {True},
+                            "signed_zeros": {True, False}}
+        assert argsorted.pop("low_bits") > 0 and argsorted.pop("extreme") > 0
+    assert set(argsorted.values()) == {0}
 
 
 def test_sample_rows_rejects_a_hint_that_is_not_a_permutation():
