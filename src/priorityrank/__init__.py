@@ -75,7 +75,6 @@ from .recreate import (
 from .stats import (
     KsResult,
     RngStream,
-    draw,
     harmonic,
     harmonic_euler,
     ks_two_sample,

@@ -21,8 +21,8 @@ Every other kind defines ``rows`` and runs work that all sources share once
 per call.  If its rows all sort the targets the same way, but tie
 differently per source (linear regression, naive Bayes), ``order(ctx)``
 returns that permutation.  The order is only a hint: ``ranking.sort_rows``
-checks every row against it and argsorts any block with a row that is not
-non-decreasing in it, so correctness never depends on it.
+checks every row against it and sorts any block with a row that is not
+non-decreasing in it by packed keys, so correctness never depends on it.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
@@ -49,6 +49,12 @@ CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
 DEFAULT_EPS = 1e-6
 
 _VAR_FLOOR = 1e-9
+
+
+def _check_eps(eps: float) -> None:
+    # written so that NaN fails too
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 class DistanceContext:
@@ -83,6 +89,11 @@ class DistanceContext:
         self._features: dict = {}
         self._scores: dict = {}
 
+    @cached_property
+    def _profile(self) -> metrics.NetworkProfile:
+        # lazy: a kind pays only for the field it reads
+        return metrics.network_profile(self.reference)
+
     def centrality(self, kind: str) -> np.ndarray:
         if kind in self._centralities:
             return self._centralities[kind]
@@ -90,18 +101,9 @@ class DistanceContext:
             raise ValueError(
                 f"{kind} distance needs a reference graph or precomputed centralities"
             )
-        if kind == "degree":
-            vec = metrics.degree_centrality(self.reference, "total")
-        elif kind == "betweenness":
-            vec = metrics.betweenness_centrality(self.reference, "count")
-        elif kind == "closeness":
-            vec = metrics.closeness_centrality(self.reference, "reciprocal")
-        elif kind == "pagerank":
-            vec = metrics.pagerank_centrality(self.reference)
-        else:
+        if kind not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality kind {kind!r}")
-        self._centralities[kind] = vec
-        return vec
+        return getattr(self._profile, kind)
 
     def features(self, encoder: "FeatureEncoder") -> np.ndarray:
         mat = self._features.get(encoder)
@@ -144,7 +146,8 @@ class DistanceFunction:
     def order(self, ctx: DistanceContext) -> np.ndarray | None:
         """A permutation of the targets in which every row is non-decreasing
         up to rounding, or None when sources order targets differently.
-        A hint only: ``ranking.sort_rows`` checks each row against it."""
+        A hint only: ``ranking.sort_rows`` checks each row against it and
+        sorts a block that fails by packed keys."""
         return None
 
     def shared_distances(self, ctx: DistanceContext) -> np.ndarray | None:
@@ -195,8 +198,7 @@ class CentralityDistance(DistanceFunction):
     def __post_init__(self):
         if self.centrality not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality {self.centrality!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        _check_eps(self.eps)
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -590,6 +592,9 @@ class NaiveBayesDistance(DistanceFunction):
     encoder: FeatureEncoder = field(kw_only=True)  # after eps in the JSON form
     kind: ClassVar[str] = "naive_bayes"
     requires_attributes: ClassVar[bool] = True
+
+    def __post_init__(self):
+        _check_eps(self.eps)
 
     @cached_property
     def _params(self):

@@ -6,15 +6,14 @@ chunk of sources at once, level by level, over flat ``row * n + v`` cell
 arrays and a CSR view of the arcs (the sparse-frontier BFS of Kepner &
 Gilbert); Brandes' dependency accumulation then walks the stored levels
 backwards.  A chunk holds as many sources as fit a byte budget at the
-measured peak per source of its mode: about 32 * (n + m) bytes when it
-counts paths, 24 * (n + m) when it keeps distances only; the sweep's cost
-is numpy calls per level, so fewer, larger chunks run faster.  Each chunk
-is reduced in the same pass to betweenness, closeness, farness, diameter
-and average path length.  Betweenness ships in two modes: ``count`` sums
-raw numbers of shortest paths passing through a vertex, ``fractional``
-sums the usual pair dependencies sigma_st(v)/sigma_st.  Closeness ships as ``reciprocal`` (reachable-count-1
-over total distance) and ``farness`` (mean distance over the full vertex
-count).
+measured peak of about 32 * (n + m) bytes per source; the sweep's cost is
+numpy calls per level, so fewer, larger chunks run faster.  Each chunk is
+reduced in the same pass to betweenness, closeness, farness, diameter and
+average path length.  Betweenness ships in two modes: ``count`` sums raw
+numbers of shortest paths passing through a vertex, ``fractional`` sums
+the usual pair dependencies sigma_st(v)/sigma_st.  Closeness ships as
+``reciprocal`` (reachable-count-1 over total distance) and ``farness``
+(mean distance over the full vertex count).
 
 Count-mode betweenness is exact.  Path counts are integers, and float64
 sums of integers are exact below 2**53, so the result does not depend on
@@ -40,14 +39,12 @@ from .graph import Graph, symmetrize
 
 # A chunk runs _CHUNK_BYTES // (c * (n + m)) sources, at least one, where c
 # is the measured peak of a chunk in bytes per source and per vertex or arc.
-# A chunk that counts paths peaks at about c = 32: tracemalloc read
-# 1.00-1.07 times that on ER, BA and DGM graphs (n=800-1095, 18-23 sources
-# a chunk), and 1.55 times on a directed 600-cycle, whose hundreds of stored
-# levels each carry fixed per-array overhead.  A distances-only chunk, which
-# stores no levels, read 20-24 bytes on the same graphs, so c = 24 there.
+# A chunk peaks at about c = 32: tracemalloc read 1.00-1.07 times that on
+# ER, BA and DGM graphs (n=800-1095, 18-23 sources a chunk), and 1.55 times
+# on a directed 600-cycle, whose hundreds of stored levels each carry fixed
+# per-array overhead.
 _CHUNK_BYTES = 2**22
 _SOURCE_BYTES = 32
-_DISTANCE_SOURCE_BYTES = 24
 _EXACT_LIMIT = 2.0**53
 
 CENTRALITY_KINDS = ("degree", "betweenness", "closeness", "pagerank")
@@ -57,9 +54,8 @@ class ConvergenceError(RuntimeError):
     """An iterative computation failed to reach its tolerance."""
 
 
-def _chunks(g: Graph, mode: str | None) -> list[np.ndarray]:
-    per_source = _DISTANCE_SOURCE_BYTES if mode is None else _SOURCE_BYTES
-    size = max(1, _CHUNK_BYTES // max(per_source * (g.n + g.arc_count), 1))
+def _chunks(g: Graph) -> list[np.ndarray]:
+    size = max(1, _CHUNK_BYTES // max(_SOURCE_BYTES * (g.n + g.arc_count), 1))
     return [np.arange(lo, min(lo + size, g.n)) for lo in range(0, g.n, size)]
 
 
@@ -76,10 +72,10 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
     """Level-synchronous BFS from every vertex of ``sources`` at once.
 
     Returns the flat hop distances ``dist[row * n + v]`` from
-    ``sources[row]`` (-1 when unreachable) and, when ``dtype`` is given,
-    one record per level: its cell keys, their shortest-path counts (of
-    that dtype), and the arcs of the shortest-path DAG into the next level
-    as (parent, child) positions within the two levels.
+    ``sources[row]`` (-1 when unreachable) and one record per level: its
+    cell keys, their shortest-path counts (of ``dtype``), and the arcs of
+    the shortest-path DAG into the next level as (parent, child) positions
+    within the two levels.
     """
     starts, degrees, indices = csr
     n = len(starts)
@@ -88,7 +84,7 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
     slot = np.empty(cells, dtype=np.int64)  # position of a cell within its level
     keys = np.arange(len(sources)) * n + sources
     dist[keys] = 0
-    sigma = None if dtype is None else np.ones(len(keys), dtype=dtype)
+    sigma = np.ones(len(keys), dtype=dtype)
     levels = []
     depth = 0
     while keys.size:
@@ -106,11 +102,10 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
         following = child[slot[child] == ordinal]
         depth += 1
         dist[following] = depth
-        if dtype is not None:
-            slot[following] = np.arange(following.size)
-            child = slot[child]
-            levels.append((keys, sigma, parent, child))
-            sigma = _scatter(child, sigma[parent], following.size)
+        slot[following] = np.arange(following.size)
+        child = slot[child]
+        levels.append((keys, sigma, parent, child))
+        sigma = _scatter(child, sigma[parent], following.size)
         keys = following
     return dist, levels
 
@@ -176,12 +171,12 @@ class PathSweep:
     avg_path_length: float
 
 
-def path_sweep(g: Graph, mode: str | None) -> PathSweep:
+def _path_sweep(g: Graph, mode: str) -> PathSweep:
     """One chunked frontier sweep, reduced to every shortest-path quantity.
 
     ``mode`` selects the betweenness accumulation (``count`` or
-    ``fractional``); ``None`` counts no paths and leaves betweenness at zero.
-    A caller that needs several of these quantities runs the sweep once.
+    ``fractional``).  A caller that needs several of these quantities runs
+    the sweep once.
     """
     n = g.n
     csr = g.csr
@@ -191,16 +186,13 @@ def path_sweep(g: Graph, mode: str | None) -> PathSweep:
     diam = 0
     total = 0
     count = 0
-    for sources in _chunks(g, mode):
-        if mode is None:
-            dist, _ = _frontier_sweep(csr, sources, None)
-        else:
-            dist, levels = _frontier_sweep(csr, sources, np.float64)
+    for sources in _chunks(g):
+        dist, levels = _frontier_sweep(csr, sources, np.float64)
+        part = _chunk_betweenness(levels, n, mode)
+        if mode == "count" and not _exact(levels, part):
+            dist, levels = _frontier_sweep(csr, sources, object)
             part = _chunk_betweenness(levels, n, mode)
-            if mode == "count" and not _exact(levels, part):
-                dist, levels = _frontier_sweep(csr, sources, object)
-                part = _chunk_betweenness(levels, n, mode)
-            centrality = _add_counts(centrality, part) if mode == "count" else centrality + part
+        centrality = _add_counts(centrality, part) if mode == "count" else centrality + part
         rows = dist.reshape(len(sources), n)
         reached = rows > 0
         reach = reached.sum(axis=1)
@@ -230,7 +222,7 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
     """
     if mode not in ("count", "fractional"):
         raise ValueError(f"unknown betweenness mode {mode!r}")
-    return path_sweep(g, mode).betweenness
+    return _path_sweep(g, mode).betweenness
 
 
 def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
@@ -242,7 +234,7 @@ def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
     """
     if mode not in ("reciprocal", "farness"):
         raise ValueError(f"unknown closeness mode {mode!r}")
-    sweep = path_sweep(g, None)
+    sweep = _path_sweep(g, "count")
     return sweep.closeness if mode == "reciprocal" else sweep.farness
 
 
@@ -295,12 +287,12 @@ def pagerank_centrality(
 
 def diameter(g: Graph) -> int:
     """Longest shortest path over reachable ordered pairs; 0 if none."""
-    return path_sweep(g, None).diameter
+    return _path_sweep(g, "count").diameter
 
 
 def avg_path_length(g: Graph) -> float:
     """Mean shortest-path length over reachable ordered pairs; 0 if none."""
-    return path_sweep(g, None).avg_path_length
+    return _path_sweep(g, "count").avg_path_length
 
 
 def density(g: Graph) -> float:
@@ -397,7 +389,7 @@ class NetworkProfile:
 
     n = property(lambda self: self.graph.n)
     arc_count = property(lambda self: self.graph.arc_count)
-    _sweep = cached_property(lambda self: path_sweep(self.graph, "count"))
+    _sweep = cached_property(lambda self: _path_sweep(self.graph, "count"))
     diameter = property(lambda self: self._sweep.diameter)
     avg_path_length = property(lambda self: self._sweep.avg_path_length)
     betweenness = property(lambda self: self._sweep.betweenness)

@@ -118,35 +118,3 @@ class RngStream:
         """Draw a fresh 63-bit seed from this stream."""
         return int(self.generator.integers(0, 2**63))
 
-
-def draw(dist: tuple, rng: RngStream, size: int | None = None):
-    """Draw from a named distribution: ('normal', mu, sigma),
-    ('uniform', a, b), ('lognormal', mu, sigma), or ('exponential', rate).
-
-    Returns a float when size is None, else an ndarray of that length.
-    """
-    kind, *params = dist
-    gen = rng.generator
-    if kind == "normal":
-        mu, sigma = params
-        if not sigma > 0:
-            raise ValueError(f"normal needs sigma > 0, got {sigma}")
-        out = gen.normal(mu, sigma, size=size)
-    elif kind == "uniform":
-        a, b = params
-        if not a < b:
-            raise ValueError(f"uniform needs a < b, got ({a}, {b})")
-        out = gen.uniform(a, b, size=size)
-    elif kind == "lognormal":
-        mu, sigma = params
-        if not sigma > 0:
-            raise ValueError(f"lognormal needs sigma > 0, got {sigma}")
-        out = gen.lognormal(mu, sigma, size=size)
-    elif kind == "exponential":
-        (rate,) = params
-        if not rate > 0:
-            raise ValueError(f"exponential needs rate > 0, got {rate}")
-        out = gen.exponential(1.0 / rate, size=size)
-    else:
-        raise ValueError(f"unknown distribution {kind!r}")
-    return float(out) if size is None else out

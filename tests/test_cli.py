@@ -1,12 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
-from priorityrank.distance import DistanceContext, spec_from_json_dict
-from priorityrank.graph import load_attributes, load_edge_list
+from priorityrank.distance import (
+    DistanceContext,
+    build_training_set,
+    fit_naive_bayes_distance,
+    spec_from_json_dict,
+)
+from priorityrank.graph import Graph, load_attributes, load_edge_list
 from priorityrank.ranking import build_local_ranking
 
 PEOPLE_CSV = (
@@ -123,6 +129,40 @@ def test_non_finite_distance_spec_number_is_data_error(tmp_path, capsys, recwarn
     assert code == 2
     assert err.startswith("data error: ")
     assert all(name in err for name in names), err
+    assert not out.exists()
+    assert not recwarn.list
+
+
+def _naive_bayes_spec(attrs, eps: str) -> str:
+    """A naive-Bayes spec fitted on a 5-cycle of ``attrs``, with ``eps``
+    spliced in as a raw JSON number."""
+    cycle = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    ts = build_training_set(cycle, attrs, negative_ratio=math.inf)
+    doc = fit_naive_bayes_distance(ts).to_json_dict()
+    doc["eps"] = "EPS"
+    return json.dumps(doc).replace('"EPS"', eps)
+
+
+@pytest.mark.parametrize("kind, eps", [
+    ("degree", "1e999"), ("naive_bayes", "1e999"), ("naive_bayes", "0"), ("naive_bayes", "-1"),
+])
+def test_eps_that_is_not_finite_and_positive_is_data_error(tmp_path, capsys, recwarn, kind, eps):
+    # 1e999 parses to inf, which would make every distance equal
+    attrs = tmp_path / "people.csv"
+    attrs.write_text(PEOPLE_CSV)
+    if kind == "degree":
+        spec = f'{{"kind": "degree", "eps": {eps}}}'
+    else:
+        spec = _naive_bayes_spec(load_attributes(PEOPLE_CSV), eps)
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
+        "--distance-spec", spec, "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert "eps must be positive" in err, err
     assert not out.exists()
     assert not recwarn.list
 

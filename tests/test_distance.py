@@ -27,6 +27,7 @@ from priorityrank.distance import (
 )
 from priorityrank.generate import gen_barabasi_albert
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph
+from priorityrank.metrics import CENTRALITY_KINDS, network_profile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
@@ -87,6 +88,25 @@ def test_centrality_distance_source_independent():
         for j in range(1, 12):
             vals = {spec.evaluate(ctx, i, j) for i in range(12) if i != j}
             assert len(vals) == 1
+
+
+def test_context_sweeps_its_reference_once(bfs_calls):
+    g = gen_barabasi_albert(60, 2, seed=5)
+    ctx = DistanceContext(reference=g)
+    ctx.centrality("betweenness")
+    ctx.centrality("closeness")
+    assert sorted(bfs_calls) == list(range(g.n))
+    expected = network_profile(g).centralities()
+    for kind in CENTRALITY_KINDS:
+        assert np.array_equal(ctx.centrality(kind), expected[kind])
+
+
+def test_context_rejects_unknown_kind_and_missing_reference(bfs_calls):
+    with pytest.raises(ValueError, match="unknown centrality kind 'eigen'"):
+        DistanceContext(reference=gen_barabasi_albert(10, 2, seed=1)).centrality("eigen")
+    with pytest.raises(ValueError, match="needs a reference graph or precomputed centralities"):
+        DistanceContext(n=10).centrality("degree")
+    assert bfs_calls == []
 
 
 def test_degree_distance_orders_by_descending_degree():

@@ -106,6 +106,18 @@ def test_priority_rank_centrality_kind_reference_and_bootstrap():
     assert scratch.out_degrees.tolist() == [3] * 25
 
 
+def test_degree_kind_reads_its_reference_without_a_sweep_or_pagerank(bfs_calls, profile_calls):
+    # the context's reference profile is lazy: the degree kind reads the
+    # degrees alone, never the path sweep or pagerank of the reference
+    src = gen_barabasi_albert(200, 3, seed=2)
+    spec = CentralityDistance(centrality="degree")
+    g = priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, reference=src)
+    assert bfs_calls == []
+    assert profile_calls["pagerank_centrality"] == []
+    cents = {"degree": degree_centrality(src, "total")}
+    assert g == priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, centralities=cents)
+
+
 def test_degree_spec_resample_clamps_with_warning():
     spec = DegreeSpec.resample([9, 9, 9, 9])
     with pytest.warns(UserWarning, match="clamped"):

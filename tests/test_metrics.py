@@ -392,12 +392,13 @@ def test_directed_cycle_matches_closed_forms(monkeypatch, sweep_chunks, budget, 
     assert sweep_chunks == sizes + sizes
 
 
-def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks):
+@pytest.mark.parametrize("measure", [betweenness_centrality, closeness_centrality, diameter])
+def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, measure):
     g = gen_erdos_renyi(800, 0.01, seed=3)
     g.csr  # built once per graph, outside the sweep
     tracemalloc.start()
     try:
-        metrics.path_sweep(g, "count")
+        measure(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,21 +406,6 @@ def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks):
     # the budget on seeds 1-5, so 15% slack
     assert sweep_chunks == [18] * 44 + [8]
     assert peak < 1.15 * metrics._CHUNK_BYTES
-
-
-def test_distances_only_sweep_fills_its_own_chunk_budget(sweep_chunks):
-    g = gen_erdos_renyi(800, 0.01, seed=3)
-    g.csr
-    tracemalloc.start()
-    try:
-        metrics.path_sweep(g, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 34 chunks of up to 24 sources, not the 45 of a sweep that counts
-    # paths; the traced peak measured 0.90-0.92 of the budget on seeds 1-5
-    assert sweep_chunks == [24] * 33 + [8]
-    assert 0.8 * metrics._CHUNK_BYTES < peak < 1.15 * metrics._CHUNK_BYTES
 
 
 def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
@@ -433,7 +419,7 @@ def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     assert network_profile(g).to_json_dict() == default
     assert sweep_chunks == [1] * g.n
     sweep_chunks.clear()
-    metrics.path_sweep(Graph(0), "count")  # its values: test_path_metrics_edge_cases
+    diameter(Graph(0))  # its values: test_path_metrics_edge_cases
     assert sweep_chunks == []
 
 

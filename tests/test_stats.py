@@ -5,7 +5,6 @@ import pytest
 
 from priorityrank.stats import (
     RngStream,
-    draw,
     harmonic,
     harmonic_euler,
     ks_two_sample,
@@ -96,33 +95,3 @@ def test_rng_stream_determinism():
     assert not np.array_equal(a, c)
     assert RngStream(42).child(1, 2).path == (1, 2)
 
-
-def test_draw_determinism_first_100():
-    d1 = [draw(("normal", 0, 1), RngStream(9, (4,)).child(0)) for _ in range(1)]
-    s1 = draw(("normal", 0, 1), RngStream(9, (4, 0)), size=100)
-    s2 = draw(("normal", 0, 1), RngStream(9, (4, 0)), size=100)
-    assert np.array_equal(s1, s2)
-    assert d1[0] == s1[0]
-
-
-def test_draw_law_of_large_numbers():
-    u = draw(("uniform", 0.0, 1.0), RngStream(100), size=10**6)
-    assert abs(float(u.mean()) - 0.5) < 0.002
-    e = draw(("exponential", 1.0), RngStream(101), size=10**6)
-    assert abs(float(e.mean()) - 1.0) < 0.01
-
-
-def test_draw_validates_parameters():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        draw(("normal", 0.0, 0.0), rng)
-    with pytest.raises(ValueError):
-        draw(("uniform", 1.0, 1.0), rng)
-    with pytest.raises(ValueError):
-        draw(("exponential", -1.0), rng)
-    with pytest.raises(ValueError):
-        draw(("cauchy", 1.0), rng)
-    # NaN scales fail the check as well as non-positive ones
-    for dist in (("normal", 0.0, math.nan), ("lognormal", 0.0, math.nan), ("exponential", math.nan)):
-        with pytest.raises(ValueError, match="> 0"):
-            draw(dist, rng)
