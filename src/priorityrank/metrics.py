@@ -171,7 +171,7 @@ class PathSweep:
     avg_path_length: float
 
 
-def _path_sweep(g: Graph, mode: str) -> PathSweep:
+def path_sweep(g: Graph, mode: str) -> PathSweep:
     """One chunked frontier sweep, reduced to every shortest-path quantity.
 
     ``mode`` selects the betweenness accumulation (``count`` or
@@ -222,7 +222,7 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
     """
     if mode not in ("count", "fractional"):
         raise ValueError(f"unknown betweenness mode {mode!r}")
-    return _path_sweep(g, mode).betweenness
+    return path_sweep(g, mode).betweenness
 
 
 def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
@@ -234,7 +234,7 @@ def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
     """
     if mode not in ("reciprocal", "farness"):
         raise ValueError(f"unknown closeness mode {mode!r}")
-    sweep = _path_sweep(g, "count")
+    sweep = path_sweep(g, "count")
     return sweep.closeness if mode == "reciprocal" else sweep.farness
 
 
@@ -287,12 +287,12 @@ def pagerank_centrality(
 
 def diameter(g: Graph) -> int:
     """Longest shortest path over reachable ordered pairs; 0 if none."""
-    return _path_sweep(g, "count").diameter
+    return path_sweep(g, "count").diameter
 
 
 def avg_path_length(g: Graph) -> float:
     """Mean shortest-path length over reachable ordered pairs; 0 if none."""
-    return _path_sweep(g, "count").avg_path_length
+    return path_sweep(g, "count").avg_path_length
 
 
 def density(g: Graph) -> float:
@@ -389,7 +389,7 @@ class NetworkProfile:
 
     n = property(lambda self: self.graph.n)
     arc_count = property(lambda self: self.graph.arc_count)
-    _sweep = cached_property(lambda self: _path_sweep(self.graph, "count"))
+    _sweep = cached_property(lambda self: path_sweep(self.graph, "count"))
     diameter = property(lambda self: self._sweep.diameter)
     avg_path_length = property(lambda self: self._sweep.avg_path_length)
     betweenness = property(lambda self: self._sweep.betweenness)
