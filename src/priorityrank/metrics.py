@@ -37,14 +37,12 @@ import numpy as np
 
 from .graph import Graph, symmetrize
 
-# A chunk runs _CHUNK_BYTES // (c * (n + m)) sources, at least one, where c
-# is the measured peak of a chunk in bytes per source and per vertex or arc.
-# A chunk peaks at about c = 32: tracemalloc read 1.00-1.07 times that on
-# ER, BA and DGM graphs (n=800-1095, 18-23 sources a chunk), and 1.55 times
-# on a directed 600-cycle, whose hundreds of stored levels each carry fixed
-# per-array overhead.
+# A chunk runs _CHUNK_BYTES // (_VERTEX_BYTES * n + _ARC_BYTES * m) sources,
+# at least one: the measured peak of a chunk in bytes per source, per vertex
+# and per arc.  See the module docstring for what the two terms hold.
 _CHUNK_BYTES = 2**22
-_SOURCE_BYTES = 32
+_VERTEX_BYTES = 32
+_ARC_BYTES = 8
 _EXACT_LIMIT = 2.0**53
 
 CENTRALITY_KINDS = ("degree", "betweenness", "closeness", "pagerank")
@@ -55,97 +53,107 @@ class ConvergenceError(RuntimeError):
 
 
 def _chunks(g: Graph) -> list[np.ndarray]:
-    size = max(1, _CHUNK_BYTES // max(_SOURCE_BYTES * (g.n + g.arc_count), 1))
+    per_source = _VERTEX_BYTES * g.n + _ARC_BYTES * g.arc_count
+    size = max(1, _CHUNK_BYTES // max(per_source, 1))
     return [np.arange(lo, min(lo + size, g.n)) for lo in range(0, g.n, size)]
-
-
-def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum ``weights`` into ``size`` bins; exact Python ints for object arrays."""
-    if weights.dtype == object:
-        out = np.zeros(size, dtype=object)
-        np.add.at(out, index, weights)
-        return out
-    return np.bincount(index, weights=weights, minlength=size)
 
 
 def _frontier_sweep(csr, sources: np.ndarray, dtype):
     """Level-synchronous BFS from every vertex of ``sources`` at once.
 
-    Returns the flat hop distances ``dist[row * n + v]`` from
-    ``sources[row]`` (-1 when unreachable) and one record per level: its
-    cell keys, their shortest-path counts (of ``dtype``), and the arcs of
-    the shortest-path DAG into the next level as (parent, child) positions
-    within the two levels.
+    Cell ``v * b + row`` is vertex v seen from ``sources[row]``, for the
+    chunk's b sources.  Each level expands the arcs of every vertex that is
+    in some row's frontier once, tests all b rows of an arc with one AND of
+    its tail's frontier row and its head's unvisited row, and keeps only the
+    arcs of the shortest-path DAGs.
+
+    Returns the flat shortest-path counts ``sigma`` (of ``dtype``), each
+    level's DAG arcs as (parent, child) cell arrays, and per row the number
+    of vertices reached and their total distance.
     """
-    starts, degrees, indices = csr
-    n = len(starts)
-    cells = len(sources) * n
-    dist = np.full(cells, -1, dtype=np.int64)
-    slot = np.empty(cells, dtype=np.int64)  # position of a cell within its level
-    keys = np.arange(len(sources)) * n + sources
-    dist[keys] = 0
-    sigma = np.ones(len(keys), dtype=dtype)
+    starts, degrees, heads = csr
+    n, b = len(starts), len(sources)
+    cells = sources * b + np.arange(b)  # the cells of the frontier
+    front = np.zeros(n * b, dtype=bool)
+    front[cells] = True
+    unvisited = ~front
+    front_rows, unvisited_rows = front.reshape(n, b), unvisited.reshape(n, b)
+    depth = np.zeros(n * b, dtype=np.min_scalar_type(n))
+    sigma = np.zeros(n * b, dtype=dtype)
+    sigma[cells] = 1
+    slot = np.zeros(n, dtype=np.int64)
     levels = []
-    depth = 0
-    while keys.size:
-        v = keys % n
-        deg = degrees[v]
-        parent = np.repeat(np.arange(keys.size), deg)
-        # each expanded pair's arc: its parent's first arc plus its rank there
-        arc = np.arange(parent.size) + (starts[v] - np.cumsum(deg) + deg)[parent]
-        child = (keys - v)[parent] + indices[arc]
-        fresh = dist[child] < 0
-        parent, child = parent[fresh], child[fresh]
-        # one position per distinct child, whichever duplicate's write lands
-        ordinal = np.arange(child.size)
-        slot[child] = ordinal
-        following = child[slot[child] == ordinal]
-        depth += 1
-        dist[following] = depth
-        slot[following] = np.arange(following.size)
-        child = slot[child]
-        levels.append((keys, sigma, parent, child))
-        sigma = _scatter(child, sigma[parent], following.size)
-        keys = following
-    return dist, levels
+    frontier = sources
+    while True:
+        deg = degrees[frontier]
+        tails = np.repeat(frontier, deg)
+        pair = np.arange(tails.size)
+        # each expanded arc: its tail's first arc plus its rank there
+        ends = heads[pair + np.repeat(starts[frontier] - np.cumsum(deg) + deg, deg)]
+        hit = front_rows.take(tails, axis=0)
+        hit &= unvisited_rows.take(ends, axis=0)
+        cell = hit.ravel().nonzero()[0]  # pair * b + row
+        if not cell.size:
+            break
+        hit_pair = cell // b
+        # hit (pair, row) is the DAG arc from cell tail * b + row to end * b + row
+        parent = ((tails - pair) * b)[hit_pair]
+        parent += cell
+        child = ((ends - pair) * b)[hit_pair]
+        child += cell
+        ends = ends[hit_pair]
+        del hit, cell, hit_pair  # the level's peak comes next
+        np.add.at(sigma, child, sigma[parent])
+        levels.append((parent, child))
+        front[cells] = False
+        front[child] = True
+        unvisited[child] = False
+        depth[child] = len(levels)
+        cells = child
+        # the next frontier: each end once, where its last write lands
+        pair = np.arange(ends.size)
+        slot[ends] = pair
+        frontier = ends[slot[ends] == pair]
+    depth = depth.reshape(n, b)
+    return sigma, levels, np.count_nonzero(depth, axis=0), depth.sum(axis=0, dtype=np.int64)
 
 
-def _exact(levels, *sums: np.ndarray) -> bool:
-    """Whether every path count and every sum is below 2**53, where float64
-    still holds integers exactly."""
-    arrays = [sigma for _, sigma, _, _ in levels] + list(sums)
-    return all(not a.size or a.max() < _EXACT_LIMIT for a in arrays)
+def _exact(a: np.ndarray) -> bool:
+    """Whether every value is below 2**53, where float64 still holds
+    integers exactly."""
+    return not a.size or a.max() < _EXACT_LIMIT
 
 
-def _chunk_betweenness(levels, n: int, mode: str) -> np.ndarray:
-    """Brandes' accumulation over the stored levels, deepest first, summed
-    over the chunk's sources."""
-    dtype = levels[0][1].dtype
-    acc = next_sigma = np.zeros(0, dtype=dtype)
-    cells = [np.zeros(0, dtype=np.int64)]
-    through = [np.zeros(0, dtype=dtype)]
-    for depth in range(len(levels) - 1, -1, -1):
-        keys, sigma, parent, child = levels[depth]
-        if mode == "count":
-            # acc counts shortest-path continuations below a cell; sigma * acc
-            # is the number of paths from the source through it.
-            acc = _scatter(parent, (acc + 1)[child], keys.size)
-            paths = sigma * acc
-        else:
-            acc = sigma * _scatter(parent, ((1.0 + acc) / next_sigma)[child], keys.size)
-            paths = acc
-        next_sigma = sigma
-        if depth:
-            cells.append(keys)
-            through.append(paths)
-    return _scatter(np.concatenate(cells) % n, np.concatenate(through), n)
+def _chunk_paths(csr, sources: np.ndarray, dtype, mode: str):
+    """One chunk's sweep, then Brandes' accumulation backwards over its
+    stored DAG arcs, deepest level first.
+
+    ``acc[v]`` sums ``acc[w] + step[w]`` over v's DAG children w, and
+    ``sigma[v] * acc[v]`` is what the source's paths through v contribute:
+    with a step of 1 it counts the shortest-path continuations below v
+    (count mode), with ``1 / sigma[w]`` it is Brandes' dependency.
+
+    Returns the betweenness summed over the chunk's sources, per source the
+    number of vertices reached and their total distance, and the depth.
+    """
+    sigma, levels, reach, total = _frontier_sweep(csr, sources, dtype)
+    depth = len(levels)
+    acc = np.zeros_like(sigma)
+    while levels:  # each level is freed once accumulated
+        parent, child = levels.pop()
+        step = 1 if mode == "count" else 1.0 / sigma[child]
+        np.add.at(acc, parent, acc[child] + step)
+    acc *= sigma
+    through = acc.reshape(-1, len(sources))
+    through[sources, np.arange(len(sources))] = 0  # a source is no pair's interior
+    return through.sum(axis=1), reach, total, depth
 
 
 def _add_counts(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     """``total + part`` for count betweenness; Python ints once either
     operand holds them or a sum reaches 2**53."""
     summed = total + part
-    if summed.dtype == object or not _exact((), summed):
+    if summed.dtype == object or not _exact(summed):
         summed = np.array([int(a) + int(b) for a, b in zip(total, part)], dtype=object)
     return summed
 
@@ -178,6 +186,8 @@ def path_sweep(g: Graph, mode: str) -> PathSweep:
     ``fractional``).  A caller that needs several of these quantities runs
     the sweep once.
     """
+    if mode not in ("count", "fractional"):
+        raise ValueError(f"unknown betweenness mode {mode!r}")
     n = g.n
     csr = g.csr
     centrality = np.zeros(n)
@@ -187,21 +197,17 @@ def path_sweep(g: Graph, mode: str) -> PathSweep:
     total = 0
     count = 0
     for sources in _chunks(g):
-        dist, levels = _frontier_sweep(csr, sources, np.float64)
-        part = _chunk_betweenness(levels, n, mode)
-        if mode == "count" and not _exact(levels, part):
-            dist, levels = _frontier_sweep(csr, sources, object)
-            part = _chunk_betweenness(levels, n, mode)
+        part, reach, row_total, depth = _chunk_paths(csr, sources, np.float64, mode)
+        # a count below 2**53 is exact, and so are the path counts and
+        # continuations whose products and sums it bounds
+        if mode == "count" and not _exact(part):
+            part = _chunk_paths(csr, sources, object, mode)[0]
         centrality = _add_counts(centrality, part) if mode == "count" else centrality + part
-        rows = dist.reshape(len(sources), n)
-        reached = rows > 0
-        reach = reached.sum(axis=1)
-        row_total = np.where(reached, rows, 0).sum(axis=1)
         closeness[sources] = np.divide(
             reach, row_total, out=np.zeros(len(sources)), where=row_total > 0
         )
         farness[sources] = row_total / n
-        diam = max(diam, int(rows.max()))
+        diam = max(diam, depth)
         total += int(row_total.sum())
         count += int(reach.sum())
     return PathSweep(
@@ -220,8 +226,6 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
     shortest s->t paths passing through v.  ``fractional``: the standard
     pair-dependency sum sigma_st(v) / sigma_st.
     """
-    if mode not in ("count", "fractional"):
-        raise ValueError(f"unknown betweenness mode {mode!r}")
     return path_sweep(g, mode).betweenness
 
 

@@ -65,6 +65,12 @@ def test_betweenness_examples():
         betweenness_centrality(path3(), "weird")
 
 
+def test_path_sweep_rejects_an_unknown_mode():
+    for sweep in (metrics.path_sweep, betweenness_centrality):
+        with pytest.raises(ValueError, match="unknown betweenness mode 'bogus'"):
+            sweep(path3(), "bogus")
+
+
 def test_betweenness_matches_enumeration_small():
     gen = np.random.default_rng(17)
     for _ in range(50):
@@ -352,6 +358,51 @@ def test_path_metrics_edge_cases(monkeypatch, budget, name):
     assert frac.tolist() == pytest.approx([float(x) for x in betweenness_fractional_oracle(g)])
 
 
+def differential_family() -> dict[str, Graph]:
+    """Small digraphs of every shape the sweep must handle, from one seed."""
+    gen = np.random.default_rng(29)
+    family = {f"er_p{p}": random_digraph(gen, 11, p) for p in (0, 0.05, 0.3, 1)}
+    family["in_star"] = Graph(7, [(i, 0) for i in range(1, 7)])
+    family["out_star"] = Graph(7, [(0, i) for i in range(1, 7)])
+    # an acyclic part with a shortcut beside a strongly connected one
+    left = random_digraph(gen, 5, 0.5)
+    family["two_components"] = Graph(
+        10, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)] + [(i + 5, j + 5) for i, j in left.arcs]
+    )
+    # vertex 7 has no out-arcs; every other vertex reaches it
+    ring = [(v, (v + 1) % 7) for v in range(7)]
+    family["sink"] = Graph(8, ring + [(2, 7), (5, 7)] + list(random_digraph(gen, 7, 0.2).arcs))
+    family["n1"] = Graph(1)
+    family["n2"] = Graph(2, [(0, 1)])
+    return family
+
+
+DIFFERENTIAL = differential_family()
+
+
+@CHUNK_BYTES
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_path_sweep_matches_oracles(monkeypatch, budget, name):
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+    g = DIFFERENTIAL[name]
+    count = metrics.path_sweep(g, "count")
+    assert count.betweenness.tolist() == betweenness_count_brandes(g)
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.arcs)
+    rows = dict(nx.all_pairs_shortest_path_length(G))
+    rows = [[d for d in rows[s].values() if d > 0] for s in range(g.n)]
+    lengths = [d for row in rows for d in row]
+    assert count.closeness.tolist() == [len(row) / sum(row) if row else 0.0 for row in rows]
+    assert count.farness.tolist() == [sum(row) / g.n for row in rows]
+    assert count.diameter == max(lengths, default=0)
+    assert count.avg_path_length == (sum(lengths) / len(lengths) if lengths else 0.0)
+    fractional = metrics.path_sweep(g, "fractional").betweenness
+    oracle = betweenness_fractional_oracle(g)
+    assert all(abs(x - float(y)) < 1e-12 for x, y in zip(fractional, oracle, strict=True))
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -387,14 +438,40 @@ def test_directed_cycle_matches_closed_forms(monkeypatch, sweep_chunks, budget, 
     through = [(n - 1) * (n - 2) / 2] * n
     assert prof.betweenness.tolist() == through
     assert betweenness_centrality(g, "fractional").tolist() == through
-    # the default budget holds 109 sources of the 600-cycle, in 6 chunks a sweep
-    sizes = [1] * n if budget == 1 else [109] * 5 + [55]
+    # the default budget holds 174 sources of the 600-cycle, in 4 chunks a sweep
+    sizes = [1] * n if budget == 1 else [174] * 3 + [78]
     assert sweep_chunks == sizes + sizes
 
 
+# one source per chunk runs n - 1 - s levels from source s, so its path is shorter
+@pytest.mark.parametrize(
+    "budget, n", [(1, 200), (metrics._CHUNK_BYTES, 1000)], ids=["one_source", "default"]
+)
+def test_directed_path_matches_closed_forms(monkeypatch, budget, n):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    prof = network_profile(g)
+    # vertex i is interior to the one path s -> t exactly when s < i < t
+    assert prof.betweenness.tolist() == [i * (n - 1 - i) for i in range(n)]
+    assert prof.diameter == n - 1
+    # sum over d of d * (n - d) ordered pairs at distance d, over n(n - 1)/2 pairs
+    assert prof.avg_path_length == (n + 1) / 3
+    # vertex i reaches the k = n - 1 - i vertices after it, at hops 1..k
+    ahead = [n - 1 - i for i in range(n)]
+    assert prof.closeness.tolist() == [2 / (k + 1) if k else 0.0 for k in ahead]
+    assert prof.closeness_farness.tolist() == [k * (k + 1) / 2 / n for k in ahead]
+
+
 @pytest.mark.parametrize("measure", [betweenness_centrality, closeness_centrality, diameter])
-def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, measure):
-    g = gen_erdos_renyi(800, 0.01, seed=3)
+@pytest.mark.parametrize(
+    "g, sizes",
+    [
+        (gen_erdos_renyi(800, 0.01, seed=3), [55] * 14 + [30]),
+        (Graph(600, [(v, (v + 1) % 600) for v in range(600)]), [174] * 3 + [78]),
+    ],
+    ids=["er", "cycle"],
+)
+def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, measure, g, sizes):
     g.csr  # built once per graph, outside the sweep
     tracemalloc.start()
     try:
@@ -402,9 +479,10 @@ def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, measure):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 45 chunks of up to 18 sources; the traced peak measured 0.99-1.01 of
-    # the budget on seeds 1-5, so 15% slack
-    assert sweep_chunks == [18] * 44 + [8]
+    # the traced peak measured PEAK_ER of the budget on ER seeds 1-5 and
+    # PEAK_CYCLE on the 600-cycle, whose levels are one arc a source each;
+    # so 15% slack
+    assert sweep_chunks == sizes
     assert peak < 1.15 * metrics._CHUNK_BYTES
 
 
@@ -414,8 +492,8 @@ def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     g = gen_barabasi_albert(40, 2, seed=4)
     default = network_profile(g).to_json_dict()
     sweep_chunks.clear()
-    # one source needs 32 * (n + m) bytes, one more than this budget
-    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 32 * (g.n + g.arc_count) - 1)
+    # one source needs 32 * n + 8 * m bytes, one more than this budget
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 32 * g.n + 8 * g.arc_count - 1)
     assert network_profile(g).to_json_dict() == default
     assert sweep_chunks == [1] * g.n
     sweep_chunks.clear()
