@@ -2,12 +2,17 @@
 
 All shortest-path quantities are unweighted (hop counts) and directed, and
 every one of them comes from a single sweep per graph.  The sweep runs a
-chunk of sources at once, level by level, over flat ``row * n + v`` cell
-arrays and a CSR view of the arcs (the sparse-frontier BFS of Kepner &
-Gilbert); Brandes' dependency accumulation then walks the stored levels
-backwards.  A chunk holds as many sources as fit a byte budget at the
-measured peak of about 32 * (n + m) bytes per source; the sweep's cost is
-numpy calls per level, so fewer, larger chunks run faster.  Each chunk is
+chunk of b sources at once, level by level, over vertex-major cells
+``v * b + row`` (vertex v as seen from the row's source) and a CSR view of
+the arcs.  Each level expands the arcs of every vertex that is in some
+row's frontier once, and tests all b rows of an arc with one comparison of
+two byte rows: the tail's cell is visited and the head's is not.  This is
+the shared frontier of multi-source BFS (Then et al., VLDB 2014) with a
+byte per source instead of a bit.  The arc visits are those of one BFS per
+source; the saving is in the numpy passes per visit.  Only the arcs of the
+shortest-path DAGs are kept, as (parent, child) cell arrays.  Path counts
+are scattered along them with ``np.add.at``, and Brandes' dependency
+accumulation walks them backwards with the same scatter.  Each chunk is
 reduced in the same pass to betweenness, closeness, farness, diameter and
 average path length.  Betweenness ships in two modes: ``count`` sums raw
 numbers of shortest paths passing through a vertex, ``fractional`` sums
@@ -15,11 +20,19 @@ the usual pair dependencies sigma_st(v)/sigma_st.  Closeness ships as
 ``reciprocal`` (reachable-count-1 over total distance) and ``farness``
 (mean distance over the full vertex count).
 
+A chunk holds as many sources as fit a byte budget, at the measured peak of
+about 32 bytes per source and vertex plus 8 per source and arc.  The vertex
+term holds the path counts, the accumulator, the masks and the DAG arc into
+each reached vertex, which is what a deep graph such as a long directed
+cycle stores.  The arc term holds a level's byte rows and the further DAG
+arcs of a shallow graph.
+
 Count-mode betweenness is exact.  Path counts are integers, and float64
 sums of integers are exact below 2**53, so the result does not depend on
-how the sources are chunked.  A chunk whose path counts or betweenness
-reach 2**53 is redone with Python integers, and the running betweenness
-switches to them too.
+how the sources are chunked.  A chunk whose betweenness reaches 2**53 is
+redone with Python integers, and the running betweenness switches to them
+too.  Fractional betweenness is a float sum in scatter order; it may differ
+in its last bits from versions that summed in another order.
 
 ``network_profile`` checks its arguments and returns a lazy view: each
 field is computed on first read, at most once, so a caller pays only for
@@ -38,8 +51,11 @@ import numpy as np
 from .graph import Graph, symmetrize
 
 # A chunk runs _CHUNK_BYTES // (_VERTEX_BYTES * n + _ARC_BYTES * m) sources,
-# at least one: the measured peak of a chunk in bytes per source, per vertex
-# and per arc.  See the module docstring for what the two terms hold.
+# at least one: the peak of a chunk in bytes per source, per vertex and per
+# arc.  tracemalloc read 0.80-0.82 of the budget on ER n=800 (mean out-degree
+# 8, seeds 1-5), 0.78 on BA n=800, 0.68 on DGM(7), 0.86-0.89 on directed
+# 600- and 1000-cycles and the 1000-path, and 1.02 on ER n=800 of mean
+# out-degree 24.
 _CHUNK_BYTES = 2**22
 _VERTEX_BYTES = 32
 _ARC_BYTES = 8
@@ -63,9 +79,9 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
 
     Cell ``v * b + row`` is vertex v seen from ``sources[row]``, for the
     chunk's b sources.  Each level expands the arcs of every vertex that is
-    in some row's frontier once, tests all b rows of an arc with one AND of
-    its tail's frontier row and its head's unvisited row, and keeps only the
-    arcs of the shortest-path DAGs.
+    in some row's frontier once, tests all b rows of an arc at once (its
+    tail's cell visited, its head's not), and keeps only the arcs of the
+    shortest-path DAGs.
 
     Returns the flat shortest-path counts ``sigma`` (of ``dtype``), each
     level's DAG arcs as (parent, child) cell arrays, and per row the number
@@ -73,15 +89,13 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
     """
     starts, degrees, heads = csr
     n, b = len(starts), len(sources)
-    cells = sources * b + np.arange(b)  # the cells of the frontier
-    front = np.zeros(n * b, dtype=bool)
-    front[cells] = True
-    unvisited = ~front
-    front_rows, unvisited_rows = front.reshape(n, b), unvisited.reshape(n, b)
+    unvisited = np.ones(n * b, dtype=bool)
+    unvisited[sources * b + np.arange(b)] = False
+    unvisited_rows = unvisited.reshape(n, b)
     depth = np.zeros(n * b, dtype=np.min_scalar_type(n))
     sigma = np.zeros(n * b, dtype=dtype)
-    sigma[cells] = 1
-    slot = np.zeros(n, dtype=np.int64)
+    sigma[sources * b + np.arange(b)] = 1
+    reached = np.zeros(n, dtype=bool)  # the vertices of the next frontier
     levels = []
     frontier = sources
     while True:
@@ -90,30 +104,28 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
         pair = np.arange(tails.size)
         # each expanded arc: its tail's first arc plus its rank there
         ends = heads[pair + np.repeat(starts[frontier] - np.cumsum(deg) + deg, deg)]
-        hit = front_rows.take(tails, axis=0)
-        hit &= unvisited_rows.take(ends, axis=0)
+        # a visited tail cell is in the frontier unless all its heads are
+        # visited too, so the frontier mask is the visited one
+        hit = unvisited_rows.take(ends, axis=0)
+        np.greater(hit, unvisited_rows.take(tails, axis=0), out=hit)
         cell = hit.ravel().nonzero()[0]  # pair * b + row
+        del hit
         if not cell.size:
             break
-        hit_pair = cell // b
         # hit (pair, row) is the DAG arc from cell tail * b + row to end * b + row
+        hit_pair = cell // b
         parent = ((tails - pair) * b)[hit_pair]
         parent += cell
-        child = ((ends - pair) * b)[hit_pair]
-        child += cell
-        ends = ends[hit_pair]
-        del hit, cell, hit_pair  # the level's peak comes next
+        cell += ((ends - pair) * b)[hit_pair]
+        child = cell
+        reached[ends[hit_pair]] = True
+        del cell, hit_pair
         np.add.at(sigma, child, sigma[parent])
         levels.append((parent, child))
-        front[cells] = False
-        front[child] = True
         unvisited[child] = False
         depth[child] = len(levels)
-        cells = child
-        # the next frontier: each end once, where its last write lands
-        pair = np.arange(ends.size)
-        slot[ends] = pair
-        frontier = ends[slot[ends] == pair]
+        frontier = reached.nonzero()[0]
+        reached[frontier] = False
     depth = depth.reshape(n, b)
     return sigma, levels, np.count_nonzero(depth, axis=0), depth.sum(axis=0, dtype=np.int64)
 
