@@ -116,8 +116,8 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
         hit_pair = cell // b
         parent = ((tails - pair) * b)[hit_pair]
         parent += cell
-        cell += ((ends - pair) * b)[hit_pair]
-        child = cell
+        child = cell  # in place, as the level's peak comes next
+        child += ((ends - pair) * b)[hit_pair]
         reached[ends[hit_pair]] = True
         del cell, hit_pair
         np.add.at(sigma, child, sigma[parent])
@@ -210,8 +210,9 @@ def path_sweep(g: Graph, mode: str) -> PathSweep:
     count = 0
     for sources in _chunks(g):
         part, reach, row_total, depth = _chunk_paths(csr, sources, np.float64, mode)
-        # a count below 2**53 is exact, and so are the path counts and
-        # continuations whose products and sums it bounds
+        # the path and continuation counts of a cell inside a path are at
+        # most its through-count, and no other cell adds to the sums, so
+        # sums below 2**53 mean that the chunk counted exactly
         if mode == "count" and not _exact(part):
             part = _chunk_paths(csr, sources, object, mode)[0]
         centrality = _add_counts(centrality, part) if mode == "count" else centrality + part
