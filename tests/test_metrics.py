@@ -462,16 +462,21 @@ def test_directed_path_matches_closed_forms(monkeypatch, budget, n):
     assert prof.closeness_farness.tolist() == [k * (k + 1) / 2 / n for k in ahead]
 
 
-@pytest.mark.parametrize("measure", [betweenness_centrality, closeness_centrality, diameter])
+MEASURES = [betweenness_centrality, closeness_centrality, diameter]
+# each graph with the sizes of its chunks under the default budget
+BUDGET_GRAPHS = {
+    "er": (gen_erdos_renyi(800, 0.01, seed=3), [55] * 14 + [30]),
+    "cycle": (Graph(600, [(v, (v + 1) % 600) for v in range(600)]), [174] * 3 + [78]),
+}
+
+
 @pytest.mark.parametrize(
-    "g, sizes",
-    [
-        (gen_erdos_renyi(800, 0.01, seed=3), [55] * 14 + [30]),
-        (Graph(600, [(v, (v + 1) % 600) for v in range(600)]), [174] * 3 + [78]),
-    ],
-    ids=["er", "cycle"],
+    "name, measure",
+    [("er", measure) for measure in MEASURES] + [("cycle", measure) for measure in MEASURES],
+    ids=[m.__name__ for m in MEASURES] + [f"cycle-{m.__name__}" for m in MEASURES],
 )
-def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, measure, g, sizes):
+def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, name, measure):
+    g, sizes = BUDGET_GRAPHS[name]
     g.csr  # built once per graph, outside the sweep
     tracemalloc.start()
     try:
