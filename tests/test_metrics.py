@@ -364,10 +364,10 @@ def differential_family() -> dict[str, Graph]:
     family = {f"er_p{p}": random_digraph(gen, 11, p) for p in (0, 0.05, 0.3, 1)}
     family["in_star"] = Graph(7, [(i, 0) for i in range(1, 7)])
     family["out_star"] = Graph(7, [(0, i) for i in range(1, 7)])
-    # an acyclic part with a shortcut beside a strongly connected one
+    # an acyclic part with shortcuts beside a cyclic one
     left = random_digraph(gen, 5, 0.5)
     family["two_components"] = Graph(
-        10, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)] + [(i + 5, j + 5) for i, j in left.arcs]
+        9, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)] + [(i + 4, j + 4) for i, j in left.arcs]
     )
     # vertex 7 has no out-arcs; every other vertex reaches it
     ring = [(v, (v + 1) % 7) for v in range(7)]
