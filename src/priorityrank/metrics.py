@@ -91,12 +91,13 @@ def _frontier_sweep(csr, sources: np.ndarray, dtype):
     """
     starts, degrees, heads = csr
     n, b = len(starts), len(sources)
+    own = sources * b + np.arange(b)  # each source's cell of itself
     unvisited = np.ones(n * b, dtype=bool)
-    unvisited[sources * b + np.arange(b)] = False
+    unvisited[own] = False
     unvisited_rows = unvisited.reshape(n, b)
     depth = np.zeros(n * b, dtype=np.min_scalar_type(n))
     sigma = np.zeros(n * b, dtype=dtype)
-    sigma[sources * b + np.arange(b)] = 1
+    sigma[own] = 1
     reached = np.zeros(n, dtype=bool)  # the vertices of the next frontier
     levels = []
     frontier = sources
