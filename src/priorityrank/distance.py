@@ -42,7 +42,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from . import metrics
-from .graph import AttributeTable, Graph
+from .graph import AttributeTable, Graph, _check_cells
 from .stats import RngStream
 
 CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
@@ -471,34 +471,28 @@ def build_training_set(
     if not len(positives):
         raise ValueError("graph has no arcs, so no positive examples")
     n = g.n
-    free = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(free, False)
-    free[positives[:, 0], positives[:, 1]] = False
-    # row-major flat indices i * n + j of every non-arc
-    non_arcs = np.flatnonzero(free)
-    if not len(non_arcs):
+    # a graph has no self-loops, so its arc codes and the diagonal's are disjoint
+    excluded = np.sort(np.concatenate([g.codes, np.arange(n, dtype=np.int64) * (n + 1)]))
+    free = n * n - len(excluded)
+    if not free:
         raise ValueError("graph is complete, so no negative examples")
-    wanted = math.ceil(negative_ratio * len(positives)) if math.isfinite(negative_ratio) else len(non_arcs)
-    wanted = min(wanted, len(non_arcs))
-    if wanted < len(non_arcs):
+    wanted = free if negative_ratio * len(positives) >= free else math.ceil(negative_ratio * len(positives))
+    encoder = FeatureEncoder.from_table(attrs)
+    _check_cells((len(positives) + wanted) * 2 * len(encoder.binary_mask), "training set features")
+    # draw ranks among the non-arcs, never listing them: the r-th non-arc in
+    # row-major order is r plus the count of excluded codes e_k below it,
+    # which are those with e_k - k <= r
+    if wanted < free:
         if rng is None:
             raise ValueError("negative subsampling needs an rng stream")
-        picked = rng.generator.choice(len(non_arcs), size=wanted, replace=False)
-        negatives = non_arcs[np.sort(picked)]
+        ranks = np.sort(rng.generator.choice(free, size=wanted, replace=False))
     else:
-        negatives = non_arcs
-    encoder = FeatureEncoder.from_table(attrs)
+        ranks = np.arange(free, dtype=np.int64)
+    negatives = ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
+    pairs = np.concatenate([positives, np.stack(np.divmod(negatives, n), axis=1)])
     phi = encoder.encode(attrs)
-    feats = np.hstack(
-        [
-            phi[np.concatenate([positives[:, 0], negatives // n])],
-            phi[np.concatenate([positives[:, 1], negatives % n])],
-        ]
-    )
-    labels = np.concatenate(
-        [np.ones(len(positives)), np.zeros(len(negatives))]
-    )
-    return TrainingSet(features=feats, labels=labels, encoder=encoder)
+    labels = np.concatenate([np.ones(len(positives)), np.zeros(wanted)])
+    return TrainingSet(features=phi[pairs].reshape(len(pairs), -1), labels=labels, encoder=encoder)
 
 
 @dataclass(frozen=True)

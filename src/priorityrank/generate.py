@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .distance import DistanceContext, DistanceFunction, RandomDistance
-from .graph import AttributeTable, Graph, symmetrize
+from .graph import AttributeTable, Graph, _check_cells, symmetrize
 from .metrics import assortativity
 from .ranking import by_rejection, sample_shared, sample_sorted, sort_block
 from .stats import RngStream
@@ -189,6 +189,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Each ordered pair (i, j), i != j, becomes an arc with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_cells(n * n, "Erdős–Rényi draws")
     gen = RngStream(seed).generator
     mat = gen.random((n, n)) < p
     np.fill_diagonal(mat, False)

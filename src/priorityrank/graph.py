@@ -49,6 +49,17 @@ class GraphFormatError(ValueError):
     """Raised for malformed edge-list or attribute-table input."""
 
 
+# The most 8-byte cells (1 GiB) an O(n^2) array may take, checked before it
+# is allocated: the Erdős–Rényi draw takes n * n and a byte mask, a training
+# set 2 * p feature cells per row (p features per vertex).
+_CELL_BUDGET = 2**27
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > _CELL_BUDGET:
+        raise ValueError(f"{what} need {cells:,} cells, over the budget of {_CELL_BUDGET:,}")
+
+
 class Graph:
     """Immutable simple directed graph on vertices ``0..n-1``, built from any
     iterable of ``(src, dst)`` pairs or an ``(m, 2)`` integer array.  It

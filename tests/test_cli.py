@@ -262,6 +262,36 @@ def test_learn_emits_loadable_spec(tmp_path, capsys):
     assert spec.kind == "naive_bayes"
 
 
+def test_huge_finite_negative_ratio_keeps_every_non_arc(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "4", "--out", str(src))
+    specs = []
+    for ratio in ("1e308", "inf"):
+        out = tmp_path / f"spec_{ratio}.json"
+        code, _, err = run(
+            capsys, "learn", "--in", str(src), "--kind", "linear-regression",
+            "--negative-ratio", ratio, "--seed", "5", "--out", str(out),
+        )
+        assert code == 0, err
+        specs.append(out.read_bytes())
+    assert specs[0] == specs[1]
+    code, _, err = run(
+        capsys, "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
+        "--negative-ratio", "1e308", "--report", str(tmp_path / "report.json"),
+    )
+    assert code == 0, err
+
+
+def test_generate_past_the_cell_budget_is_data_error(tmp_path, capsys):
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys, "generate", "--model", "er", "--n", "1000000", "--p", "0.1", "--seed", "1", "--out", str(out)
+    )
+    assert code == 2
+    assert err.startswith("data error: ") and "over the budget" in err
+    assert not out.exists()
+
+
 def test_recreate_writes_report_and_best(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))

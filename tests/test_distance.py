@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -257,11 +258,21 @@ def list_training_set(g, attrs, negative_ratio, rng):
     return feats, labels
 
 
-@pytest.mark.parametrize("negative_ratio", [1.0, 2.5, math.inf])
+def numpy_choice_branch(free, wanted):
+    """Which algorithm ``Generator.choice(free, wanted, replace=False)`` runs."""
+    if wanted >= free:
+        return "no draw"
+    return "floyd" if free > 10_000 and wanted < free // 50 else "tail shuffle"
+
+
+@pytest.mark.parametrize("negative_ratio", [1.0, 2.5, math.inf, 40.0])
 def test_training_set_matches_list_construction(negative_ratio):
     gen = np.random.default_rng(17)
-    for n, p in ((4, 0.5), (7, 0.2), (12, 0.3), (15, 0.1)):
-        g = random_digraph(gen, n, p)
+    # one non-arc: every ratio keeps it
+    near_complete = Graph(6, [(i, j) for i in range(6) for j in range(6) if i != j and (i, j) != (4, 1)])
+    branches = set()
+    for n, p in ((4, 0.5), (7, 0.2), (12, 0.3), (15, 0.1), (150, 0.005), (150, 0.1), (6, None)):
+        g = near_complete if p is None else random_digraph(gen, n, p)
         if not g.arcs:
             continue
         attrs = AttributeTable(
@@ -270,11 +281,50 @@ def test_training_set_matches_list_construction(negative_ratio):
                 AttributeColumn("c", "categorical", tuple(f"c{k}" for k in gen.integers(0, 3, size=n))),
             ]
         )
+        free = n * (n - 1) - g.arc_count
+        wanted = negative_ratio * g.arc_count
+        branches.add(numpy_choice_branch(free, free if wanted >= free else math.ceil(wanted)))
         for seed in range(3):
             ts = build_training_set(g, attrs, negative_ratio, RngStream(seed))
             feats, labels = list_training_set(g, attrs, negative_ratio, RngStream(seed))
             assert np.array_equal(ts.features, feats)
             assert np.array_equal(ts.labels, labels)
+    if negative_ratio < 40:
+        # the n=150 graphs reach both of numpy's sampling algorithms
+        assert {"floyd", "tail shuffle"} <= branches
+    else:
+        # every non-arc of the small graphs, without a draw
+        assert "no draw" in branches
+
+
+def test_training_set_memory_stays_linear_in_arcs():
+    # an n x n boolean mask alone would take 16 MB here
+    n = 4000
+    gen = np.random.default_rng(23)
+    codes = np.unique(gen.integers(0, n * n, size=4 * n))
+    g = Graph(n, np.stack(np.divmod(codes, n), axis=1)[codes % (n + 1) != 0])
+    attrs = AttributeTable(
+        [
+            AttributeColumn("x", "continuous", tuple(gen.normal(size=n))),
+            AttributeColumn("c", "categorical", tuple(f"c{k}" for k in gen.integers(0, 4, size=n))),
+        ]
+    )
+    tracemalloc.start()
+    try:
+        ts = build_training_set(g, attrs, 1.0, RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ts.features.shape == (2 * g.arc_count, 10)
+    assert peak < 3 * ts.features.nbytes
+
+
+@pytest.mark.parametrize("negative_ratio", [math.inf, 1e308])
+def test_training_set_of_every_non_arc_past_the_cell_budget_fails_before_allocating(negative_ratio):
+    n = 10**6
+    g = Graph(n, [(0, 1)])
+    with pytest.raises(ValueError, match=r"training set features need 1,999,998,000,000 cells, over the budget"):
+        build_training_set(g, numeric_table(np.zeros(n)), negative_ratio, RngStream(0))
 
 
 def test_training_set_errors():

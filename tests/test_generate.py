@@ -147,6 +147,11 @@ def test_erdos_renyi_extremes_and_count():
     assert abs(float(np.mean(counts)) - expected) < spread
 
 
+def test_erdos_renyi_past_the_cell_budget_fails_before_allocating():
+    with pytest.raises(ValueError, match=r"draws need 1,000,000,000,000 cells, over the budget of 134,217,728"):
+        gen_erdos_renyi(10**6, 0.1, seed=1)
+
+
 def test_watts_strogatz_lattice():
     g = gen_watts_strogatz(50, 3, 0.0, seed=1)
     assert g.arc_count == 150
