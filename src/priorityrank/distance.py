@@ -10,19 +10,25 @@ Evaluation runs against a :class:`DistanceContext` holding the attribute
 table and the centrality vectors of a reference graph.
 
 ``rows(ctx, sources)`` gives the distances from a block of sources to every
-vertex as one (len(sources), n) array, ``row(ctx, i)`` is
-``rows(ctx, [i])[0]`` and ``evaluate(ctx, i, j)`` is ``row(ctx, i)[j]``.
+vertex as one (len(sources), n) array, and ``row(ctx, i)`` is
+``rows(ctx, [i])[0]``.
 
 A kind whose every source ranks the targets by one vector returns it from
 ``shared_distances(ctx)``: the centrality kinds their target scores, the
 random kind an all-tied vector.  Its rows broadcast that vector, and the
 generator draws with ``ranking.sample_shared`` without evaluating rows.
 Every other kind defines ``rows`` and runs work that all sources share once
-per call.  If its rows all sort the targets the same way, but tie
-differently per source (linear regression, naive Bayes), ``order(ctx)``
-returns that permutation.  The order is only a hint: ``ranking.sort_rows``
-checks every row against it and sorts any block with a row that is not
-non-decreasing in it by packed keys, so correctness never depends on it.
+per call.  A kind whose rows all combine one per-target score with one
+per-source term (linear regression, naive Bayes) returns from
+``shared_order(ctx)`` the permutation of the targets by that score and a
+proof: the mask of the sources whose rows, as ``rows`` computes them in
+floating point, are strictly increasing along it.  A forward bound on the
+rounding of each row's float steps gives the proof from the sorted scores
+and the source's own terms, in O(n) per context, without evaluating a row,
+and a proven source draws its targets straight from the permutation.  The
+other sources evaluate their rows, which ``ranking.sort_block`` checks
+against the permutation and sorts by packed keys if one is not
+non-decreasing in it, so the draws never depend on the proof.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
@@ -49,6 +55,13 @@ CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
 DEFAULT_EPS = 1e-6
 
 _VAR_FLOOR = 1e-9
+
+# The unit roundoff u of float64, and a bound, in units of u, on the relative
+# error that a naive-Bayes row's float steps after D add: one exp taken at
+# 4 ulp, 8 u (numpy's own accuracy tables hold float64 exp to 1 ulp), and
+# the five roundings after it come to at most 30 u.
+_UNIT = 2.0**-53
+_ROW_ERROR = 32
 
 
 def _check_eps(eps: float) -> None:
@@ -106,6 +119,13 @@ class DistanceContext:
             raise ValueError(f"unknown centrality kind {kind!r}")
         return getattr(self._profile, kind)
 
+    def cached(self, key, make):
+        """``make()``, computed once per context under ``key``."""
+        value = self._scores.get(key)
+        if value is None:
+            value = self._scores[key] = make()
+        return value
+
     def features(self, encoder: "FeatureEncoder") -> np.ndarray:
         mat = self._features.get(encoder)
         if mat is None:
@@ -144,24 +164,19 @@ class DistanceFunction:
         """Distances from source i to every vertex: ``rows(ctx, [i])[0]``."""
         return self.rows(ctx, np.array([i], dtype=np.int64))[0]
 
-    def order(self, ctx: DistanceContext) -> np.ndarray | None:
-        """A permutation of the targets in which every row is non-decreasing
-        up to rounding, or None when sources order targets differently.
-        A hint only: ``ranking.sort_rows`` checks each row against it and
-        sorts a block that fails by packed keys."""
+    def shared_order(self, ctx: DistanceContext) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(order, proven)``, or None when sources order targets
+        differently: ``order`` is a permutation of the targets in which
+        every row is non-decreasing up to rounding, and ``proven`` marks the
+        sources whose rows ``rows`` computes strictly increasing in it.  The
+        order of an unproven source's row is a hint that
+        ``ranking.sort_block`` checks."""
         return None
 
     def shared_distances(self, ctx: DistanceContext) -> np.ndarray | None:
         """One length-n vector d such that every source i draws its targets
         with the law of ranking the vertices j != i by d[j], or None."""
         return None
-
-    def evaluate(self, ctx: DistanceContext, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("distance is only queried for i != j")
-        if not (0 <= i < ctx.n and 0 <= j < ctx.n):
-            raise ValueError(f"vertex pair ({i}, {j}) outside context n={ctx.n}")
-        return float(self.row(ctx, i)[j])
 
     def to_json_dict(self) -> dict:
         """``{"kind": ...}`` then every field in field order, tuples as lists."""
@@ -485,6 +500,9 @@ def build_training_set(
     if wanted < free:
         if rng is None:
             raise ValueError("negative subsampling needs an rng stream")
+        if wanted > free // 50:
+            # numpy's choice then shuffles the tail of an arange(free)
+            _check_cells(free, "negative draws")
         ranks = np.sort(rng.generator.choice(free, size=wanted, replace=False))
     else:
         ranks = np.arange(free, dtype=np.int64)
@@ -505,28 +523,43 @@ class LinearRegressionDistance(DistanceFunction):
     kind: ClassVar[str] = "linear_regression"
     requires_attributes: ClassVar[bool] = True
 
-    def _target_scores(self, ctx) -> np.ndarray:
-        """phi(j) . beta_target for every vertex j, once per context."""
-        scores = ctx._scores.get(self)
-        if scores is None:
+    def _terms(self, ctx) -> tuple[np.ndarray, np.ndarray]:
+        """The target scores phi(j) . beta_target and the source constants
+        phi(i) . beta_source + intercept of every vertex, once per context."""
+
+        def make():
             phi = ctx.features(self.encoder)
             p = phi.shape[1]
-            scores = ctx._scores[self] = phi @ np.array(self.beta, dtype=np.float64)[p : 2 * p]
-        return scores
+            beta = np.array(self.beta, dtype=np.float64)
+            # one dot product per source: a block product may round
+            # differently, and rows must not depend on the block
+            consts = np.array([float(phi[i] @ beta[:p]) for i in range(ctx.n)]) + beta[2 * p]
+            return phi @ beta[p : 2 * p], consts
+
+        return ctx.cached(self, make)
 
     def rows(self, ctx, sources):
-        phi = ctx.features(self.encoder)
-        p = phi.shape[1]
-        beta = np.array(self.beta, dtype=np.float64)
-        # one dot product per source: a block product may round differently,
-        # and rows must not depend on the block
-        consts = np.array([float(phi[i] @ beta[:p]) for i in sources.tolist()]) + beta[2 * p]
-        out = np.add(self._target_scores(ctx), consts[:, None])
+        scores, consts = self._terms(ctx)
+        out = np.add(scores, consts[sources, None])
         return np.maximum(out, 0.0, out=out)
 
-    def order(self, ctx):
-        # a per-target score plus a per-source constant, clamped at 0
-        return np.argsort(self._target_scores(ctx), kind="stable")
+    def shared_order(self, ctx):
+        def make():
+            scores, consts = self._terms(ctx)
+            order = np.argsort(scores, kind="stable")
+            s = scores[order]
+            if ctx.n < 2:
+                return order, np.zeros(ctx.n, dtype=bool)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # rounding is monotone, so the sums s_j + c_i rise strictly
+                # along the order where every gap of s is over the spacing
+                # of the largest sum; the clamp at 0 then ties only sums
+                # <= 0, so the order's second sum, the very float that rows
+                # computes, must be over 0
+                spacing = np.spacing(np.abs(s).max() + np.abs(consts))
+                return order, (np.diff(s).min() > spacing) & (s[1] + consts > 0)
+
+        return ctx.cached((self, "order"), make)
 
 
 def fit_linear_regression_distance(ts: TrainingSet) -> LinearRegressionDistance:
@@ -545,7 +578,7 @@ def fit_linear_regression_distance(ts: TrainingSet) -> LinearRegressionDistance:
     """
     if ts.features.shape[0] < 2:
         raise ValueError("training set needs at least 2 rows")
-    if len(np.unique(ts.labels)) < 2:
+    if (ts.labels == ts.labels[0]).all():
         raise ValueError("training set needs at least one example of each label")
     X = np.hstack([ts.features, np.ones((ts.features.shape[0], 1))])
     y = 1.0 - ts.labels
@@ -618,15 +651,12 @@ class NaiveBayesDistance(DistanceFunction):
         return out[0], out[1]
 
     def _scores(self, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        cached = ctx._scores.get(self)
-        if cached is None:
+        def make():
             phi = ctx.features(self.encoder)
             p = phi.shape[1]
-            src_edge, src_no = self._half_scores(phi, 0)
-            dst_edge, dst_no = self._half_scores(phi, p)
-            cached = (src_edge, src_no, dst_edge, dst_no)
-            ctx._scores[self] = cached
-        return cached
+            return self._half_scores(phi, 0) + self._half_scores(phi, p)
+
+        return ctx.cached(self, make)
 
     def rows(self, ctx, sources):
         src_edge, src_no, dst_edge, dst_no = self._scores(ctx)
@@ -645,11 +675,48 @@ class NaiveBayesDistance(DistanceFunction):
         p_no /= p_edge
         return p_no
 
-    def order(self, ctx):
+    def shared_order(self, ctx):
         # the distance falls as the edge log-odds, a per-source plus a
         # per-target sum, rise
-        _, _, dst_edge, dst_no = self._scores(ctx)
-        return np.argsort(dst_no - dst_edge, kind="stable")
+        def make():
+            src_edge, src_no, dst_edge, dst_no = self._scores(ctx)
+            g = dst_no - dst_edge
+            order = np.argsort(g, kind="stable")
+            return order, self._proven(src_edge, src_no, dst_edge, dst_no, g[order])
+
+        return ctx.cached((self, "order"), make)
+
+    def _proven(self, src_edge, src_no, dst_edge, dst_no, g) -> np.ndarray:
+        """Which sources' rows rise strictly along the sorted ``g = fl(f - e)``.
+
+        With A_i, B_i the source's class terms and e_j, f_j the target's, a
+        row entry reads X = fl(A_i + e_j) and Y = fl(B_i + f_j) only through
+        D = fl(X - Y), since fl(Y - X) = -D and exp(0) = 1.  It is
+        d(D) = 1 / (e^D (1 + eps) + eps) up to a relative error of
+        ``_ROW_ERROR`` units u = 2^-53, and D lies within
+        eps_i = 2.0001 u (|A_i| + max|e| + |B_i| + max|f|) of the exact
+        A_i - B_i - (f_j - e_j).  So along the order D falls by at least
+        delta - 2 eps_i per step, where delta bounds the exact gaps of f - e
+        from below, and since d'/d = -rho(D) with rho(D) =
+        e^D (1 + eps) / (e^D (1 + eps) + eps) increasing, log d rises by at
+        least (delta - 2 eps_i) rho(D_low) per step.  That must beat the
+        2 K u that rounding can take back.  |D| < 700 and eps <= 1 keep
+        every float step's value normal (Higham, "Accuracy and Stability of
+        Numerical Algorithms", 2002, ch. 2-3)."""
+        proven = np.zeros(len(g), dtype=bool)
+        if len(g) < 2 or not (self.prior_edge > 0 and self.prior_no_edge > 0 and self.eps <= 1):
+            return proven
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A_i and B_i as rows computes them
+            a = math.log(self.prior_edge) + src_edge
+            b = math.log(self.prior_no_edge) + src_no
+            delta = np.diff(g).min() - 2.0001 * _UNIT * np.abs(g).max()
+            err = 2.0001 * _UNIT * (np.abs(a) + np.abs(b) + (np.abs(dst_edge).max() + np.abs(dst_no).max()))
+            # the range of D: one eps_i for D's rounding, one for the bounds'
+            low = a - b - g[-1] - 2 * err
+            high = a - b - g[0] + 2 * err
+            rho = 1.0 / (1.0 + self.eps / (1.0 + self.eps) * np.exp(-low))
+            return (np.maximum(-low, high) < 700) & ((delta - 2 * err) * rho > 2.0001 * _ROW_ERROR * _UNIT)
 
 
 def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> NaiveBayesDistance:

@@ -5,7 +5,9 @@ vertices from a distance function, then draws that vertex's out-neighbours
 without replacement using the 1/rank probability mass.  Kinds that rank every
 source's targets by one shared vector (centrality scores, or the random
 kind's all-tied vector) draw from it without per-source rows; a per-source
-row with no tied targets takes its draws as slots of its sorted order.
+row with no tied targets takes its draws as slots of its sorted order, and
+a source that its learned kind proves tie-free along a shared order takes
+them as slots of that order without evaluating its row.
 Centrality-based distance kinds need a frozen reference graph for their
 centrality vectors: when re-creating a source network the source itself is
 the reference; when generating from scratch a random bootstrap graph seeds
@@ -137,7 +139,20 @@ def _generation_pass(
         # a tie-free row's targets, sorted, rank 1..n-1: their slots follow
         # the law of the vector 0..n-1 seen from n - 1, the slot sorted last
         positions = sample_shared(np.arange(n), np.full(len(drawn), n - 1), ks[drawn], gen)
-        heads, tails = _row_draws(sources, ks, positions, rows, spec.order(ctx), stream.child(3))
+        order, proven = spec.shared_order(ctx) or (None, np.zeros(n, dtype=bool))
+        # a proven row sorts its targets along the order with no tie, so
+        # slot s of source i is the order's entry s, skipping i, and its row
+        # is never evaluated
+        slotted = fast & proven[sources]
+        taken = np.repeat(slotted[fast], ks[drawn])
+        heads, tails = _row_draws(sources[~slotted], ks, positions[~taken], rows, order, stream.child(3))
+        if slotted.any():
+            place = np.empty(n, dtype=np.int64)
+            place[order] = np.arange(n)
+            owners = np.repeat(sources[slotted], ks[sources[slotted]])
+            slots = positions[taken]
+            heads.append(owners)
+            tails.append(order[slots + (slots >= place[owners])])
     else:
         no_slots = np.zeros(0, dtype=np.int64)
         heads, tails = _row_draws(sources[~fast], ks, no_slots, rows, None, stream.child(3))
@@ -166,9 +181,11 @@ def priority_rank_generate(
     Where ``by_rejection`` holds, kinds with shared distances (centrality,
     random) draw targets through ``sample_shared`` and evaluate no rows,
     and the other kinds draw slots of their sorted rows through it, one
-    call for the whole pass.  The other kinds evaluate and sort their rows
-    a block of sources at a time; a row with tied targets, and every source
-    over the rejection limit, draws exponential keys (``sample_sorted``).
+    call for the whole pass.  A source that ``spec.shared_order`` proves
+    strictly increasing along its order maps its slots through the order;
+    the other sources evaluate and sort their rows a block of sources at a
+    time.  A row with tied targets, and every source over the rejection
+    limit, draws exponential keys (``sample_sorted``).
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")

@@ -51,7 +51,8 @@ class GraphFormatError(ValueError):
 
 # The most 8-byte cells (1 GiB) an O(n^2) array may take, checked before it
 # is allocated: the Erdős–Rényi draw takes n * n and a byte mask, a training
-# set 2 * p feature cells per row (p features per vertex).
+# set 2 * p feature cells per row (p features per vertex), and numpy's tail
+# shuffle of its negatives one cell per non-arc.
 _CELL_BUDGET = 2**27
 
 
@@ -96,7 +97,12 @@ class Graph:
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) is not allowed")
             raise ValueError(f"arc ({i}, {j}) has an endpoint outside [0, {n})")
-        codes = np.unique(src * n + dst)
+        # sort and drop repeats: np.unique hashes unsorted ints, and is slower
+        codes = np.sort(src * n + dst)
+        fresh = np.ones(len(codes), dtype=bool)
+        fresh[1:] = codes[1:] != codes[:-1]
+        if not fresh.all():
+            codes = codes[fresh]
         codes.flags.writeable = False
         self.n = n
         self.codes = codes

@@ -23,32 +23,33 @@ sampling).  Three kernels draw from this law, from rows sorted as below.
   of n and k alone.  The kernel also serves per-source rows with no tied
   targets: sorted, their targets have ranks 1..n-1, the ranks of the vector
   0..n-1 seen from n - 1, so its draws from that vector are slots of every
-  such row.
-- ``sample_sorted`` draws from rows that ``sort_rows`` sorted: every entry
+  such row.  A row that its distance kind proves strictly increasing along
+  a shared order (``DistanceFunction.shared_order``) maps its slots through
+  that order and is never evaluated.
+- ``sample_sorted`` draws from rows that ``sort_block`` sorted: every entry
   gets the exponential key ``rank * log(1 - u)`` from its own uniform u
   (Efraimidis and Spirakis, 2006), and the k largest keys, in descending
   order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
-  every key is finite.  ``sample_rows`` is ``sort_rows`` then
-  ``sample_sorted``.
+  every key is finite.
 - ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
 
-``sort_block`` sorts a block of per-source rows (``sort_rows`` returns it
-in full) with one value sort of packed keys.  A key is a distance's bit
-pattern, after ``+ 0.0`` turns -0.0 into +0.0, with its low
-``(n - 1).bit_length()`` bits replaced by the target id; the source's key
-is all ones, so it sorts last.  Finite non-negative floats order like their
-bit patterns, so a row whose sorted keys all differ above the id bits is
-strictly increasing in distance: tie-free, and sorted exactly.  Such a row
-reads its targets from its keys and never gathers a distance.  Every other
-row (true ties, distances that differ only in the id bits, and any row the
-caller needs in full) gathers its distances along the packed order, which
-puts tied targets by id, and must then be non-decreasing, as a hinted row
-must; a row that is not is argsorted.  Ties may come out in any order,
-since tied targets share a rank.  When the caller passes a shared ``order`` hint
-(``DistanceFunction.order``), the rows are gathered in that order instead;
-the hint is validated per block, and a block in which some row is not
-non-decreasing in it is sorted by packed keys, so the draws are the same
-with or without the hint, and with a wrong one.
+``sort_block`` sorts a block of per-source rows with one value sort of
+packed keys.  A key is a distance's bit pattern, after ``+ 0.0`` turns -0.0
+into +0.0, with its low ``(n - 1).bit_length()`` bits replaced by the target
+id; the source's key is all ones, so it sorts last.  Finite non-negative
+floats order like their bit patterns, so a row whose sorted keys all differ
+above the id bits is strictly increasing in distance: tie-free, and sorted
+exactly.  Such a row reads its targets from its keys and never gathers a
+distance.  Every other row (true ties, distances that differ only in the id
+bits, and any row the caller needs in full) gathers its distances along the
+packed order, which puts tied targets by id, and must then be
+non-decreasing, as a hinted row must; a row that is not is argsorted.  Ties
+may come out in any order, since tied targets share a rank.  When the caller
+passes a shared ``order`` hint (from ``DistanceFunction.shared_order``), the
+rows are gathered in that order instead; the hint is validated per block,
+and a block in which some row is not non-decreasing in it is sorted by
+packed keys, so the draws are the same with or without the hint, and with a
+wrong one.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -198,7 +199,7 @@ def _non_decreasing(ordered: np.ndarray) -> np.ndarray:
 
 
 def _tie_free(ordered: np.ndarray) -> np.ndarray:
-    """Whether each row of ``sort_rows``'s ``ordered`` has no tied targets:
+    """Whether each row of a sorted block's ``ordered`` has no tied targets:
     the source's slot copies a neighbour, so such a row has exactly one
     pair of equal neighbours."""
     return np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
@@ -210,7 +211,8 @@ def _id_mask(n: int) -> int:
 
 
 def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
-    """``sort_rows`` by argsorting each row; every source's slot is last."""
+    """``(perm, ordered, at)`` by argsorting each row; every source's slot
+    is last."""
     b, n = distances.shape
     rows = np.arange(b)
     distances = distances.copy()
@@ -224,8 +226,8 @@ def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
 
 
 def _rows_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray):
-    """``sort_rows`` by gathering every row in the permutation ``order``;
-    None if some row is not non-decreasing in it."""
+    """``(perm, ordered, at)`` by gathering every row in the permutation
+    ``order``; None if some row is not non-decreasing in it."""
     b, n = distances.shape
     place = np.full(n, -1, dtype=np.int64)
     if order.shape == (n,) and ((order >= 0) & (order < n)).all():
@@ -260,9 +262,9 @@ def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
 
 
 def _rows_along_keys(distances: np.ndarray, sources: np.ndarray, keys: np.ndarray):
-    """``sort_rows`` in the order of sorted packed keys.  Ties among the
-    kept distance bits come out by id; a row that this leaves decreasing
-    (distances that differ only in the id bits) is argsorted."""
+    """``(perm, ordered, at)`` in the order of sorted packed keys.  Ties
+    among the kept distance bits come out by id; a row that this leaves
+    decreasing (distances that differ only in the id bits) is argsorted."""
     b, n = distances.shape
     perm = keys.view(np.int64) & _id_mask(n)
     perm[:, -1] = sources
@@ -279,10 +281,14 @@ class SortedRows:
     """A (b, n) block of distance rows that ``sort_block`` sorted.
 
     ``tie_free[r]`` says whether row r's n - 1 targets hold no tie.  The
-    rows listed in ``rows`` are also held as ``sort_rows`` returns them, in
-    ``perm``, ``ordered`` and ``at``.  Row r of ``ids``, masked by ``mask``,
-    lists the vertices in sorted order, with the source in slot
-    ``source_slot[r]``.
+    rows listed in ``rows`` are also held in full: ``perm`` lists all n
+    vertices by non-decreasing distance from the row's source,
+    ``ordered`` holds their distances, and ``at`` is the slot of the source
+    itself.  That slot copies its neighbour's distance, so it neither
+    breaks the order nor starts a tie group; a row whose n - 1 targets
+    have no tie therefore has exactly one pair of equal neighbours.  Row r
+    of ``ids``, masked by ``mask``, lists the vertices in sorted order,
+    with the source in slot ``source_slot[r]``.
     """
 
     tie_free: np.ndarray
@@ -335,24 +341,9 @@ def sort_block(distances, sources, order=None, need=None) -> SortedRows:
     return SortedRows(tie_free, rows, perm, ordered, at, ids, _id_mask(n), np.full(b, n - 1))
 
 
-def sort_rows(distances, sources, order=None):
-    """Every row of a (b, n) block sorted by distance from its source.
-
-    Returns ``(perm, ordered, at)``: ``perm[r]`` lists all n vertices by
-    non-decreasing distance from ``sources[r]``, ``ordered[r]`` holds their
-    distances, and ``at[r]`` is the slot of the source itself.  That slot
-    copies its neighbour's distance, so it neither breaks the order nor
-    starts a tie group; a row whose n - 1 targets have no tie therefore has
-    exactly one pair of equal neighbours.  ``order`` and the errors are those
-    of ``sort_block``.
-    """
-    ranked = sort_block(distances, sources, order)
-    return ranked.perm, ranked.ordered, ranked.at
-
-
 def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:
-    """Draw ``ks[r]`` distinct targets per row of ``sort_rows`` output by
-    exponential keys.
+    """Draw ``ks[r]`` distinct targets per row of a sorted block's
+    ``(perm, ordered, at)`` by exponential keys.
 
     ``u`` holds b x n uniforms in [0, 1), indexed by vertex id.  A target
     gets the competition rank of its distance among the other n - 1 and the
@@ -369,26 +360,6 @@ def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:
     return perm[np.repeat(rows, ks), _top_keys(keys, ks)]
 
 
-def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
-    """Draw ``ks[r]`` distinct targets for each source ``sources[r]``.
-
-    ``distances`` is a (b, n) block of distance rows, one per source, over
-    every vertex; the source's own entry is ignored.  ``u`` holds b x n
-    uniforms in [0, 1), indexed like ``distances``.  The rows are sorted by
-    ``sort_rows`` (with the optional ``order`` hint) and drawn by
-    ``sample_sorted``.  Tied distances share a rank, so the draws depend
-    neither on the hint nor on how a sort leaves tied entries.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    b, n = distances.shape
-    sources, ks = _check_draws(sources, ks, b, n)
-    if np.shape(u) != (b, n):
-        raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
-    if b == 0:
-        return np.zeros(0, dtype=np.int64)
-    return sample_sorted(*sort_rows(distances, sources, order), ks, u)
-
-
 def by_rejection(n: int, ks) -> np.ndarray:
     """Where ``sample_shared`` draws ``ks`` of n - 1 targets: k <= (n - 1) / 4.
 
@@ -401,8 +372,8 @@ def sample_shared(distances, sources, ks, gen: np.random.Generator) -> np.ndarra
     """Draw ``ks[r]`` distinct targets for each ``sources[r]`` when every
     source ranks the other vertices by the one vector ``distances``.
 
-    The law and the output are those of ``sample_rows`` on the rows
-    ``distances`` broadcast to every source: each source's targets, in draw
+    The law is that of ``sample_sorted`` on the rows ``distances``
+    broadcast to every source.  The output is each source's targets, in draw
     order, concatenated row after row.  Rows are independent, so a source
     may repeat.  ``gen`` is read in a fixed order: per round, the group
     uniforms of every pending draw, then their in-group uniforms.  Each

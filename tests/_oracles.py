@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from priorityrank.graph import Graph
-from priorityrank.ranking import build_local_ranking
+from priorityrank.ranking import _check_draws, build_local_ranking, sample_sorted, sort_block
 
 
 def adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
@@ -242,3 +242,40 @@ def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
         u[i] = gen.random(n)
     assert taken == len(positions)
     return arcs | priority_rank_oracle(spec, ctx, keyed, u)
+
+
+def evaluate(spec, ctx, i: int, j: int) -> float:
+    """The distance from i to j: ``spec.row(ctx, i)[j]``."""
+    if i == j:
+        raise ValueError("distance is only queried for i != j")
+    if not (0 <= i < ctx.n and 0 <= j < ctx.n):
+        raise ValueError(f"vertex pair ({i}, {j}) outside context n={ctx.n}")
+    return float(spec.row(ctx, i)[j])
+
+
+def sort_rows(distances, sources, order=None):
+    """Every row of a (b, n) block sorted by distance from its source, as
+    ``(perm, ordered, at)`` (see ``ranking.SortedRows``), with every row
+    held in full.  ``order`` and the errors are those of ``sort_block``."""
+    ranked = sort_block(distances, sources, order)
+    return ranked.perm, ranked.ordered, ranked.at
+
+
+def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
+    """Draw ``ks[r]`` distinct targets for each source ``sources[r]``.
+
+    ``distances`` is a (b, n) block of distance rows, one per source, over
+    every vertex; the source's own entry is ignored.  ``u`` holds b x n
+    uniforms in [0, 1), indexed like ``distances``.  The rows are sorted by
+    ``sort_rows`` (with the optional ``order`` hint) and drawn by
+    ``sample_sorted``.  Tied distances share a rank, so the draws depend
+    neither on the hint nor on how a sort leaves tied entries.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    b, n = distances.shape
+    sources, ks = _check_draws(sources, ks, b, n)
+    if np.shape(u) != (b, n):
+        raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
+    if b == 0:
+        return np.zeros(0, dtype=np.int64)
+    return sample_sorted(*sort_rows(distances, sources, order), ks, u)

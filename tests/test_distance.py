@@ -3,10 +3,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from priorityrank import graph
 from priorityrank.distance import (
     AggregateDistance,
     CentralityDistance,
@@ -16,6 +18,7 @@ from priorityrank.distance import (
     Euclidean2D,
     FeatureEncoder,
     HierarchicalMixDistance,
+    LinearRegressionDistance,
     NaiveBayesDistance,
     RandomDistance,
     TrainingSet,
@@ -32,7 +35,7 @@ from priorityrank.metrics import CENTRALITY_KINDS, network_profile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
-from _oracles import random_digraph
+from _oracles import evaluate, random_digraph
 
 
 def people_table():
@@ -50,11 +53,11 @@ ALICE, BOB, CECIL, DIANE, EVE = range(5)
 def test_age_sex_distance_reproduces_social_example():
     spec = make_age_sex_distance()
     ctx = DistanceContext(attrs=people_table())
-    assert spec.evaluate(ctx, ALICE, EVE) == 5.0
-    assert spec.evaluate(ctx, ALICE, BOB) == 20.0
+    assert evaluate(spec, ctx, ALICE, EVE) == 5.0
+    assert evaluate(spec, ctx, ALICE, BOB) == 20.0
     for other in (ALICE, BOB, DIANE):
-        assert spec.evaluate(ctx, CECIL, other) == 15.0
-    assert spec.evaluate(ctx, BOB, EVE) == 15.0
+        assert evaluate(spec, ctx, CECIL, other) == 15.0
+    assert evaluate(spec, ctx, BOB, EVE) == 15.0
 
 
 def test_age_sex_distance_identical_rows():
@@ -65,19 +68,19 @@ def test_age_sex_distance_identical_rows():
         ]
     )
     spec = make_age_sex_distance()
-    assert spec.evaluate(DistanceContext(attrs=table), 0, 1) == 0.0
+    assert evaluate(spec, DistanceContext(attrs=table), 0, 1) == 0.0
 
 
 def test_missing_column_raises():
     table = AttributeTable([AttributeColumn("height", "continuous", (1.0, 2.0))])
     with pytest.raises(ValueError, match="no attribute named"):
-        make_age_sex_distance().evaluate(DistanceContext(attrs=table), 0, 1)
+        evaluate(make_age_sex_distance(), DistanceContext(attrs=table), 0, 1)
 
 
 def test_degree_distance_value():
     ctx = DistanceContext(n=3, centralities={"degree": np.array([0.0, 4.0, 1.0])})
     spec = CentralityDistance(centrality="degree")
-    assert spec.evaluate(ctx, 0, 1) == pytest.approx(1.0 / (4.0 + 1e-6))
+    assert evaluate(spec, ctx, 0, 1) == pytest.approx(1.0 / (4.0 + 1e-6))
 
 
 def test_centrality_distance_source_independent():
@@ -87,7 +90,7 @@ def test_centrality_distance_source_independent():
         ctx = DistanceContext(reference=g)
         spec = CentralityDistance(centrality=kind)
         for j in range(1, 12):
-            vals = {spec.evaluate(ctx, i, j) for i in range(12) if i != j}
+            vals = {evaluate(spec, ctx, i, j) for i in range(12) if i != j}
             assert len(vals) == 1
 
 
@@ -125,9 +128,9 @@ def test_random_distance_memoized_and_deterministic():
     # every pair reads the all-tied distance 0.0, in any context
     ctx = DistanceContext(n=6)
     spec = RandomDistance()
-    first = spec.evaluate(ctx, 0, 3)
-    assert spec.evaluate(ctx, 0, 3) == first
-    assert spec.evaluate(DistanceContext(n=6), 0, 3) == first == 0.0
+    first = evaluate(spec, ctx, 0, 3)
+    assert evaluate(spec, ctx, 0, 3) == first
+    assert evaluate(spec, DistanceContext(n=6), 0, 3) == first == 0.0
     assert not spec.rows(ctx, np.arange(6)).any()
 
 
@@ -140,10 +143,10 @@ def test_euclidean_kinds():
         ]
     )
     ctx = DistanceContext(attrs=table)
-    assert Euclidean1D(attr="x").evaluate(ctx, 0, 1) == 3.0
-    assert Euclidean2D(attr1="x", attr2="y").evaluate(ctx, 0, 1) == 5.0
+    assert evaluate(Euclidean1D(attr="x"), ctx, 0, 1) == 3.0
+    assert evaluate(Euclidean2D(attr1="x", attr2="y"), ctx, 0, 1) == 5.0
     with pytest.raises(ValueError, match="categorical"):
-        Euclidean1D(attr="lab").evaluate(ctx, 0, 1)
+        evaluate(Euclidean1D(attr="lab"), ctx, 0, 1)
 
 
 def test_cosine_distance_of_opposite_vectors():
@@ -154,7 +157,7 @@ def test_cosine_distance_of_opposite_vectors():
         ]
     )
     spec = CosineDistance(attrs=("x", "y"))
-    assert spec.evaluate(DistanceContext(attrs=table), 0, 2) == pytest.approx(2.0)
+    assert evaluate(spec, DistanceContext(attrs=table), 0, 2) == pytest.approx(2.0)
 
 
 def test_cosine_distance_and_zero_norm():
@@ -169,14 +172,14 @@ def test_cosine_distance_and_zero_norm():
     spec = CosineDistance(attrs=("x", "y"))
     for i, j in ((0, 2), (0, 1), (2, 0)):
         with pytest.raises(ValueError, match="vertex 1 has a zero-norm"):
-            spec.evaluate(ctx, i, j)
+            evaluate(spec, ctx, i, j)
 
 
 def test_aggregate_mixed_kinds():
     spec = AggregateDistance(weights=(("age", 2.0), ("sex", 5.0)))
     ctx = DistanceContext(attrs=people_table())
     # 2*|30-40| + 5*mismatch
-    assert spec.evaluate(ctx, ALICE, BOB) == 25.0
+    assert evaluate(spec, ctx, ALICE, BOB) == 25.0
     with pytest.raises(ValueError, match="non-negative"):
         AggregateDistance(weights=(("age", -1.0),))
 
@@ -192,16 +195,16 @@ def test_hierarchical_mix():
     table = AttributeTable([AttributeColumn("x", "continuous", (0.0, 4.0, 8.0))])
     ctx = DistanceContext(attrs=table)
     pure_euclid = make_hierarchical_mix_distance(1.0, [0, 1, 2], ("x",))
-    assert pure_euclid.evaluate(ctx, 0, 1) == 4.0
+    assert evaluate(pure_euclid, ctx, 0, 1) == 4.0
     same_class = make_hierarchical_mix_distance(0.0, [1, 1, 2], ())
-    assert same_class.evaluate(ctx, 0, 1) == 0.0
+    assert evaluate(same_class, ctx, 0, 1) == 0.0
     blend = make_hierarchical_mix_distance(0.5, [0, 1, 2], ("x",))
-    assert blend.evaluate(ctx, 0, 2) == pytest.approx(0.5 * 8.0 + 0.5 * 2.0)
+    assert evaluate(blend, ctx, 0, 2) == pytest.approx(0.5 * 8.0 + 0.5 * 2.0)
     with pytest.raises(ValueError, match="unmapped"):
         make_hierarchical_mix_distance(0.5, {0: 0, 2: 1}, ("x",))
     short = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1), euclid_attrs=())
     with pytest.raises(ValueError, match="unmapped"):
-        short.evaluate(ctx, 0, 1)
+        evaluate(short, ctx, 0, 1)
 
 
 def numeric_table(values):
@@ -325,6 +328,23 @@ def test_training_set_of_every_non_arc_past_the_cell_budget_fails_before_allocat
     g = Graph(n, [(0, 1)])
     with pytest.raises(ValueError, match=r"training set features need 1,999,998,000,000 cells, over the budget"):
         build_training_set(g, numeric_table(np.zeros(n)), negative_ratio, RngStream(0))
+
+
+def test_training_set_checks_numpys_tail_shuffle_against_the_cell_budget(monkeypatch):
+    # past free // 50 negatives numpy's choice shuffles an arange of every
+    # free code; under that, Floyd's draw holds only the negatives
+    n = 200
+    g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    attrs = numeric_table(np.arange(n, dtype=float))
+    free = n * n - 2 * n
+    floyd = build_training_set(g, attrs, (free // 50) / n, RngStream(4))
+    assert len(floyd.labels) == n + free // 50
+    monkeypatch.setattr(graph, "_CELL_BUDGET", free - 1)
+    assert build_training_set(g, attrs, (free // 50) / n, RngStream(4)).features.tobytes() == floyd.features.tobytes()
+    with pytest.raises(ValueError, match=rf"negative draws need {free:,} cells, over the budget of {free - 1:,}"):
+        build_training_set(g, attrs, (free // 50 + 1) / n, RngStream(4))
+    monkeypatch.setattr(graph, "_CELL_BUDGET", free)
+    assert len(build_training_set(g, attrs, (free // 50 + 1) / n, RngStream(4)).labels) == n + free // 50 + 1
 
 
 def test_training_set_errors():
@@ -455,7 +475,7 @@ def test_ols_constant_features_give_constant_distance():
     ctx = DistanceContext(attrs=attrs)
     ts = build_training_set(g, attrs, math.inf, RngStream(5))
     mean_y = float((1.0 - ts.labels).mean())
-    values = {spec.evaluate(ctx, i, j) for i in range(3) for j in range(3) if i != j}
+    values = {evaluate(spec, ctx, i, j) for i in range(3) for j in range(3) if i != j}
     assert all(abs(v - mean_y) < 1e-9 for v in values)
 
 
@@ -480,7 +500,7 @@ def test_ols_orders_cluster_before_outliers():
         outside = [j for j in range(n) if j != i and (i, j) not in g.arcs]
         for a in inside:
             for b in outside:
-                assert spec.evaluate(ctx, i, a) < spec.evaluate(ctx, i, b)
+                assert evaluate(spec, ctx, i, a) < evaluate(spec, ctx, i, b)
 
 
 def test_naive_bayes_gaussian_likelihood_oracle():
@@ -510,8 +530,8 @@ def test_naive_bayes_gaussian_likelihood_oracle():
         pe, pn = pe / (pe + pn), pn / (pe + pn)
         return pn / (pe + 1e-6)
 
-    at_zero = spec.evaluate(ctx, 0, 1)
-    at_ten = spec.evaluate(ctx, 2, 3)
+    at_zero = evaluate(spec, ctx, 0, 1)
+    at_ten = evaluate(spec, ctx, 2, 3)
     assert at_zero == pytest.approx(oracle(0.0, 0.0), rel=1e-9)
     assert at_ten == pytest.approx(oracle(10.0, 10.0), rel=1e-9)
     assert at_zero > 1e5  # vertices that look like non-edges
@@ -530,8 +550,8 @@ def test_naive_bayes_fit_separates_cluster_from_background():
     ts = build_training_set(g, attrs, math.inf, RngStream(7))
     spec = fit_naive_bayes_distance(ts)
     ctx = DistanceContext(attrs=attrs)
-    intra = [spec.evaluate(ctx, i, j) for i in cluster for j in cluster if i != j]
-    cross = [spec.evaluate(ctx, i, j) for i in cluster for j in range(4, n)]
+    intra = [evaluate(spec, ctx, i, j) for i in cluster for j in cluster if i != j]
+    cross = [evaluate(spec, ctx, i, j) for i in cluster for j in range(4, n)]
     assert max(intra) < min(cross)
 
 
@@ -544,7 +564,7 @@ def test_naive_bayes_uninformative_features_give_prior_ratio():
     p_edge = float(ts.labels.mean())
     expected = (1 - p_edge) / (p_edge + spec.eps)
     for i, j in ((0, 1), (0, 3), (2, 0)):
-        assert spec.evaluate(ctx, i, j) == pytest.approx(expected, rel=1e-6)
+        assert evaluate(spec, ctx, i, j) == pytest.approx(expected, rel=1e-6)
 
 
 def test_every_kind_stays_finite_nonnegative():
@@ -599,7 +619,7 @@ def test_row_matches_pairwise_evaluate():
             row = spec.row(ctx, i)
             for j in range(n):
                 if j != i:
-                    assert spec.evaluate(ctx, i, j) == pytest.approx(float(row[j]))
+                    assert evaluate(spec, ctx, i, j) == pytest.approx(float(row[j]))
 
 
 def catalog(n, gen):
@@ -644,15 +664,121 @@ def test_rows_match_row_bitwise():
         assert spec.rows(ctx, np.array([], dtype=np.int64)).shape == (0, n), spec.kind
 
 
+def strict_rows_along_order(spec, ctx):
+    """The proof of ``spec.shared_order``, and which sources' rows, as
+    ``rows`` computes them, rise strictly along the order (their own entry
+    included).  Fails if a proven row does not."""
+    order, proven = spec.shared_order(ctx)
+    assert sorted(order.tolist()) == list(range(ctx.n))
+    assert spec.shared_order(ctx)[1] is proven  # once per context
+    strict = (np.diff(spec.rows(ctx, np.arange(ctx.n))[:, order], axis=1) > 0).all(axis=1)
+    assert not (proven & ~strict).any(), np.flatnonzero(proven & ~strict)
+    return proven, strict
+
+
+def naive_bayes_terms(a, b, e, f, eps=1e-6):
+    """A naive-Bayes distance and a context in which source i's class terms
+    are a[i], b[i] and target j's are e[j], f[j]: priors of 1 add log 1 = 0."""
+    spec = NaiveBayesDistance(1.0, 1.0, (), (), (), (), eps=eps, encoder=FeatureEncoder(columns=()))
+    n = max(np.size(v) for v in (a, b, e, f))
+    ctx = DistanceContext(n=n)
+    ctx._scores[spec] = tuple(np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (a, b, e, f))
+    return spec, ctx
+
+
+def linear_regression_terms(c, s):
+    """A linear-regression distance and a context in which source i's
+    constant is c[i] and target j's score is s[j] (both exact)."""
+    encoder = FeatureEncoder(columns=(("x", "continuous", ()), ("y", "continuous", ())))
+    spec = LinearRegressionDistance(beta=(1.0, 0.0, 0.0, 1.0, 0.0), encoder=encoder)
+    ctx = DistanceContext(attrs=AttributeTable([AttributeColumn("x", "continuous", tuple(c)),
+                                                AttributeColumn("y", "continuous", tuple(s))]))
+    return spec, ctx
+
+
+def test_naive_bayes_proof_holds_where_rounding_ties_rows():
+    n = 64
+    # target gaps of 2^-40 under source terms up to 2^30: the larger terms
+    # round D = fl(A + e) - fl(B + f) onto the same float for neighbours
+    big = 2.0 ** np.arange(-2, 31)
+    spec, ctx = naive_bayes_terms(np.resize(np.r_[big, -big], n), np.resize(np.r_[big, -big], n), 0.0,
+                                  np.arange(n) * 2.0**-40)
+    proven, strict = strict_rows_along_order(spec, ctx)
+    assert proven.any() and not strict.all()
+    # saturation: with eps = 1e-6 a distance near 1 / eps changes by
+    # rho(D) ~ e^D / eps per unit of D, under rounding from about D = -45;
+    # both ends of the order hold sources
+    c = np.linspace(0.0, -50.0, n)
+    spec, ctx = naive_bayes_terms(c, 0.0, 0.0, np.arange(n) * 1e-3)
+    proven, strict = strict_rows_along_order(spec, ctx)
+    assert proven[c > -35].all() and not proven[c < -42].any() and not strict.all()
+    # rows span D in [c - 6.3, c]: exp leaves the normal range past
+    # |D| = 708, and past D = 745 every distance reads 0; at D near -690
+    # the rows saturate at 1 / eps
+    c = np.resize([-800.0, -720.0, -705.0, -690.0, 0.0, 690.0, 705.0, 720.0, 800.0], n)
+    spec, ctx = naive_bayes_terms(c, 0.0, 0.0, np.arange(n) * 0.1)
+    proven, strict = strict_rows_along_order(spec, ctx)
+    assert proven.tolist() == np.isin(c, [0.0, 690.0]).tolist() and not strict[c == 800.0].any()
+
+
+def test_naive_bayes_proof_refuses_target_gaps_at_one_ulp():
+    n = 40
+    ulp_steps = 1.0 + np.arange(n) * 2.0**-52
+    for f in (ulp_steps, np.r_[ulp_steps[:-1], ulp_steps[-2]], np.full(n, 0.5)):
+        spec, ctx = naive_bayes_terms(np.linspace(-3, 3, n), 0.0, 0.0, f)
+        proven, _ = strict_rows_along_order(spec, ctx)
+        assert not proven.any()
+
+
+def test_naive_bayes_proof_covers_fitted_rows():
+    n = 300
+    g = gen_barabasi_albert(n, 3, seed=5)
+    attrs = generate_synthetic_attributes(n, 7)
+    spec = fit_naive_bayes_distance(build_training_set(g, attrs, 1.0, RngStream(2)))
+    proven, strict = strict_rows_along_order(spec, DistanceContext(attrs=attrs))
+    assert proven.all()
+    # an eps past 1 may round distances below the normal range: no proof
+    wide = NaiveBayesDistance(**{**{f.name: getattr(spec, f.name) for f in fields(spec)}, "eps": 2.0})
+    assert not strict_rows_along_order(wide, DistanceContext(attrs=attrs))[0].any()
+
+
+def test_linear_regression_proof_holds_where_rounding_ties_rows():
+    n = 50
+    # score gaps of 3 ulp of 1: a constant of 3 or more puts the sums where
+    # one ulp is 4 ulp of 1, and neighbours round together
+    s = 1.0 + np.arange(n) * 3 * 2.0**-52
+    c = np.resize([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 100.0, -3.0, -100.0], n)
+    spec, ctx = linear_regression_terms(c, s)
+    proven, strict = strict_rows_along_order(spec, ctx)
+    assert proven[np.abs(c) <= 2].all() and not proven[np.abs(c) >= 3].any() and not strict.all()
+    # one-ulp gaps and a repeated score prove nothing
+    for scores in (1.0 + np.arange(n) * 2.0**-52, np.r_[np.arange(n - 1.0), n - 2.0]):
+        assert not strict_rows_along_order(*linear_regression_terms(c, scores))[0].any()
+
+
+def test_linear_regression_proof_counts_the_clamp_group():
+    # scores 0..n-1 (source 0 first in the order, source n-1 last): a
+    # constant of -1 makes s_0 + c and s_1 + c both clamp to 0, a tie; -1
+    # plus one ulp leaves the second sum over 0, a clamp group of one
+    n = 30
+    minus_one = np.nextafter(-1.0, 0.0)
+    c = np.resize([-0.5, -1.0, minus_one, -1.5, -2.0, 0.0, 5.0], n)
+    c[[0, -1]] = -1.0, minus_one
+    spec, ctx = linear_regression_terms(c, np.arange(float(n)))
+    proven, strict = strict_rows_along_order(spec, ctx)
+    assert proven.tolist() == (c > -1.0).tolist()
+    assert strict.tolist() == proven.tolist()
+
+
 def test_evaluate_rejects_diagonal():
     with pytest.raises(ValueError, match="i != j"):
-        RandomDistance().evaluate(DistanceContext(n=3), 1, 1)
+        evaluate(RandomDistance(), DistanceContext(n=3), 1, 1)
     # every kind checks the vertex range, cosine included
     n = 3
     ctx = DistanceContext(attrs=numeric_table([1.0, 2.0, 3.0]))
     for i, j in ((-1, 0), (0, n + 4)):
         with pytest.raises(ValueError, match=rf"vertex pair \({i}, {j}\) outside context n=3"):
-            CosineDistance().evaluate(ctx, i, j)
+            evaluate(CosineDistance(), ctx, i, j)
 
 
 def test_spec_json_round_trip():
@@ -688,15 +814,15 @@ def test_spec_json_round_trip():
         for i in (0, 2):
             for j in (1, n - 1):
                 if i != j:
-                    assert clone.evaluate(ctx, i, j) == pytest.approx(
-                        spec.evaluate(ctx, i, j), rel=1e-12
+                    assert evaluate(clone, ctx, i, j) == pytest.approx(
+                        evaluate(spec, ctx, i, j), rel=1e-12
                     )
     # an empty attribute list stays empty; it does not read as every column
     empty = CosineDistance(attrs=())
     clone = spec_from_json_dict(json.loads(json.dumps(empty.to_json_dict())))
     assert clone == empty
     with pytest.raises(ValueError, match="at least one numeric attribute"):
-        clone.evaluate(ctx, 0, 1)
+        evaluate(clone, ctx, 0, 1)
     # the learned kinds keep their key order, so `learn` output is unchanged
     assert list(specs[-1].to_json_dict()) == [
         "kind", "prior_edge", "prior_no_edge", "means", "variances", "bernoulli",

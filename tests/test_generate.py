@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from priorityrank.distance import (
     Euclidean1D,
     RandomDistance,
     build_training_set,
+    fit_linear_regression_distance,
     fit_naive_bayes_distance,
     reference_centralities,
 )
@@ -27,7 +31,7 @@ from priorityrank.generate import (
     gen_watts_strogatz,
     priority_rank_generate,
 )
-from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, symmetrize
+from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
 from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter
 from priorityrank.ranking import build_local_ranking, sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
@@ -54,11 +58,21 @@ def mixed_attr(n, seed):
     )
 
 
-def learned_case(n):
-    """A naive-Bayes distance fitted on an ER graph, with its out-degrees."""
+def fitted(kind, n):
+    """A learned distance of ``kind`` fitted on an ER graph, its attributes
+    and the graph."""
     attrs = mixed_attr(n, 4)
     g = gen_erdos_renyi(n, 5 / n, seed=9)
-    spec = fit_naive_bayes_distance(build_training_set(g, attrs, 1.0, RngStream(6)))
+    ts = build_training_set(g, attrs, 1.0, RngStream(6))
+    fit = {"linear_regression": fit_linear_regression_distance, "naive_bayes": fit_naive_bayes_distance}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-hot columns make the design rank-deficient
+        return fit[kind](ts), attrs, g
+
+
+def learned_case(n):
+    """A naive-Bayes distance fitted on an ER graph, with its out-degrees."""
+    spec, attrs, g = fitted("naive_bayes", n)
     return attrs, spec, DegreeSpec.resample(out_degree_sequence(g)), None
 
 
@@ -344,6 +358,45 @@ def test_priority_rank_matches_per_vertex_oracle(case):
     assert g.arcs == rank_space_oracle(spec, ctx, ks, positions, stream.child(3).generator)
 
 
+@pytest.mark.parametrize("kind", ["linear_regression", "naive_bayes"])
+def test_proof_never_changes_draws(monkeypatch, kind):
+    # a proven source maps its slots through the order, an unproven one
+    # sorts its row: proving every source, none or every other one gives
+    # the same graph.  At n = 60 the rejection limit is k = 14
+    n = 60
+    spec, attrs, _ = fitted(kind, n)
+    degrees = DegreeSpec.resample([1, 2, 5, 14, 15, 30])
+    assert spec.shared_order(DistanceContext(attrs=attrs))[1].all()
+    shared_order = type(spec).shared_order
+    graphs = []
+    for keep in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.arange(n) % 2 == 0):
+        def partial(self, ctx, keep=keep):
+            order, proven = shared_order(self, ctx)
+            return order, proven & keep
+
+        monkeypatch.setattr(type(spec), "shared_order", partial)
+        graphs.append(priority_rank_generate(n, attrs, spec, degrees, seed=17))
+    assert graphs[0].arc_count > 0
+    assert graphs[0] == graphs[1] == graphs[2]
+
+
+GOLDEN_LEARNED = Path(__file__).parent / "data" / "learned_generate_sha256.json"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", ["linear_regression", "naive_bayes"])
+def test_learned_generation_matches_golden_hashes(kind, seed):
+    # sha256 of seeded learned-kind graphs; at n = 300 the rejection limit
+    # is k = 74, so the resampled degrees 80 and 150 draw keyed rows
+    n = 300
+    spec, attrs, _ = fitted(kind, n)
+    degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 80, 150])
+    g = priority_rank_generate(n, attrs, spec, degrees, seed=seed)
+    assert (g.out_degrees > (n - 1) // 4).any()
+    digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()
+    assert digest == json.loads(GOLDEN_LEARNED.read_text())[f"{kind}-{seed}"]
+
+
 def test_pass_builds_constant_rng_streams(rng_streams):
     # one stream of uniforms per pass, not one generator per vertex; the
     # random kind evaluates no rows
@@ -357,20 +410,28 @@ def test_pass_builds_constant_rng_streams(rng_streams):
         assert built == [1, 1], spec.kind
 
 
-def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
-    # at n=2000, a naive-Bayes pass sorts every row through its order hint
-    # and an aggregate pass sorts every row by packed keys, which prove
-    # every row tie-free, so it gathers and argsorts none; neither draws a
-    # row by keys; the degree and random kinds draw from their shared
-    # distances and sort no rows
+def test_order_hint_ranks_exactly_the_shared_order_kinds(monkeypatch, ranked_rows):
+    # at n=2000, the naive-Bayes order's proof covers every source, so a
+    # pass evaluates and sorts no row; an aggregate pass sorts every row by
+    # packed keys, which prove every row tie-free, so it gathers and
+    # argsorts none; neither draws a row by keys; the degree and random
+    # kinds draw from their shared distances and sort no rows
     n = 2000
     attrs = mixed_attr(n, 7)
     reference = gen_erdos_renyi(n, 5 / n, seed=3)
     learned = fit_naive_bayes_distance(build_training_set(reference, attrs, 1.0, RngStream(8)))
     aggregate = AggregateDistance(weights=(("x", 1.0), ("y", 1.0), ("lab", 1.0)))
+    evaluated = []
+    rows = type(learned).rows
+
+    def counted(self, ctx, sources):
+        evaluated.append(len(sources))
+        return rows(self, ctx, sources)
+
+    monkeypatch.setattr(type(learned), "rows", counted)
     for spec, ref, path in (
         (CentralityDistance(centrality="degree"), reference, None),
-        (learned, None, "hinted"),
+        (learned, None, None),
         (RandomDistance(), None, None),
         (aggregate, None, "packed"),
     ):
@@ -381,6 +442,7 @@ def test_order_hint_ranks_exactly_the_shared_order_kinds(ranked_rows):
         if path:
             expected[path] = n
         assert ranked_rows == expected, spec.kind
+    assert evaluated == []
 
 
 def tally_target_sets(n, spec, degrees, trials, attrs=None, **kwargs):
@@ -487,10 +549,17 @@ def test_bad_distance_raises_on_every_path(monkeypatch, case, bad, message):
     # a bad entry in vertex 2's row fails the one distance check whether
     # the row is argsorted (Euclidean) or hinted (naive Bayes), and whether
     # its k lies under the rejection limit (rank space) or above it
-    # (keys); a bad entry in a source's own slot is a placeholder, ignored
+    # (keys); a bad entry in a source's own slot is a placeholder, ignored.
+    # Naive Bayes evaluates the rows of unproven sources only, so its
+    # order proves none here
     n = 40
     attrs, spec, _, _ = CASES[case](n)
     rows = type(spec).rows
+    if case == "naive_bayes":
+        shared_order = type(spec).shared_order
+        monkeypatch.setattr(
+            type(spec), "shared_order", lambda self, ctx: (shared_order(self, ctx)[0], np.zeros(ctx.n, dtype=bool))
+        )
     corrupt = {"own": False, "target": False}
 
     def bad_rows(self, ctx, sources):

@@ -99,6 +99,22 @@ def test_graph_accepts_any_form_of_the_same_arcs():
     assert Graph(3).arc_array.shape == (0, 2)
 
 
+def test_graph_codes_match_a_set_oracle_on_shuffled_repeats():
+    # the codes are the sorted distinct src * n + dst, whatever the order
+    # and the repeats of the input
+    gen = np.random.default_rng(11)
+    for n, m in ((2, 6), (7, 60), (50, 400), (300, 20000)):
+        src = gen.integers(0, n, m)
+        arcs = np.stack([src, (src + gen.integers(1, n, m)) % n], axis=1)
+        arcs = np.concatenate([arcs, arcs[gen.integers(0, m, m // 2)]])[gen.permutation(m + m // 2)]
+        codes = Graph(n, arcs).codes
+        expected = sorted({i * n + j for i, j in arcs.tolist()})
+        assert len(expected) < len(arcs)
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        assert codes.tolist() == expected
+    assert Graph(4, arcs[:0]).codes.dtype == Graph(4).codes.dtype == np.int64
+
+
 def test_graph_names_the_first_bad_arc_in_input_order():
     with pytest.raises(ValueError, match=r"arc \(0, 5\) has an endpoint outside \[0, 3\)"):
         Graph(3, [(0, 5), (1, 1)])

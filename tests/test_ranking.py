@@ -10,14 +10,13 @@ from priorityrank.ranking import (
     build_local_ranking,
     by_rejection,
     competition_ranks,
-    sample_rows,
     sample_shared,
     sample_targets,
     selection_probabilities,
 )
 from priorityrank.stats import RngStream, harmonic
 
-from _oracles import chisquare_pvalue, sequential_draw_law, shared_vector_law
+from _oracles import chisquare_pvalue, sample_rows, sequential_draw_law, shared_vector_law, sort_rows
 
 
 def alice_ranking():
@@ -284,7 +283,7 @@ def test_order_hint_ranks_like_the_argsort():
     n = rows.shape[1]
     hinted = ranking._rows_by_hint(rows, sources, order)
     assert hinted is not None
-    packed = ranking.sort_rows(rows, sources)
+    packed = sort_rows(rows, sources)
     for perm, ordered, at in (hinted, ranking._rows_by_sort(rows, sources), packed):
         for r, source in enumerate(sources.tolist()):
             assert perm[r, at[r]] == source
