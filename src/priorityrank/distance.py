@@ -24,8 +24,9 @@ per-source term (linear regression, naive Bayes) returns from
 proof: the mask of the sources whose rows, as ``rows`` computes them in
 floating point, are strictly increasing along it.  A forward bound on the
 rounding of each row's float steps gives the proof from the sorted scores
-and the source's own terms, in O(n) per context, without evaluating a row,
-and a proven source draws its targets straight from the permutation.  The
+and the source's own terms, in O(1) per source after the sort, without
+evaluating a row, and a proven source draws its targets straight from the
+permutation.  The
 other sources evaluate their rows, which ``ranking.sort_block`` checks
 against the permutation and sorts by packed keys if one is not
 non-decreasing in it, so the draws never depend on the proof.
