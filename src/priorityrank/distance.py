@@ -26,10 +26,9 @@ floating point, are strictly increasing along it.  A forward bound on the
 rounding of each row's float steps gives the proof from the sorted scores
 and the source's own terms, in O(1) per source after the sort, without
 evaluating a row, and a proven source draws its targets straight from the
-permutation.  The
-other sources evaluate their rows, which ``ranking.sort_block`` checks
-against the permutation and sorts by packed keys if one is not
-non-decreasing in it, so the draws never depend on the proof.
+permutation.  The other sources evaluate their rows, which
+``ranking.sort_block`` sorts by packed keys like every other kind's; ranks
+depend only on the distances, so the draws never depend on the proof.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
@@ -145,7 +144,7 @@ def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class DistanceFunction:
     """Base class; concrete kinds implement ``shared_distances`` or
-    ``rows``, and may offer ``order``."""
+    ``rows``, and may offer ``shared_order``."""
 
     kind: ClassVar[str] = ""
     requires_attributes: ClassVar[bool] = False
@@ -169,9 +168,9 @@ class DistanceFunction:
         """``(order, proven)``, or None when sources order targets
         differently: ``order`` is a permutation of the targets in which
         every row is non-decreasing up to rounding, and ``proven`` marks the
-        sources whose rows ``rows`` computes strictly increasing in it.  The
-        order of an unproven source's row is a hint that
-        ``ranking.sort_block`` checks."""
+        sources whose rows ``rows`` computes strictly increasing in it.  An
+        unproven source's row is evaluated and sorted by
+        ``ranking.sort_block``."""
         return None
 
     def shared_distances(self, ctx: DistanceContext) -> np.ndarray | None:

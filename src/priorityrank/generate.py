@@ -77,7 +77,7 @@ class DegreeSpec:
 _BLOCK_CELLS = 2**16
 
 
-def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
+def _row_draws(sources, ks, positions, rows, stream: RngStream):
     """Heads and tails of the draws of ``sources`` from their distance rows,
     sorted a block at a time by ``sort_block``.
 
@@ -97,7 +97,7 @@ def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
         stop = min(start + block, len(sources))
         block_sources = sources[start:stop]
         marked = direct[start:stop]
-        ranked = sort_block(rows(block_sources), block_sources, order, ~marked)
+        ranked = sort_block(rows(block_sources), block_sources, ~marked)
         owner = np.repeat(np.flatnonzero(marked), ks[block_sources[marked]])
         slots = positions[ends[stop - 1] - len(owner) : ends[stop - 1]]
         use = ranked.tie_free[owner]
@@ -111,8 +111,7 @@ def _row_draws(sources, ks, positions, rows, order, stream: RngStream):
             u = stream.generator.random((len(chosen), n))
             keyed_ks = ks[block_sources[chosen]]
             heads.append(np.repeat(block_sources[chosen], keyed_ks))
-            perm, ordered, at = ranked.perm[keyed], ranked.ordered[keyed], ranked.at[keyed]
-            tails.append(sample_sorted(perm, ordered, at, keyed_ks, u))
+            tails.append(sample_sorted(ranked.perm[keyed], ranked.ordered[keyed], keyed_ks, u))
     return heads, tails
 
 
@@ -145,7 +144,7 @@ def _generation_pass(
         # is never evaluated
         slotted = fast & proven[sources]
         taken = np.repeat(slotted[fast], ks[drawn])
-        heads, tails = _row_draws(sources[~slotted], ks, positions[~taken], rows, order, stream.child(3))
+        heads, tails = _row_draws(sources[~slotted], ks, positions[~taken], rows, stream.child(3))
         if slotted.any():
             place = np.empty(n, dtype=np.int64)
             place[order] = np.arange(n)
@@ -155,7 +154,7 @@ def _generation_pass(
             tails.append(order[slots + (slots >= place[owners])])
     else:
         no_slots = np.zeros(0, dtype=np.int64)
-        heads, tails = _row_draws(sources[~fast], ks, no_slots, rows, None, stream.child(3))
+        heads, tails = _row_draws(sources[~fast], ks, no_slots, rows, stream.child(3))
         heads.append(np.repeat(drawn, ks[drawn]))
         tails.append(sample_shared(shared, drawn, ks[drawn], gen))
     if not heads:

@@ -36,20 +36,15 @@ sampling).  Three kernels draw from this law, from rows sorted as below.
 ``sort_block`` sorts a block of per-source rows with one value sort of
 packed keys.  A key is a distance's bit pattern, after ``+ 0.0`` turns -0.0
 into +0.0, with its low ``(n - 1).bit_length()`` bits replaced by the target
-id; the source's key is all ones, so it sorts last.  Finite non-negative
-floats order like their bit patterns, so a row whose sorted keys all differ
-above the id bits is strictly increasing in distance: tie-free, and sorted
-exactly.  Such a row reads its targets from its keys and never gathers a
-distance.  Every other row (true ties, distances that differ only in the id
-bits, and any row the caller needs in full) gathers its distances along the
-packed order, which puts tied targets by id, and must then be
-non-decreasing, as a hinted row must; a row that is not is argsorted.  Ties
-may come out in any order, since tied targets share a rank.  When the caller
-passes a shared ``order`` hint (from ``DistanceFunction.shared_order``), the
-rows are gathered in that order instead; the hint is validated per block,
-and a block in which some row is not non-decreasing in it is sorted by
-packed keys, so the draws are the same with or without the hint, and with a
-wrong one.
+id; the source's key is all ones, so it sorts last and is dropped.  Finite
+non-negative floats order like their bit patterns, so a row whose sorted
+keys all differ above the id bits is strictly increasing in distance:
+tie-free, and sorted exactly.  Such a row reads its targets from its keys
+and never gathers a distance.  Every other row (true ties, distances that
+differ only in the id bits, and any row the caller needs in full) gathers
+its distances along the packed order, which puts tied targets by id, and
+must then be non-decreasing; a row that is not is argsorted.  Ties may come
+out in any order, since tied targets share a rank.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -198,55 +193,26 @@ def _non_decreasing(ordered: np.ndarray) -> np.ndarray:
     return (ordered[:, 1:] >= ordered[:, :-1]).all(axis=1)
 
 
-def _tie_free(ordered: np.ndarray) -> np.ndarray:
-    """Whether each row of a sorted block's ``ordered`` has no tied targets:
-    the source's slot copies a neighbour, so such a row has exactly one
-    pair of equal neighbours."""
-    return np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
-
-
 def _id_mask(n: int) -> int:
     """The low bits of a packed key that hold a target id in [0, n)."""
     return (1 << (n - 1).bit_length()) - 1
 
 
 def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
-    """``(perm, ordered, at)`` by argsorting each row; every source's slot
-    is last."""
-    b, n = distances.shape
-    rows = np.arange(b)
+    """``(perm, ordered)`` by argsorting each row, without the source."""
+    rows = np.arange(len(distances))
     distances = distances.copy()
     distances[rows, sources] = 0.0
     _check_distances(distances)
     distances[rows, sources] = np.inf
-    perm = np.argsort(distances, axis=1)
-    ordered = np.take_along_axis(distances, perm, axis=1)
-    ordered[:, -1] = ordered[:, -2]
-    return perm, ordered, np.full(b, n - 1)
-
-
-def _rows_by_hint(distances: np.ndarray, sources: np.ndarray, order: np.ndarray):
-    """``(perm, ordered, at)`` by gathering every row in the permutation
-    ``order``; None if some row is not non-decreasing in it."""
-    b, n = distances.shape
-    place = np.full(n, -1, dtype=np.int64)
-    if order.shape == (n,) and ((order >= 0) & (order < n)).all():
-        place[order] = np.arange(n)
-    if (place < 0).any():
-        raise ValueError(f"order hint is not a permutation of 0..{n - 1}")
-    rows = np.arange(b)
-    at = place[sources]
-    ordered = distances[:, order]
-    ordered[rows, at] = ordered[rows, np.where(at > 0, at - 1, 1)]
-    _check_distances(ordered)
-    if not _non_decreasing(ordered).all():
-        return None
-    return np.broadcast_to(order, (b, n)), ordered, at
+    perm = np.argsort(distances, axis=1)[:, :-1]
+    return perm, np.take_along_axis(distances, perm, axis=1)
 
 
 def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
-    """Every row's packed keys (see the module docstring), sorted, and
-    whether they differ above the id bits, which proves the row tie-free."""
+    """Every row's packed target keys (see the module docstring), sorted,
+    and whether they differ above the id bits, which proves the row
+    tie-free."""
     b, n = distances.shape
     rows = np.arange(b)
     keys = distances + 0.0  # a copy, in which -0.0 reads +0.0
@@ -258,55 +224,47 @@ def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
     keys |= np.arange(n, dtype=np.uint64)
     keys[rows, sources] = np.iinfo(np.uint64).max
     keys.sort(axis=1)
-    return keys, ~((keys[:, 1:-1] ^ keys[:, :-2]) <= mask).any(axis=1)
+    keys = keys[:, :-1]
+    return keys, ~((keys[:, 1:] ^ keys[:, :-1]) <= mask).any(axis=1)
 
 
 def _rows_along_keys(distances: np.ndarray, sources: np.ndarray, keys: np.ndarray):
-    """``(perm, ordered, at)`` in the order of sorted packed keys.  Ties
-    among the kept distance bits come out by id; a row that this leaves
+    """``(perm, ordered)`` in the order of sorted packed keys.  Ties among
+    the kept distance bits come out by id; a row that this leaves
     decreasing (distances that differ only in the id bits) is argsorted."""
-    b, n = distances.shape
-    perm = keys.view(np.int64) & _id_mask(n)
-    perm[:, -1] = sources
+    perm = keys.view(np.int64) & _id_mask(distances.shape[1])
     ordered = np.take_along_axis(distances, perm, axis=1)
-    ordered[:, -1] = ordered[:, -2]
     wrong = ~_non_decreasing(ordered)
     if wrong.any():
-        perm[wrong], ordered[wrong], _ = _rows_by_sort(distances[wrong], sources[wrong])
-    return perm, ordered, np.full(b, n - 1)
+        perm[wrong], ordered[wrong] = _rows_by_sort(distances[wrong], sources[wrong])
+    return perm, ordered
 
 
 @dataclass(frozen=True)
 class SortedRows:
-    """A (b, n) block of distance rows that ``sort_block`` sorted.
+    """A (b, n) block of distance rows that ``sort_block`` sorted, each
+    without its source.
 
     ``tie_free[r]`` says whether row r's n - 1 targets hold no tie.  The
-    rows listed in ``rows`` are also held in full: ``perm`` lists all n
-    vertices by non-decreasing distance from the row's source,
-    ``ordered`` holds their distances, and ``at`` is the slot of the source
-    itself.  That slot copies its neighbour's distance, so it neither
-    breaks the order nor starts a tie group; a row whose n - 1 targets
-    have no tie therefore has exactly one pair of equal neighbours.  Row r
-    of ``ids``, masked by ``mask``, lists the vertices in sorted order,
-    with the source in slot ``source_slot[r]``.
+    rows listed in ``rows`` are also held in full: ``perm`` lists their
+    targets by non-decreasing distance from the row's source, and
+    ``ordered`` holds those distances.  Row r of ``ids``, masked by
+    ``mask``, lists row r's targets in sorted order.
     """
 
     tie_free: np.ndarray
     rows: np.ndarray
     perm: np.ndarray
     ordered: np.ndarray
-    at: np.ndarray
     ids: np.ndarray
     mask: int
-    source_slot: np.ndarray
 
     def targets(self, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """The targets at ``slots`` of sorted rows ``rows``, counted without
-        the source."""
-        return self.ids[rows, slots + (slots >= self.source_slot[rows])] & self.mask
+        """The targets at ``slots`` of sorted rows ``rows``."""
+        return self.ids[rows, slots] & self.mask
 
 
-def sort_block(distances, sources, order=None, need=None) -> SortedRows:
+def sort_block(distances, sources, need=None) -> SortedRows:
     """Every row of a (b, n) block sorted by distance from its source, for
     both ways of drawing from it.
 
@@ -314,36 +272,25 @@ def sort_block(distances, sources, order=None, need=None) -> SortedRows:
     it is None) and every row whose packed keys do not prove it tie-free;
     the other rows are never gathered.  A negative or non-finite distance
     outside the sources' own entries raises ``ValueError``.
-
-    ``order``, if given, is a permutation of 0..n-1 expected to sort every
-    row: ``perm`` is then that permutation in every row.  If some row is not
-    non-decreasing in it, the block is sorted by packed keys instead, which
-    puts every source last.
     """
     distances = np.asarray(distances, dtype=np.float64)
     sources = np.asarray(sources, dtype=np.int64)
     b, n = distances.shape
-    hinted = None
-    if order is not None:
-        hinted = _rows_by_hint(distances, sources, np.asarray(order, dtype=np.int64))
-    if hinted is not None:
-        perm, ordered, at = hinted
-        return SortedRows(_tie_free(ordered), np.arange(b), perm, ordered, at, perm, -1, at)
     if need is None:
         need = np.ones(b, dtype=bool)
     keys, tie_free = _rows_by_keys(distances, sources)
     rows = np.flatnonzero(need | ~tie_free)
-    perm, ordered, at = _rows_along_keys(distances[rows], sources[rows], keys[rows])
-    tie_free[rows] = _tie_free(ordered)
+    perm, ordered = _rows_along_keys(distances[rows], sources[rows], keys[rows])
+    tie_free[rows] = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     # argsorted rows replace their keys; an id is at most the mask
     ids = keys.view(np.int64)
     ids[rows] = perm
-    return SortedRows(tie_free, rows, perm, ordered, at, ids, _id_mask(n), np.full(b, n - 1))
+    return SortedRows(tie_free, rows, perm, ordered, ids, _id_mask(n))
 
 
-def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:
+def sample_sorted(perm, ordered, ks, u) -> np.ndarray:
     """Draw ``ks[r]`` distinct targets per row of a sorted block's
-    ``(perm, ordered, at)`` by exponential keys.
+    ``(perm, ordered)`` by exponential keys.
 
     ``u`` holds b x n uniforms in [0, 1), indexed by vertex id.  A target
     gets the competition rank of its distance among the other n - 1 and the
@@ -351,13 +298,8 @@ def sample_sorted(perm, ordered, at, ks, u) -> np.ndarray:
     result is every row's targets, in descending key order, concatenated
     row after row.
     """
-    rows = np.arange(len(at))
-    ranks = competition_ranks(ordered)
-    # groups that start after the source's slot lose it
-    ranks -= ranks > at[:, None] + 1
-    keys = ranks * np.log1p(-np.take_along_axis(u, perm, axis=1))
-    keys[rows, at] = -np.inf
-    return perm[np.repeat(rows, ks), _top_keys(keys, ks)]
+    keys = competition_ranks(ordered) * np.log1p(-np.take_along_axis(u, perm, axis=1))
+    return perm[np.repeat(np.arange(len(perm)), ks), _top_keys(keys, ks)]
 
 
 def by_rejection(n: int, ks) -> np.ndarray:

@@ -253,23 +253,22 @@ def evaluate(spec, ctx, i: int, j: int) -> float:
     return float(spec.row(ctx, i)[j])
 
 
-def sort_rows(distances, sources, order=None):
+def sort_rows(distances, sources):
     """Every row of a (b, n) block sorted by distance from its source, as
-    ``(perm, ordered, at)`` (see ``ranking.SortedRows``), with every row
-    held in full.  ``order`` and the errors are those of ``sort_block``."""
-    ranked = sort_block(distances, sources, order)
-    return ranked.perm, ranked.ordered, ranked.at
+    ``(perm, ordered)`` (see ``ranking.SortedRows``), with every row held
+    in full.  The errors are those of ``sort_block``."""
+    ranked = sort_block(distances, sources)
+    return ranked.perm, ranked.ordered
 
 
-def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
+def sample_rows(distances, sources, ks, u) -> np.ndarray:
     """Draw ``ks[r]`` distinct targets for each source ``sources[r]``.
 
     ``distances`` is a (b, n) block of distance rows, one per source, over
     every vertex; the source's own entry is ignored.  ``u`` holds b x n
     uniforms in [0, 1), indexed like ``distances``.  The rows are sorted by
-    ``sort_rows`` (with the optional ``order`` hint) and drawn by
-    ``sample_sorted``.  Tied distances share a rank, so the draws depend
-    neither on the hint nor on how a sort leaves tied entries.
+    ``sort_rows`` and drawn by ``sample_sorted``.  Tied distances share a
+    rank, so the draws do not depend on how a sort leaves tied entries.
     """
     distances = np.asarray(distances, dtype=np.float64)
     b, n = distances.shape
@@ -278,4 +277,4 @@ def sample_rows(distances, sources, ks, u, order=None) -> np.ndarray:
         raise ValueError(f"need {b} x {n} uniforms, got shape {np.shape(u)}")
     if b == 0:
         return np.zeros(0, dtype=np.int64)
-    return sample_sorted(*sort_rows(distances, sources, order), ks, u)
+    return sample_sorted(*sort_rows(distances, sources), ks, u)

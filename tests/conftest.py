@@ -55,20 +55,13 @@ def profile_calls(monkeypatch) -> dict[str, list]:
 
 @pytest.fixture
 def ranked_rows(monkeypatch) -> dict[str, int]:
-    """Count of the rows that the sampler sorts through a shared order hint
-    ("hinted"), of those it sorts by packed keys ("packed"), of those whose
-    values it gathers along the packed order ("gathered"), of those it
-    argsorts ("sorted"), and of those it draws by exponential keys
-    ("keyed")."""
-    counts = {"hinted": 0, "packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
-    by_hint, by_keys, along_keys = ranking._rows_by_hint, ranking._rows_by_keys, ranking._rows_along_keys
+    """Count of the rows that the sampler sorts by packed keys ("packed"),
+    of those whose values it gathers along the packed order ("gathered"),
+    of those it argsorts ("sorted"), and of those it draws by exponential
+    keys ("keyed")."""
+    counts = {"packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
+    by_keys, along_keys = ranking._rows_by_keys, ranking._rows_along_keys
     by_sort, top_keys = ranking._rows_by_sort, ranking._top_keys
-
-    def hinted(distances, sources, order):
-        out = by_hint(distances, sources, order)
-        if out is not None:
-            counts["hinted"] += len(sources)
-        return out
 
     def packed(distances, sources):
         counts["packed"] += len(sources)
@@ -86,7 +79,6 @@ def ranked_rows(monkeypatch) -> dict[str, int]:
         counts["keyed"] += len(keys)
         return top_keys(keys, ks)
 
-    monkeypatch.setattr(ranking, "_rows_by_hint", hinted)
     monkeypatch.setattr(ranking, "_rows_by_keys", packed)
     monkeypatch.setattr(ranking, "_rows_along_keys", gathered)
     monkeypatch.setattr(ranking, "_rows_by_sort", argsorted)

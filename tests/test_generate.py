@@ -340,7 +340,7 @@ def test_priority_rank_independent_of_block_size(monkeypatch, case):
 def test_priority_rank_matches_per_vertex_oracle(case):
     # tie-free rows under the rejection limit take their slots from
     # child(2)'s shared-kernel positions; the others draw keys from child(3).
-    # Euclidean and naive Bayes rows are tie-free (argsorted and hinted),
+    # Euclidean and naive Bayes rows are tie-free (sorted by packed keys),
     # and their resampled out-degrees cross the limit; every tied Euclidean
     # row draws keys.  The random and degree kinds draw through the
     # shared-vector kernel, and the law tests below check them.
@@ -410,7 +410,7 @@ def test_pass_builds_constant_rng_streams(rng_streams):
         assert built == [1, 1], spec.kind
 
 
-def test_order_hint_ranks_exactly_the_shared_order_kinds(monkeypatch, ranked_rows):
+def test_proven_and_shared_kinds_sort_no_rows(monkeypatch, ranked_rows):
     # at n=2000, the naive-Bayes order's proof covers every source, so a
     # pass evaluates and sorts no row; an aggregate pass sorts every row by
     # packed keys, which prove every row tie-free, so it gathers and
@@ -435,10 +435,10 @@ def test_order_hint_ranks_exactly_the_shared_order_kinds(monkeypatch, ranked_row
         (RandomDistance(), None, None),
         (aggregate, None, "packed"),
     ):
-        ranked_rows.update(hinted=0, packed=0, gathered=0, sorted=0, keyed=0)
+        ranked_rows.update(packed=0, gathered=0, sorted=0, keyed=0)
         g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
         assert g.out_degrees.tolist() == [10] * n
-        expected = {"hinted": 0, "packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
+        expected = {"packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
         if path:
             expected[path] = n
         assert ranked_rows == expected, spec.kind
@@ -547,9 +547,9 @@ def test_per_source_pass_follows_exact_law():
 @pytest.mark.parametrize("case", ["euclidean", "naive_bayes"])
 def test_bad_distance_raises_on_every_path(monkeypatch, case, bad, message):
     # a bad entry in vertex 2's row fails the one distance check whether
-    # the row is argsorted (Euclidean) or hinted (naive Bayes), and whether
-    # its k lies under the rejection limit (rank space) or above it
-    # (keys); a bad entry in a source's own slot is a placeholder, ignored.
+    # the row is Euclidean or naive Bayes, and whether its k lies under the
+    # rejection limit (rank space) or above it (keys); a bad entry in a
+    # source's own slot is a placeholder, ignored.
     # Naive Bayes evaluates the rows of unproven sources only, so its
     # order proves none here
     n = 40

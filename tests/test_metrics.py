@@ -506,6 +506,71 @@ def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     assert sweep_chunks == []
 
 
+def log_pair_blocks(monkeypatch) -> list[int]:
+    """Log of the number of oriented-neighbour pairs in each block that
+    ``transitivity`` lists, in order."""
+    blocks = []
+    count_members = metrics._count_members
+
+    def logging(codes, queries):
+        blocks.append(len(queries))
+        return count_members(codes, queries)
+
+    monkeypatch.setattr(metrics, "_count_members", logging)
+    return blocks
+
+
+def test_transitivity_memory_stays_near_the_budget(monkeypatch):
+    # the complete graph on 200 vertices has 1.3M oriented-neighbour pairs,
+    # a 76 MB traced peak when listed at once; in blocks the peak measured
+    # 1.50 budgets, the blocks plus the arrays over its 39,800 arcs
+    g = complete(200)
+    tracemalloc.start()
+    try:
+        value = transitivity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert peak < 1.75 * metrics._CHUNK_BYTES
+    # a graph of the profile workload's size runs in one block
+    blocks = log_pair_blocks(monkeypatch)
+    transitivity(BUDGET_GRAPHS["er"][0])
+    assert len(blocks) == 1 and blocks[0] > 20_000
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_erdos_renyi(60, 0.1, seed=5),
+        gen_barabasi_albert(60, 3, seed=6),
+        gen_dorogovtsev_goltsev_mendes(5),
+        complete(12),
+    ],
+    ids=["er", "ba", "dgm", "complete"],
+)
+def test_transitivity_blocks_split_mid_graph(monkeypatch, g):
+    # budgets of a few pairs cut the sources into many blocks; every pair is
+    # still listed once, and the result is that of one block, and
+    # networkx's
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.arcs)
+    blocks = log_pair_blocks(monkeypatch)
+    results = {}
+    for pairs in (10**12, 1, 2, 5, 50):
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", pairs * metrics._PAIR_BYTES)
+        blocks.clear()
+        results[pairs] = transitivity(g), sum(blocks), len(blocks)
+    value, listed, count = results.pop(10**12)
+    assert count == 1
+    assert value == pytest.approx(nx.transitivity(G))
+    for pairs, (split, split_listed, split_count) in results.items():
+        assert (split, split_listed) == (value, listed), pairs
+        assert split_count > 1, pairs
+
+
 @pytest.mark.parametrize(
     "name, g",
     [

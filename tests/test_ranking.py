@@ -262,60 +262,37 @@ def test_top_keys_argmax_path_matches_argpartition_path():
         assert single.tolist() == pairs[:, 0].tolist()
 
 
-def shared_order_block():
-    """Rows with tied groups that all sort the targets one way, and that
-    way as a hint.  The sources sit at hint positions 0 (first), 1 and 2
-    (start and middle of a tie group), 6 (end of a tie group) and 9 (last);
-    their own entries are NaN, which the sampler ignores."""
+def tied_block():
+    """Rows with tied groups that all sort the targets one way.  The sources
+    sit at sorted positions 0 (first), 1 and 2 (start and middle of a tie
+    group), 6 (end of a tie group) and 9 (last); their own entries are NaN,
+    which the sampler ignores."""
     gen = np.random.default_rng(8)
     base = gen.permutation([0.5, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 4.5, 6.0])
-    order = np.argsort(base, kind="stable")
-    sources = order[[0, 1, 2, 6, 9, 2]]
+    sources = np.argsort(base, kind="stable")[[0, 1, 2, 6, 9, 2]]
     rows = np.vstack([base, 2.0 * base, base + 1.0, base, base, base])
     rows[np.arange(len(sources)), sources] = np.nan
-    return rows, sources, order
+    return rows, sources
 
 
-def test_order_hint_ranks_like_the_argsort():
-    # the three sorts of sort_rows list every row's targets in the order of
-    # the per-vertex ranking, up to ties, with the source in slot ``at``
-    rows, sources, order = shared_order_block()
-    n = rows.shape[1]
-    hinted = ranking._rows_by_hint(rows, sources, order)
-    assert hinted is not None
-    packed = sort_rows(rows, sources)
-    for perm, ordered, at in (hinted, ranking._rows_by_sort(rows, sources), packed):
-        for r, source in enumerate(sources.tolist()):
-            assert perm[r, at[r]] == source
-            ids = np.delete(perm[r], at[r])
-            assert sorted(ids.tolist()) == sorted(set(range(n)) - {source})
-            expected = build_local_ranking(source, (ids, rows[r, ids])).distances
-            assert np.delete(ordered[r], at[r]).tolist() == expected.tolist()
-            assert rows[r, ids].tolist() == expected.tolist()
-    # packed keys break ties by id
-    for r in range(len(sources)):
-        groups = np.split(packed[0][r, :-1], np.flatnonzero(np.diff(packed[1][r, :-1])) + 1)
-        assert all((np.diff(group) > 0).all() for group in groups)
-
-
-def test_order_hint_never_changes_draws(ranked_rows):
-    # a reversed or shuffled hint fails the per-row check, so the block is
-    # sorted by packed keys; every hint gives the draws of no hint.  Each
-    # row has tied targets, so sort_rows gathers every packed row, and the
-    # ties come out by id, which leaves no row to argsort
-    rows, sources, order = shared_order_block()
+def test_packed_keys_rank_like_the_argsort():
+    # both sorts of sort_block list every row's n - 1 targets in the order
+    # of the per-vertex ranking, up to ties; the source's key sorts last
+    # and is dropped
+    rows, sources = tied_block()
     b, n = rows.shape
-    ks = np.array([1, 3, 9, 2, 5, 1])
-    wrong = (order[::-1], np.random.default_rng(2).permutation(order))
-    for seed in range(20):
-        u = RngStream(seed).generator.random((b, n))
-        plain = sample_rows(rows, sources, ks, u).tolist()
-        assert sample_rows(rows, sources, ks, u, order).tolist() == plain
-        for hint in wrong:
-            assert sample_rows(rows, sources, ks, u, hint).tolist() == plain
-    packed = 20 * b * 3
-    expected = {"hinted": 20 * b, "packed": packed, "gathered": packed, "sorted": 0, "keyed": 20 * b * 4}
-    assert ranked_rows == expected
+    packed = sort_rows(rows, sources)
+    for perm, ordered in (ranking._rows_by_sort(rows, sources), packed):
+        assert perm.shape == ordered.shape == (b, n - 1)
+        for r, source in enumerate(sources.tolist()):
+            assert sorted(perm[r].tolist()) == sorted(set(range(n)) - {source})
+            expected = build_local_ranking(source, (perm[r], rows[r, perm[r]])).distances
+            assert ordered[r].tolist() == expected.tolist()
+            assert rows[r, perm[r]].tolist() == expected.tolist()
+    # packed keys break ties by id
+    for r in range(b):
+        groups = np.split(packed[0][r], np.flatnonzero(np.diff(packed[1][r])) + 1)
+        assert all((np.diff(group) > 0).all() for group in groups)
 
 
 def packed_cases(n, b, seed):
@@ -361,8 +338,8 @@ def packed_cases(n, b, seed):
 def argsorted_keys(distances, sources):
     """A stand-in for the packed sort: the argsort's order in place of the
     keys, and the tie check on the argsort's sorted values."""
-    perm, ordered, _ = ranking._rows_by_sort(distances, sources)
-    return perm.astype(np.uint64), np.count_nonzero(ordered[:, 1:] == ordered[:, :-1], axis=1) == 1
+    perm, ordered = ranking._rows_by_sort(distances, sources)
+    return perm.astype(np.uint64), ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
 def draws_of_rows(sources, block, seed):
@@ -376,9 +353,7 @@ def draws_of_rows(sources, block, seed):
     slots = sample_shared(np.arange(n), np.full(direct.sum(), n - 1), ks[sources][direct], gen)
     u = RngStream(seed).generator.random(block.shape)
     keyed = sample_rows(block, sources, ks[sources], u)
-    heads, tails = _row_draws(
-        sources, ks, slots, lambda s: block[np.searchsorted(sources, s)], None, RngStream(seed)
-    )
+    heads, tails = _row_draws(sources, ks, slots, lambda s: block[np.searchsorted(sources, s)], RngStream(seed))
     tie_free = ranking.sort_block(block, sources).tie_free
     return keyed.tolist(), np.concatenate(heads).tolist(), np.concatenate(tails).tolist(), tie_free.tolist()
 
@@ -408,13 +383,6 @@ def test_packed_keys_draw_like_the_argsort(monkeypatch, ranked_rows, n, b):
                             "signed_zeros": {True, False}}
         assert argsorted.pop("low_bits") > 0 and argsorted.pop("extreme") > 0
     assert set(argsorted.values()) == {0}
-
-
-def test_sample_rows_rejects_a_hint_that_is_not_a_permutation():
-    u = np.full((1, 3), 0.5)
-    for hint in ([0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]):
-        with pytest.raises(ValueError, match="not a permutation"):
-            sample_rows([[0.0, 1.0, 2.0]], [0], [1], u, hint)
 
 
 # Sorted, the vector reads 0.5 | 1.0 1.0 1.0 | 2.0 | 3.0 | 4.0: vertices
