@@ -315,18 +315,23 @@ class AggregateDistance(DistanceFunction):
     def rows(self, ctx, sources):
         if ctx.attrs is None:
             raise ValueError("aggregate distance needs an attribute table")
-        total = np.zeros((len(sources), ctx.n))
-        term = np.empty_like(total)
-        for name, w in self.weights:
+        total = np.empty((len(sources), ctx.n))
+        term = np.empty_like(total) if len(self.weights) > 1 else None
+        # a term is >= +0.0, and 0.0 + x and x * 1.0 are exact for such x: the
+        # first term is the sum so far, and a weight of 1.0 multiplies nothing
+        for k, (name, w) in enumerate(self.weights):
+            out = term if k else total
             if ctx.attrs.column(name).is_numeric:
                 vals = ctx.attrs.numeric_array(name)
-                np.subtract(vals, vals[sources, None], out=term)
-                np.abs(term, out=term)
+                np.subtract(vals, vals[sources, None], out=out)
+                np.abs(out, out=out)
             else:
                 codes = ctx.attrs.codes(name)
-                np.not_equal(codes, codes[sources, None], out=term)
-            term *= w
-            total += term
+                np.not_equal(codes, codes[sources, None], out=out)
+            if w != 1.0:
+                out *= w
+            if k:
+                total += term
         return total
 
 

@@ -254,7 +254,15 @@ def save_edge_list(g: Graph) -> str:
     """
     arcs = g.arc_array
     header = "" if len(arcs) and g.n == arcs.max() + 1 else f"n={g.n}\n"
-    return header + ("%d %d\n" * len(arcs)) % tuple(arcs.ravel().tolist())
+    # each arc's line gathered from a table of NUL-padded decimal ids
+    width = len(str(g.n - 1))
+    digits = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
+    lines = np.empty((len(arcs), 2 * width + 2), dtype=np.uint8)
+    lines[:, :width] = digits[arcs[:, 0]]
+    lines[:, width] = ord(" ")
+    lines[:, width + 1 : -1] = digits[arcs[:, 1]]
+    lines[:, -1] = ord("\n")
+    return header + lines[lines != 0].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -400,17 +408,34 @@ def _attribute_rows(
     return [tuple(values) for values in raw_columns]
 
 
+def _plain_rows(text: str) -> list[list[str]] | None:
+    """The rows of ``text`` split at LF and at commas (csv keeps \\v or
+    \\x85, where ``str.splitlines`` breaks, in a cell), or None where they
+    could differ from ``csv.reader``'s: text with a quote or a CR, or with a
+    row whose first cell is blank, which may be a blank row."""
+    if '"' in text or "\r" in text:
+        return None
+    rows = [line.split(",") for line in text.split("\n")]
+    if text.endswith("\n"):
+        rows.pop()
+    return rows if all(row[0].strip() for row in rows) else None
+
+
 def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
     """Parse a CSV attribute table with ``name:kind`` headers."""
     text = _as_text(stream)
-    reader = csv.reader(io.StringIO(text))
-    rows, lines = [], []
-    start = 1  # the text line that the next row starts on
-    for row in reader:
-        if "".join(row).strip():
-            rows.append(row)
-            lines.append(start)
-        start = reader.line_num + 1
+    rows = _plain_rows(text)
+    if rows is not None:
+        lines = range(1, len(rows) + 1)
+    else:
+        reader = csv.reader(io.StringIO(text))
+        rows, lines = [], []
+        start = 1  # the text line that the next row starts on
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
     if not rows:
         raise GraphFormatError("attribute table has no header row")
     header = rows[0]

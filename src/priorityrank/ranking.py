@@ -34,17 +34,23 @@ sampling).  Three kernels draw from this law, from rows sorted as below.
 - ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
 
 ``sort_block`` sorts a block of per-source rows with one value sort of
-packed keys.  A key is a distance's bit pattern, after ``+ 0.0`` turns -0.0
-into +0.0, with its low ``(n - 1).bit_length()`` bits replaced by the target
-id; the source's key is all ones, so it sorts last and is dropped.  Finite
-non-negative floats order like their bit patterns, so a row whose sorted
-keys all differ above the id bits is strictly increasing in distance:
-tie-free, and sorted exactly.  Such a row reads its targets from its keys
-and never gathers a distance.  Every other row (true ties, distances that
-differ only in the id bits, and any row the caller needs in full) gathers
-its distances along the packed order, which puts tied targets by id, and
-must then be non-decreasing; a row that is not is argsorted.  Ties may come
-out in any order, since tied targets share a rank.
+packed keys.  A key is a distance's bit pattern with its low
+``(n - 1).bit_length()`` bits replaced by the target id, built on a bit view
+of the rows; the source's key is +inf.  The keys are sorted as float64: a
+finite non-negative distance's key is a finite non-negative float, and such
+floats order like their bit patterns.  A negative or -0.0 key sorts first,
+and an infinite or NaN one beside or after the source's +inf, so the first
+and last keys of each sorted row check the whole row.  Only a flagged row
+is rebuilt from a ``+ 0.0`` copy, in which -0.0 reads +0.0, and checked
+entry by entry for the usual errors.  The source's key, last, is dropped.
+A row whose sorted keys, read as integers, rise strictly above the id bits
+is strictly increasing in distance: tie-free, and sorted exactly, whatever
+the float sort did.  Such a row reads its targets from its keys and never
+gathers a distance.  Every other row (true ties, distances that differ only
+in the id bits, and any row the caller needs in full) gathers its distances
+along the packed order, which puts tied targets by id, and must then be
+non-decreasing; a row that is not is argsorted.  Ties may come out in any
+order, since tied targets share a rank.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -193,6 +199,9 @@ def _non_decreasing(ordered: np.ndarray) -> np.ndarray:
     return (ordered[:, 1:] >= ordered[:, :-1]).all(axis=1)
 
 
+_INF_KEY = np.float64(np.inf).view(np.uint64)
+
+
 def _id_mask(n: int) -> int:
     """The low bits of a packed key that hold a target id in [0, n)."""
     return (1 << (n - 1).bit_length()) - 1
@@ -209,23 +218,35 @@ def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
     return perm, np.take_along_axis(distances, perm, axis=1)
 
 
+def _sorted_keys(distances: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Every row's packed keys, the source's +inf, sorted in float order."""
+    b, n = distances.shape
+    keys = distances.view(np.uint64) & ~np.uint64(_id_mask(n))
+    keys |= np.arange(n, dtype=np.uint64)
+    keys[np.arange(b), sources] = _INF_KEY
+    keys.view(np.float64).sort(axis=1)
+    return keys
+
+
 def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
     """Every row's packed target keys (see the module docstring), sorted,
-    and whether they differ above the id bits, which proves the row
-    tie-free."""
-    b, n = distances.shape
-    rows = np.arange(b)
-    keys = distances + 0.0  # a copy, in which -0.0 reads +0.0
-    keys[rows, sources] = 0.0
-    _check_distances(keys)
-    keys = keys.view(np.uint64)
-    mask = np.uint64(_id_mask(n))
-    keys &= ~mask
-    keys |= np.arange(n, dtype=np.uint64)
-    keys[rows, sources] = np.iinfo(np.uint64).max
-    keys.sort(axis=1)
-    keys = keys[:, :-1]
-    return keys, ~((keys[:, 1:] ^ keys[:, :-1]) <= mask).any(axis=1)
+    and whether their distance bits strictly increase, which proves the
+    row tie-free."""
+    n = distances.shape[1]
+    keys = _sorted_keys(distances, sources)
+    kept = keys[:, :-1]
+    # read unsigned, the key of a finite non-negative distance lies below
+    # +inf's; a negative or -0.0 key sorts first, and an inf or NaN one
+    # leaves a key at or above +inf's last among the kept keys
+    odd = ((kept[:, :1] >= _INF_KEY) | (kept[:, -1:] >= _INF_KEY)).any(axis=1)
+    if odd.any():
+        rows = np.flatnonzero(odd)
+        fixed = distances[rows] + 0.0  # a copy, in which -0.0 reads +0.0
+        fixed[np.arange(len(rows)), sources[rows]] = 0.0
+        _check_distances(fixed)
+        keys[rows] = _sorted_keys(fixed, sources[rows])
+    high = keys >> np.uint64((n - 1).bit_length())
+    return kept, (high[:, 1:-1] > high[:, :-2]).all(axis=1)
 
 
 def _rows_along_keys(distances: np.ndarray, sources: np.ndarray, keys: np.ndarray):

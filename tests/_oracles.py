@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from priorityrank.graph import Graph
-from priorityrank.ranking import _check_draws, build_local_ranking, sample_sorted, sort_block
+from priorityrank.ranking import _check_distances, _check_draws, _id_mask, build_local_ranking, sample_sorted, sort_block
 
 
 def adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
@@ -278,3 +278,45 @@ def sample_rows(distances, sources, ks, u) -> np.ndarray:
     if b == 0:
         return np.zeros(0, dtype=np.int64)
     return sample_sorted(*sort_rows(distances, sources), ks, u)
+
+
+def packed_keys(distances, sources):
+    """The packed keys of ``ranking._rows_by_keys``, built the first way:
+    the bits of a ``+ 0.0`` copy checked in full, all ones for the source,
+    one uint64 sort, and tie-free where no two neighbouring keys agree
+    above the id bits.  The errors are those of ``sort_block``."""
+    b, n = distances.shape
+    rows = np.arange(b)
+    keys = distances + 0.0
+    keys[rows, sources] = 0.0
+    _check_distances(keys)
+    keys = keys.view(np.uint64)
+    mask = np.uint64(_id_mask(n))
+    keys &= ~mask
+    keys |= np.arange(n, dtype=np.uint64)
+    keys[rows, sources] = np.iinfo(np.uint64).max
+    keys.sort(axis=1)
+    keys = keys[:, :-1]
+    return keys, ~((keys[:, 1:] ^ keys[:, :-1]) <= mask).any(axis=1)
+
+
+def aggregate_rows(spec, ctx, sources) -> np.ndarray:
+    """``AggregateDistance.rows`` as written: zeros plus every weighted
+    term."""
+    total = np.zeros((len(sources), ctx.n))
+    for name, w in spec.weights:
+        if ctx.attrs.column(name).is_numeric:
+            vals = ctx.attrs.numeric_array(name)
+            term = np.abs(vals - vals[sources, None])
+        else:
+            codes = ctx.attrs.codes(name)
+            term = (codes != codes[sources, None]).astype(np.float64)
+        total = total + term * w
+    return total
+
+
+def edge_list_text(g: Graph) -> str:
+    """``save_edge_list`` written with one ``%`` format of every arc."""
+    arcs = g.arc_array
+    header = "" if len(arcs) and g.n == arcs.max() + 1 else f"n={g.n}\n"
+    return header + ("%d %d\n" * len(arcs)) % tuple(arcs.ravel().tolist())

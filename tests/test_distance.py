@@ -35,7 +35,7 @@ from priorityrank.metrics import CENTRALITY_KINDS, network_profile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
-from _oracles import evaluate, random_digraph
+from _oracles import aggregate_rows, evaluate, random_digraph
 
 
 def people_table():
@@ -182,6 +182,37 @@ def test_aggregate_mixed_kinds():
     assert evaluate(spec, ctx, ALICE, BOB) == 25.0
     with pytest.raises(ValueError, match="non-negative"):
         AggregateDistance(weights=(("age", -1.0),))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (("x", 1.0), ("lab", 1.0), ("y", 1.0), ("z", 1.0)),
+        (("lab", 2.5), ("x", 0.0), ("y", 1e-3), ("z", 1.0)),
+        (("x", 0.0), ("lab", 0.0)),
+        (("y", 1e-3),),
+        (("lab", 2.5),),
+        (("x", 1.0),),
+    ],
+)
+def test_aggregate_rows_match_the_weighted_sum(weights):
+    # the first term written into the sum and the skipped * 1.0 give the
+    # bits of zeros plus every weighted term, -0.0 differences included
+    gen = np.random.default_rng(5)
+    n = 40
+    table = AttributeTable(
+        [
+            AttributeColumn("x", "continuous", tuple(gen.lognormal(size=n))),
+            AttributeColumn("y", "continuous", tuple(gen.normal(size=n) * 1e300)),
+            AttributeColumn("z", "ordinal", tuple(np.r_[[0.0, -0.0] * 5, gen.integers(0, 3, n - 10)])),
+            AttributeColumn("lab", "categorical", tuple(f"c{v}" for v in gen.integers(0, 3, n))),
+        ]
+    )
+    ctx = DistanceContext(attrs=table)
+    spec = AggregateDistance(weights=weights)
+    sources = np.array([0, 1, 7, 39])
+    got = spec.rows(ctx, sources)
+    assert got.view(np.uint64).tolist() == aggregate_rows(spec, ctx, sources).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])

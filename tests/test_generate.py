@@ -13,8 +13,10 @@ from priorityrank import generate
 from priorityrank.distance import (
     AggregateDistance,
     CentralityDistance,
+    CosineDistance,
     DistanceContext,
     Euclidean1D,
+    Euclidean2D,
     RandomDistance,
     build_training_set,
     fit_linear_regression_distance,
@@ -395,6 +397,29 @@ def test_learned_generation_matches_golden_hashes(kind, seed):
     assert (g.out_degrees > (n - 1) // 4).any()
     digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()
     assert digest == json.loads(GOLDEN_LEARNED.read_text())[f"{kind}-{seed}"]
+
+
+GOLDEN_ROWS = Path(__file__).parent / "data" / "row_generate_sha256.json"
+ROW_SPECS = {
+    # a categorical first term, and weights other than 1.0
+    "aggregate": AggregateDistance(weights=(("lab", 2.5), ("x", 1.0), ("y", 1e-3))),
+    "euclidean2d": Euclidean2D(attr1="x", attr2="y"),
+    "cosine": CosineDistance(),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ROW_SPECS))
+def test_row_generation_matches_golden_hashes(kind, seed):
+    # sha256 of seeded graphs of kinds whose rows are evaluated and sorted
+    # by packed keys; the resampled degrees 80 and 150 lie over the
+    # rejection limit of n = 300 and draw keyed rows
+    n = 300
+    degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 80, 150])
+    g = priority_rank_generate(n, mixed_attr(n, 4), ROW_SPECS[kind], degrees, seed=seed)
+    assert (g.out_degrees > (n - 1) // 4).any()
+    digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()
+    assert digest == json.loads(GOLDEN_ROWS.read_text())[f"{kind}-{seed}"]
 
 
 def test_pass_builds_constant_rng_streams(rng_streams):

@@ -18,6 +18,8 @@ from priorityrank.graph import (
     symmetrize,
 )
 
+from _oracles import edge_list_text
+
 
 def test_load_basic():
     g = load_edge_list("0 1\n1 2")
@@ -60,6 +62,19 @@ def test_save_simple_and_empty():
     assert save_edge_list(Graph(2, [(1, 0)])) == "1 0\n"
     assert save_edge_list(Graph(0, [])) == "n=0\n"
     assert save_edge_list(Graph(3, [])) == "n=3\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 1000, 2000])
+def test_save_edge_list_matches_the_format_reference(n):
+    # every digit width, with the header (vertex n - 1 has no arc) and
+    # without it (an arc into n - 1)
+    gen = np.random.default_rng(n)
+    arcs = gen.integers(0, n, (3 * n, 2))
+    arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+    into_last = np.vstack([arcs, [[0, n - 1]]]) if n > 1 else arcs
+    for g, header in ((Graph(n, arcs[(arcs < n - 1).all(axis=1)]), True), (Graph(n, into_last), n == 1)):
+        assert save_edge_list(g) == edge_list_text(g)
+        assert save_edge_list(g).startswith("n=") == header
 
 
 def test_round_trip_random_graphs():
@@ -411,6 +426,29 @@ def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
         assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
         outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
     assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'"} <= outcomes
+
+
+ATTRIBUTE_SPLIT_TEXTS = (
+    "", "\n", "a:continuous", "a:continuous\n1", "a:continuous\n1\n\n", "a:continuous\n \n1\n",
+    "a:continuous\n1\n \t\n", "a:categorical,b:categorical\n , \n", "a:categorical,b:categorical\n,x\n",
+    "a:categorical\nx\x0by\n", "a:categorical\nx\x85y\u2028z\n", "a:categorical\n\x1c\n", "a:categorical\nx\x00y\n",
+    "a:continuous,b:categorical\n1\n2,x\n", "a:continuous,b:categorical\n1,x,\n", "a:categorical\r\nx\r\n",
+    'a:categorical\nx"y\n', "\ufeffa:continuous\n1\n", "a:continuous\n1\nabc",
+)
+
+
+def test_attribute_split_matches_the_csv_reader(monkeypatch):
+    # the split by LF and commas reads every text it accepts as csv.reader
+    # does: the same table, or the same error on the same line
+    texts = list(ATTRIBUTE_SPLIT_TEXTS)
+    gen = np.random.default_rng(78)
+    texts += [_random_attribute_text(gen, perturb=trial % 2 == 1) for trial in range(1000)]
+    split = 0
+    for text in texts:
+        expected = _line_loop_outcome(monkeypatch, load_attributes, "_plain_rows", text)
+        assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
+        split += graph_mod._plain_rows(text) is not None
+    assert 500 < split < len(texts) - 100
 
 
 ATTRIBUTE_LINE_CASES = [

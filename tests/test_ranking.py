@@ -16,7 +16,14 @@ from priorityrank.ranking import (
 )
 from priorityrank.stats import RngStream, harmonic
 
-from _oracles import chisquare_pvalue, sample_rows, sequential_draw_law, shared_vector_law, sort_rows
+from _oracles import (
+    chisquare_pvalue,
+    packed_keys,
+    sample_rows,
+    sequential_draw_law,
+    shared_vector_law,
+    sort_rows,
+)
 
 
 def alice_ranking():
@@ -383,6 +390,62 @@ def test_packed_keys_draw_like_the_argsort(monkeypatch, ranked_rows, n, b):
                             "signed_zeros": {True, False}}
         assert argsorted.pop("low_bits") > 0 and argsorted.pop("extreme") > 0
     assert set(argsorted.values()) == {0}
+
+
+@pytest.mark.parametrize("n, b", [(2, 2), (9, 9), (64, 64), (1024, 24), (1025, 24)])
+def test_packed_keys_match_the_first_build(n, b):
+    # the bit-view build, sorted in float order and proved on the integer
+    # bits, gives the keys and tie flags of the + 0.0 copy sorted as uint64
+    for seed in range(3):
+        sources, cases = packed_cases(n, b, seed)
+        for name, block in cases.items():
+            keys, tie_free = ranking._rows_by_keys(block, sources)
+            old_keys, old_tie_free = packed_keys(block, sources)
+            assert keys.tolist() == old_keys.tolist(), (name, seed)
+            assert tie_free.tolist() == old_tie_free.tolist(), (name, seed)
+
+
+def keys_outcome(build, block, sources):
+    try:
+        keys, tie_free = build(block, sources)
+    except ValueError as exc:
+        return str(exc)
+    return keys.tolist(), tie_free.tolist()
+
+
+ODD_ENTRIES = [-0.0, np.inf, np.nan, -np.inf, -5e-324, -2.0, 5e-324]
+
+
+@pytest.mark.parametrize("source, target", [(3, 0), (3, 1), (3, 5), (0, 1), (0, 5)])
+@pytest.mark.parametrize("odd", ODD_ENTRIES)
+def test_odd_entries_keep_the_first_build_outcome(source, target, odd):
+    # a row whose one odd entry sorts first, last or beside the source's
+    # +inf key raises the first build's error, or reads -0.0 as +0.0
+    n = 6
+    row = np.array([[3.0, 1.0, 0.0, 2.0, 4.0, 0.5]])
+    row[0, target] = odd
+    # the same entry twice, so that the source's +inf is not the last key kept
+    twice = row.copy()
+    twice[0, 4] = odd
+    block = np.vstack([row, [[9.0, 8.0, 7.0, 6.0, 5.0, 4.0]], twice])
+    sources = np.array([source, 2, source])
+    expected = keys_outcome(packed_keys, block, sources)
+    assert keys_outcome(ranking._rows_by_keys, block, sources) == expected
+    if not np.isfinite(odd):
+        assert expected == "distances must be finite"
+    elif odd < 0.0:
+        assert expected == "distances must be non-negative"
+    else:
+        assert [len(keys) for keys in expected[0]] == [n - 1] * 3
+
+
+def test_finite_is_checked_before_non_negative():
+    # the first build checks the whole block for non-finite entries first
+    sources = np.array([0, 0, 0])
+    for order in ([-1.0, np.inf, 2.0], [np.inf, -1.0, 2.0], [np.nan, -0.0, -5e-324]):
+        block = np.array([[0.0, 1.0, x] for x in order])
+        assert keys_outcome(ranking._rows_by_keys, block, sources) == "distances must be finite"
+        assert keys_outcome(packed_keys, block, sources) == "distances must be finite"
 
 
 # Sorted, the vector reads 0.5 | 1.0 1.0 1.0 | 2.0 | 3.0 | 4.0: vertices
