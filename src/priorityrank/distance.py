@@ -99,7 +99,6 @@ class DistanceContext:
         self.attrs = attrs
         self.reference = reference
         self._centralities: dict[str, np.ndarray] = dict(centralities or {})
-        self._features: dict = {}
         self._scores: dict = {}
 
     @cached_property
@@ -127,13 +126,9 @@ class DistanceContext:
         return value
 
     def features(self, encoder: "FeatureEncoder") -> np.ndarray:
-        mat = self._features.get(encoder)
-        if mat is None:
-            if self.attrs is None:
-                raise ValueError("learned distance needs an attribute table")
-            mat = encoder.encode(self.attrs)
-            self._features[encoder] = mat
-        return mat
+        if self.attrs is None:
+            raise ValueError("learned distance needs an attribute table")
+        return encoder.encode(self.attrs)
 
 
 def reference_centralities(g: Graph) -> dict[str, np.ndarray]:

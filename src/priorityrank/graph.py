@@ -19,14 +19,16 @@ Two parsers read each format, and they accept the same language.  An edge
 list in the plain grammar (an optional ``n=<digits>`` header, then only
 ``<digits>[ \\t]+<digits>`` lines ended by LF or CRLF, each number at most
 18 ASCII digits) is parsed by a regex check and ``np.fromstring``, and its
-self-loops and declared range are checked vectorised.  An attribute table
-whose rows all have one cell per column is converted a column at a time
-and checked by one ``np.isfinite``.  Anything else (comments, blank lines,
-other whitespace, signs, underscores, longer numbers, a failed check) goes
-to the line loop (``_edge_list_lines``) or the row loop
-(``_attribute_rows``).  The loops are the only code that writes an
-edge-list or attribute-row error message, so every message names its line
-or row; a row is numbered by the text line it starts on.
+self-loops and declared range are checked vectorised.  Anything else
+(comments, blank lines, other whitespace, signs, underscores, longer
+numbers, a failed check) goes to the line loop (``_edge_list_lines``), the
+only code that writes an edge-list error message, so every message names
+its line.  An attribute table is split into rows at LF and at commas where
+that reads as ``csv.reader`` would (``_plain_rows``), and by ``csv.reader``
+otherwise.  ``AttributeColumn`` then converts and checks each column once;
+only a table with a row of the wrong length or a cell that fails that check
+reaches ``_raise_bad_row``, which names the first bad row by the text line
+it starts on.
 """
 
 from __future__ import annotations
@@ -358,42 +360,19 @@ class AttributeTable:
         return cache[name]
 
 
-def _attribute_columns(specs: list[tuple[str, str]], body: list[list[str]]) -> list[tuple] | None:
-    """Each column's values, converted by one ``map`` and validated by one
-    ``np.isfinite``; None when any row or cell is bad."""
-    if set(map(len, body)) - {len(specs)}:
-        return None
-    columns = []
-    for (_, kind), cells in zip(specs, zip(*body) if body else [()] * len(specs)):
-        if kind == "categorical":
-            columns.append(tuple(map(str.strip, cells)))
-            continue
-        try:
-            values = tuple(map(float, cells))
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        columns.append(values)
-    return columns
-
-
-def _attribute_rows(
-    specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]
-) -> list[tuple]:
-    """The row loop: converts every cell and names the first bad row by the
-    text line that it starts on."""
-    raw_columns: list[list] = [[] for _ in specs]
+def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]) -> None:
+    """Name the first bad row of a table that did not convert, by the text
+    line that it starts on: a row of the wrong length, or a numeric cell
+    that is not a finite number."""
     for rowno, row in zip(lines, body):
         if len(row) != len(specs):
             raise GraphFormatError(
                 f"row {rowno}: {len(row)} cells for {len(specs)} columns"
             )
-        for colno, ((name, kind), cell) in enumerate(zip(specs, row)):
-            cell = cell.strip()
+        for (name, kind), cell in zip(specs, row):
             if kind == "categorical":
-                raw_columns[colno].append(cell)
                 continue
+            cell = cell.strip()
             try:
                 value = float(cell)
             except ValueError:
@@ -404,8 +383,6 @@ def _attribute_rows(
                 raise GraphFormatError(
                     f"row {rowno}, column {name!r}: non-finite value {cell!r}"
                 )
-            raw_columns[colno].append(value)
-    return [tuple(values) for values in raw_columns]
 
 
 def _plain_rows(text: str) -> list[list[str]] | None:
@@ -431,11 +408,14 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
         reader = csv.reader(io.StringIO(text))
         rows, lines = [], []
         start = 1  # the text line that the next row starts on
-        for row in reader:
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(start)
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise GraphFormatError(f"row {start}: {exc}") from None
     if not rows:
         raise GraphFormatError("attribute table has no header row")
     header = rows[0]
@@ -456,26 +436,42 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
         raise GraphFormatError(
             f"attribute table has {len(body)} rows, expected {expected_n}"
         )
-    columns = _attribute_columns(specs, body)
-    if columns is None:
-        columns = _attribute_rows(specs, body, lines[1:])
-    return AttributeTable(
-        [AttributeColumn(name, kind, values) for (name, kind), values in zip(specs, columns)]
-    )
+    if set(map(len, body)) - {len(specs)}:
+        _raise_bad_row(specs, body, lines[1:])
+    try:
+        columns = [
+            AttributeColumn(
+                name, kind, tuple(map(str.strip, cells)) if kind == "categorical" else cells
+            )
+            for (name, kind), cells in zip(specs, zip(*body) if body else [()] * len(specs))
+        ]
+    except ValueError:
+        _raise_bad_row(specs, body, lines[1:])
+        raise
+    return AttributeTable(columns)
 
 
 def save_attributes(table: AttributeTable) -> str:
-    """Serialize an AttributeTable back to the CSV format of load_attributes."""
+    """Serialize an AttributeTable back to the CSV format of load_attributes.
+    Raises ValueError, naming the row by vertex id, for a label that would
+    load back different: load_attributes strips a label's surrounding
+    whitespace and skips a row whose cells are all blank."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"{c.name}:{c.kind}" for c in table.columns])
     for row in range(table.n):
-        writer.writerow(
-            [
-                c.values[row] if c.kind == "categorical" else repr(c.values[row])
-                for c in table.columns
-            ]
-        )
+        cells = [
+            c.values[row] if c.kind == "categorical" else repr(c.values[row])
+            for c in table.columns
+        ]
+        for c, cell in zip(table.columns, cells):
+            if cell != cell.strip():
+                raise ValueError(
+                    f"row {row}, column {c.name!r}: label {cell!r} has surrounding whitespace"
+                )
+        if not "".join(cells):
+            raise ValueError(f"row {row}, column {table.names[0]!r}: every cell is blank")
+        writer.writerow(cells)
     return out.getvalue()
 
 

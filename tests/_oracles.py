@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import chisquare
 
-from priorityrank.graph import Graph
+from priorityrank.graph import ATTRIBUTE_KINDS, AttributeColumn, AttributeTable, Graph, GraphFormatError
 from priorityrank.ranking import _check_distances, _check_draws, _id_mask, build_local_ranking, sample_sorted, sort_block
 
 
@@ -320,3 +323,57 @@ def edge_list_text(g: Graph) -> str:
     arcs = g.arc_array
     header = "" if len(arcs) and g.n == arcs.max() + 1 else f"n={g.n}\n"
     return header + ("%d %d\n" * len(arcs)) % tuple(arcs.ravel().tolist())
+
+
+def load_attributes_by_rows(text: str, expected_n: int | None = None) -> AttributeTable:
+    """``load_attributes`` as a numbered ``csv.reader`` loop that converts
+    and checks one cell at a time, naming the first bad row by the text
+    line that it starts on."""
+    text = text.removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text))
+    rows, lines = [], []
+    start = 1  # the text line that the next row starts on
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise GraphFormatError(f"row {start}: {exc}") from None
+    if not rows:
+        raise GraphFormatError("attribute table has no header row")
+    specs: list[tuple[str, str]] = []
+    for cell in rows[0]:
+        cell = cell.strip()
+        if ":" not in cell:
+            raise GraphFormatError(f"header cell {cell!r} is not 'name:kind'")
+        name, kind = cell.rsplit(":", 1)
+        name, kind = name.strip(), kind.strip()
+        if not name:
+            raise GraphFormatError(f"header cell {cell!r} has an empty name")
+        if kind not in ATTRIBUTE_KINDS:
+            raise GraphFormatError(f"unknown attribute kind {kind!r} for column {name!r}")
+        specs.append((name, kind))
+    body = rows[1:]
+    if expected_n is not None and len(body) != expected_n:
+        raise GraphFormatError(f"attribute table has {len(body)} rows, expected {expected_n}")
+    columns: list[list] = [[] for _ in specs]
+    for rowno, row in zip(lines[1:], body):
+        if len(row) != len(specs):
+            raise GraphFormatError(f"row {rowno}: {len(row)} cells for {len(specs)} columns")
+        for (name, kind), cell, values in zip(specs, row, columns):
+            cell = cell.strip()
+            if kind == "categorical":
+                values.append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise GraphFormatError(f"row {rowno}, column {name!r}: non-numeric value {cell!r}") from None
+            if not math.isfinite(value):
+                raise GraphFormatError(f"row {rowno}, column {name!r}: non-finite value {cell!r}")
+            values.append(value)
+    return AttributeTable(
+        [AttributeColumn(name, kind, tuple(values)) for (name, kind), values in zip(specs, columns)]
+    )

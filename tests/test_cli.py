@@ -292,6 +292,19 @@ def test_generate_past_the_cell_budget_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_attribute_cell_past_the_csv_field_limit_is_data_error(tmp_path, capsys):
+    attrs = tmp_path / "long.csv"
+    attrs.write_text('lab:categorical\n"' + "x" * 200_000 + '"\ny\n')
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys, "generate", "--model", "priority-rank", "--n", "2", "--k", "1", "--attrs", str(attrs),
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("data error: row 2: field larger than field limit")
+    assert not out.exists()
+
+
 def test_recreate_writes_report_and_best(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))

@@ -18,7 +18,7 @@ from priorityrank.graph import (
     symmetrize,
 )
 
-from _oracles import edge_list_text
+from _oracles import edge_list_text, load_attributes_by_rows
 
 
 def test_load_basic():
@@ -235,18 +235,31 @@ def test_load_attributes_empty_body_and_errors():
 
 
 def test_attributes_round_trip():
-    table = AttributeTable(
-        [
-            AttributeColumn("x", "continuous", (0.5, 1.25, -3.0)),
-            AttributeColumn("lab", "categorical", ("a", "b", "a")),
-            AttributeColumn("lvl", "ordinal", (1.0, 2.0, 3.0)),
-        ]
-    )
-    again = load_attributes(save_attributes(table))
-    assert again.names == table.names
-    for name in table.names:
-        assert again.column(name).kind == table.column(name).kind
-        assert again.column(name).values == table.column(name).values
+    for x, labels in [
+        ((0.5, 1.25, -3.0), ("a", "b", "a")),
+        ((-0.0, 5e-324, 1.0), ("a", 'c,"d\ne', "")),
+    ]:
+        table = AttributeTable(
+            [
+                AttributeColumn("x", "continuous", x),
+                AttributeColumn("lab", "categorical", labels),
+                AttributeColumn("lvl", "ordinal", (1.0, 2.0, 3.0)),
+            ]
+        )
+        again = load_attributes(save_attributes(table))
+        assert again.names == table.names
+        for name in table.names:
+            assert again.column(name).kind == table.column(name).kind
+            # repr tells -0.0 from 0.0
+            assert list(map(repr, again.column(name).values)) == list(map(repr, table.column(name).values))
+    # the loader strips a label and skips a row of blank cells, so these would load back different
+    for labels, message in [
+        ((" x", "y "), "row 0, column 'lab': label ' x' has surrounding whitespace"),
+        (("x", ""), "row 1, column 'lab': every cell is blank"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            save_attributes(AttributeTable([AttributeColumn("lab", "categorical", labels)]))
+        assert str(info.value) == message
 
 
 def test_attribute_table_validation():
@@ -422,8 +435,12 @@ def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
     outcomes = set()
     for trial in range(1000):
         text = _random_attribute_text(gen, perturb=trial % 2 == 1)
-        expected = _line_loop_outcome(monkeypatch, load_attributes, "_attribute_columns", text)
-        assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
+        expected = _table_view(_outcome(load_attributes_by_rows, text))
+        with monkeypatch.context() as patch:
+            if expected[0] is not GraphFormatError:
+                # a good table converts without calling the bad-row loop
+                patch.setattr(graph_mod, "_raise_bad_row", None)
+            assert _table_view(_outcome(load_attributes, text)) == expected, repr(text)
         outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
     assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'"} <= outcomes
 
@@ -452,7 +469,7 @@ def test_attribute_split_matches_the_csv_reader(monkeypatch):
 
 
 ATTRIBUTE_LINE_CASES = [
-    # (text, the error message, or None for a good table)
+    # (text, the start of the error message, or None for a good table)
     ("a:continuous\n\n\n1\nabc\n", "row 5, column 'a': non-numeric value 'abc'"),
     ("a:continuous,b:categorical\n1,x\n\n2\n", "row 4: 1 cells for 2 columns"),
     ("\n\na:continuous\n1\nnan\n", "row 5, column 'a': non-finite value 'nan'"),
@@ -461,19 +478,29 @@ ATTRIBUTE_LINE_CASES = [
     ('a:continuous,b:categorical\n1,"x\ny"\n2,z\nabc,w\n', "row 5, column 'a': non-numeric value 'abc'"),
     ('a:continuous,b:categorical\n1,"x\n\ny"\n\n2,z\n', None),
     ("a:continuous\n\n1\n\n\n2\n", None),
+    # the first bad row by text line, its length before its cells, columns left to right
+    ("a:continuous,b:categorical\n1\nabc,x\n", "row 2: 1 cells for 2 columns"),
+    ("a:continuous,b:categorical\nabc,x\n1\n", "row 2, column 'a': non-numeric value 'abc'"),
+    ("a:continuous,b:categorical\n1,x\nabc,x,y\n", "row 3: 3 cells for 2 columns"),
+    ("a:continuous,b:ordinal\n1,2\nabc,nan\n", "row 3, column 'a': non-numeric value 'abc'"),
+    # csv.reader's own errors name the row that it was reading
+    ("a:categorical\nx\ry\n", "row 2: new-line character seen in unquoted field"),
+    pytest.param(
+        'a:categorical\nx\n"' + "y" * 200_000 + '"\n', "row 3: field larger than field limit (131072)",
+        id="quoted-cell-past-the-field-limit",
+    ),
 ]
 
 
 @pytest.mark.parametrize("text, message", ATTRIBUTE_LINE_CASES)
 def test_attribute_rows_are_numbered_by_their_text_line(monkeypatch, text, message):
-    loop = _line_loop_outcome(monkeypatch, load_attributes, "_attribute_columns", text)
-    assert _table_view(_outcome(load_attributes, text)) == _table_view(loop)
+    expected = _table_view(_outcome(load_attributes_by_rows, text))
+    with monkeypatch.context() as patch:
+        if message is None:
+            # a good table converts without calling the bad-row loop
+            patch.setattr(graph_mod, "_raise_bad_row", None)
+        assert _table_view(_outcome(load_attributes, text)) == expected
     if message is None:
-        # the vectorised path reads a good table without calling the row loop
-        with monkeypatch.context() as patch:
-            patch.setattr(graph_mod, "_attribute_rows", None)
-            fast = _outcome(load_attributes, text)
-        assert _table_view(fast) == _table_view(loop)
-        assert loop[0].n == 2
+        assert len(expected[0][0][2]) == 2
     else:
-        assert loop == (GraphFormatError, message)
+        assert expected[0] is GraphFormatError and expected[1].startswith(message)
