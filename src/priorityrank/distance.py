@@ -75,6 +75,8 @@ class DistanceContext:
 
     Centrality-based kinds read vectors computed on ``reference`` (or passed
     in directly via ``centralities``); they never see the graph being built.
+    Attribute-based and learned kinds read the attribute table through
+    ``table``, the one place that checks that there is one.
     """
 
     def __init__(
@@ -125,10 +127,11 @@ class DistanceContext:
             value = self._scores[key] = make()
         return value
 
-    def features(self, encoder: "FeatureEncoder") -> np.ndarray:
+    @property
+    def table(self) -> AttributeTable:
         if self.attrs is None:
-            raise ValueError("learned distance needs an attribute table")
-        return encoder.encode(self.attrs)
+            raise ValueError("attribute-based distance needs an attribute table")
+        return self.attrs
 
 
 def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
@@ -222,12 +225,6 @@ class CentralityDistance(DistanceFunction):
         return {"kind": self.centrality, "eps": self.eps}
 
 
-def _numeric_column(ctx: DistanceContext, name: str) -> np.ndarray:
-    if ctx.attrs is None:
-        raise ValueError("attribute-based distance needs an attribute table")
-    return ctx.attrs.numeric_array(name)
-
-
 @dataclass(frozen=True)
 class Euclidean1D(DistanceFunction):
     """|a_i - a_j| on a single numeric attribute."""
@@ -237,7 +234,7 @@ class Euclidean1D(DistanceFunction):
     requires_attributes: ClassVar[bool] = True
 
     def rows(self, ctx, sources):
-        vals = _numeric_column(ctx, self.attr)
+        vals = ctx.table.numeric_array(self.attr)
         out = np.subtract(vals, vals[sources, None])
         return np.abs(out, out=out)
 
@@ -252,8 +249,8 @@ class Euclidean2D(DistanceFunction):
     requires_attributes: ClassVar[bool] = True
 
     def rows(self, ctx, sources):
-        a = _numeric_column(ctx, self.attr1)
-        b = _numeric_column(ctx, self.attr2)
+        a = ctx.table.numeric_array(self.attr1)
+        b = ctx.table.numeric_array(self.attr2)
         out = np.square(np.subtract(a, a[sources, None]))
         out += np.square(np.subtract(b, b[sources, None]))
         return np.sqrt(out, out=out)
@@ -268,12 +265,11 @@ class CosineDistance(DistanceFunction):
     requires_attributes: ClassVar[bool] = True
 
     def _matrix(self, ctx) -> np.ndarray:
-        if ctx.attrs is None:
-            raise ValueError("cosine distance needs an attribute table")
-        names = self.attrs if self.attrs is not None else ctx.attrs.numeric_names()
+        table = ctx.table
+        names = self.attrs if self.attrs is not None else table.numeric_names()
         if not names:
             raise ValueError("cosine distance needs at least one numeric attribute")
-        return np.column_stack([_numeric_column(ctx, n) for n in names])
+        return np.column_stack([table.numeric_array(n) for n in names])
 
     def rows(self, ctx, sources):
         mat = self._matrix(ctx)
@@ -308,21 +304,19 @@ class AggregateDistance(DistanceFunction):
                 raise ValueError(f"aggregate weight of {name!r} must be finite and non-negative, got {w}")
 
     def rows(self, ctx, sources):
-        if ctx.attrs is None:
-            raise ValueError("aggregate distance needs an attribute table")
+        table = ctx.table
         total = np.empty((len(sources), ctx.n))
         term = np.empty_like(total) if len(self.weights) > 1 else None
         # a term is >= +0.0, and 0.0 + x and x * 1.0 are exact for such x: the
         # first term is the sum so far, and a weight of 1.0 multiplies nothing
         for k, (name, w) in enumerate(self.weights):
             out = term if k else total
-            if ctx.attrs.column(name).is_numeric:
-                vals = ctx.attrs.numeric_array(name)
-                np.subtract(vals, vals[sources, None], out=out)
+            col = table.column(name)
+            if col.is_numeric:
+                np.subtract(col.array, col.array[sources, None], out=out)
                 np.abs(out, out=out)
             else:
-                codes = ctx.attrs.codes(name)
-                np.not_equal(codes, codes[sources, None], out=out)
+                np.not_equal(col.array, col.array[sources, None], out=out)
             if w != 1.0:
                 out *= w
             if k:
@@ -360,7 +354,7 @@ class HierarchicalMixDistance(DistanceFunction):
         np.abs(hier, out=hier)
         if self.alpha == 0.0:
             return hier
-        cols = [_numeric_column(ctx, name) for name in self.euclid_attrs]
+        cols = [ctx.table.numeric_array(name) for name in self.euclid_attrs]
         if not cols:
             raise ValueError("hierarchical mix with alpha > 0 needs euclidean attributes")
         sq = np.zeros_like(hier)
@@ -400,17 +394,16 @@ def make_hierarchical_mix_distance(
 @dataclass(frozen=True)
 class FeatureEncoder:
     """Per-vertex feature layout: numeric columns pass through, categorical
-    columns expand one-hot against the label set seen at build time."""
+    columns expand one-hot against the sorted label set seen at build time.
+    ``encode`` maps each label of the table being encoded to its slot in
+    that set once, then sets each row's one from the column's codes; a label
+    not seen at build time sets none."""
 
     columns: tuple[tuple[str, str, tuple[str, ...]], ...]
 
     @classmethod
     def from_table(cls, table: AttributeTable) -> "FeatureEncoder":
-        cols = []
-        for col in table.columns:
-            labels = table.labels(col.name) if not col.is_numeric else ()
-            cols.append((col.name, col.kind, labels))
-        return cls(columns=tuple(cols))
+        return cls(columns=tuple((col.name, col.kind, col.labels) for col in table.columns))
 
     @cached_property
     def binary_mask(self) -> np.ndarray:
@@ -429,12 +422,11 @@ class FeatureEncoder:
             if labels:
                 if col.is_numeric:
                     raise ValueError(f"attribute {name!r} changed kind since fitting")
-                block = np.zeros((table.n, len(labels)))
                 index = {lab: k for k, lab in enumerate(labels)}
-                for row, value in enumerate(col.values):
-                    k = index.get(value)
-                    if k is not None:
-                        block[row, k] = 1.0
+                slot = np.array([index.get(lab, -1) for lab in col.labels], dtype=np.int64)[col.array]
+                block = np.zeros((table.n, len(labels)))
+                seen = np.flatnonzero(slot >= 0)
+                block[seen, slot[seen]] = 1.0
                 blocks.append(block)
             else:
                 blocks.append(table.numeric_array(name).reshape(-1, 1))
@@ -528,7 +520,7 @@ class LinearRegressionDistance(DistanceFunction):
         phi(i) . beta_source + intercept of every vertex, once per context."""
 
         def make():
-            phi = ctx.features(self.encoder)
+            phi = self.encoder.encode(ctx.table)
             p = phi.shape[1]
             beta = np.array(self.beta, dtype=np.float64)
             # one dot product per source: a block product may round
@@ -652,7 +644,7 @@ class NaiveBayesDistance(DistanceFunction):
 
     def _scores(self, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         def make():
-            phi = ctx.features(self.encoder)
+            phi = self.encoder.encode(ctx.table)
             p = phi.shape[1]
             return self._half_scores(phi, 0) + self._half_scores(phi, p)
 

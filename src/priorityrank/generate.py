@@ -229,17 +229,14 @@ def gen_watts_strogatz(n: int, k_neighbors: int, p_rewire: float, seed: int) -> 
             out_sets[i].add((i + off) % n)
     for i in range(n):
         for off in range(1, k_neighbors + 1):
-            j = (i + off) % n
-            if j not in out_sets[i]:
-                continue  # already rewired away earlier in the sweep
+            # a vertex keeps k < n - 1 arcs, and a rewired head is never a
+            # lattice target still to visit
             if gen.random() < p_rewire:
-                if len(out_sets[i]) >= n - 1:
-                    continue  # no free target remains
                 while True:
                     t = int(gen.integers(0, n))
                     if t != i and t not in out_sets[i]:
                         break
-                out_sets[i].discard(j)
+                out_sets[i].discard((i + off) % n)
                 out_sets[i].add(t)
     return Graph(n, ((i, j) for i in range(n) for j in out_sets[i]))
 
@@ -262,7 +259,7 @@ def gen_barabasi_albert(n: int, k: int, n0: int | None = None, seed: int = 0) ->
         weights = deg[:v].copy()
         cum = np.cumsum(weights)
         chosen: set[int] = set()
-        while len(chosen) < min(k, v):
+        while len(chosen) < k:  # v >= n0 >= k candidates
             u = gen.random() * cum[-1]
             t = min(int(np.searchsorted(cum, u, side="right")), v - 1)
             chosen.add(t)

@@ -25,10 +25,10 @@ numbers, a failed check) goes to the line loop (``_edge_list_lines``), the
 only code that writes an edge-list error message, so every message names
 its line.  An attribute table is split into rows at LF and at commas where
 that reads as ``csv.reader`` would (``_plain_rows``), and by ``csv.reader``
-otherwise.  ``AttributeColumn`` then converts and checks each column once;
-only a table with a row of the wrong length or a cell that fails that check
-reaches ``_raise_bad_row``, which names the first bad row by the text line
-it starts on.
+otherwise.  ``AttributeColumn`` then converts and checks each column once,
+into the read-only array that every reader shares; only a table with a row
+of the wrong length or a cell that fails that check reaches
+``_raise_bad_row``, which names the first bad row by the line it starts on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -269,22 +269,39 @@ def save_edge_list(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class AttributeColumn:
-    """One per-vertex attribute: numeric (ordinal/continuous) or categorical."""
+    """One per-vertex attribute: numeric (ordinal/continuous) or categorical.
+
+    ``values`` keeps the cells as a tuple of floats or of label strings, and
+    the column builds its array form once.  A numeric column's ``array`` is
+    its values as read-only float64, and its ``labels`` are empty.  A
+    categorical column's ``labels`` are its distinct labels, sorted, and its
+    ``array`` is each row's index into them, as read-only int64.  Neither
+    field takes part in equality, hashing or repr."""
 
     name: str
     kind: str
     values: tuple
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ATTRIBUTE_KINDS:
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == "categorical":
-            object.__setattr__(self, "values", tuple(str(v) for v in self.values))
+            values = tuple(str(v) for v in self.values)
+            labels = tuple(sorted(set(values)))
+            index = {lab: k for k, lab in enumerate(labels)}
+            array = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
         else:
-            vals = tuple(map(float, self.values))
-            if not np.isfinite(vals).all():
+            values = tuple(map(float, self.values))
+            labels = ()
+            array = np.array(values, dtype=np.float64)
+            if not np.isfinite(array).all():
                 raise ValueError(f"non-finite value in numeric column {self.name!r}")
-            object.__setattr__(self, "values", vals)
+        array.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "array", array)
 
     @property
     def is_numeric(self) -> bool:
@@ -292,14 +309,14 @@ class AttributeColumn:
 
 
 class AttributeTable:
-    """Immutable per-vertex attribute vectors, one column per attribute."""
+    """Immutable per-vertex attribute vectors, one column per attribute.
+    ``numeric_array``, ``labels`` and ``codes`` check the column's kind and
+    return the arrays and labels that the column built."""
 
     def __init__(self, columns: Sequence[AttributeColumn]):
         cols = tuple(columns)
-        if cols:
-            lengths = {len(c.values) for c in cols}
-            if len(lengths) != 1:
-                raise ValueError("attribute columns have inconsistent lengths")
+        if len({len(c.values) for c in cols}) > 1:
+            raise ValueError("attribute columns have inconsistent lengths")
         names = [c.name for c in cols]
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names")
@@ -327,37 +344,24 @@ class AttributeTable:
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.is_numeric)
 
-    @cached_property
-    def _numeric_arrays(self) -> dict:
-        return {}
-
     def numeric_array(self, name: str) -> np.ndarray:
         col = self.column(name)
         if not col.is_numeric:
             raise ValueError(f"attribute {name!r} is categorical, expected numeric")
-        cache = self._numeric_arrays
-        if name not in cache:
-            cache[name] = np.array(col.values, dtype=np.float64)
-        return cache[name]
+        return col.array
 
-    @cached_property
-    def _code_arrays(self) -> dict:
-        return {}
-
-    def labels(self, name: str) -> tuple[str, ...]:
+    def _categorical(self, name: str) -> AttributeColumn:
         col = self.column(name)
         if col.is_numeric:
             raise ValueError(f"attribute {name!r} is numeric, expected categorical")
-        return tuple(sorted(set(col.values)))
+        return col
+
+    def labels(self, name: str) -> tuple[str, ...]:
+        return self._categorical(name).labels
 
     def codes(self, name: str) -> np.ndarray:
         """Integer label codes for a categorical column (sorted-label order)."""
-        cache = self._code_arrays
-        if name not in cache:
-            labels = {lab: k for k, lab in enumerate(self.labels(name))}
-            col = self.column(name)
-            cache[name] = np.array([labels[v] for v in col.values], dtype=np.int64)
-        return cache[name]
+        return self._categorical(name).array
 
 
 def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]) -> None:
@@ -388,11 +392,13 @@ def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: l
 def _plain_rows(text: str) -> list[list[str]] | None:
     """The rows of ``text`` split at LF and at commas (csv keeps \\v or
     \\x85, where ``str.splitlines`` breaks, in a cell), or None where they
-    could differ from ``csv.reader``'s: text with a quote or a CR, or with a
-    row whose first cell is blank, which may be a blank row."""
-    if '"' in text or "\r" in text:
+    could differ from ``csv.reader``'s: text with a quote, a CR or a line
+    over csv's field limit (no cell is longer than its line), or with a row
+    whose first cell is blank, which may be a blank row."""
+    lines = text.split("\n")
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
-    rows = [line.split(",") for line in text.split("\n")]
+    rows = [line.split(",") for line in lines]
     if text.endswith("\n"):
         rows.pop()
     return rows if all(row[0].strip() for row in rows) else None
@@ -453,9 +459,13 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
 
 def save_attributes(table: AttributeTable) -> str:
     """Serialize an AttributeTable back to the CSV format of load_attributes.
-    Raises ValueError, naming the row by vertex id, for a label that would
-    load back different: load_attributes strips a label's surrounding
-    whitespace and skips a row whose cells are all blank."""
+    Raises ValueError, naming the column, for a name or label that would
+    load back different: load_attributes strips a name's or a label's
+    surrounding whitespace, rejects an empty name and skips a row whose
+    cells are all blank.  A bad label's message names its row by vertex id."""
+    for c in table.columns:
+        if not c.name or c.name != c.name.strip():
+            raise ValueError(f"column {c.name!r}: a name must be non-empty, with no surrounding whitespace")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"{c.name}:{c.kind}" for c in table.columns])

@@ -377,3 +377,22 @@ def load_attributes_by_rows(text: str, expected_n: int | None = None) -> Attribu
     return AttributeTable(
         [AttributeColumn(name, kind, tuple(values)) for (name, kind), values in zip(specs, columns)]
     )
+
+
+def one_hot_by_rows(encoder, table: AttributeTable) -> np.ndarray:
+    """``FeatureEncoder.encode`` as a loop over rows, one label lookup per
+    row; a row whose label was not seen at fit time stays all zero."""
+    blocks = []
+    for name, kind, labels in encoder.columns:
+        col = table.column(name)
+        if labels:
+            block = np.zeros((table.n, len(labels)))
+            index = {lab: k for k, lab in enumerate(labels)}
+            for row, value in enumerate(col.values):
+                k = index.get(value)
+                if k is not None:
+                    block[row, k] = 1.0
+            blocks.append(block)
+        else:
+            blocks.append(np.array(col.values, dtype=np.float64).reshape(-1, 1))
+    return np.hstack(blocks) if blocks else np.zeros((table.n, 0))

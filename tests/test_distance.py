@@ -35,7 +35,7 @@ from priorityrank.metrics import CENTRALITY_KINDS, network_profile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
-from _oracles import aggregate_rows, evaluate, random_digraph
+from _oracles import aggregate_rows, evaluate, one_hot_by_rows, random_digraph
 
 
 def people_table():
@@ -810,6 +810,64 @@ def test_evaluate_rejects_diagonal():
     for i, j in ((-1, 0), (0, n + 4)):
         with pytest.raises(ValueError, match=rf"vertex pair \({i}, {j}\) outside context n=3"):
             evaluate(CosineDistance(), ctx, i, j)
+
+
+# a comma, a quote and a newline; a trailing NUL, which numpy's unicode
+# arrays would strip; and "z", never seen at fit time
+ENCODE_LABELS = ("a", "b", 'c,"d\ne', "e\x00", "e", "z")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_encode_matches_the_row_loop(seed):
+    gen = np.random.default_rng(seed)
+
+    def table(n, pool):
+        return AttributeTable(
+            [
+                AttributeColumn("x", "continuous", tuple(gen.normal(size=n))),
+                AttributeColumn("lab", "categorical", tuple(pool[k] for k in gen.integers(len(pool), size=n))),
+                AttributeColumn("lvl", "ordinal", tuple(gen.integers(0, 9, size=n))),
+            ]
+        )
+
+    encoder = FeatureEncoder.from_table(table(40, ENCODE_LABELS[:5]))
+    assert encoder.columns[1][2] == tuple(sorted(ENCODE_LABELS[:5]))
+    # "a" and "b" are fitted but missing here, "z" is new
+    other = table(40, ENCODE_LABELS[2:])
+    assert {"a", "b"}.isdisjoint(other.column("lab").values) and "z" in other.column("lab").values
+    for t in (table(40, ENCODE_LABELS[:5]), other, table(0, ENCODE_LABELS)):
+        phi = encoder.encode(t)
+        assert phi.shape == (t.n, 7)
+        assert np.array_equal(phi, one_hot_by_rows(encoder, t))
+    new = np.array([v == "z" for v in other.column("lab").values])
+    assert not encoder.encode(other)[new, 1:6].any()
+
+
+GATED_SPECS = [
+    Euclidean1D(attr="x"),
+    Euclidean2D(attr1="x", attr2="y"),
+    CosineDistance(),
+    CosineDistance(attrs=("x",)),
+    AggregateDistance(weights=(("x", 1.0),)),
+    HierarchicalMixDistance(alpha=0.5, class_ranks=(0, 1, 2, 3), euclid_attrs=("x",)),
+    LinearRegressionDistance(beta=(1.0, 1.0, 0.0), encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
+    NaiveBayesDistance(0.5, 0.5, ((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)), ((0.5, 0.5), (0.5, 0.5)),
+                       (False, False), encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
+]
+
+
+@pytest.mark.parametrize("spec", GATED_SPECS, ids=lambda spec: spec.kind)
+def test_attribute_kinds_need_a_table(spec):
+    # one gate, DistanceContext.table, checks for the table; the learned
+    # kinds' orders read it too
+    ctx = DistanceContext(n=4)
+    calls = [lambda: spec.rows(ctx, np.arange(4))]
+    if isinstance(spec, (LinearRegressionDistance, NaiveBayesDistance)):
+        calls.append(lambda: spec.shared_order(ctx))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "attribute-based distance needs an attribute table"
 
 
 def test_spec_json_round_trip():

@@ -194,6 +194,24 @@ def test_barabasi_albert_counts_and_minimal_growth():
         gen_barabasi_albert(5, 3, 2, seed=0)
 
 
+GOLDEN_BASELINES = Path(__file__).parent / "data" / "baseline_generate_sha256.json"
+BASELINE_CASES = {
+    # n = 2k + 1 is the tightest lattice the model accepts
+    **{f"ws-{n}-{k}-{p}-{s}": (gen_watts_strogatz, (n, k, p, s))
+       for n, k in ((60, 3), (7, 3), (200, 5)) for p in (0.3, 1.0) for s in (1, 2)},
+    **{f"ba-{n}-{k}-{n0}-{s}": (gen_barabasi_albert, (n, k, n0, s))
+       for n, k, n0 in ((80, 3, None), (50, 2, 5), (4, 3, 3), (120, 1, 1)) for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASELINE_CASES))
+def test_baseline_generators_match_golden_hashes(case):
+    # sha256 of seeded Watts-Strogatz and Barabasi-Albert graphs
+    make, args = BASELINE_CASES[case]
+    digest = hashlib.sha256(save_edge_list(make(*args)).encode()).hexdigest()
+    assert digest == json.loads(GOLDEN_BASELINES.read_text())[case]
+
+
 def test_barabasi_albert_degree_self_consistency():
     pvals = []
     for s in range(20):

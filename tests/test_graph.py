@@ -1,3 +1,4 @@
+import csv
 import re
 import warnings
 
@@ -260,6 +261,42 @@ def test_attributes_round_trip():
         with pytest.raises(ValueError) as info:
             save_attributes(AttributeTable([AttributeColumn("lab", "categorical", labels)]))
         assert str(info.value) == message
+    # csv quotes a name as it quotes a label
+    names = ("a:b", "x,y", 'q"r', "l\nm")
+    table = AttributeTable([AttributeColumn(name, "continuous", (1.0, 2.0)) for name in names])
+    assert load_attributes(save_attributes(table)).names == names
+    # the loader strips a name and rejects an empty one
+    for name in (" a", "a ", ""):
+        table = AttributeTable(
+            [AttributeColumn("x", "continuous", (1.0,)), AttributeColumn(name, "continuous", (2.0,))]
+        )
+        with pytest.raises(ValueError) as info:
+            save_attributes(table)
+        assert str(info.value) == f"column {name!r}: a name must be non-empty, with no surrounding whitespace"
+
+
+def test_column_arrays_are_read_only_and_match_their_values():
+    num = AttributeColumn("x", "continuous", (3, -0.0, 2.5, 1, 0))
+    cat = AttributeColumn("lab", "categorical", ("b", "a\x00", "a", "b", 7))
+    assert num.array.dtype == np.float64 and np.array_equal(num.array, np.array(num.values))
+    assert num.labels == ()
+    assert cat.labels == ("7", "a", "a\x00", "b") == tuple(sorted(set(cat.values)))
+    assert cat.array.dtype == np.int64 and cat.array.tolist() == [cat.labels.index(v) for v in cat.values]
+    for col in (num, cat):
+        with pytest.raises(ValueError, match="read-only"):
+            col.array[0] = 1
+    table = AttributeTable([num, cat])
+    assert table.numeric_array("x") is num.array
+    assert table.labels("lab") is cat.labels and table.codes("lab") is cat.array
+    for call, name, message in ((table.numeric_array, "lab", "'lab' is categorical, expected numeric"),
+                                (table.labels, "x", "'x' is numeric, expected categorical"),
+                                (table.codes, "x", "'x' is numeric, expected categorical")):
+        with pytest.raises(ValueError, match=message):
+            call(name)
+    # the arrays take no part in equality, hashing or repr
+    same = AttributeColumn("x", "continuous", (3.0, 0.0, 2.5, 1.0, 0.0))
+    assert same == num and hash(same) == hash(num)
+    assert repr(num) == "AttributeColumn(name='x', kind='continuous', values=(3.0, -0.0, 2.5, 1.0, 0.0))"
 
 
 def test_attribute_table_validation():
@@ -432,9 +469,15 @@ def _random_attribute_text(gen, perturb: bool) -> str:
 
 def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
     gen = np.random.default_rng(77)
+    texts = [_random_attribute_text(gen, perturb=trial % 2 == 1) for trial in range(1000)]
+    # a cell one past csv's field limit, in a table with and without a
+    # quote, and one at the limit, which the split reads
+    limit = csv.field_size_limit()
+    at_limit = f"a:categorical\n{'x' * limit}\n"
+    assert graph_mod._plain_rows(at_limit) is not None
+    texts += [f"a:categorical\n{'x' * (limit + 1)}\n", f'a:categorical\n"q"\n{"x" * (limit + 1)}\n', at_limit]
     outcomes = set()
-    for trial in range(1000):
-        text = _random_attribute_text(gen, perturb=trial % 2 == 1)
+    for text in texts:
         expected = _table_view(_outcome(load_attributes_by_rows, text))
         with monkeypatch.context() as patch:
             if expected[0] is not GraphFormatError:
@@ -442,7 +485,8 @@ def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
                 patch.setattr(graph_mod, "_raise_bad_row", None)
             assert _table_view(_outcome(load_attributes, text)) == expected, repr(text)
         outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
-    assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'"} <= outcomes
+    too_long = f"field larger than field limit ({limit})"
+    assert {"ok", "non-finite value 'nan'", "non-numeric value 'abc'", too_long} <= outcomes
 
 
 ATTRIBUTE_SPLIT_TEXTS = (
