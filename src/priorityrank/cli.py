@@ -38,7 +38,7 @@ from .graph import (
     symmetrize,
 )
 from .metrics import ConvergenceError, network_profile
-from .ranking import build_local_ranking
+from .ranking import competition_ranks, selection_probabilities, sort_block
 from .recreate import (
     RecreateConfig,
     _check_alpha,
@@ -189,22 +189,23 @@ def _distance_spec_from_args(args):
 
 def _dump_rankings(path: str, spec, attrs, n: int, reference) -> None:
     """TSV of every source's ranking: target order, distance, rank, probability.
-    Lines are written source by source, so memory stays O(n)."""
+    Each source's row is sorted by ``sort_block`` on its own, so memory
+    stays O(n)."""
     ctx = dist_mod.DistanceContext(n=n, attrs=attrs, reference=reference)
-    all_ids = np.arange(n, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as out:
         out.write("source\ttarget\tdistance\trank\tprobability\n")
         for i in range(n):
-            row = spec.row(ctx, i)
-            ranking = build_local_ranking(i, (np.delete(all_ids, i), np.delete(row, i)))
+            source = np.array([i])
+            ranked = sort_block(spec.rows(ctx, source), source)
+            ranks = competition_ranks(ranked.ordered[0])
             fields = zip(
                 repeat(i),
-                ranking.targets.tolist(),
-                ranking.distances.tolist(),
-                ranking.ranks.tolist(),
-                ranking.probabilities.tolist(),
+                ranked.perm[0].tolist(),
+                ranked.ordered[0].tolist(),
+                ranks.tolist(),
+                selection_probabilities(ranks).tolist(),
             )
-            out.write(_RANKING_LINE * len(ranking) % tuple(chain.from_iterable(fields)))
+            out.write(_RANKING_LINE * (n - 1) % tuple(chain.from_iterable(fields)))
 
 
 def _cmd_generate(args) -> int:

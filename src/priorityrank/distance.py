@@ -10,8 +10,7 @@ Evaluation runs against a :class:`DistanceContext` holding the attribute
 table and the centrality vectors of a reference graph.
 
 ``rows(ctx, sources)`` gives the distances from a block of sources to every
-vertex as one (len(sources), n) array, and ``row(ctx, i)`` is
-``rows(ctx, [i])[0]``.
+vertex as one (len(sources), n) array.
 
 A kind whose every source ranks the targets by one vector returns it from
 ``shared_distances(ctx)``: the centrality kinds their target scores, the
@@ -134,11 +133,6 @@ class DistanceContext:
         return self.attrs
 
 
-def reference_centralities(g: Graph) -> dict[str, np.ndarray]:
-    """Precompute every centrality vector a context may ask for."""
-    return metrics.network_profile(g).centralities()
-
-
 @dataclass(frozen=True)
 class DistanceFunction:
     """Base class; concrete kinds implement ``shared_distances`` or
@@ -157,10 +151,6 @@ class DistanceFunction:
         if shared is None:
             raise NotImplementedError
         return np.broadcast_to(shared, (len(sources), ctx.n))
-
-    def row(self, ctx: DistanceContext, i: int) -> np.ndarray:
-        """Distances from source i to every vertex: ``rows(ctx, [i])[0]``."""
-        return self.rows(ctx, np.array([i], dtype=np.int64))[0]
 
     def shared_order(self, ctx: DistanceContext) -> tuple[np.ndarray, np.ndarray] | None:
         """``(order, proven)``, or None when sources order targets
@@ -408,8 +398,8 @@ class FeatureEncoder:
     @cached_property
     def binary_mask(self) -> np.ndarray:
         mask = []
-        for _, _, labels in self.columns:
-            if labels:
+        for _, kind, labels in self.columns:
+            if kind == "categorical":
                 mask.extend([True] * len(labels))
             else:
                 mask.append(False)
@@ -419,7 +409,7 @@ class FeatureEncoder:
         blocks = []
         for name, kind, labels in self.columns:
             col = table.column(name)
-            if labels:
+            if kind == "categorical":
                 if col.is_numeric:
                     raise ValueError(f"attribute {name!r} changed kind since fitting")
                 index = {lab: k for k, lab in enumerate(labels)}

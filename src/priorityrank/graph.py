@@ -3,11 +3,10 @@
 Vertices are dense integers ``0..n-1``.  Arcs are ordered pairs with set
 semantics: no duplicates, no self-loops.  A graph stores its arcs once, as
 the sorted unique int64 codes ``src * n + dst``, built and validated in
-numpy; the arc array, the ``(src, dst)`` set, the degrees and the CSR are
-views derived from the codes on first use.  Codes must fit in int64, so
-``n * n`` may not exceed ``2**63 - 1`` (n up to 3,037,000,499).  Graphs and
-attribute tables are immutable after construction and safe to share
-between threads.
+numpy; the arc array, the degrees and the CSR are views derived from the
+codes on first use.  Codes must fit in int64, so ``n * n`` may not exceed
+``2**63 - 1`` (n up to 3,037,000,499).  Graphs and attribute tables are
+immutable after construction and safe to share between threads.
 
 Edge-list format: UTF-8 lines ``src dst`` (space or tab separated),
 ``#`` comment lines, and an optional first line ``n=<int>`` declaring the
@@ -117,11 +116,6 @@ class Graph:
     def arc_array(self) -> np.ndarray:
         """Sorted arcs as an (m, 2) int array; shape (0, 2) when empty."""
         return np.stack(np.divmod(self.codes, max(self.n, 1)), axis=1)
-
-    @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        """The arcs as a set of ``(src, dst)`` tuples."""
-        return frozenset(map(tuple, self.arc_array.tolist()))
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
@@ -310,8 +304,9 @@ class AttributeColumn:
 
 class AttributeTable:
     """Immutable per-vertex attribute vectors, one column per attribute.
-    ``numeric_array``, ``labels`` and ``codes`` check the column's kind and
-    return the arrays and labels that the column built."""
+    ``numeric_array`` checks that a column is numeric and returns the array
+    that the column built; a categorical column's readers take its
+    ``labels`` and ``array`` from ``column(name)``."""
 
     def __init__(self, columns: Sequence[AttributeColumn]):
         cols = tuple(columns)
@@ -326,10 +321,6 @@ class AttributeTable:
     @property
     def n(self) -> int:
         return len(self.columns[0].values) if self.columns else 0
-
-    @property
-    def m(self) -> int:
-        return len(self.columns)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -349,19 +340,6 @@ class AttributeTable:
         if not col.is_numeric:
             raise ValueError(f"attribute {name!r} is categorical, expected numeric")
         return col.array
-
-    def _categorical(self, name: str) -> AttributeColumn:
-        col = self.column(name)
-        if col.is_numeric:
-            raise ValueError(f"attribute {name!r} is numeric, expected categorical")
-        return col
-
-    def labels(self, name: str) -> tuple[str, ...]:
-        return self._categorical(name).labels
-
-    def codes(self, name: str) -> np.ndarray:
-        """Integer label codes for a categorical column (sorted-label order)."""
-        return self._categorical(name).array
 
 
 def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]) -> None:
@@ -461,11 +439,14 @@ def save_attributes(table: AttributeTable) -> str:
     """Serialize an AttributeTable back to the CSV format of load_attributes.
     Raises ValueError, naming the column, for a name or label that would
     load back different: load_attributes strips a name's or a label's
-    surrounding whitespace, rejects an empty name and skips a row whose
-    cells are all blank.  A bad label's message names its row by vertex id."""
+    surrounding whitespace, rejects an empty name, drops a byte-order mark
+    that starts the text and skips a row whose cells are all blank.  A bad
+    label's message names its row by vertex id."""
     for c in table.columns:
         if not c.name or c.name != c.name.strip():
             raise ValueError(f"column {c.name!r}: a name must be non-empty, with no surrounding whitespace")
+    if table.columns and table.names[0].startswith("\ufeff"):
+        raise ValueError(f"column {table.names[0]!r}: the first name must not start with a byte-order mark")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"{c.name}:{c.kind}" for c in table.columns])

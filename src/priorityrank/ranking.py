@@ -49,8 +49,9 @@ the float sort did.  Such a row reads its targets from its keys and never
 gathers a distance.  Every other row (true ties, distances that differ only
 in the id bits, and any row the caller needs in full) gathers its distances
 along the packed order, which puts tied targets by id, and must then be
-non-decreasing; a row that is not is argsorted.  Ties may come out in any
-order, since tied targets share a rank.
+non-decreasing; a row that is not is argsorted by a stable sort, which
+puts tied targets by id too.  So every row held in full lists its targets
+as ``build_local_ranking`` does, tied targets by id.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -208,13 +209,14 @@ def _id_mask(n: int) -> int:
 
 
 def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
-    """``(perm, ordered)`` by argsorting each row, without the source."""
+    """``(perm, ordered)`` by a stable argsort of each row, without the
+    source: tied targets come out by id."""
     rows = np.arange(len(distances))
     distances = distances.copy()
     distances[rows, sources] = 0.0
     _check_distances(distances)
     distances[rows, sources] = np.inf
-    perm = np.argsort(distances, axis=1)[:, :-1]
+    perm = np.argsort(distances, axis=1, kind="stable")[:, :-1]
     return perm, np.take_along_axis(distances, perm, axis=1)
 
 
@@ -268,9 +270,9 @@ class SortedRows:
 
     ``tie_free[r]`` says whether row r's n - 1 targets hold no tie.  The
     rows listed in ``rows`` are also held in full: ``perm`` lists their
-    targets by non-decreasing distance from the row's source, and
-    ``ordered`` holds those distances.  Row r of ``ids``, masked by
-    ``mask``, lists row r's targets in sorted order.
+    targets by non-decreasing distance from the row's source, tied targets
+    by id, and ``ordered`` holds those distances.  Row r of ``ids``, masked
+    by ``mask``, lists row r's targets in sorted order.
     """
 
     tie_free: np.ndarray

@@ -16,12 +16,17 @@ from priorityrank.graph import ATTRIBUTE_KINDS, AttributeColumn, AttributeTable,
 from priorityrank.ranking import _check_distances, _check_draws, _id_mask, build_local_ranking, sample_sorted, sort_block
 
 
+def arcs(g: Graph) -> frozenset[tuple[int, int]]:
+    """The arcs of ``g`` as a set of ``(src, dst)`` tuples."""
+    return frozenset(map(tuple, g.arc_array.tolist()))
+
+
 def adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Out- and in-neighbour lists of every vertex, in id order, built from
     the graph's arc set alone."""
     out_adj: list[list[int]] = [[] for _ in range(g.n)]
     in_adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in sorted(g.arcs):
+    for i, j in sorted(arcs(g)):
         out_adj[i].append(j)
         in_adj[j].append(i)
     return out_adj, in_adj
@@ -208,7 +213,7 @@ def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:
     for i in range(n):
         if ks[i] == 0:
             continue
-        row = spec.row(ctx, i)
+        row = spec.rows(ctx, np.array([i]))[0]
         ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
         keys = ranking.ranks * np.log1p(-u[i, ranking.targets])
         best = np.argsort(-keys, kind="stable")[: ks[i]]
@@ -236,7 +241,7 @@ def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
         if 4 * k <= n - 1:
             drawn = positions[taken : taken + k]
             taken += k
-            row = spec.row(ctx, i)
+            row = spec.rows(ctx, np.array([i]))[0]
             ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
             if ranking.ranks.tolist() == list(range(1, n)):
                 arcs.update((i, int(t)) for t in ranking.targets[drawn])
@@ -248,12 +253,12 @@ def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
 
 
 def evaluate(spec, ctx, i: int, j: int) -> float:
-    """The distance from i to j: ``spec.row(ctx, i)[j]``."""
+    """The distance from i to j: ``spec.rows(ctx, np.array([i]))[0][j]``."""
     if i == j:
         raise ValueError("distance is only queried for i != j")
     if not (0 <= i < ctx.n and 0 <= j < ctx.n):
         raise ValueError(f"vertex pair ({i}, {j}) outside context n={ctx.n}")
-    return float(spec.row(ctx, i)[j])
+    return float(spec.rows(ctx, np.array([i]))[0][j])
 
 
 def sort_rows(distances, sources):
@@ -312,7 +317,7 @@ def aggregate_rows(spec, ctx, sources) -> np.ndarray:
             vals = ctx.attrs.numeric_array(name)
             term = np.abs(vals - vals[sources, None])
         else:
-            codes = ctx.attrs.codes(name)
+            codes = ctx.attrs.column(name).array
             term = (codes != codes[sources, None]).astype(np.float64)
         total = total + term * w
     return total
@@ -385,7 +390,7 @@ def one_hot_by_rows(encoder, table: AttributeTable) -> np.ndarray:
     blocks = []
     for name, kind, labels in encoder.columns:
         col = table.column(name)
-        if labels:
+        if kind == "categorical":
             block = np.zeros((table.n, len(labels)))
             index = {lab: k for k, lab in enumerate(labels)}
             for row, value in enumerate(col.values):

@@ -434,49 +434,82 @@ def test_profile_rejects_ids_too_large_for_arc_codes(tmp_path, capsys):
     assert "data error" in err and "2**63 - 1" in err
 
 
-def _dump_rankings_by_lines(path, spec, attrs, n):
+def _dump_rankings_by_lines(path, spec, attrs, n, reference=None):
     """The ranking dump built as one list of f-string lines, for byte comparison."""
-    ctx = DistanceContext(n=n, attrs=attrs, reference=None)
+    ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
     lines = ["source\ttarget\tdistance\trank\tprobability"]
     all_ids = np.arange(n, dtype=np.int64)
     for i in range(n):
-        row = spec.row(ctx, i)
+        row = spec.rows(ctx, np.array([i]))[0]
         ranking = build_local_ranking(i, (np.delete(all_ids, i), np.delete(row, i)))
         for t, d, r, p in zip(ranking.targets, ranking.distances, ranking.ranks, ranking.probabilities):
             lines.append(f"{i}\t{int(t)}\t{float(d)!r}\t{int(r)}\t{float(p)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize(
-    "weights, tied",
-    [([["sex", 1.0]], True), ([["age", 1.0]], False), ([["age", 0.3], ["sex", 10.0]], False)],
-    ids=["tied", "untied", "mixed"],
+# ages 2**k: every source sees distinct age gaps, so only sex ties
+PEOPLE_2K = "age:continuous,sex:categorical\n" + "".join(
+    f"{2.0**k!r},{'fe' * (k % 2)}male\n" for k in range(7)
 )
-def test_dump_rankings_bytes_match_a_line_by_line_dump(tmp_path, capsys, weights, tied):
-    # ages 2**k: every source sees distinct age gaps, so only sex ties
-    people = "age:continuous,sex:categorical\n" + "".join(
-        f"{2.0**k!r},{'fe' * (k % 2)}male\n" for k in range(7)
-    )
-    attrs = tmp_path / "people.csv"
-    attrs.write_text(people)
-    doc = {"kind": "aggregate", "weights": weights}
+# vertex 0, at age 0, sees ages 1 and 1 + 2**-52 alike above the packed
+# keys' id bits, the larger at every odd id, so its row is argsorted
+NEAR_TIES = "age:continuous\n0.0\n" + "".join(f"{1.0 + (k % 2) * 2.0**-52!r}\n" for k in range(1, 40))
+REFERENCE = "n=7\n0 1\n1 2\n2 0\n3 0\n4 0\n5 6\n"
+
+
+def _aggregate(*weights):
+    return {"kind": "aggregate", "weights": [list(w) for w in weights]}
+
+
+@pytest.mark.parametrize(
+    "people, doc, reference, tied, argsorted",
+    [
+        (PEOPLE_2K, _aggregate(("sex", 1.0)), None, True, False),
+        (PEOPLE_2K, _aggregate(("age", 1.0)), None, False, False),
+        (PEOPLE_2K, _aggregate(("age", 0.3), ("sex", 10.0)), None, False, False),
+        (NEAR_TIES, _aggregate(("age", 1.0)), None, True, True),
+        (PEOPLE_2K, "naive_bayes", None, False, False),
+        (None, {"kind": "degree"}, REFERENCE, True, False),
+    ],
+    ids=["tied", "untied", "mixed", "near_ties", "naive_bayes", "degree"],
+)
+def test_dump_rankings_bytes_match_a_line_by_line_dump(
+    tmp_path, capsys, ranked_rows, people, doc, reference, tied, argsorted
+):
+    # the dump sorts each row with sort_block; the line-by-line dump
+    # lexsorts it, so both list tied targets by id
+    args = []
+    attrs = reference_graph = None
+    if people is not None:
+        (tmp_path / "people.csv").write_text(people)
+        args += ["--attrs", str(tmp_path / "people.csv")]
+        attrs = load_attributes(people)
+    if reference is not None:
+        (tmp_path / "reference.tsv").write_text(reference)
+        args += ["--reference", str(tmp_path / "reference.tsv")]
+        reference_graph = load_edge_list(reference)
+    n = (attrs or reference_graph).n
+    if doc == "naive_bayes":
+        path = Graph(n, [(v, v + 1) for v in range(n - 1)] + [(v + 1, v) for v in range(n - 1)])
+        doc = fit_naive_bayes_distance(build_training_set(path, attrs, negative_ratio=math.inf)).to_json_dict()
     dump = tmp_path / "rankings.tsv"
     code, _, err = run(
         capsys,
-        "generate", "--model", "priority-rank", "--n", "7", "--k", "2", "--attrs", str(attrs),
+        "generate", "--model", "priority-rank", "--n", str(n), "--k", "2", *args,
         "--distance-spec", json.dumps(doc), "--seed", "5", "--out", str(tmp_path / "g.tsv"),
         "--dump-rankings", str(dump),
     )
     assert code == 0, err
+    assert (ranked_rows["sorted"] > 0) == argsorted
     expected = tmp_path / "expected.tsv"
-    _dump_rankings_by_lines(expected, spec_from_json_dict(doc), load_attributes(people), 7)
+    _dump_rankings_by_lines(expected, spec_from_json_dict(doc), attrs, n, reference_graph)
     assert dump.read_bytes() == expected.read_bytes()
     ranks = {}
     for line in dump.read_text().splitlines()[1:]:
         source, _, _, rank, _ = line.split("\t")
         ranks.setdefault(source, []).append(int(rank))
-    assert len(ranks) == 7
-    assert any(len(set(r)) < 6 for r in ranks.values()) == tied
+    assert len(ranks) == n
+    assert any(len(set(r)) < n - 1 for r in ranks.values()) == tied
 
 
 def test_learn_and_generate_read_comments_crlf_and_bom_as_the_plain_file(tmp_path, capsys):

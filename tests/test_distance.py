@@ -35,7 +35,7 @@ from priorityrank.metrics import CENTRALITY_KINDS, network_profile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
-from _oracles import aggregate_rows, evaluate, one_hot_by_rows, random_digraph
+from _oracles import aggregate_rows, arcs, evaluate, one_hot_by_rows, random_digraph
 
 
 def people_table():
@@ -117,7 +117,7 @@ def test_degree_distance_orders_by_descending_degree():
     gen = np.random.default_rng(8)
     g = random_digraph(gen, 15, 0.3)
     ctx = DistanceContext(reference=g)
-    row = CentralityDistance(centrality="degree").row(ctx, 0)
+    row = CentralityDistance(centrality="degree").rows(ctx, np.array([0]))[0]
     deg = g.total_degrees
     order = np.argsort(row, kind="stable")
     deg_sorted = deg[order]
@@ -271,13 +271,14 @@ def test_training_set_positive_rows_match_arcs():
     for row, label in zip(ts.features, ts.labels):
         i = by_value[round(float(row[0]), 9)]
         j = by_value[round(float(row[1]), 9)]
-        assert ((i, j) in g.arcs) == bool(label)
+        assert ((i, j) in arcs(g)) == bool(label)
 
 
 def list_training_set(g, attrs, negative_ratio, rng):
     """Training set built from an explicit list of every non-arc."""
-    positives = sorted(g.arcs)
-    non_arcs = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and (i, j) not in g.arcs]
+    arc_set = arcs(g)
+    positives = sorted(arc_set)
+    non_arcs = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and (i, j) not in arc_set]
     wanted = len(non_arcs)
     if math.isfinite(negative_ratio):
         wanted = min(math.ceil(negative_ratio * len(positives)), wanted)
@@ -307,7 +308,7 @@ def test_training_set_matches_list_construction(negative_ratio):
     branches = set()
     for n, p in ((4, 0.5), (7, 0.2), (12, 0.3), (15, 0.1), (150, 0.005), (150, 0.1), (6, None)):
         g = near_complete if p is None else random_digraph(gen, n, p)
-        if not g.arcs:
+        if not arcs(g):
             continue
         attrs = AttributeTable(
             [
@@ -394,7 +395,7 @@ def test_ols_satisfies_normal_equations_and_pinv_oracle():
     for _ in range(20):
         n = int(gen.integers(6, 12))
         g = random_digraph(gen, n, 0.4)
-        if not g.arcs or g.arc_count == n * (n - 1):
+        if not arcs(g) or g.arc_count == n * (n - 1):
             continue
         attrs = numeric_table(gen.normal(size=n))
         ts = build_training_set(g, attrs, 1.0, RngStream(int(gen.integers(1 << 30))))
@@ -515,20 +516,20 @@ def test_ols_orders_cluster_before_outliers():
     # per source, every in-threshold target must rank ahead of the rest
     values = [0.0, 0.2, 0.4, 0.6, 3.0, 5.0, 7.0]
     n = len(values)
-    arcs = [
+    pairs = [
         (i, j)
         for i in range(n)
         for j in range(n)
         if i != j and abs(values[i] - values[j]) < 1.0
     ]
-    g = Graph(n, arcs)
+    g = Graph(n, pairs)
     attrs = numeric_table(values)
     ts = build_training_set(g, attrs, math.inf, RngStream(6))
     spec = fit_linear_regression_distance(ts)
     ctx = DistanceContext(attrs=attrs)
     for i in range(n):
-        inside = [j for j in range(n) if j != i and (i, j) in g.arcs]
-        outside = [j for j in range(n) if j != i and (i, j) not in g.arcs]
+        inside = [j for j in range(n) if j != i and (i, j) in arcs(g)]
+        outside = [j for j in range(n) if j != i and (i, j) not in arcs(g)]
         for a in inside:
             for b in outside:
                 assert evaluate(spec, ctx, i, a) < evaluate(spec, ctx, i, b)
@@ -626,7 +627,7 @@ def test_every_kind_stays_finite_nonnegative():
     ]
     ctx = DistanceContext(n=n, attrs=table, reference=g)
     for spec in specs:
-        rows = np.vstack([spec.row(ctx, i) for i in range(n)])
+        rows = np.vstack([spec.rows(ctx, np.array([i]))[0] for i in range(n)])
         off_diag = rows[~np.eye(n, dtype=bool)]
         assert np.isfinite(off_diag).all(), spec.kind
         assert (off_diag >= 0).all(), spec.kind
@@ -647,7 +648,7 @@ def test_row_matches_pairwise_evaluate():
         RandomDistance(),
     ):
         for i in (0, 3):
-            row = spec.row(ctx, i)
+            row = spec.rows(ctx, np.array([i]))[0]
             for j in range(n):
                 if j != i:
                     assert evaluate(spec, ctx, i, j) == pytest.approx(float(row[j]))
@@ -690,7 +691,7 @@ def test_rows_match_row_bitwise():
     for spec in specs:
         block = spec.rows(ctx, sources)
         assert block.shape == (len(sources), n), spec.kind
-        expected = np.stack([spec.row(ctx, int(i)) for i in sources])
+        expected = np.stack([spec.rows(ctx, np.array([int(i)]))[0] for i in sources])
         assert block.tobytes() == expected.tobytes(), spec.kind
         assert spec.rows(ctx, np.array([], dtype=np.int64)).shape == (0, n), spec.kind
 
@@ -841,6 +842,17 @@ def test_encode_matches_the_row_loop(seed):
         assert np.array_equal(phi, one_hot_by_rows(encoder, t))
     new = np.array([v == "z" for v in other.column("lab").values])
     assert not encoder.encode(other)[new, 1:6].any()
+
+
+def test_zero_row_categorical_column_encodes_to_no_features():
+    # fitted on no rows, a categorical column has no labels, so no one-hot
+    # slot, and it is still read as categorical
+    table = AttributeTable([AttributeColumn("c", "categorical", ())])
+    encoder = FeatureEncoder.from_table(table)
+    assert encoder.binary_mask.tolist() == []
+    phi = encoder.encode(table)
+    assert phi.shape == (0, 0)
+    assert np.array_equal(phi, one_hot_by_rows(encoder, table))
 
 
 GATED_SPECS = [

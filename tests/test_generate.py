@@ -21,7 +21,6 @@ from priorityrank.distance import (
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
-    reference_centralities,
 )
 from priorityrank.generate import (
     DegreeSpec,
@@ -34,11 +33,11 @@ from priorityrank.generate import (
     priority_rank_generate,
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
-from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter
+from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter, network_profile
 from priorityrank.ranking import build_local_ranking, sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import adjacency, rank_space_oracle, sequential_draw_law, shared_vector_law
+from _oracles import adjacency, arcs, rank_space_oracle, sequential_draw_law, shared_vector_law
 
 
 def attr_table(values):
@@ -80,7 +79,7 @@ def learned_case(n):
 
 def test_priority_rank_two_vertices():
     g = priority_rank_generate(2, None, RandomDistance(), DegreeSpec.constant(1), seed=0)
-    assert g.arcs == {(0, 1), (1, 0)}
+    assert arcs(g) == {(0, 1), (1, 0)}
 
 
 def test_priority_rank_exhaustive_k():
@@ -95,7 +94,7 @@ def test_priority_rank_exact_out_degrees_no_self_loops():
             20, uniform_attr(20, 3), Euclidean1D(attr="x"), DegreeSpec.constant(k), seed=5
         )
         assert g.out_degrees.tolist() == [k] * 20
-        assert all(i != j for i, j in g.arcs)
+        assert all(i != j for i, j in arcs(g))
 
 
 def test_priority_rank_deterministic():
@@ -109,7 +108,7 @@ def test_priority_rank_deterministic():
 
 def test_priority_rank_centrality_kind_reference_and_bootstrap():
     src = gen_erdos_renyi(25, 0.3, seed=2)
-    cents = reference_centralities(src)
+    cents = network_profile(src).centralities()
     spec = CentralityDistance(centrality="degree")
     a = priority_rank_generate(
         25, None, spec, DegreeSpec.constant(3), seed=4, reference=src, centralities=cents
@@ -189,7 +188,7 @@ def test_barabasi_albert_counts_and_minimal_growth():
     g = gen_barabasi_albert(50, 3, 3, seed=2)
     assert g.arc_count == 6 + 2 * 3 * 47
     g2 = gen_barabasi_albert(4, 3, 3, seed=3)
-    assert {(3, t) for t in range(3)} <= g2.arcs
+    assert {(3, t) for t in range(3)} <= arcs(g2)
     with pytest.raises(ValueError):
         gen_barabasi_albert(5, 3, 2, seed=0)
 
@@ -240,7 +239,7 @@ def test_forest_fire_burn_range():
 def test_forest_fire_simple_graph():
     for s in range(10):
         g = gen_forest_fire(40, 0.45, 2, seed=s)
-        assert all(i != j for i, j in g.arcs)  # set semantics + loop guard
+        assert all(i != j for i, j in arcs(g))  # set semantics + loop guard
 
 
 def test_dgm_counts():
@@ -293,7 +292,7 @@ def test_generated_target_sets_follow_sequential_law():
     ctx = DistanceContext(attrs=attrs)
     laws, counts = [], []
     for i in range(n):
-        row = spec.row(ctx, i)
+        row = spec.rows(ctx, np.array([i]))[0]
         ranking = build_local_ranking(i, (np.delete(np.arange(n), i), np.delete(row, i)))
         law: dict[frozenset, float] = {}
         for seq, p in sequential_draw_law(ranking.ranks, k).items():
@@ -375,7 +374,7 @@ def test_priority_rank_matches_per_vertex_oracle(case):
     fast = (ks > 0) & (4 * ks <= n - 1)
     gen = stream.child(2).generator
     positions = sample_shared(np.arange(n), np.full(fast.sum(), n - 1), ks[fast], gen)
-    assert g.arcs == rank_space_oracle(spec, ctx, ks, positions, stream.child(3).generator)
+    assert arcs(g) == rank_space_oracle(spec, ctx, ks, positions, stream.child(3).generator)
 
 
 @pytest.mark.parametrize("kind", ["linear_regression", "naive_bayes"])
@@ -573,13 +572,15 @@ def test_per_source_pass_follows_exact_law():
     attrs = attr_table(x)
     spec = Euclidean1D(attr="x")
     ctx = DistanceContext(attrs=attrs)
-    tied = [i for i in range(n) if len(set(np.delete(spec.row(ctx, i), i).tolist())) < n - 1]
+    tied = [
+        i for i in range(n) if len(set(np.delete(spec.rows(ctx, np.array([i]))[0], i).tolist())) < n - 1
+    ]
     assert tied == [3]
     drawn = tally_target_sets(n, spec, DegreeSpec.resample([2, 7]), 1500, attrs=attrs)
     assert {k for _, k in drawn} == {2, 7}
 
     def laws(i, k):
-        return set_law(spec.row(ctx, i), i, k)
+        return set_law(spec.rows(ctx, np.array([i]))[0], i, k)
 
     assert combined_pvalue(laws, drawn) > 1e-3
     # on its own too, or one row's shift hides among the 18 tallies

@@ -302,6 +302,26 @@ def test_packed_keys_rank_like_the_argsort():
         assert all((np.diff(group) > 0).all() for group in groups)
 
 
+def test_argsorted_rows_list_ties_by_id(ranked_rows):
+    # exact ties beside a pair that differs only in the id bits, the larger
+    # distance at the smaller id: the packed order puts the pair the wrong
+    # way round, so every row is argsorted, and must still list tied
+    # targets by id, as build_local_ranking does
+    gen = np.random.default_rng(8)
+    n, b = 100, 60
+    sources = gen.integers(0, n, b)
+    rows = gen.choice([0.25, 0.5, 0.75], (b, n))
+    for r, source in enumerate(sources):
+        low, high = np.sort(gen.choice(np.delete(np.arange(n), source), 2, replace=False))
+        rows[r, low] = np.nextafter(rows[r, high], np.inf)
+    ranked = ranking.sort_block(rows, sources)
+    assert ranked_rows["sorted"] == b
+    for r, source in enumerate(sources.tolist()):
+        expected = build_local_ranking(source, (np.delete(np.arange(n), source), np.delete(rows[r], source)))
+        assert ranked.perm[r].tolist() == expected.targets.tolist()
+        assert ranked.ordered[r].tolist() == expected.distances.tolist()
+
+
 def packed_cases(n, b, seed):
     """``b`` sources of n vertices and, by name, a (b, n) block of their
     distance rows for each kind of row that the packed keys must sort like

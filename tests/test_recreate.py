@@ -21,7 +21,7 @@ from priorityrank.stats import ks_two_sample
 
 def test_synthetic_attributes_shape_and_kinds():
     table = generate_synthetic_attributes(100, seed=4)
-    assert table.n == 100 and table.m == 4
+    assert table.n == 100 and len(table.columns) == 4
     kinds = {c.name: c.kind for c in table.columns}
     assert kinds == {
         "ordinal": "ordinal",
@@ -31,7 +31,7 @@ def test_synthetic_attributes_shape_and_kinds():
     }
     ordinal = set(table.column("ordinal").values)
     assert ordinal <= set(float(k) for k in range(10))
-    assert len(table.labels("category")) <= 5
+    assert len(table.column("category").labels) <= 5
 
 
 def test_synthetic_attributes_deterministic():
