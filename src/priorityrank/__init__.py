@@ -46,12 +46,9 @@ from .metrics import (
     ConvergenceError,
     NetworkProfile,
     assortativity,
-    avg_path_length,
     betweenness_centrality,
-    closeness_centrality,
     degree_centrality,
     density,
-    diameter,
     freeman_centralization,
     network_profile,
     pagerank_centrality,

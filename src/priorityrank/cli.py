@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import os
 import sys
 from itertools import chain, repeat
 from pathlib import Path
@@ -70,8 +70,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
-        seed = secrets.randbits(63)
+        # the law of secrets.randbits(63), whose import costs about 4 MB and 8 ms
+        seed = int.from_bytes(os.urandom(8), "little") >> 1
         print(f"seed: {seed}", file=sys.stderr)
+    elif seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     return seed
 
 

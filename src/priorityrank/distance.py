@@ -710,11 +710,17 @@ def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> Naive
         raise ValueError("training set needs at least one example of each label")
     total = ts.features.shape[0]
     means, variances, bernoulli = [], [], []
-    for label in (1.0, 0.0):
+    # each class is summed once; these are the ufunc calls that rows.mean,
+    # rows.var and rows.sum make, so the fit is the same to the bit
+    for label, count in zip((1.0, 0.0), counts):
         rows = ts.features[ts.labels == label]
-        means.append(rows.mean(axis=0))
-        variances.append(np.maximum(rows.var(axis=0), _VAR_FLOOR))
-        bernoulli.append((rows.sum(axis=0) + 1.0) / (rows.shape[0] + 2.0))
+        sums = rows.sum(axis=0)
+        mean = sums / count
+        dev = rows - mean
+        dev *= dev
+        means.append(mean)
+        variances.append(np.maximum(dev.sum(axis=0) / count, _VAR_FLOOR))
+        bernoulli.append((sums + 1.0) / (count + 2.0))
     return NaiveBayesDistance(
         prior_edge=counts[0] / total,
         prior_no_edge=counts[1] / total,

@@ -205,6 +205,8 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Each ordered pair (i, j), i != j, becomes an arc with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     _check_cells(n * n, "Erdős–Rényi draws")
     gen = RngStream(seed).generator
     mat = gen.random((n, n)) < p

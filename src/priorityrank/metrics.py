@@ -18,9 +18,9 @@ accumulation walks them backwards with the same scatter.  Each chunk is
 reduced in the same pass to betweenness, closeness, farness, diameter and
 average path length.  Betweenness ships in two modes: ``count`` sums raw
 numbers of shortest paths passing through a vertex, ``fractional`` sums
-the usual pair dependencies sigma_st(v)/sigma_st.  Closeness ships as
-``reciprocal`` (reachable-count-1 over total distance) and ``farness``
-(mean distance over the full vertex count).
+the usual pair dependencies sigma_st(v)/sigma_st.  Closeness is read as
+the profile's ``closeness`` (reachable-count-1 over total distance) and
+``closeness_farness`` (mean distance over the full vertex count).
 
 A chunk holds as many sources as fit a byte budget, at the measured peak of
 about 32 bytes per source and vertex plus 8 per source and arc.  The vertex
@@ -36,10 +36,13 @@ redone with Python integers, and the running betweenness switches to them
 too.  Fractional betweenness is a float sum in scatter order; it may differ
 in its last bits from versions that summed in another order.
 
-``network_profile`` checks its arguments and returns a lazy view: each
-field is computed on first read, at most once, so a caller pays only for
-what it reads (``recreate`` scores a generated graph without its pagerank,
-transitivity or assortativity).
+``network_profile`` returns a lazy view that holds every measure in its
+default mode: each field is computed on first read, at most once, so a
+caller pays only for what it reads (``recreate`` scores a generated graph
+without its pagerank, transitivity or assortativity).  A module function
+stays beside it only for a mode or knob that the profile lacks: fractional
+betweenness, in- and out-degree, pagerank's damping, tolerance and iteration
+limit.
 """
 
 from __future__ import annotations
@@ -250,24 +253,6 @@ def betweenness_centrality(g: Graph, mode: str = "count") -> np.ndarray:
     return path_sweep(g, mode).betweenness
 
 
-def closeness_centrality(g: Graph, mode: str = "reciprocal") -> np.ndarray:
-    """Closeness over the reachable set of each vertex.
-
-    ``reciprocal``: (reachable count - 1) / sum of distances, 0 for vertices
-    that reach nothing.  ``farness``: mean distance (1/n) * sum over reachable
-    targets.
-    """
-    if mode not in ("reciprocal", "farness"):
-        raise ValueError(f"unknown closeness mode {mode!r}")
-    sweep = path_sweep(g, "count")
-    return sweep.closeness if mode == "reciprocal" else sweep.farness
-
-
-def _check_damping(damping: float) -> None:
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
-
-
 def pagerank_centrality(
     g: Graph,
     damping: float = 0.85,
@@ -280,8 +265,9 @@ def pagerank_centrality(
     + dangling mass / n) + (1 - damping) / n.  Iterates until the L1
     change drops below tol.
     """
-    _check_damping(damping)
     # written so that NaN fails too
+    if not 0.0 < damping < 1.0:
+        raise ValueError(f"damping must be in (0, 1), got {damping}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not max_iter >= 1:
@@ -308,16 +294,6 @@ def pagerank_centrality(
     raise ConvergenceError(
         f"pagerank did not converge in {max_iter} iterations (residual {residual:.3e})"
     )
-
-
-def diameter(g: Graph) -> int:
-    """Longest shortest path over reachable ordered pairs; 0 if none."""
-    return path_sweep(g, "count").diameter
-
-
-def avg_path_length(g: Graph) -> float:
-    """Mean shortest-path length over reachable ordered pairs; 0 if none."""
-    return path_sweep(g, "count").avg_path_length
 
 
 def density(g: Graph) -> float:
@@ -414,17 +390,14 @@ def transitivity(g: Graph) -> float:
 class NetworkProfile:
     """Scalar descriptors of one graph plus the centrality vectors used for
     comparisons, with the default measure modes (total degree, count
-    betweenness, reciprocal closeness).
+    betweenness, reciprocal closeness beside farness, pagerank with damping
+    0.85).
 
     The profile is a lazy view: each field is computed on first read, at
     most once, and the shortest-path fields share one count-mode sweep.
     """
 
     graph: Graph
-    damping: float = 0.85
-
-    def __post_init__(self):
-        _check_damping(self.damping)
 
     n = property(lambda self: self.graph.n)
     arc_count = property(lambda self: self.graph.arc_count)
@@ -436,7 +409,7 @@ class NetworkProfile:
     closeness_farness = property(lambda self: self._sweep.farness)
     # each lambda below calls the module-level function, not the field
     degree = cached_property(lambda self: degree_centrality(self.graph, "total"))
-    pagerank = cached_property(lambda self: pagerank_centrality(self.graph, self.damping))
+    pagerank = cached_property(lambda self: pagerank_centrality(self.graph))
     density = cached_property(lambda self: density(self.graph))
     reciprocity = cached_property(lambda self: reciprocity(self.graph))
     assortativity = cached_property(lambda self: assortativity(self.graph))
@@ -470,7 +443,6 @@ class NetworkProfile:
         return doc
 
 
-def network_profile(g: Graph, damping: float = 0.85) -> NetworkProfile:
-    """The lazy profile of ``g``; ``damping`` is checked now, although
-    pagerank runs only when first read."""
-    return NetworkProfile(g, damping)
+def network_profile(g: Graph) -> NetworkProfile:
+    """The lazy profile of ``g``."""
+    return NetworkProfile(g)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,42 @@ def test_seed_is_printed_when_absent(tmp_path, capsys):
     assert "seed:" in err
 
 
+def test_seedless_run_draws_a_63_bit_seed_without_importing_secrets(tmp_path):
+    out = tmp_path / "g.tsv"
+    script = (
+        "import sys; import priorityrank.cli as cli; "
+        "assert 'secrets' not in sys.modules, 'secrets imported'; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--model", "er", "--n", "5", "--p", "0.5", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("seed: ")
+    assert 0 <= int(proc.stderr.split()[1]) < 2**63
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--model", "er", "--n", "5", "--p", "0.5"],
+        ["learn", "--kind", "naive-bayes"],
+    ],
+    ids=["generate", "learn"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # learn's input does not exist: the seed is checked before it is read
+    infile = ["--in", str(tmp_path / "missing.tsv")] if argv[0] == "learn" else []
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, *infile, "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert "usage error" in err and "-1" in err
+    assert not out.exists()
+
+
 def test_generate_priority_rank_with_dump_rankings(tmp_path, capsys):
     attrs = tmp_path / "people.csv"
     attrs.write_text(PEOPLE_CSV)
@@ -333,6 +373,7 @@ def test_recreate_writes_report_and_best(tmp_path, capsys):
         ("--negative-ratio", "-1.5"),
         ("--alpha", "2"),
         ("--alpha", "0"),
+        ("--seed", "-1"),
     ],
 )
 def test_recreate_rejects_bad_settings_up_front(tmp_path, capsys, flag, value):

@@ -587,6 +587,28 @@ def test_naive_bayes_fit_separates_cluster_from_background():
     assert max(intra) < min(cross)
 
 
+def test_naive_bayes_fit_matches_numpy_mean_var_and_sum():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    base = build_training_set(g, numeric_table([0.0, 1.0, 2.0, 3.0]), math.inf, RngStream(8))
+    width = base.features.shape[1]
+    gen = np.random.default_rng(41)
+    for trial in range(60):
+        size = int(gen.integers(2, 40))
+        # the first trials give one class a single row
+        labels = np.zeros(size)
+        labels[gen.choice(size, 1 if trial < 10 else int(gen.integers(1, size)), replace=False)] = 1.0
+        if trial % 2:
+            labels = 1.0 - labels
+        scale = 10.0 ** gen.integers(-3, 6, size=width)
+        features = gen.normal(gen.normal(0, 1e3, size=width), scale, size=(size, width))
+        spec = fit_naive_bayes_distance(TrainingSet(features, labels, base.encoder))
+        for c, label in enumerate((1.0, 0.0)):
+            rows = features[labels == label]
+            assert spec.means[c] == tuple(rows.mean(axis=0).tolist())
+            assert spec.variances[c] == tuple(np.maximum(rows.var(axis=0), 1e-9).tolist())
+            assert spec.bernoulli[c] == tuple(((rows.sum(axis=0) + 1.0) / (len(rows) + 2.0)).tolist())
+
+
 def test_naive_bayes_uninformative_features_give_prior_ratio():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     attrs = numeric_table([5.0, 5.0, 5.0, 5.0])

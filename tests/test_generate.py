@@ -33,7 +33,7 @@ from priorityrank.generate import (
     priority_rank_generate,
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
-from priorityrank.metrics import assortativity, avg_path_length, degree_centrality, diameter, network_profile
+from priorityrank.metrics import assortativity, degree_centrality, network_profile
 from priorityrank.ranking import build_local_ranking, sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
@@ -167,12 +167,17 @@ def test_erdos_renyi_past_the_cell_budget_fails_before_allocating():
         gen_erdos_renyi(10**6, 0.1, seed=1)
 
 
+def test_erdos_renyi_names_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -3$"):
+        gen_erdos_renyi(-3, 0.5, seed=1)
+
+
 def test_watts_strogatz_lattice():
     g = gen_watts_strogatz(50, 3, 0.0, seed=1)
     assert g.arc_count == 150
     assert set(g.out_degrees.tolist()) == {3}
     # circulant diameter: ceil(floor(n/2) / k) hops around the ring
-    assert diameter(symmetrize(g)) == 9
+    assert network_profile(symmetrize(g)).diameter == 9
 
 
 def test_watts_strogatz_rewiring_breaks_regularity():
@@ -276,8 +281,8 @@ def test_locality_raises_path_length():
         rand = priority_rank_generate(
             100, None, RandomDistance(), DegreeSpec.constant(4), seed=700 + s
         )
-        ls_local.append(avg_path_length(local))
-        ls_random.append(avg_path_length(rand))
+        ls_local.append(network_profile(local).avg_path_length)
+        ls_random.append(network_profile(rand).avg_path_length)
     assert float(np.median(ls_local)) > float(np.median(ls_random))
 
 

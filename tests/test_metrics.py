@@ -14,12 +14,9 @@ from priorityrank.generate import (
 from priorityrank.graph import Graph, save_edge_list, symmetrize
 from priorityrank.metrics import (
     assortativity,
-    avg_path_length,
     betweenness_centrality,
-    closeness_centrality,
     degree_centrality,
     density,
-    diameter,
     freeman_centralization,
     network_profile,
     pagerank_centrality,
@@ -85,12 +82,12 @@ def test_betweenness_matches_enumeration_small():
 
 
 def test_closeness_examples():
-    farness = closeness_centrality(path3(), "farness")
+    farness = network_profile(path3()).closeness_farness
     assert farness[0] == pytest.approx((1 + 2) / 3)
-    assert np.allclose(closeness_centrality(complete(4), "reciprocal"), 1.0)
-    isolated = Graph(2, [])
-    assert closeness_centrality(isolated, "reciprocal").tolist() == [0.0, 0.0]
-    assert closeness_centrality(isolated, "farness").tolist() == [0.0, 0.0]
+    assert np.allclose(network_profile(complete(4)).closeness, 1.0)
+    isolated = network_profile(Graph(2, []))
+    assert isolated.closeness.tolist() == [0.0, 0.0]
+    assert isolated.closeness_farness.tolist() == [0.0, 0.0]
 
 
 def test_closeness_conventions_are_order_inverse_when_strongly_connected():
@@ -100,9 +97,8 @@ def test_closeness_conventions_are_order_inverse_when_strongly_connected():
         ring = [(i, (i + 1) % n) for i in range(n)]
         g = random_digraph(gen, n, 0.3)
         g = Graph(n, set(arcs(g)) | set(ring))  # ring guarantees strong connectivity
-        recip = closeness_centrality(g, "reciprocal")
-        far = closeness_centrality(g, "farness")
-        assert np.array_equal(np.argsort(recip), np.argsort(-far))
+        prof = network_profile(g)
+        assert np.array_equal(np.argsort(prof.closeness), np.argsort(-prof.closeness_farness))
 
 
 def test_pagerank_examples():
@@ -124,8 +120,9 @@ def test_pagerank_sums_to_one_nonnegative():
 def test_pagerank_validates_and_reports_nonconvergence():
     from priorityrank.metrics import ConvergenceError
 
-    with pytest.raises(ValueError):
-        pagerank_centrality(Graph(2, []), damping=1.0)
+    for damping in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
+            pagerank_centrality(Graph(2, []), damping=damping)
     # both limits are checked up front, with comparisons that NaN fails
     with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
         pagerank_centrality(path3(), max_iter=0)
@@ -139,13 +136,13 @@ def test_pagerank_validates_and_reports_nonconvergence():
 def test_diameter_and_path_length():
     for n in (2, 5, 10):
         path = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        assert diameter(path) == n - 1
-    assert diameter(complete(4)) == 1
-    assert avg_path_length(complete(4)) == 1.0
-    two_cycles = Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert diameter(two_cycles) == 1
-    assert avg_path_length(two_cycles) == 1.0
-    assert diameter(Graph(3, [])) == 0
+        assert network_profile(path).diameter == n - 1
+    assert network_profile(complete(4)).diameter == 1
+    assert network_profile(complete(4)).avg_path_length == 1.0
+    two_cycles = network_profile(Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+    assert two_cycles.diameter == 1
+    assert two_cycles.avg_path_length == 1.0
+    assert network_profile(Graph(3, [])).diameter == 0
 
 
 def test_scalar_descriptors():
@@ -241,13 +238,6 @@ def test_network_profile_sweeps_each_source_once(bfs_calls):
     assert sorted(bfs_calls) == list(range(g.n))
 
 
-@pytest.mark.parametrize("damping", [0.0, 1.0, -0.5, 1.5, math.nan])
-def test_network_profile_rejects_bad_damping_at_call_time(damping, profile_calls):
-    with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
-        network_profile(path3(), damping=damping)
-    assert profile_calls["pagerank_centrality"] == []
-
-
 @pytest.mark.parametrize(
     "g",
     [
@@ -267,15 +257,13 @@ def test_path_metrics_match_networkx(g):
     bet = nx.betweenness_centrality(G, normalized=False)
     assert betweenness_centrality(g, "fractional") == pytest.approx([bet[v] for v in range(g.n)])
     clo = nx.closeness_centrality(G.reverse(), wf_improved=False)
-    assert closeness_centrality(g, "reciprocal") == pytest.approx([clo[v] for v in range(g.n)])
+    prof = network_profile(g)
+    assert prof.closeness == pytest.approx([clo[v] for v in range(g.n)])
     pr = nx.pagerank(G, alpha=0.85, tol=1e-12)
     assert pagerank_centrality(g, tol=1e-12) == pytest.approx([pr[v] for v in range(g.n)], rel=1e-6)
     lengths = [
         d for _, row in nx.all_pairs_shortest_path_length(G) for d in row.values() if d > 0
     ]
-    assert diameter(g) == max(lengths)
-    assert avg_path_length(g) == pytest.approx(sum(lengths) / len(lengths))
-    prof = network_profile(g)
     assert prof.diameter == max(lengths)
     assert prof.avg_path_length == pytest.approx(sum(lengths) / len(lengths))
 
@@ -321,9 +309,8 @@ def test_count_betweenness_exact_above_2_53(monkeypatch, budget):
     assert prof.betweenness.tolist() == [float(x) for x in oracle]
     expected = expected_path_metrics(g)
     assert prof.closeness.tolist() == expected["closeness"]
-    assert closeness_centrality(g, "reciprocal").tolist() == expected["closeness"]
-    assert diameter(g) == prof.diameter == expected["diameter"] == 120
-    assert avg_path_length(g) == prof.avg_path_length == expected["avg_path_length"]
+    assert prof.diameter == expected["diameter"] == 120
+    assert prof.avg_path_length == expected["avg_path_length"]
 
 
 def test_brandes_oracle_matches_enumeration():
@@ -463,7 +450,12 @@ def test_directed_path_matches_closed_forms(monkeypatch, budget, n):
     assert prof.closeness_farness.tolist() == [k * (k + 1) / 2 / n for k in ahead]
 
 
-MEASURES = [betweenness_centrality, closeness_centrality, diameter]
+# each measure with the name of its test case
+MEASURES = {
+    "betweenness_centrality": betweenness_centrality,
+    "closeness_centrality": lambda g: network_profile(g).closeness,
+    "diameter": lambda g: network_profile(g).diameter,
+}
 # each graph with the sizes of its chunks under the default budget
 BUDGET_GRAPHS = {
     "er": (gen_erdos_renyi(800, 0.01, seed=3), [55] * 14 + [30]),
@@ -473,8 +465,9 @@ BUDGET_GRAPHS = {
 
 @pytest.mark.parametrize(
     "name, measure",
-    [("er", measure) for measure in MEASURES] + [("cycle", measure) for measure in MEASURES],
-    ids=[m.__name__ for m in MEASURES] + [f"cycle-{m.__name__}" for m in MEASURES],
+    [("er", measure) for measure in MEASURES.values()]
+    + [("cycle", measure) for measure in MEASURES.values()],
+    ids=list(MEASURES) + [f"cycle-{name}" for name in MEASURES],
 )
 def test_sweep_memory_stays_near_the_chunk_budget(sweep_chunks, name, measure):
     g, sizes = BUDGET_GRAPHS[name]
@@ -503,7 +496,7 @@ def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     assert network_profile(g).to_json_dict() == default
     assert sweep_chunks == [1] * g.n
     sweep_chunks.clear()
-    diameter(Graph(0))  # its values: test_path_metrics_edge_cases
+    network_profile(Graph(0)).diameter  # its values: test_path_metrics_edge_cases
     assert sweep_chunks == []
 
 
