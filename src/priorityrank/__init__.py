@@ -55,12 +55,7 @@ from .metrics import (
     reciprocity,
     transitivity,
 )
-from .ranking import (
-    LocalRanking,
-    build_local_ranking,
-    sample_targets,
-    selection_probabilities,
-)
+from .ranking import selection_probabilities
 from .recreate import (
     ComparisonRecord,
     RecreateConfig,

@@ -190,11 +190,11 @@ def _distance_spec_from_args(args):
     return dist_mod.CentralityDistance(centrality=args.distance)
 
 
-def _dump_rankings(path: str, spec, attrs, n: int, reference) -> None:
+def _dump_rankings(path: str, spec, ctx) -> None:
     """TSV of every source's ranking: target order, distance, rank, probability.
     Each source's row is sorted by ``sort_block`` on its own, so memory
     stays O(n)."""
-    ctx = dist_mod.DistanceContext(n=n, attrs=attrs, reference=reference)
+    n = ctx.n
     with open(path, "w", encoding="utf-8") as out:
         out.write("source\ttarget\tdistance\trank\tprobability\n")
         for i in range(n):
@@ -259,9 +259,17 @@ def _cmd_generate(args) -> int:
         if args.dump_rankings and spec.requires_centrality and not args.reference:
             raise UsageError("--dump-rankings with a centrality kind needs --reference")
         reference = _load_graph(args.reference) if args.reference else None
-        g = priority_rank_generate(args.n, attrs, spec, degrees, seed, reference=reference)
+        centralities = None
         if args.dump_rankings:
-            _dump_rankings(args.dump_rankings, spec, attrs, args.n, reference)
+            ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, reference=reference)
+            if spec.requires_centrality:
+                # the pass reads the vector that the dump reads: one sweep
+                centralities = {spec.centrality: ctx.centrality(spec.centrality)}
+        g = priority_rank_generate(
+            args.n, attrs, spec, degrees, seed, reference=reference, centralities=centralities
+        )
+        if args.dump_rankings:
+            _dump_rankings(args.dump_rankings, spec, ctx)
         if args.attrs_out and attrs is not None:
             Path(args.attrs_out).write_text(save_attributes(attrs), encoding="utf-8")
     Path(args.out).write_text(save_edge_list(g), encoding="utf-8")

@@ -9,7 +9,7 @@ P(position i) = 1 / (H_{n-1} * i) with H the harmonic number.
 
 Targets are drawn without replacement: each draw picks an entry with
 probability proportional to 1/rank among the entries left (successive
-sampling).  Three kernels draw from this law, from rows sorted as below.
+sampling).  Two kernels draw from this law, from rows sorted as below.
 
 - ``sample_shared`` serves sources that all rank the targets by one vector.
   One stable argsort gives the tie groups, and two prefix sums over them
@@ -31,7 +31,6 @@ sampling).  Three kernels draw from this law, from rows sorted as below.
   (Efraimidis and Spirakis, 2006), and the k largest keys, in descending
   order, are the k draws.  The keys use ``1 - u``, which lies in (0, 1], so
   every key is finite.
-- ``sample_targets`` draws from one ``LocalRanking`` with exponential keys.
 
 ``sort_block`` sorts a block of per-source rows with one value sort of
 packed keys.  A key is a distance's bit pattern with its low
@@ -51,7 +50,7 @@ in the id bits, and any row the caller needs in full) gathers its distances
 along the packed order, which puts tied targets by id, and must then be
 non-decreasing; a row that is not is argsorted by a stable sort, which
 puts tied targets by id too.  So every row held in full lists its targets
-as ``build_local_ranking`` does, tied targets by id.
+as a stable argsort does, tied targets by id.
 
 Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
 ``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
@@ -61,39 +60,14 @@ again when tie-free per-source rows moved to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
-
-from .stats import RngStream
-
-
-@dataclass(frozen=True)
-class LocalRanking:
-    """One vertex's view of all others, sorted by distance.
-
-    ``targets``, ``distances``, ``ranks`` and ``probabilities`` are aligned;
-    within a tied group targets are ordered by id (presentation only, the
-    probabilities inside a group are identical).
-    """
-
-    source: int
-    targets: np.ndarray
-    distances: np.ndarray
-    ranks: np.ndarray
-    probabilities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.targets)
 
 
 def competition_ranks(sorted_values) -> np.ndarray:
     """1224-style ranks along the last axis of non-decreasing values."""
     sorted_values = np.asarray(sorted_values)
-    m = sorted_values.shape[-1]
-    if m == 0:
-        return np.zeros(sorted_values.shape, dtype=np.int64)
-    positions = np.arange(1, m + 1, dtype=np.int64)
+    positions = np.arange(1, sorted_values.shape[-1] + 1, dtype=np.int64)
     new_group = np.ones(sorted_values.shape, dtype=bool)
     new_group[..., 1:] = sorted_values[..., 1:] != sorted_values[..., :-1]
     return np.maximum.accumulate(np.where(new_group, positions, 0), axis=-1)
@@ -104,57 +78,6 @@ def selection_probabilities(ranks) -> np.ndarray:
     ranks = np.asarray(ranks, dtype=np.float64)
     weights = 1.0 / ranks
     return weights / weights.sum()
-
-
-def _first_duplicate(ids: np.ndarray) -> int | None:
-    """The smallest id that occurs twice in ``ids``."""
-    ordered = np.sort(ids)
-    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
-    return int(repeats[0]) if repeats.size else None
-
-
-def build_local_ranking(source: int, distances, n: int | None = None) -> LocalRanking:
-    """Rank all targets of one source vertex by distance.
-
-    ``distances`` is either a mapping {vertex: distance} or a pair of
-    aligned arrays (ids, values).  When ``n`` is given the targets must be
-    exactly 0..n-1 minus the source.
-    """
-    if isinstance(distances, Mapping):
-        ids = np.fromiter(distances.keys(), dtype=np.int64, count=len(distances))
-        values = np.fromiter(distances.values(), dtype=np.float64, count=len(distances))
-    else:
-        ids, values = distances
-        ids = np.asarray(ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-    if len(ids) == 0:
-        raise ValueError("ranking needs at least one target")
-    if (ids == source).any():
-        raise ValueError(f"source vertex {source} cannot rank itself")
-    if (ids < 0).any():
-        raise ValueError(f"negative target id {int(ids[ids < 0][0])}")
-    if n is not None and (ids >= n).any():
-        raise ValueError(f"target id {int(ids[ids >= n][0])} is outside [0, {n})")
-    duplicate = _first_duplicate(ids)
-    if duplicate is not None:
-        raise ValueError(f"duplicate target id {duplicate} in distance map")
-    if n is not None:
-        expected = n - 1
-        if len(ids) != expected:
-            missing = sorted(set(range(n)) - {source} - set(int(i) for i in ids))
-            raise ValueError(f"distance map misses vertices {missing[:5]}")
-    _check_distances(values)
-    order = np.lexsort((ids, values))
-    targets = ids[order]
-    sorted_values = values[order]
-    ranks = competition_ranks(sorted_values)
-    return LocalRanking(
-        source=int(source),
-        targets=targets,
-        distances=sorted_values,
-        ranks=ranks,
-        probabilities=selection_probabilities(ranks),
-    )
 
 
 def _check_distances(values: np.ndarray) -> None:
@@ -404,19 +327,3 @@ def sample_shared(distances, sources, ks, gen: np.random.Generator) -> np.ndarra
         pending = pending[need[pending] > 0]
     codes = np.concatenate(drawn)
     return codes[np.argsort(codes // n, kind="stable")] % n
-
-
-def sample_targets(ranking: LocalRanking, k: int, rng: RngStream) -> np.ndarray:
-    """Draw k distinct targets without replacement.
-
-    Each draw picks an entry with probability proportional to its 1/rank
-    weight among the entries not yet drawn.  The draws come from one key per
-    entry, ``rank * log(1 - u)`` with u uniform, taken in descending order
-    (Efraimidis and Spirakis, 2006), so the first of k draws is the single
-    draw of the same stream.
-    """
-    m = len(ranking)
-    if not 1 <= k <= m:
-        raise ValueError(f"cannot draw {k} targets from {m} entries")
-    keys = ranking.ranks * np.log1p(-rng.generator.random(m))
-    return ranking.targets[_top_keys(keys[None, :], np.array([k]))]

@@ -8,12 +8,21 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import chisquare
 
 from priorityrank.graph import ATTRIBUTE_KINDS, AttributeColumn, AttributeTable, Graph, GraphFormatError
-from priorityrank.ranking import _check_distances, _check_draws, _id_mask, build_local_ranking, sample_sorted, sort_block
+from priorityrank.ranking import (
+    _check_distances,
+    _check_draws,
+    _id_mask,
+    competition_ranks,
+    sample_sorted,
+    selection_probabilities,
+    sort_block,
+)
 
 
 def arcs(g: Graph) -> frozenset[tuple[int, int]]:
@@ -151,6 +160,29 @@ def random_digraph(gen: np.random.Generator, n: int, p: float) -> Graph:
     return Graph(n, zip(src.tolist(), dst.tolist()))
 
 
+class LocalRanking(NamedTuple):
+    """One vertex's view of all others, sorted by distance: aligned arrays,
+    tied targets by id."""
+
+    targets: np.ndarray
+    distances: np.ndarray
+    ranks: np.ndarray
+    probabilities: np.ndarray
+
+
+def lexsort_ranking(row, source: int) -> LocalRanking:
+    """Every target of ``source`` ranked by its entry of the full distance
+    ``row``, by one ``np.lexsort`` of (distance, id), independent of the
+    packed keys of ``sort_block``; the source's own entry is ignored."""
+    row = np.asarray(row, dtype=np.float64)
+    ids = np.delete(np.arange(len(row)), source)
+    values = np.delete(row, source)
+    _check_distances(values)
+    order = np.lexsort((ids, values))
+    ranks = competition_ranks(values[order])
+    return LocalRanking(ids[order], values[order], ranks, selection_probabilities(ranks))
+
+
 def sequential_draw_law(ranks, k: int) -> dict[tuple[int, ...], Fraction]:
     """Exact probability of every ordered k-draw of distinct positions when
     each draw picks a remaining position with probability proportional to
@@ -176,10 +208,8 @@ def _sequential_draw_law(ranks: tuple[int, ...], k: int) -> dict[tuple[int, ...]
 def shared_vector_law(distances, source: int, k: int) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the ordered k-draw of ``source`` when it ranks every
     other vertex j by ``distances[j]``, keyed by target ids: ranks from
-    ``build_local_ranking``, probabilities from ``sequential_draw_law``."""
-    distances = np.asarray(distances, dtype=np.float64)
-    ids = np.delete(np.arange(len(distances)), source)
-    ranking = build_local_ranking(source, (ids, np.delete(distances, source)))
+    ``lexsort_ranking``, probabilities from ``sequential_draw_law``."""
+    ranking = lexsort_ranking(distances, source)
     return {
         tuple(int(ranking.targets[pos]) for pos in seq): p
         for seq, p in sequential_draw_law(ranking.ranks, k).items()
@@ -204,17 +234,14 @@ def chisquare_pvalue(law, draws) -> float:
 
 def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:
     """Arcs of one priority-rank pass, one vertex at a time: stable
-    ``lexsort`` ranks from ``build_local_ranking``, the key
+    ``lexsort`` ranks from ``lexsort_ranking``, the key
     ``rank * log(1 - u[i, t])`` for every target t, and the ``ks[i]``
     largest keys."""
-    n = ctx.n
-    ids = np.arange(n)
     arcs = set()
-    for i in range(n):
+    for i in range(ctx.n):
         if ks[i] == 0:
             continue
-        row = spec.rows(ctx, np.array([i]))[0]
-        ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
+        ranking = lexsort_ranking(spec.rows(ctx, np.array([i]))[0], i)
         keys = ranking.ranks * np.log1p(-u[i, ranking.targets])
         best = np.argsort(-keys, kind="stable")[: ks[i]]
         arcs.update((i, int(t)) for t in ranking.targets[best])
@@ -224,12 +251,11 @@ def priority_rank_oracle(spec, ctx, ks, u) -> set[tuple[int, int]]:
 def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
     """Arcs of one priority-rank pass of a per-source kind, one vertex at a
     time.  A source with 4 k <= n - 1 takes its next k ``positions``; if its
-    ``build_local_ranking`` has ranks 1..n-1 (no tie), its targets are that
+    ``lexsort_ranking`` has ranks 1..n-1 (no tie), its targets are that
     ranking's targets at those positions.  Every other source with k > 0
     reads the next row of n uniforms of ``gen`` and draws by
     ``priority_rank_oracle``."""
     n = ctx.n
-    ids = np.arange(n)
     arcs = set()
     keyed = np.zeros(n, dtype=np.int64)
     u = np.zeros((n, n))
@@ -241,8 +267,7 @@ def rank_space_oracle(spec, ctx, ks, positions, gen) -> set[tuple[int, int]]:
         if 4 * k <= n - 1:
             drawn = positions[taken : taken + k]
             taken += k
-            row = spec.rows(ctx, np.array([i]))[0]
-            ranking = build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
+            ranking = lexsort_ranking(spec.rows(ctx, np.array([i]))[0], i)
             if ranking.ranks.tolist() == list(range(1, n)):
                 arcs.update((i, int(t)) for t in ranking.targets[drawn])
                 continue

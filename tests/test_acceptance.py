@@ -11,6 +11,7 @@ from priorityrank.cli import main as cli_main
 from priorityrank.generate import DegreeSpec
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence
 from priorityrank.metrics import betweenness_centrality
+from priorityrank.ranking import sample_shared
 from priorityrank.stats import ks_two_sample
 
 from _oracles import (
@@ -19,6 +20,7 @@ from _oracles import (
     betweenness_fractional_oracle,
     ks_statistic_oracle,
     random_digraph,
+    sample_rows,
 )
 
 PEOPLE_CSV = (
@@ -30,18 +32,6 @@ PEOPLE_CSV = (
 def report(criterion: int, ok: bool, detail: str) -> bool:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
     return ok
-
-
-def people_rankings():
-    attrs = pr.load_attributes(PEOPLE_CSV)
-    spec = pr.make_age_sex_distance()
-    ctx = pr.DistanceContext(attrs=attrs)
-    out = {}
-    ids = np.arange(5)
-    for i in range(5):
-        row = spec.rows(ctx, np.array([i]))[0]
-        out[i] = pr.build_local_ranking(i, (np.delete(ids, i), np.delete(row, i)))
-    return out
 
 
 def test_criterion_1_worked_example_rankings(tmp_path, capsys):
@@ -102,16 +92,24 @@ def test_criterion_2_pmf_law():
         probs = pr.selection_probabilities(np.arange(1, n + 1))
         sums_ok &= abs(float(probs.sum()) - 1.0) < 1e-12
 
-    ranking = pr.build_local_ranking(0, {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0})
-    rng = pr.RngStream(20260810)
-    counts = np.zeros(5)
+    # source 0's single target, drawn by the two kernels that generate runs:
+    # k = 1 sits at the rejection limit of n = 5, so both serve it
+    row = np.array([0.0, 5.0, 10.0, 15.0, 20.0])
     trials = 10**6
-    for _ in range(trials):
-        counts[pr.sample_targets(ranking, 1, rng)[0]] += 1
-    freq = counts[1:] / trials
-    err = float(np.max(np.abs(freq - np.array([0.48, 0.24, 0.16, 0.12]))))
-    ok = sums_ok and err < 0.005
-    assert report(2, ok, f"PMF sums exact, draw frequency error {err:.4f} over 1e6 draws")
+    gen = pr.RngStream(20260810).generator
+    drawn = {
+        "sample_shared": sample_shared(row, np.zeros(trials), np.ones(trials), gen),
+        "sort_block + sample_sorted": sample_rows(
+            np.broadcast_to(row, (trials, 5)), np.zeros(trials), np.ones(trials), gen.random((trials, 5))
+        ),
+    }
+    errs = {}
+    for kernel, targets in drawn.items():
+        freq = np.bincount(targets, minlength=5)[1:] / trials
+        errs[kernel] = float(np.max(np.abs(freq - np.array([0.48, 0.24, 0.16, 0.12]))))
+    ok = sums_ok and all(err < 0.005 for err in errs.values())
+    detail = ", ".join(f"{kernel} {err:.4f}" for kernel, err in errs.items())
+    assert report(2, ok, f"PMF sums exact, draw frequency error over 1e6 draws: {detail}")
 
 
 def test_criterion_3_random_kind_recreates_er():

@@ -11,13 +11,15 @@ import pytest
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
 from priorityrank.distance import (
+    CentralityDistance,
     DistanceContext,
     build_training_set,
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
 from priorityrank.graph import Graph, load_attributes, load_edge_list
-from priorityrank.ranking import build_local_ranking
+
+from _oracles import lexsort_ranking
 
 PEOPLE_CSV = (
     "age:continuous,sex:categorical\n"
@@ -290,6 +292,27 @@ def test_dump_rankings_centrality_kind_without_reference_fails_before_generating
     assert not out.exists()
 
 
+def test_dump_rankings_of_a_centrality_kind_sweeps_the_reference_once(tmp_path, capsys, sweep_chunks):
+    # the pass and the dump read one betweenness vector of the reference, so
+    # the dump adds no sweep and leaves the graph as it is without it
+    reference = tmp_path / "reference.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "60", "--p", "0.1", "--seed", "3", "--out", str(reference))
+    argv = ["generate", "--model", "priority-rank", "--n", "60", "--k", "3", "--distance", "betweenness",
+            "--reference", str(reference), "--seed", "4"]
+    sweep_chunks.clear()
+    assert run(capsys, *argv, "--out", str(tmp_path / "plain.tsv"))[0] == 0
+    plain = list(sweep_chunks)
+    sweep_chunks.clear()
+    dump = tmp_path / "rankings.tsv"
+    assert run(capsys, *argv, "--out", str(tmp_path / "dumped.tsv"), "--dump-rankings", str(dump))[0] == 0
+    assert sum(plain) == 60 and sweep_chunks == plain
+    assert (tmp_path / "dumped.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    expected = tmp_path / "expected.tsv"
+    spec = CentralityDistance(centrality="betweenness")
+    _dump_rankings_by_lines(expected, spec, None, 60, load_edge_list(reference.read_text()))
+    assert dump.read_bytes() == expected.read_bytes()
+
+
 def test_learn_emits_loadable_spec(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "4", "--out", str(src))
@@ -479,10 +502,8 @@ def _dump_rankings_by_lines(path, spec, attrs, n, reference=None):
     """The ranking dump built as one list of f-string lines, for byte comparison."""
     ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
     lines = ["source\ttarget\tdistance\trank\tprobability"]
-    all_ids = np.arange(n, dtype=np.int64)
     for i in range(n):
-        row = spec.rows(ctx, np.array([i]))[0]
-        ranking = build_local_ranking(i, (np.delete(all_ids, i), np.delete(row, i)))
+        ranking = lexsort_ranking(spec.rows(ctx, np.array([i]))[0], i)
         for t, d, r, p in zip(ranking.targets, ranking.distances, ranking.ranks, ranking.probabilities):
             lines.append(f"{i}\t{int(t)}\t{float(d)!r}\t{int(r)}\t{float(p)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

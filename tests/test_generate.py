@@ -34,10 +34,10 @@ from priorityrank.generate import (
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
 from priorityrank.metrics import assortativity, degree_centrality, network_profile
-from priorityrank.ranking import build_local_ranking, sample_shared
+from priorityrank.ranking import sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import adjacency, arcs, rank_space_oracle, sequential_draw_law, shared_vector_law
+from _oracles import adjacency, arcs, lexsort_ranking, rank_space_oracle, sequential_draw_law, shared_vector_law
 
 
 def attr_table(values):
@@ -297,8 +297,7 @@ def test_generated_target_sets_follow_sequential_law():
     ctx = DistanceContext(attrs=attrs)
     laws, counts = [], []
     for i in range(n):
-        row = spec.rows(ctx, np.array([i]))[0]
-        ranking = build_local_ranking(i, (np.delete(np.arange(n), i), np.delete(row, i)))
+        ranking = lexsort_ranking(spec.rows(ctx, np.array([i]))[0], i)
         law: dict[frozenset, float] = {}
         for seq, p in sequential_draw_law(ranking.ranks, k).items():
             key = frozenset(int(ranking.targets[pos]) for pos in seq)

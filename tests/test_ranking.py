@@ -2,53 +2,60 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from priorityrank import ranking
 from priorityrank.generate import _row_draws
 from priorityrank.ranking import (
-    build_local_ranking,
     by_rejection,
     competition_ranks,
     sample_shared,
-    sample_targets,
     selection_probabilities,
 )
 from priorityrank.stats import RngStream, harmonic
 
 from _oracles import (
     chisquare_pvalue,
+    lexsort_ranking,
     packed_keys,
     sample_rows,
-    sequential_draw_law,
     shared_vector_law,
     sort_rows,
 )
 
 
-def alice_ranking():
-    return build_local_ranking(0, {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0})
+# source 0's row: its own entry first, then vertices 1-4 at distinct distances
+ALICE = np.array([0.0, 5.0, 10.0, 15.0, 20.0])
+
+
+def ranked(row, source):
+    """``(targets, ranks, probabilities)`` of one row sorted by ``sort_block``."""
+    perm, ordered = sort_rows(np.asarray(row, dtype=np.float64)[None, :], [source])
+    ranks = competition_ranks(ordered[0])
+    return perm[0].tolist(), ranks.tolist(), selection_probabilities(ranks)
 
 
 def test_distinct_distances_rank_1234():
-    r = alice_ranking()
-    assert r.ranks.tolist() == [1, 2, 3, 4]
-    assert r.probabilities.tolist() == pytest.approx([0.48, 0.24, 0.16, 0.12])
+    targets, ranks, probabilities = ranked(ALICE, 0)
+    assert targets == [1, 2, 3, 4]
+    assert ranks == [1, 2, 3, 4]
+    assert probabilities.tolist() == pytest.approx([0.48, 0.24, 0.16, 0.12])
 
 
 def test_tied_pair_shares_rank_one():
     # two nearest tie, ranking skips to 3
-    r = build_local_ranking(0, {1: 15.0, 2: 15.0, 3: 20.0, 4: 30.0})
-    assert r.ranks.tolist() == [1, 1, 3, 4]
-    assert r.probabilities.tolist() == pytest.approx(
+    targets, ranks, probabilities = ranked([0.0, 15.0, 15.0, 20.0, 30.0], 0)
+    assert targets == [1, 2, 3, 4]
+    assert ranks == [1, 1, 3, 4]
+    assert probabilities.tolist() == pytest.approx(
         [12 / 31, 12 / 31, 4 / 31, 3 / 31]
     )
 
 
 def test_all_tied_is_uniform():
-    r = build_local_ranking(2, {0: 1.0, 1: 1.0, 3: 1.0, 4: 1.0})
-    assert r.ranks.tolist() == [1, 1, 1, 1]
-    assert np.allclose(r.probabilities, 0.25)
+    targets, ranks, probabilities = ranked([1.0, 1.0, 0.0, 1.0, 1.0], 2)
+    assert targets == [0, 1, 3, 4]
+    assert ranks == [1, 1, 1, 1]
+    assert np.allclose(probabilities, 0.25)
 
 
 def test_selection_probability_patterns():
@@ -66,9 +73,11 @@ def test_selection_probability_patterns():
 def test_competition_ranks_gap_structure():
     assert competition_ranks(np.array([1.0, 1.0, 1.0, 2.0])).tolist() == [1, 1, 1, 4]
     assert competition_ranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1, 2, 2, 4]
-    assert competition_ranks(np.array([])).tolist() == []
     rows = np.array([[1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 3.0]])
     assert competition_ranks(rows).tolist() == [[1, 1, 1, 4], [1, 2, 2, 4]]
+    for shape in ((0,), (3, 0), (0, 4), (0, 0)):
+        empty = competition_ranks(np.zeros(shape))
+        assert empty.shape == shape and empty.dtype == np.int64
 
 
 def test_probabilities_sum_to_one_large():
@@ -89,101 +98,64 @@ def test_monotone_transform_leaves_ranking_unchanged():
     gen = np.random.default_rng(3)
     for _ in range(20):
         n = int(gen.integers(3, 40))
-        dists = {j: float(v) for j, v in enumerate(gen.uniform(0, 10, n - 1), start=1)}
+        row = np.r_[0.0, gen.uniform(0, 10, n - 1)]
         if gen.random() < 0.5:  # inject ties
-            keys = list(dists)
-            dists[keys[0]] = dists[keys[-1]]
-        r1 = build_local_ranking(0, dists, n=n)
-        r2 = build_local_ranking(0, {k: np.expm1(v) + 2 * v for k, v in dists.items()}, n=n)
-        assert r1.targets.tolist() == r2.targets.tolist()
-        assert r1.ranks.tolist() == r2.ranks.tolist()
-        assert np.allclose(r1.probabilities, r2.probabilities)
+            row[1] = row[-1]
+        targets, ranks, probabilities = ranked(row, 0)
+        again = ranked(np.expm1(row) + 2 * row, 0)
+        assert targets == again[0]
+        assert ranks == again[1]
+        assert np.allclose(probabilities, again[2])
 
 
-def test_build_validation():
-    with pytest.raises(ValueError, match="rank itself"):
-        build_local_ranking(0, {0: 1.0, 1: 2.0})
-    with pytest.raises(ValueError, match="finite"):
-        build_local_ranking(0, {1: float("nan")})
-    with pytest.raises(ValueError, match="non-negative"):
-        build_local_ranking(0, {1: -1.0})
-    with pytest.raises(ValueError, match="misses"):
-        build_local_ranking(0, {1: 1.0}, n=4)
-
-
-def test_build_rejects_bad_target_ids():
-    with pytest.raises(ValueError, match="negative target id -2"):
-        build_local_ranking(0, {-2: 0.0, 1: 1.0}, n=3)
-    with pytest.raises(ValueError, match="negative target id -1"):
-        build_local_ranking(0, ([3, -1], [1.0, 2.0]))
-    with pytest.raises(ValueError, match=r"target id 7 is outside \[0, 3\)"):
-        build_local_ranking(0, {1: 0.0, 7: 1.0}, n=3)
-    with pytest.raises(ValueError, match="target id 3 is outside"):
-        build_local_ranking(0, ([1, 3], [1.0, 2.0]), n=3)
-    with pytest.raises(ValueError, match="duplicate target id 2"):
-        build_local_ranking(0, ([1, 2, 3, 2, 3, 3], [1.0] * 6))
-    with pytest.raises(ValueError, match="duplicate target id 10000"):
-        build_local_ranking(0, ([10**9, 10000, 10000], [1.0, 2.0, 3.0]))
-    assert build_local_ranking(0, ([10**9, 10000], [1.0, 2.0])).targets.tolist() == [10**9, 10000]
+def broadcast_draws(row, k, trials, gen):
+    """``trials`` draws of k targets of source 0 from ``row``, through
+    ``sort_block`` and ``sample_sorted`` on the row broadcast, one draw a
+    row of the result."""
+    rows = np.broadcast_to(np.asarray(row, dtype=np.float64), (trials, len(row)))
+    u = gen.random(rows.shape)
+    return sample_rows(rows, np.zeros(trials, dtype=np.int64), np.full(trials, k), u).reshape(trials, k)
 
 
 def test_sampling_exhaustion_and_minimal():
-    r = alice_ranking()
-    full = sample_targets(r, 4, RngStream(0))
-    assert sorted(full.tolist()) == [1, 2, 3, 4]
-    single = build_local_ranking(0, {1: 2.0})
-    assert sample_targets(single, 1, RngStream(1)).tolist() == [1]
-    with pytest.raises(ValueError):
-        sample_targets(r, 5, RngStream(2))
-    with pytest.raises(ValueError):
-        sample_targets(r, 0, RngStream(2))
+    full = broadcast_draws(ALICE, 4, 50, RngStream(0).generator)
+    assert {tuple(sorted(draw)) for draw in full.tolist()} == {(1, 2, 3, 4)}
+    assert broadcast_draws([0.0, 2.0], 1, 20, RngStream(1).generator).tolist() == [[1]] * 20
+    for k in (5, 0):
+        with pytest.raises(ValueError, match=f"cannot draw {k} targets from 4"):
+            broadcast_draws(ALICE, k, 1, RngStream(2).generator)
 
 
 def test_sampling_never_repeats():
-    r = build_local_ranking(0, {j: float(j) for j in range(1, 12)})
-    rng = RngStream(9)
-    for _ in range(200):
-        got = sample_targets(r, 6, rng)
-        assert len(set(got.tolist())) == 6
+    got = broadcast_draws(np.arange(12.0), 6, 200, RngStream(9).generator)
+    assert all(len(set(draw)) == 6 for draw in got.tolist())
 
 
 def test_sampling_deterministic_for_fixed_stream():
-    r = alice_ranking()
-    a = [sample_targets(r, 2, RngStream(5, (k,))).tolist() for k in range(50)]
-    b = [sample_targets(r, 2, RngStream(5, (k,))).tolist() for k in range(50)]
-    assert a == b
+    def draws():
+        return [broadcast_draws(ALICE, 2, 1, RngStream(5, (k,)).generator).tolist() for k in range(50)]
+
+    assert draws() == draws()
 
 
 def test_single_draw_frequencies():
-    r = alice_ranking()
-    rng = RngStream(77)
-    counts = np.zeros(5)
+    # k = 1 sits at the rejection limit of n = 5, so both kernels serve it
     trials = 10**5
-    for _ in range(trials):
-        counts[sample_targets(r, 1, rng)[0]] += 1
-    freq = counts[1:] / trials
-    assert np.max(np.abs(freq - np.array([0.48, 0.24, 0.16, 0.12]))) < 0.01
+    gen = RngStream(77).generator
+    assert by_rejection(len(ALICE), [1]).tolist() == [True]
+    shared = sample_shared(ALICE, np.zeros(trials), np.ones(trials), gen)
+    keyed = broadcast_draws(ALICE, 1, trials, gen)[:, 0]
+    for got in (shared, keyed):
+        freq = np.bincount(got, minlength=5)[1:] / trials
+        assert np.max(np.abs(freq - np.array([0.48, 0.24, 0.16, 0.12]))) < 0.01
 
 
 def test_pairs_include_near_over_far():
     # drawing k=2: the top-ranked target must be included more often than the last
-    r = alice_ranking()
-    rng = RngStream(123)
-    eve = bob = 0
-    trials = 10**5
-    for _ in range(trials):
-        got = set(sample_targets(r, 2, rng).tolist())
-        eve += 1 in got
-        bob += 4 in got
+    got = broadcast_draws(ALICE, 2, 10**5, RngStream(123).generator)
+    eve = int((got == 1).any(axis=1).sum())
+    bob = int((got == 4).any(axis=1).sum())
     assert eve > bob
-
-
-def test_single_draw_is_first_step_of_full_draw():
-    r = build_local_ranking(0, {1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0})
-    for seed in range(30):
-        single = sample_targets(r, 1, RngStream(seed))
-        full = sample_targets(r, len(r), RngStream(seed))
-        assert single.tolist() == full[:1].tolist()
 
 
 @pytest.mark.parametrize(
@@ -197,20 +169,21 @@ def test_single_draw_is_first_step_of_full_draw():
     ],
 )
 def test_ordered_draws_follow_sequential_law(distances, k):
-    # chi-square of the ordered k-draws against the exact law of drawing one
-    # entry at a time without replacement
-    r = build_local_ranking(0, distances)
-    law = sequential_draw_law(r.ranks, k)
-    position = {int(t): p for p, t in enumerate(r.targets)}
-    index = {seq: c for c, seq in enumerate(law)}
-    rng = RngStream(2006)
-    trials = 20_000
-    counts = np.zeros(len(law))
-    for _ in range(trials):
-        counts[index[tuple(position[int(t)] for t in sample_targets(r, k, rng))]] += 1
-    expected = trials * np.array([float(p) for p in law.values()])
-    assert expected.min() >= 5
-    assert chisquare(counts, expected).pvalue > 1e-3
+    # chi-square of source 0's ordered k-draws against the exact law of
+    # drawing one entry at a time without replacement, through the block
+    # kernel and, where the rejection limit admits k, the shared kernel
+    row = np.array([0.0] + [distances[j] for j in range(1, len(distances) + 1)])
+    n, trials = len(row), 20_000
+    law = shared_vector_law(row, 0, k)
+    assert trials * min(law.values()) >= 5
+    gen = RngStream(2006).generator
+    drawn = [broadcast_draws(row, k, trials, gen)]
+    # of the five cases, only k = 1 of n = 7 lies under the rejection limit
+    if by_rejection(n, [k])[0]:
+        drawn.append(sample_shared(row, np.zeros(trials), np.full(trials, k), gen).reshape(trials, k))
+    assert len(drawn) == 1 + (k == 1)
+    for got in drawn:
+        assert chisquare_pvalue(law, [tuple(draw) for draw in got.tolist()]) > 1e-3
 
 
 def test_sample_rows_skips_the_source_entry():
@@ -221,19 +194,6 @@ def test_sample_rows_skips_the_source_entry():
     assert sorted(got[:3].tolist()) == [1, 2, 3]
     assert sorted(got[3:].tolist()) == [0, 2, 3]
     assert sample_rows(rows[:0], [], [], u[:0]).tolist() == []
-
-
-def test_sample_rows_matches_sample_targets():
-    # one row through the block kernel draws what sample_targets draws from
-    # the same ranking and the same uniforms, id-ordered
-    distances = {1: 3.0, 2: 1.0, 3: 3.0, 4: 7.0, 5: 2.0, 6: 7.0}
-    r = build_local_ranking(0, distances)
-    row = np.array([0.0] + [distances[j] for j in range(1, 7)])
-    for seed in range(20):
-        u = np.zeros((1, 7))
-        u[0, r.targets] = RngStream(seed).generator.random(6)
-        full = sample_targets(r, 6, RngStream(seed))
-        assert sample_rows(row[None, :], [0], [6], u).tolist() == full.tolist()
 
 
 def test_sample_rows_validation():
@@ -293,7 +253,7 @@ def test_packed_keys_rank_like_the_argsort():
         assert perm.shape == ordered.shape == (b, n - 1)
         for r, source in enumerate(sources.tolist()):
             assert sorted(perm[r].tolist()) == sorted(set(range(n)) - {source})
-            expected = build_local_ranking(source, (perm[r], rows[r, perm[r]])).distances
+            expected = lexsort_ranking(rows[r], source).distances
             assert ordered[r].tolist() == expected.tolist()
             assert rows[r, perm[r]].tolist() == expected.tolist()
     # packed keys break ties by id
@@ -306,7 +266,7 @@ def test_argsorted_rows_list_ties_by_id(ranked_rows):
     # exact ties beside a pair that differs only in the id bits, the larger
     # distance at the smaller id: the packed order puts the pair the wrong
     # way round, so every row is argsorted, and must still list tied
-    # targets by id, as build_local_ranking does
+    # targets by id, as a stable argsort does
     gen = np.random.default_rng(8)
     n, b = 100, 60
     sources = gen.integers(0, n, b)
@@ -317,7 +277,7 @@ def test_argsorted_rows_list_ties_by_id(ranked_rows):
     ranked = ranking.sort_block(rows, sources)
     assert ranked_rows["sorted"] == b
     for r, source in enumerate(sources.tolist()):
-        expected = build_local_ranking(source, (np.delete(np.arange(n), source), np.delete(rows[r], source)))
+        expected = lexsort_ranking(rows[r], source)
         assert ranked.perm[r].tolist() == expected.targets.tolist()
         assert ranked.ordered[r].tolist() == expected.distances.tolist()
 
