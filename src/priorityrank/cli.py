@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -98,7 +99,10 @@ def _write_json(doc, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every later one:
+    ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="priorityrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

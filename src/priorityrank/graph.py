@@ -17,17 +17,18 @@ vertex in id order.  Both readers ignore one leading byte-order mark.
 Two parsers read each format, and they accept the same language.  An edge
 list in the plain grammar (an optional ``n=<digits>`` header, then only
 ``<digits>[ \\t]+<digits>`` lines ended by LF or CRLF, each number at most
-18 ASCII digits) is parsed by a regex check and ``np.fromstring``, and its
-self-loops and declared range are checked vectorised.  Anything else
-(comments, blank lines, other whitespace, signs, underscores, longer
-numbers, a failed check) goes to the line loop (``_edge_list_lines``), the
-only code that writes an edge-list error message, so every message names
-its line.  An attribute table is split into rows at LF and at commas where
-that reads as ``csv.reader`` would (``_plain_rows``), and by ``csv.reader``
-otherwise.  ``AttributeColumn`` then converts and checks each column once,
-into the read-only array that every reader shares; only a table with a row
-of the wrong length or a cell that fails that check reaches
-``_raise_bad_row``, which names the first bad row by the line it starts on.
+18 ASCII digits) is checked in numpy over its bytes and parsed by
+``np.fromstring``, and its self-loops and declared range are checked
+vectorised.  Anything else (comments, blank lines, other whitespace,
+signs, underscores, longer numbers, a failed check) goes to the line loop
+(``_edge_list_lines``), the only code that writes an edge-list error
+message, so every message names its line.  An attribute table is split
+into rows at LF and at commas where that reads as ``csv.reader`` would
+(``_plain_rows``), and by ``csv.reader`` otherwise.  ``AttributeColumn``
+then converts and checks each column once, into the read-only array that
+every reader shares; only a table with a row of the wrong length or a cell
+that fails that check reaches ``_raise_bad_row``, which names the first
+bad row by the line it starts on.
 """
 
 from __future__ import annotations
@@ -161,21 +162,51 @@ def _as_text(stream) -> str:
 
 # The plain edge-list grammar: an optional ``n=<digits>`` header line, then
 # only ``<digits>[ \t]+<digits>`` lines ended by LF or CRLF.  A number has at
-# most 18 ASCII digits, so it fits in int64.  Searching for the first line
-# outside the grammar keeps no state per line, where a full match of the
-# repeated grammar would keep a backtracking record for every line.
+# most 18 ASCII digits, so it fits in int64.
 _HEADER = re.compile(r"n=([0-9]{1,18})\r?(?:\n|\Z)")
-_NON_ARC_LINE = re.compile(r"^(?![0-9]{1,18}[ \t]+[0-9]{1,18}\r?$)", re.MULTILINE)
+
+
+def _plain_arc_lines(body: str) -> bool:
+    """Whether every line of ``body`` is ``<digits>[ \\t]+<digits>``, each
+    number at most 18 ASCII digits, ended by LF, CRLF, a final CR or the end
+    of the text.  A final LF ends the last line; it does not start one."""
+    data = body.encode()
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    if b"\r" in data:
+        # CRLF reads as LF and a final CR goes; any other CR is a bad byte below
+        data = data.replace(b"\r\n", b"\n")
+        if data.endswith(b"\r"):
+            data = data[:-1]
+    # Framed by LFs, the bytes alternate between non-digit and digit runs.
+    # ``edges`` holds the last byte of every run but the last, so each line
+    # takes four: its two numbers and the two runs that follow them.
+    buf = np.frombuffer(b"\n" + data + b"\n", dtype=np.uint8)
+    digit = buf - ord("0") < 10  # uint8 wraps below "0"
+    edges = (digit[1:] != digit[:-1]).nonzero()[0]
+    if not len(edges) or len(edges) % 4 or edges[0] or edges[-1] != len(buf) - 2:
+        return False
+    widths = np.diff(edges)  # per line: number, blanks, number, LF
+    # every non-digit between lines is one LF; those within lines are then
+    # all blanks exactly when the blanks count up to their widths
+    return bool(
+        widths[0::4].max() <= 18
+        and widths[2::4].max() <= 18
+        and (widths[3::4] == 1).all()
+        and (buf[edges[3::4] + 1] == ord("\n")).all()
+        and np.count_nonzero(buf == ord(" ")) + np.count_nonzero(buf == ord("\t")) == widths[1::4].sum()
+    )
 
 
 def _plain_edge_list(text: str) -> tuple[int, np.ndarray] | None:
     """``(n, (m, 2) int64 pairs)`` for text in the plain grammar whose arcs
     pass the line loop's checks; None for any other text."""
     header = _HEADER.match(text)
-    start = header.end() if header else 0
-    if _NON_ARC_LINE.search(text, start, len(text) - text.endswith("\n")):
+    body = text[header.end():] if header else text
+    # a header may stand alone; otherwise the body needs at least one line
+    if (body or header is None) and not _plain_arc_lines(body):
         return None
-    pairs = np.fromstring(text[start:], dtype=np.int64, sep=" ").reshape(-1, 2)
+    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
     if (pairs[:, 0] == pairs[:, 1]).any():
         return None
     top = int(pairs.max()) if pairs.size else -1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -353,6 +354,31 @@ def edge_list_text(g: Graph) -> str:
     arcs = g.arc_array
     header = "" if len(arcs) and g.n == arcs.max() + 1 else f"n={g.n}\n"
     return header + ("%d %d\n" * len(arcs)) % tuple(arcs.ravel().tolist())
+
+
+# The plain edge-list grammar as the regex that first checked it.  Searching
+# for the first line outside the grammar keeps no state per line, where a
+# full match of the repeated grammar would keep a backtracking record for
+# every line.
+_HEADER = re.compile(r"n=([0-9]{1,18})\r?(?:\n|\Z)")
+_NON_ARC_LINE = re.compile(r"^(?![0-9]{1,18}[ \t]+[0-9]{1,18}\r?$)", re.MULTILINE)
+
+
+def plain_edge_list_by_regex(text: str) -> tuple[int, np.ndarray] | None:
+    """``graph._plain_edge_list`` with its arc lines checked by the
+    ``_NON_ARC_LINE`` search."""
+    header = _HEADER.match(text)
+    start = header.end() if header else 0
+    if _NON_ARC_LINE.search(text, start, len(text) - text.endswith("\n")):
+        return None
+    pairs = np.fromstring(text[start:], dtype=np.int64, sep=" ").reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    top = int(pairs.max()) if pairs.size else -1
+    if header is None:
+        return top + 1, pairs
+    declared_n = int(header.group(1))
+    return (declared_n, pairs) if top < declared_n else None
 
 
 def load_attributes_by_rows(text: str, expected_n: int | None = None) -> AttributeTable:

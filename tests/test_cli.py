@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from priorityrank import cli, metrics
 from priorityrank import generate as generate_mod
 from priorityrank.cli import main
 from priorityrank.distance import (
@@ -18,6 +19,8 @@ from priorityrank.distance import (
     spec_from_json_dict,
 )
 from priorityrank.graph import Graph, load_attributes, load_edge_list
+from priorityrank.recreate import generate_synthetic_attributes
+from priorityrank.stats import RngStream
 
 from _oracles import lexsort_ranking
 
@@ -229,6 +232,75 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert "usage error" in err and "-1" in err
     assert not out.exists()
+
+
+def test_the_parser_is_built_once_and_not_at_import():
+    assert cli._build_parser() is cli._build_parser()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import priorityrank.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    calls = [
+        ["generate", "--model", "dgm", "--steps", "2", "--seed", "1", "--out", str(tmp_path / "a.tsv")],
+        ["generate", "--model", "er", "--seed", "1", "--out", str(tmp_path / "b.tsv")],
+        ["profile", "--in"],
+        ["generate", "--model", "nope", "--out", str(tmp_path / "c.tsv")],
+        ["profile", "--in", str(tmp_path / "a.tsv"), "--out", str(tmp_path / "a.json")],
+        ["learn", "--in", str(tmp_path / "a.tsv"), "--kind", "naive-bayes", "--seed", "x"],
+        ["nonsense"],
+        ["generate", "--model", "ws", "--n", "12", "--k-neighbors", "2", "--p-rewire", "0.3",
+         "--seed", "2", "--out", str(tmp_path / "d.tsv")],
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        files = sorted(tmp_path.iterdir())
+        results.append({path.name: path.read_bytes() for path in files})
+        for path in files:
+            path.unlink()
+        return results
+
+    reused = outcomes(fresh=False)
+    assert [result[0] for result in reused[:-1]] == [0, 1, 1, 1, 0, 1, 1, 0]
+    assert sorted(reused[-1]) == ["a.json", "a.tsv", "d.tsv"]
+    assert outcomes(fresh=True) == reused
+
+
+def test_generate_writes_the_synthetic_attributes_it_used(tmp_path, capsys):
+    # an attribute kind with no --attrs draws the synthetic table from the seed
+    spec = '{"kind": "euclidean1d", "attr": "lognormal"}'
+    argv = ["generate", "--model", "priority-rank", "--n", "40", "--k", "3", "--distance-spec", spec, "--seed", "6"]
+    first, table = tmp_path / "first.tsv", tmp_path / "attrs.csv"
+    code, _, err = run(capsys, *argv, "--out", str(first), "--attrs-out", str(table))
+    assert code == 0, err
+    written = load_attributes(table.read_text(encoding="utf-8"), expected_n=40)
+    drawn = generate_synthetic_attributes(40, RngStream(6).child(9).spawn_seed())
+    assert written.columns == drawn.columns
+    second = tmp_path / "second.tsv"
+    code, _, err = run(capsys, *argv, "--attrs", str(table), "--out", str(second))
+    assert code == 0, err
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_convergence_error_exits_3(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise metrics.ConvergenceError("pagerank did not converge")
+
+    edges = tmp_path / "g.tsv"
+    edges.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")
+    monkeypatch.setattr(metrics, "pagerank_centrality", diverge)
+    code, out, err = run(capsys, "profile", "--in", str(edges))
+    assert (code, out, err) == (3, "", "convergence error: pagerank did not converge\n")
 
 
 def test_generate_priority_rank_with_dump_rankings(tmp_path, capsys):

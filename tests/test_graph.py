@@ -1,4 +1,5 @@
 import csv
+import io
 import re
 import warnings
 
@@ -19,7 +20,7 @@ from priorityrank.graph import (
     symmetrize,
 )
 
-from _oracles import arcs, edge_list_text, load_attributes_by_rows
+from _oracles import arcs, edge_list_text, load_attributes_by_rows, plain_edge_list_by_regex
 
 
 def test_load_basic():
@@ -52,6 +53,19 @@ def test_load_header_and_out_of_range():
     assert g.n == 5
     with pytest.raises(GraphFormatError, match="declared range"):
         load_edge_list("n=2\n0 3")
+    with pytest.raises(GraphFormatError, match=r"^line 1: bad vertex-count header 'n=x'$"):
+        load_edge_list("n=x\n0 1\n")
+    with pytest.raises(GraphFormatError, match=r"^line 1: negative vertex count -3$"):
+        load_edge_list("n=-3\n0 1\n")
+
+
+def test_loaders_read_text_and_byte_streams():
+    edges = "\ufeffn=4\n0 1\n2 0\n"
+    table = "\ufeffage:continuous,sex:categorical\n30,f\n41.5,m\n"
+    for stream in (io.StringIO, lambda text: io.BytesIO(text.encode("utf-8"))):
+        assert load_edge_list(stream(edges)) == load_edge_list(edges) == Graph(4, [(0, 1), (2, 0)])
+        assert load_attributes(stream(table)).columns == load_attributes(table).columns
+    assert load_attributes(io.BytesIO(table.encode("utf-8"))).column("age").values == (30.0, 41.5)
 
 
 def test_load_comments_and_tabs():
@@ -439,6 +453,63 @@ def test_edge_list_ids_past_int64_are_never_saturated():
     with pytest.raises(ValueError, match=r"n=9223372036854775809 is too large"):
         load_edge_list("9223372036854775808 1")
     assert graph_mod._plain_edge_list("999999999999999999 1")[0] == 10**18
+
+
+# Pieces of fuzzed edge lists; the first ``valid`` of each kind stay in the
+# plain grammar.  Numbers have at most 18 digits, and 19 or 20 fall outside.
+GRAMMAR_NUMBERS = ("0", "7", "12", "305", "9" * 18, "1" + "0" * 17, "1" * 19, "0" * 20, "\u0663", "+1", "")
+GRAMMAR_BLANKS = (" ", "\t", "  ", " \t\t", "", "\r", "\x0b", "\u2003", "\xa0")
+GRAMMAR_ENDS = ("\n", "\r\n", "\n\n", "\r", "\n\r\n", " \n", "\r\r\n", "\n#\n", "\x85")
+GRAMMAR_VALID = (6, 4, 2)
+
+
+def _grammar_text(picks, rare, shape) -> str:
+    """One edge list from pre-drawn choices: ``picks`` and ``rare`` choose
+    each piece (from the valid ones unless ``rare``), ``shape`` holds the line
+    count, whether a header comes first and whether the last LF stays."""
+    def piece(k, kind):
+        options = (GRAMMAR_NUMBERS, GRAMMAR_BLANKS, GRAMMAR_ENDS)[kind]
+        return options[picks[k] % (len(options) if rare[k] else GRAMMAR_VALID[kind])]
+
+    lines, header, last_end = shape
+    text = f"n={piece(0, 0)}{piece(1, 2)}" if header else ""
+    for line in range(lines):
+        k = 2 + 4 * line
+        text += piece(k, 0) + piece(k + 1, 1) + piece(k + 2, 0) + piece(k + 3, 2)
+    return text if last_end or not lines else text.removesuffix("\n")
+
+
+def test_plain_grammar_check_matches_the_regex():
+    gen = np.random.default_rng(20261019)
+    count = 100_000
+    picks = gen.integers(0, 2**20, size=(count, 18)).tolist()
+    rare = (gen.random((count, 18)) < 0.04).tolist()
+    shapes = zip(
+        gen.integers(0, 5, count).tolist(),
+        (gen.random(count) < 0.4).tolist(),
+        (gen.random(count) < 0.6).tolist(),
+    )
+    accepted = {"crlf": 0, "tab": 0, "18 digits": 0, "header only": 0, "no final LF": 0}
+    rejected = {"19 digits": 0, "non-ASCII digit": 0, "blank line": 0}
+    for text_picks, text_rare, shape in zip(picks, rare, shapes):
+        text = _grammar_text(text_picks, text_rare, shape)
+        expected = plain_edge_list_by_regex(text)
+        got = graph_mod._plain_edge_list(text)
+        assert (got is None) == (expected is None), repr(text)
+        if got is None:
+            rejected["19 digits"] += "1" * 19 in text
+            rejected["non-ASCII digit"] += "\u0663" in text
+            rejected["blank line"] += "\n\n" in text
+            continue
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1]), repr(text)
+        accepted["crlf"] += "\r\n" in text
+        accepted["tab"] += "\t" in text
+        accepted["18 digits"] += "9" * 18 in text
+        accepted["header only"] += not got[1].size
+        accepted["no final LF"] += not text.endswith("\n")
+    # each form turns up often, among the texts that it is meant to pass or fail
+    assert min(accepted.values()) > 1000, accepted
+    assert min(rejected.values()) > 500, rejected
 
 
 def test_duplicate_warning_names_the_callers_file():

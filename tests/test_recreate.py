@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from priorityrank import cli
 from priorityrank.generate import gen_erdos_renyi
-from priorityrank.graph import Graph, save_edge_list
+from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list
 from priorityrank.metrics import degree_centrality
 from priorityrank.recreate import (
     RecreateConfig,
@@ -170,6 +171,51 @@ def test_recreate_synthesizes_attributes_only_when_absent():
 def test_recreate_rejects_tiny_graphs():
     with pytest.raises(ValueError, match="n >= 3"):
         recreate(Graph(2, [(0, 1)]), None, small_config())
+
+
+def test_a_complete_source_leaves_the_learned_kinds_without_a_training_set():
+    complete = Graph(6, [(i, j) for i in range(6) for j in range(6) if i != j])
+    report = recreate(complete, None, RecreateConfig(runs=2, pilot_runs=1, seed=3))
+    outcomes = {c.kind: c for c in report.candidates}
+    for kind in ("linear_regression", "naive_bayes"):
+        assert outcomes[kind].pilot_statistic is None
+        assert outcomes[kind].error == "training set unavailable: graph is complete, so no negative examples"
+    assert outcomes["random"].error is None and report.winner
+
+
+def test_a_failing_candidate_is_recorded_and_the_race_goes_on():
+    # vertex 4's numeric attributes are all 0, so cosine has no direction for it
+    g = gen_erdos_renyi(12, 0.3, seed=4)
+    values = [float(v != 4) * (1 + v % 3) for v in range(12)]
+    attrs = AttributeTable([AttributeColumn("a", "continuous", values), AttributeColumn("b", "ordinal", values)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = recreate(g, attrs, small_config(seed=2))
+    outcomes = {c.kind: c for c in report.candidates}
+    assert outcomes["cosine"].pilot_statistic is None
+    assert outcomes["cosine"].error == "vertex 4 has a zero-norm attribute vector"
+    assert "cosine" not in {f.kind for f in report.finalists}
+    assert len(report.finalists) == 3 and len(report.winner_graphs) == 4
+
+
+def test_every_candidate_failing_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("no graph")
+
+    # the package exports the function ``recreate`` under the module's name
+    monkeypatch.setattr(importlib.import_module("priorityrank.recreate"), "priority_rank_generate", fail)
+    g = gen_erdos_renyi(12, 0.3, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="no usable candidate distance functions"):
+            recreate(g, None, small_config())
+        edges = tmp_path / "g.tsv"
+        edges.write_text(save_edge_list(g), encoding="utf-8")
+        code = cli.main(["recreate", "--in", str(edges), "--runs", "2", "--pilot", "1", "--seed", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: no usable candidate distance functions\n"
 
 
 def test_recreate_report_json_shape():
