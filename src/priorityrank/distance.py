@@ -7,7 +7,8 @@ attribute-space metrics, weighted aggregates, a hierarchical blend, and two
 machine-learned distances fitted from a graph's adjacency structure.
 
 Evaluation runs against a :class:`DistanceContext` holding the attribute
-table and the centrality vectors of a reference graph.
+table and the centrality vectors of a reference graph, read from its
+``NetworkProfile`` or any mapping from kind to vector.
 
 ``rows(ctx, sources)`` gives the distances from a block of sources to every
 vertex as one (len(sources), n) array.
@@ -70,54 +71,45 @@ def _check_eps(eps: float) -> None:
 
 
 class DistanceContext:
-    """Evaluation context: vertex count, attributes and reference centralities.
+    """Evaluation context: vertex count, attributes and centrality vectors.
 
-    Centrality-based kinds read vectors computed on ``reference`` (or passed
-    in directly via ``centralities``); they never see the graph being built.
-    Attribute-based and learned kinds read the attribute table through
-    ``table``, the one place that checks that there is one.
+    Centrality-based kinds read the vector of their kind from
+    ``centralities``, a mapping from kind to an (n,) vector, such as the
+    ``NetworkProfile`` of a reference graph; they never see the graph being
+    built.  Attribute-based and learned kinds read the attribute table
+    through ``table``, the one place that checks that there is one.
     """
 
     def __init__(
         self,
         n: int | None = None,
         attrs: AttributeTable | None = None,
-        reference: Graph | None = None,
         centralities: Mapping[str, np.ndarray] | None = None,
     ):
         if n is None:
-            if attrs is not None:
-                n = attrs.n
-            elif reference is not None:
-                n = reference.n
-            else:
-                raise ValueError("context needs n, attrs, or a reference graph")
+            if attrs is None:
+                raise ValueError("context needs n or attrs")
+            n = attrs.n
         self.n = int(n)
         if attrs is not None and attrs.n != self.n:
             raise ValueError(f"attribute table has {attrs.n} rows, context n={self.n}")
-        if reference is not None and reference.n != self.n:
-            raise ValueError(f"reference graph has n={reference.n}, context n={self.n}")
         self.attrs = attrs
-        self.reference = reference
-        self._centralities: dict[str, np.ndarray] = dict(centralities or {})
+        self._centralities = {} if centralities is None else centralities
         self._scores: dict = {}
 
-    @cached_property
-    def _profile(self) -> metrics.NetworkProfile:
-        # lazy: a kind pays only for the field it reads.  Not network_profile,
-        # which benchmarks/probe.py counts as a full sweep per call.
-        return metrics.NetworkProfile(self.reference)
-
     def centrality(self, kind: str) -> np.ndarray:
-        if kind in self._centralities:
-            return self._centralities[kind]
-        if self.reference is None:
-            raise ValueError(
-                f"{kind} distance needs a reference graph or precomputed centralities"
-            )
         if kind not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality kind {kind!r}")
-        return getattr(self._profile, kind)
+        try:
+            vector = self._centralities[kind]
+        except KeyError:
+            raise ValueError(
+                f"{kind} distance needs a reference graph or precomputed centralities"
+            ) from None
+        shape = np.shape(vector)
+        if shape != (self.n,):
+            raise ValueError(f"{kind} centrality has shape {shape}, context n={self.n}")
+        return vector
 
     def cached(self, key, make):
         """``make()``, computed once per context under ``key``."""
@@ -336,9 +328,10 @@ class HierarchicalMixDistance(DistanceFunction):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
     def rows(self, ctx, sources):
-        if len(self.class_ranks) != ctx.n:
-            missing = ctx.n - len(self.class_ranks)
-            raise ValueError(f"class map leaves {missing} vertex(es) unmapped")
+        mapped = len(self.class_ranks)
+        if mapped != ctx.n:
+            gap = f": {ctx.n - mapped} vertex(es) unmapped" if mapped < ctx.n else ""
+            raise ValueError(f"class map has {mapped} ranks for {ctx.n} vertices{gap}")
         ranks = np.array(self.class_ranks, dtype=np.float64)
         hier = np.subtract(ranks, ranks[sources, None])
         np.abs(hier, out=hier)

@@ -8,10 +8,11 @@ kind's all-tied vector) draw from it without per-source rows; a per-source
 row with no tied targets takes its draws as slots of its sorted order, and
 a source that its learned kind proves tie-free along a shared order takes
 them as slots of that order without evaluating its row.
-Centrality-based distance kinds need a frozen reference graph for their
-centrality vectors: when re-creating a source network the source itself is
-the reference; when generating from scratch a random bootstrap graph seeds
-the centralities and one refinement pass regenerates the network from its own.
+Centrality-based distance kinds need the centrality vectors of a frozen
+reference graph, passed as its ``NetworkProfile``: when re-creating a source
+network the source itself is the reference; when generating from scratch a
+random bootstrap graph seeds the centralities and one refinement pass
+regenerates the network from its own.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import AttributeTable, Graph, _check_cells, symmetrize
-from .metrics import assortativity
+from .metrics import NetworkProfile, assortativity
 from .ranking import by_rejection, sample_shared, sample_sorted, sort_block
 from .stats import RngStream
 
@@ -121,13 +122,12 @@ def _generation_pass(
     spec: DistanceFunction,
     degrees: DegreeSpec,
     stream: RngStream,
-    reference: Graph | None,
     centralities,
 ) -> Graph:
     # stream children: 0 degrees, 2 sample_shared, 3 keyed rows; 1 is unused
     # (renumbering would change seeded graphs)
     ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(n=n, attrs=attrs, reference=reference, centralities=centralities)
+    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     shared = spec.shared_distances(ctx)
     rows = partial(spec.rows, ctx)
     sources = np.flatnonzero(ks > 0)
@@ -169,7 +169,6 @@ def priority_rank_generate(
     degrees: DegreeSpec,
     seed: int,
     *,
-    reference: Graph | None = None,
     centralities=None,
 ) -> Graph:
     """Generate a directed graph by rank-based priority sampling.
@@ -185,20 +184,24 @@ def priority_rank_generate(
     the other sources evaluate and sort their rows a block of sources at a
     time.  A row with tied targets, and every source over the rejection
     limit, draws exponential keys (``sample_sorted``).
+
+    A centrality kind reads its vector from ``centralities``, a mapping from
+    kind to an (n,) vector such as ``NetworkProfile(reference)``; without
+    it, the pass bootstraps its own reference.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if attrs is not None and attrs.n != n:
         raise ValueError(f"attribute table has {attrs.n} rows for n={n}")
     root = RngStream(seed)
-    if spec.requires_centrality and reference is None and centralities is None:
+    if spec.requires_centrality and centralities is None:
         # No reference context: bootstrap from a random graph of the same
         # shape, then regenerate once more from the intermediate network's
         # own centralities.
-        bootstrap = _generation_pass(n, attrs, RandomDistance(), degrees, root.child(1), None, None)
-        first = _generation_pass(n, attrs, spec, degrees, root.child(2), bootstrap, None)
-        return _generation_pass(n, attrs, spec, degrees, root.child(3), first, None)
-    return _generation_pass(n, attrs, spec, degrees, root.child(0), reference, centralities)
+        bootstrap = _generation_pass(n, attrs, RandomDistance(), degrees, root.child(1), None)
+        first = _generation_pass(n, attrs, spec, degrees, root.child(2), NetworkProfile(bootstrap))
+        return _generation_pass(n, attrs, spec, degrees, root.child(3), NetworkProfile(first))
+    return _generation_pass(n, attrs, spec, degrees, root.child(0), centralities)
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -356,26 +359,16 @@ def gen_disassortative(
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
     gen = RngStream(seed).generator
-    hubs_end = n // 10
-    mid_end = n // 2
+    # (first vertex, end, arc counts in [low, high), lowest target)
+    bands = ((0, n // 10, 30, 41, n // 2), (n // 10, n // 2, 0, 16, 0), (n // 2, n, 0, 3, 0))
     graph = Graph(n, ())
     for _ in range(max_rounds):
         arcs: set[tuple[int, int]] = set()
-        for i in range(hubs_end):
-            count = int(gen.integers(30, 41))
-            for t in gen.integers(mid_end, n, size=count):
-                if int(t) != i:
-                    arcs.add((i, int(t)))
-        for i in range(hubs_end, mid_end):
-            count = int(gen.integers(0, 16))
-            for t in gen.integers(0, n, size=count):
-                if int(t) != i:
-                    arcs.add((i, int(t)))
-        for i in range(mid_end, n):
-            count = int(gen.integers(0, 3))
-            for t in gen.integers(0, n, size=count):
-                if int(t) != i:
-                    arcs.add((i, int(t)))
+        for start, stop, low, high, target_low in bands:
+            for i in range(start, stop):
+                for t in gen.integers(target_low, n, size=int(gen.integers(low, high))):
+                    if int(t) != i:
+                        arcs.add((i, int(t)))
         graph = Graph(n, arcs)
         r = assortativity(symmetrize(graph))
         if r < stop_threshold:

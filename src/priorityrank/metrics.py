@@ -395,6 +395,8 @@ class NetworkProfile:
 
     The profile is a lazy view: each field is computed on first read, at
     most once, and the shortest-path fields share one count-mode sweep.
+    Indexed by a kind in ``CENTRALITY_KINDS`` it gives that vector, so it
+    serves as the ``centralities`` of a generation pass.
     """
 
     graph: Graph
@@ -429,9 +431,11 @@ class NetworkProfile:
             "transitivity": self.transitivity,
         }
 
-    def centralities(self) -> dict[str, np.ndarray]:
-        """The centrality vectors by kind, as a distance context reads them."""
-        return {kind: getattr(self, kind) for kind in CENTRALITY_KINDS}
+    def __getitem__(self, kind: str) -> np.ndarray:
+        """The centrality vector of ``kind``, as a distance context reads it."""
+        if kind not in CENTRALITY_KINDS:
+            raise KeyError(kind)
+        return getattr(self, kind)
 
     def to_json_dict(self) -> dict:
         doc = self.scalar_dict()

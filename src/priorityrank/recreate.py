@@ -316,7 +316,6 @@ def recreate(
         raise ValueError(f"attribute table has {attrs.n} rows for n={g.n}")
 
     source_profile = network_profile(g)
-    centralities = source_profile.centralities()
     degrees = DegreeSpec.resample(out_degree_sequence(g))
     candidates = _candidate_specs(g, attrs, config.negative_ratio, master.child(1))
 
@@ -326,7 +325,7 @@ def recreate(
         """Generate one graph from ``spec`` and score it against the source;
         stage 2 draws pilot seeds, stage 3 finalist seeds."""
         seed = _draw_distinct_seed(master.child(stage, index, run), used_seeds)
-        generated = priority_rank_generate(g.n, attrs, spec, degrees, seed, centralities=centralities)
+        generated = priority_rank_generate(g.n, attrs, spec, degrees, seed, centralities=source_profile)
         return generated, RunRecord.score(seed, source_profile, network_profile(generated))
 
     outcomes: list[CandidateOutcome] = []

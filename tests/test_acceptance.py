@@ -115,13 +115,11 @@ def test_criterion_2_pmf_law():
 def test_criterion_3_random_kind_recreates_er():
     src = pr.gen_erdos_renyi(50, 0.4, seed=11)
     src_profile = pr.network_profile(src)
-    cents = pr.network_profile(src).centralities()
     degrees = DegreeSpec.resample(out_degree_sequence(src))
     p_d, p_b, p_c, rhos, lengths = [], [], [], [], []
     for s in range(20):
         g = pr.priority_rank_generate(
-            50, None, pr.RandomDistance(), degrees, seed=1000 + s,
-            reference=src, centralities=cents,
+            50, None, pr.RandomDistance(), degrees, seed=1000 + s, centralities=src_profile,
         )
         rec = pr.compare_networks(src, g)
         p_d.append(rec.ks_degree.p_value)

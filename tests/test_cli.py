@@ -385,6 +385,21 @@ def test_dump_rankings_of_a_centrality_kind_sweeps_the_reference_once(tmp_path, 
     assert dump.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["degree", "betweenness", "closeness", "pagerank", "random"])
+def test_reference_of_another_vertex_count_is_data_error(tmp_path, capsys, kind):
+    reference = tmp_path / "reference.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "150", "--p", "0.05", "--seed", "3", "--out", str(reference))
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "120", "--k", "3", "--distance", kind,
+        "--reference", str(reference), "--seed", "4", "--out", str(out),
+    )
+    assert code == 2
+    assert "reference graph has n=150, context n=120" in err
+    assert not out.exists()
+
+
 def test_learn_emits_loadable_spec(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "4", "--out", str(src))
@@ -572,7 +587,8 @@ def test_profile_rejects_ids_too_large_for_arc_codes(tmp_path, capsys):
 
 def _dump_rankings_by_lines(path, spec, attrs, n, reference=None):
     """The ranking dump built as one list of f-string lines, for byte comparison."""
-    ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
+    centralities = None if reference is None else metrics.network_profile(reference)
+    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     lines = ["source\ttarget\tdistance\trank\tprobability"]
     for i in range(n):
         ranking = lexsort_ranking(spec.rows(ctx, np.array([i]))[0], i)

@@ -87,7 +87,7 @@ def test_centrality_distance_source_independent():
     gen = np.random.default_rng(2)
     g = random_digraph(gen, 12, 0.3)
     for kind in ("degree", "betweenness", "closeness", "pagerank"):
-        ctx = DistanceContext(reference=g)
+        ctx = DistanceContext(n=g.n, centralities=network_profile(g))
         spec = CentralityDistance(centrality=kind)
         for j in range(1, 12):
             vals = {evaluate(spec, ctx, i, j) for i in range(12) if i != j}
@@ -96,18 +96,18 @@ def test_centrality_distance_source_independent():
 
 def test_context_sweeps_its_reference_once(bfs_calls):
     g = gen_barabasi_albert(60, 2, seed=5)
-    ctx = DistanceContext(reference=g)
+    ctx = DistanceContext(n=g.n, centralities=network_profile(g))
     ctx.centrality("betweenness")
     ctx.centrality("closeness")
     assert sorted(bfs_calls) == list(range(g.n))
-    expected = network_profile(g).centralities()
+    expected = network_profile(g)
     for kind in CENTRALITY_KINDS:
         assert np.array_equal(ctx.centrality(kind), expected[kind])
 
 
 def test_context_rejects_unknown_kind_and_missing_reference(bfs_calls):
     with pytest.raises(ValueError, match="unknown centrality kind 'eigen'"):
-        DistanceContext(reference=gen_barabasi_albert(10, 2, seed=1)).centrality("eigen")
+        DistanceContext(n=10, centralities=network_profile(gen_barabasi_albert(10, 2, seed=1))).centrality("eigen")
     with pytest.raises(ValueError, match="needs a reference graph or precomputed centralities"):
         DistanceContext(n=10).centrality("degree")
     assert bfs_calls == []
@@ -116,7 +116,7 @@ def test_context_rejects_unknown_kind_and_missing_reference(bfs_calls):
 def test_degree_distance_orders_by_descending_degree():
     gen = np.random.default_rng(8)
     g = random_digraph(gen, 15, 0.3)
-    ctx = DistanceContext(reference=g)
+    ctx = DistanceContext(n=g.n, centralities=network_profile(g))
     row = CentralityDistance(centrality="degree").rows(ctx, np.array([0]))[0]
     deg = g.total_degrees
     order = np.argsort(row, kind="stable")
@@ -236,6 +236,9 @@ def test_hierarchical_mix():
     short = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1), euclid_attrs=())
     with pytest.raises(ValueError, match="unmapped"):
         evaluate(short, ctx, 0, 1)
+    long = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1, 2, 3, 4), euclid_attrs=())
+    with pytest.raises(ValueError, match=r"^class map has 5 ranks for 3 vertices$"):
+        evaluate(long, ctx, 0, 1)
 
 
 def numeric_table(values):
@@ -647,7 +650,7 @@ def test_every_kind_stays_finite_nonnegative():
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, reference=g)
+    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
     for spec in specs:
         rows = np.vstack([spec.rows(ctx, np.array([i]))[0] for i in range(n)])
         off_diag = rows[~np.eye(n, dtype=bool)]
@@ -661,7 +664,7 @@ def test_row_matches_pairwise_evaluate():
     g = random_digraph(gen, n, 0.4)
     table = numeric_table(gen.normal(size=n))
     ts = build_training_set(g, table, 1.0, RngStream(12))
-    ctx = DistanceContext(n=n, attrs=table, reference=g)
+    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
     for spec in (
         CentralityDistance(centrality="pagerank"),
         Euclidean1D(attr="x"),
@@ -700,7 +703,7 @@ def catalog(n, gen):
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    return DistanceContext(n=n, attrs=table, reference=g), specs
+    return DistanceContext(n=n, attrs=table, centralities=network_profile(g)), specs
 
 
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
@@ -928,7 +931,7 @@ def test_spec_json_round_trip():
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, reference=g)
+    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
     assert RandomDistance().to_json_dict() == {"kind": "random"}
     for spec in specs:
         doc = json.loads(json.dumps(spec.to_json_dict()))

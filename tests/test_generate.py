@@ -33,7 +33,7 @@ from priorityrank.generate import (
     priority_rank_generate,
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
-from priorityrank.metrics import assortativity, degree_centrality, network_profile
+from priorityrank.metrics import CENTRALITY_KINDS, assortativity, degree_centrality, network_profile
 from priorityrank.ranking import sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
@@ -108,13 +108,14 @@ def test_priority_rank_deterministic():
 
 def test_priority_rank_centrality_kind_reference_and_bootstrap():
     src = gen_erdos_renyi(25, 0.3, seed=2)
-    cents = network_profile(src).centralities()
+    profile = network_profile(src)
+    cents = {kind: profile[kind] for kind in CENTRALITY_KINDS}
     spec = CentralityDistance(centrality="degree")
     a = priority_rank_generate(
-        25, None, spec, DegreeSpec.constant(3), seed=4, reference=src, centralities=cents
+        25, None, spec, DegreeSpec.constant(3), seed=4, centralities=cents
     )
     b = priority_rank_generate(
-        25, None, spec, DegreeSpec.constant(3), seed=4, reference=src
+        25, None, spec, DegreeSpec.constant(3), seed=4, centralities=profile
     )
     assert a == b  # precomputed centralities change nothing
     scratch = priority_rank_generate(25, None, spec, DegreeSpec.constant(3), seed=4)
@@ -126,11 +127,22 @@ def test_degree_kind_reads_its_reference_without_a_sweep_or_pagerank(bfs_calls, 
     # degrees alone, never the path sweep or pagerank of the reference
     src = gen_barabasi_albert(200, 3, seed=2)
     spec = CentralityDistance(centrality="degree")
-    g = priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, reference=src)
+    profile = network_profile(src)
+    g = priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, centralities=profile)
     assert bfs_calls == []
     assert profile_calls["pagerank_centrality"] == []
     cents = {"degree": degree_centrality(src, "total")}
     assert g == priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, centralities=cents)
+
+
+@pytest.mark.parametrize("length", [5, 20])
+@pytest.mark.parametrize("k", [3, 8])
+def test_pass_rejects_a_centrality_vector_of_another_shape(length, k):
+    spec = CentralityDistance(centrality="degree")
+    with pytest.raises(ValueError, match=rf"^degree centrality has shape \({length},\), context n=10$"):
+        priority_rank_generate(10, None, spec, DegreeSpec.constant(k), 1, centralities={"degree": np.ones(length)})
+    with pytest.raises(ValueError, match=r"^pagerank centrality has shape \(10, 1\), context n=10$"):
+        DistanceContext(n=10, centralities={"pagerank": np.ones((10, 1))}).centrality("pagerank")
 
 
 def test_degree_spec_resample_clamps_with_warning():
@@ -147,7 +159,7 @@ def test_degree_spec_resample_clamps_with_warning():
 def test_priority_rank_resampled_degrees_follow_source():
     src = gen_erdos_renyi(40, 0.2, seed=9)
     degrees = DegreeSpec.resample(out_degree_sequence(src))
-    g = priority_rank_generate(40, None, RandomDistance(), degrees, seed=10, reference=src)
+    g = priority_rank_generate(40, None, RandomDistance(), degrees, seed=10, centralities=network_profile(src))
     assert 0 < g.arc_count < 40 * 39
     # generated out-degrees stay inside the source support
     assert set(g.out_degrees.tolist()) <= set(out_degree_sequence(src).tolist())
@@ -198,6 +210,22 @@ def test_barabasi_albert_counts_and_minimal_growth():
         gen_barabasi_albert(5, 3, 2, seed=0)
 
 
+def centrality_graph(kind, via, seed):
+    """A priority-rank graph of a centrality kind, or of the random kind,
+    that reads a BA reference or bootstraps; at n = 120 the resampled
+    degrees 40 and 80 lie over the rejection limit and draw keyed rows."""
+    n = 120
+    spec = RandomDistance() if kind == "random" else CentralityDistance(centrality=kind)
+    degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 40, 80])
+    centralities = network_profile(gen_barabasi_albert(n, 3, seed=5)) if via == "reference" else None
+    return priority_rank_generate(n, None, spec, degrees, seed, centralities=centralities)
+
+
+def exhausted_disassortative(n, seed):
+    with pytest.warns(UserWarning, match="did not fall below -0.9 within 3 rounds"):
+        return gen_disassortative(n, -0.9, 3, seed)
+
+
 GOLDEN_BASELINES = Path(__file__).parent / "data" / "baseline_generate_sha256.json"
 BASELINE_CASES = {
     # n = 2k + 1 is the tightest lattice the model accepts
@@ -205,12 +233,19 @@ BASELINE_CASES = {
        for n, k in ((60, 3), (7, 3), (200, 5)) for p in (0.3, 1.0) for s in (1, 2)},
     **{f"ba-{n}-{k}-{n0}-{s}": (gen_barabasi_albert, (n, k, n0, s))
        for n, k, n0 in ((80, 3, None), (50, 2, 5), (4, 3, 3), (120, 1, 1)) for s in (1, 2)},
+    **{f"cent-{kind}-{via}-{s}": (centrality_graph, (kind, via, s))
+       for kind in ("degree", "betweenness", "closeness", "pagerank", "random")
+       for via in ("reference", "bootstrap") for s in (1, 2)},
+    # 2 to 19 rounds before the threshold is met
+    **{f"dis-{n}--0.4-200-{s}": (gen_disassortative, (n, -0.4, 200, s)) for n in (10, 60, 300) for s in (1, 2)},
+    **{f"dis-100--0.9-3-{s}": (exhausted_disassortative, (100, s)) for s in (1, 2)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BASELINE_CASES))
 def test_baseline_generators_match_golden_hashes(case):
-    # sha256 of seeded Watts-Strogatz and Barabasi-Albert graphs
+    # sha256 of seeded Watts-Strogatz, Barabasi-Albert, disassortative and
+    # centrality-kind priority-rank graphs
     make, args = BASELINE_CASES[case]
     digest = hashlib.sha256(save_edge_list(make(*args)).encode()).hexdigest()
     assert digest == json.loads(GOLDEN_BASELINES.read_text())[case]
@@ -337,7 +372,7 @@ CASES = {
         None,
         CentralityDistance(centrality="degree"),
         DegreeSpec.resample([0, 0, 1, 2, 7, n + 5]),
-        gen_erdos_renyi(n, 0.1, seed=8),
+        network_profile(gen_erdos_renyi(n, 0.1, seed=8)),
     ),
     "naive_bayes": learned_case,
 }
@@ -346,14 +381,14 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_priority_rank_independent_of_block_size(monkeypatch, case):
     n = 40
-    attrs, spec, degrees, reference = CASES[case](n)
+    attrs, spec, degrees, centralities = CASES[case](n)
     graphs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # resampled degrees get clamped
         for cells in (1, generate._BLOCK_CELLS, 10**12):
             monkeypatch.setattr(generate, "_BLOCK_CELLS", cells)
             graphs.append(
-                priority_rank_generate(n, attrs, spec, degrees, seed=13, reference=reference)
+                priority_rank_generate(n, attrs, spec, degrees, seed=13, centralities=centralities)
             )
     assert graphs[0].arc_count > 0
     assert graphs[0] == graphs[1] == graphs[2]
@@ -368,13 +403,13 @@ def test_priority_rank_matches_per_vertex_oracle(case):
     # row draws keys.  The random and degree kinds draw through the
     # shared-vector kernel, and the law tests below check them.
     n, seed = 60, 21
-    attrs, spec, degrees, reference = CASES[case](n)
+    attrs, spec, degrees, centralities = CASES[case](n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = priority_rank_generate(n, attrs, spec, degrees, seed, reference=reference)
+        g = priority_rank_generate(n, attrs, spec, degrees, seed, centralities=centralities)
         stream = RngStream(seed).child(0)
         ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(n=n, attrs=attrs, reference=reference)
+    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     fast = (ks > 0) & (4 * ks <= n - 1)
     gen = stream.child(2).generator
     positions = sample_shared(np.arange(n), np.full(fast.sum(), n - 1), ks[fast], gen)
@@ -476,13 +511,13 @@ def test_proven_and_shared_kinds_sort_no_rows(monkeypatch, ranked_rows):
 
     monkeypatch.setattr(type(learned), "rows", counted)
     for spec, ref, path in (
-        (CentralityDistance(centrality="degree"), reference, None),
+        (CentralityDistance(centrality="degree"), network_profile(reference), None),
         (learned, None, None),
         (RandomDistance(), None, None),
         (aggregate, None, "packed"),
     ):
         ranked_rows.update(packed=0, gathered=0, sorted=0, keyed=0)
-        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, reference=ref)
+        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, centralities=ref)
         assert g.out_degrees.tolist() == [10] * n
         expected = {"packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
         if path:
