@@ -248,9 +248,7 @@ def _cmd_generate(args) -> int:
     else:  # priority-rank
         if args.n is None:
             raise UsageError("priority-rank needs --n")
-        attrs = None
-        if args.attrs:
-            attrs = load_attributes(_read_file(args.attrs), expected_n=args.n)
+        attrs = load_attributes(_read_file(args.attrs), expected_n=args.n) if args.attrs else None
         spec = _distance_spec_from_args(args)
         if attrs is None and spec.requires_attributes:
             attrs = generate_synthetic_attributes(args.n, RngStream(seed).child(9).spawn_seed())
@@ -267,12 +265,12 @@ def _cmd_generate(args) -> int:
             reference = _load_graph(args.reference)
             if reference.n != args.n:
                 raise ValueError(f"reference graph has n={reference.n}, context n={args.n}")
-            # the pass and the dump share its lazy vectors; the class, not
-            # network_profile, which benchmarks/probe.py counts as a sweep
+            # the class: benchmarks/probe.py counts network_profile as a sweep
             centralities = NetworkProfile(reference)
-        g = priority_rank_generate(args.n, attrs, spec, degrees, seed, centralities=centralities)
+        # the pass and the dump share one context: its lazy vectors and caches
+        ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, centralities=centralities)
+        g = priority_rank_generate(ctx, spec, degrees, seed)
         if args.dump_rankings:
-            ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, centralities=centralities)
             _dump_rankings(args.dump_rankings, spec, ctx)
         if args.attrs_out and attrs is not None:
             Path(args.attrs_out).write_text(save_attributes(attrs), encoding="utf-8")
@@ -333,9 +331,7 @@ def _cmd_recreate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     g = _load_graph(args.infile, args.symmetrize)
-    attrs = None
-    if args.attrs:
-        attrs = load_attributes(_read_file(args.attrs), expected_n=g.n)
+    attrs = load_attributes(_read_file(args.attrs), expected_n=g.n) if args.attrs else None
     report = recreate(g, attrs, config)
     _write_json(report.to_json_dict(), args.report)
     if args.emit_best:

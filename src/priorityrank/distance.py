@@ -71,13 +71,18 @@ def _check_eps(eps: float) -> None:
 
 
 class DistanceContext:
-    """Evaluation context: vertex count, attributes and centrality vectors.
+    """Evaluation context, the one input of a generation pass: vertex
+    count, attributes and centrality vectors.
 
     Centrality-based kinds read the vector of their kind from
-    ``centralities``, a mapping from kind to an (n,) vector, such as the
-    ``NetworkProfile`` of a reference graph; they never see the graph being
-    built.  Attribute-based and learned kinds read the attribute table
-    through ``table``, the one place that checks that there is one.
+    ``centralities``, a mapping from kind to an (n,) vector such as the
+    ``NetworkProfile`` of a reference graph, or None; they never see the
+    graph being built.  Attribute-based and learned kinds read the
+    attribute table through ``table``, the one place that checks that there
+    is one.  ``cached`` keeps what a kind derives from the context (a
+    learned kind's features, scores and order) as long as the context
+    lives, so the passes that share it, such as every run of a
+    ``recreate``, compute each once.
     """
 
     def __init__(
@@ -94,18 +99,15 @@ class DistanceContext:
         if attrs is not None and attrs.n != self.n:
             raise ValueError(f"attribute table has {attrs.n} rows, context n={self.n}")
         self.attrs = attrs
-        self._centralities = {} if centralities is None else centralities
+        self.centralities = centralities
         self._scores: dict = {}
 
     def centrality(self, kind: str) -> np.ndarray:
         if kind not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality kind {kind!r}")
-        try:
-            vector = self._centralities[kind]
-        except KeyError:
-            raise ValueError(
-                f"{kind} distance needs a reference graph or precomputed centralities"
-            ) from None
+        vector = None if self.centralities is None else self.centralities.get(kind)
+        if vector is None:
+            raise ValueError(f"{kind} distance needs a reference graph or precomputed centralities")
         shape = np.shape(vector)
         if shape != (self.n,):
             raise ValueError(f"{kind} centrality has shape {shape}, context n={self.n}")

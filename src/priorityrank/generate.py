@@ -8,11 +8,11 @@ kind's all-tied vector) draw from it without per-source rows; a per-source
 row with no tied targets takes its draws as slots of its sorted order, and
 a source that its learned kind proves tie-free along a shared order takes
 them as slots of that order without evaluating its row.
-Centrality-based distance kinds need the centrality vectors of a frozen
-reference graph, passed as its ``NetworkProfile``: when re-creating a source
-network the source itself is the reference; when generating from scratch a
-random bootstrap graph seeds the centralities and one refinement pass
-regenerates the network from its own.
+A pass reads one ``DistanceContext``: vertex count, attributes, and the
+centrality vectors of a frozen reference graph as its ``NetworkProfile``.
+When re-creating a source network the source itself is the reference; when
+generating from scratch a random bootstrap graph seeds the centralities and
+one refinement pass regenerates the network from its own.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from functools import partial
 import numpy as np
 
 from .distance import DistanceContext, DistanceFunction, RandomDistance
-from .graph import AttributeTable, Graph, _check_cells, symmetrize
+from .graph import Graph, _check_cells, symmetrize
 from .metrics import NetworkProfile, assortativity
 from .ranking import by_rejection, sample_shared, sample_sorted, sort_block
-from .stats import RngStream
+from .stats import RngStream, _whole
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,14 @@ class DegreeSpec:
 
     @classmethod
     def constant(cls, k: int) -> "DegreeSpec":
+        k = _whole(k, "constant out-degree")
         if k < 1:
             raise ValueError(f"constant out-degree must be >= 1, got {k}")
-        return cls(mode="constant", k=int(k))
+        return cls(mode="constant", k=k)
 
     @classmethod
     def resample(cls, out_degrees) -> "DegreeSpec":
-        histogram = tuple(int(d) for d in out_degrees)
+        histogram = tuple(_whole(d, "out-degree") for d in out_degrees)
         if not histogram:
             raise ValueError("resample spec needs a non-empty out-degree sequence")
         if any(d < 0 for d in histogram):
@@ -116,18 +117,11 @@ def _row_draws(sources, ks, positions, rows, stream: RngStream):
     return heads, tails
 
 
-def _generation_pass(
-    n: int,
-    attrs: AttributeTable | None,
-    spec: DistanceFunction,
-    degrees: DegreeSpec,
-    stream: RngStream,
-    centralities,
-) -> Graph:
+def _generation_pass(ctx: DistanceContext, spec: DistanceFunction, degrees: DegreeSpec, stream: RngStream) -> Graph:
     # stream children: 0 degrees, 2 sample_shared, 3 keyed rows; 1 is unused
     # (renumbering would change seeded graphs)
+    n = ctx.n
     ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     shared = spec.shared_distances(ctx)
     rows = partial(spec.rows, ctx)
     sources = np.flatnonzero(ks > 0)
@@ -162,16 +156,9 @@ def _generation_pass(
     return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))
 
 
-def priority_rank_generate(
-    n: int,
-    attrs: AttributeTable | None,
-    spec: DistanceFunction,
-    degrees: DegreeSpec,
-    seed: int,
-    *,
-    centralities=None,
-) -> Graph:
-    """Generate a directed graph by rank-based priority sampling.
+def priority_rank_generate(ctx: DistanceContext, spec: DistanceFunction, degrees: DegreeSpec, seed: int) -> Graph:
+    """Generate a directed graph on the vertices of ``ctx`` by rank-based
+    priority sampling.
 
     Every vertex i receives its out-degree budget, ranks all other vertices
     with the distance function, and draws that many distinct targets.  The
@@ -185,23 +172,21 @@ def priority_rank_generate(
     time.  A row with tied targets, and every source over the rejection
     limit, draws exponential keys (``sample_sorted``).
 
-    A centrality kind reads its vector from ``centralities``, a mapping from
-    kind to an (n,) vector such as ``NetworkProfile(reference)``; without
-    it, the pass bootstraps its own reference.
+    Many passes may share one context and what it caches.  A centrality
+    kind given a context without centralities bootstraps its own reference.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if attrs is not None and attrs.n != n:
-        raise ValueError(f"attribute table has {attrs.n} rows for n={n}")
+    if ctx.n < 2:
+        raise ValueError(f"need at least 2 vertices, got {ctx.n}")
     root = RngStream(seed)
-    if spec.requires_centrality and centralities is None:
-        # No reference context: bootstrap from a random graph of the same
-        # shape, then regenerate once more from the intermediate network's
-        # own centralities.
-        bootstrap = _generation_pass(n, attrs, RandomDistance(), degrees, root.child(1), None)
-        first = _generation_pass(n, attrs, spec, degrees, root.child(2), NetworkProfile(bootstrap))
-        return _generation_pass(n, attrs, spec, degrees, root.child(3), NetworkProfile(first))
-    return _generation_pass(n, attrs, spec, degrees, root.child(0), centralities)
+    if spec.requires_centrality and ctx.centralities is None:
+        # No reference: bootstrap from a random graph of the same shape, then
+        # regenerate once more from the intermediate network's centralities.
+        bootstrap = _generation_pass(ctx, RandomDistance(), degrees, root.child(1))
+        reference = DistanceContext(ctx.n, ctx.attrs, NetworkProfile(bootstrap))
+        first = _generation_pass(reference, spec, degrees, root.child(2))
+        reference = DistanceContext(ctx.n, ctx.attrs, NetworkProfile(first))
+        return _generation_pass(reference, spec, degrees, root.child(3))
+    return _generation_pass(ctx, spec, degrees, root.child(0))
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:

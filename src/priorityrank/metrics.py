@@ -48,6 +48,7 @@ limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -387,7 +388,7 @@ def transitivity(g: Graph) -> float:
 
 
 @dataclass(frozen=True)
-class NetworkProfile:
+class NetworkProfile(Mapping):
     """Scalar descriptors of one graph plus the centrality vectors used for
     comparisons, with the default measure modes (total degree, count
     betweenness, reciprocal closeness beside farness, pagerank with damping
@@ -395,8 +396,9 @@ class NetworkProfile:
 
     The profile is a lazy view: each field is computed on first read, at
     most once, and the shortest-path fields share one count-mode sweep.
-    Indexed by a kind in ``CENTRALITY_KINDS`` it gives that vector, so it
-    serves as the ``centralities`` of a generation pass.
+    It is a read-only mapping from each kind in ``CENTRALITY_KINDS`` to that
+    vector, so it serves as the ``centralities`` of a distance context.
+    Equality and hashing are the dataclass's, by graph.
     """
 
     graph: Graph
@@ -436,6 +438,11 @@ class NetworkProfile:
         if kind not in CENTRALITY_KINDS:
             raise KeyError(kind)
         return getattr(self, kind)
+
+    # the keys are the kinds alone: a key test or the length reads no vector
+    __contains__ = lambda self, kind: kind in CENTRALITY_KINDS
+    __iter__ = lambda self: iter(CENTRALITY_KINDS)
+    __len__ = lambda self: len(CENTRALITY_KINDS)
 
     def to_json_dict(self) -> dict:
         doc = self.scalar_dict()

@@ -22,6 +22,7 @@ from .distance import (
     AggregateDistance,
     CentralityDistance,
     CosineDistance,
+    DistanceContext,
     DistanceFunction,
     Euclidean1D,
     Euclidean2D,
@@ -312,10 +313,9 @@ def recreate(
     master = RngStream(config.seed)
     if attrs is None:
         attrs = generate_synthetic_attributes(g.n, master.child(0).spawn_seed())
-    elif attrs.n != g.n:
-        raise ValueError(f"attribute table has {attrs.n} rows for n={g.n}")
-
     source_profile = network_profile(g)
+    # one context for every run: it checks the table, and each learned kind encodes once
+    ctx = DistanceContext(g.n, attrs, source_profile)
     degrees = DegreeSpec.resample(out_degree_sequence(g))
     candidates = _candidate_specs(g, attrs, config.negative_ratio, master.child(1))
 
@@ -325,7 +325,7 @@ def recreate(
         """Generate one graph from ``spec`` and score it against the source;
         stage 2 draws pilot seeds, stage 3 finalist seeds."""
         seed = _draw_distinct_seed(master.child(stage, index, run), used_seeds)
-        generated = priority_rank_generate(g.n, attrs, spec, degrees, seed, centralities=source_profile)
+        generated = priority_rank_generate(ctx, spec, degrees, seed)
         return generated, RunRecord.score(seed, source_profile, network_profile(generated))
 
     outcomes: list[CandidateOutcome] = []

@@ -74,18 +74,26 @@ def kolmogorov_q(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a float must be whole, where ``int`` would truncate it."""
+    if not (math.isfinite(value) and value == math.floor(value)):
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 def harmonic(n: int) -> float:
     """Exact partial sum H_n = 1 + 1/2 + ... + 1/n."""
+    n = _whole(n, "harmonic number n")
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
-    return math.fsum(1.0 / k for k in range(1, int(n) + 1))
+    return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
 def harmonic_euler(n: int) -> float:
     """Closed-form approximation H_n ~ ln(n) + 1/(2n) + gamma."""
+    n = _whole(n, "harmonic number n")
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
-    n = int(n)
     return math.log(n) + 1.0 / (2.0 * n) + EULER_MASCHERONI
 
 

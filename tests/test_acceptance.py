@@ -5,6 +5,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 import priorityrank as pr
 from priorityrank.cli import main as cli_main
@@ -119,7 +120,7 @@ def test_criterion_3_random_kind_recreates_er():
     p_d, p_b, p_c, rhos, lengths = [], [], [], [], []
     for s in range(20):
         g = pr.priority_rank_generate(
-            50, None, pr.RandomDistance(), degrees, seed=1000 + s, centralities=src_profile,
+            pr.DistanceContext(50, centralities=src_profile), pr.RandomDistance(), degrees, seed=1000 + s
         )
         rec = pr.compare_networks(src, g)
         p_d.append(rec.ks_degree.p_value)
@@ -146,19 +147,21 @@ def test_criterion_4_clustering_triplet():
         attrs = AttributeTable([AttributeColumn("x", "continuous", tuple(u))])
         euclid.append(
             pr.transitivity(
-                pr.priority_rank_generate(100, attrs, pr.Euclidean1D(attr="x"), deg4, seed=4100 + s)
+                pr.priority_rank_generate(
+                    pr.DistanceContext(attrs=attrs), pr.Euclidean1D(attr="x"), deg4, seed=4100 + s
+                )
             )
         )
         degree.append(
             pr.transitivity(
                 pr.priority_rank_generate(
-                    100, None, pr.CentralityDistance(centrality="degree"), deg4, seed=4200 + s
+                    pr.DistanceContext(100), pr.CentralityDistance(centrality="degree"), deg4, seed=4200 + s
                 )
             )
         )
         random_.append(
             pr.transitivity(
-                pr.priority_rank_generate(100, None, pr.RandomDistance(), deg4, seed=4300 + s)
+                pr.priority_rank_generate(pr.DistanceContext(100), pr.RandomDistance(), deg4, seed=4300 + s)
             )
         )
     m_e, m_d, m_r = (float(np.mean(v)) for v in (euclid, degree, random_))
@@ -305,8 +308,9 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     ok &= prof == run_stdout(["profile", "--in", str(src)])
     comp = run_stdout(["compare", "--a", str(src), "--b", str(tmp_path / "ba_a.tsv")])
     ok &= comp == run_stdout(["compare", "--a", str(src), "--b", str(tmp_path / "ba_a.tsv")])
-    learn = run_stdout(["learn", "--in", str(src), "--kind", "linear-regression", "--seed", "3"])
-    ok &= learn == run_stdout(["learn", "--in", str(src), "--kind", "linear-regression", "--seed", "3"])
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        learn = run_stdout(["learn", "--in", str(src), "--kind", "linear-regression", "--seed", "3"])
+        ok &= learn == run_stdout(["learn", "--in", str(src), "--kind", "linear-regression", "--seed", "3"])
 
     rec_args = ["recreate", "--in", str(src), "--runs", "3", "--pilot", "1", "--seed", "5"]
     with warnings.catch_warnings():

@@ -14,12 +14,13 @@ from priorityrank.cli import main
 from priorityrank.distance import (
     CentralityDistance,
     DistanceContext,
+    FeatureEncoder,
     build_training_set,
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
 from priorityrank.graph import Graph, load_attributes, load_edge_list
-from priorityrank.recreate import generate_synthetic_attributes
+from priorityrank.recreate import RecreateConfig, generate_synthetic_attributes, recreate
 from priorityrank.stats import RngStream
 
 from _oracles import lexsort_ranking
@@ -85,6 +86,19 @@ def test_usage_errors(capsys, tmp_path):
     assert "usage error" in err
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+    # every model names the arguments it misses, and writes nothing
+    out = tmp_path / "g.tsv"
+    for argv, message in (
+        (["ws", "--n", "10", "--k-neighbors", "2"], "ws needs --n, --k-neighbors, and --p-rewire"),
+        (["ba", "--k", "2"], "ba needs --n and --k"),
+        (["ff", "--n", "10"], "ff needs --n and --p-burn"),
+        (["dgm"], "dgm needs --steps"),
+        (["priority-rank", "--k", "2"], "priority-rank needs --n"),
+        (["priority-rank", "--n", "10"], "priority-rank needs --k or --degrees-from"),
+    ):
+        code, _, err = run(capsys, "generate", "--model", *argv, "--seed", "1", "--out", str(out))
+        assert (code, err) == (1, f"usage error: {message}\n")
+        assert not out.exists()
 
 
 def test_malformed_edge_list_is_data_error(tmp_path, capsys):
@@ -103,8 +117,9 @@ def test_malformed_edge_list_is_data_error(tmp_path, capsys):
         ('{"kind": "degree", "eps": "x"}', ["degree", "'eps'"]),
         ('{"kind": "nope"}', ["'nope'"]),
         ('{"kind": "degree", "esp": 0.5}', ["degree", "'esp'"]),
+        ('{"kind": "degree",', ["bad distance spec JSON", "line 1"]),
     ],
-    ids=["missing_field", "array", "wrong_type", "unknown_kind", "unknown_field"],
+    ids=["missing_field", "array", "wrong_type", "unknown_kind", "unknown_field", "not_json"],
 )
 def test_malformed_distance_spec_is_data_error(tmp_path, capsys, doc, names):
     out = tmp_path / "g.tsv"
@@ -385,6 +400,33 @@ def test_dump_rankings_of_a_centrality_kind_sweeps_the_reference_once(tmp_path, 
     assert dump.read_bytes() == expected.read_bytes()
 
 
+def test_dump_rankings_of_a_learned_kind_encodes_once(tmp_path, capsys, monkeypatch):
+    # the pass and the dump read one context, which caches the encoded
+    # attributes, so the dump adds no encode and leaves the graph as it is
+    src, attrs, spec = tmp_path / "g.tsv", tmp_path / "people.csv", tmp_path / "spec.json"
+    run(capsys, "generate", "--model", "er", "--n", "5", "--p", "0.4", "--seed", "3", "--out", str(src))
+    attrs.write_text(PEOPLE_CSV)
+    assert run(capsys, "learn", "--in", str(src), "--attrs", str(attrs), "--kind", "naive-bayes",
+               "--seed", "2", "--out", str(spec))[0] == 0
+    encoded = []
+    encode = FeatureEncoder.encode
+
+    def counted(self, table):
+        encoded.append(table)
+        return encode(self, table)
+
+    monkeypatch.setattr(FeatureEncoder, "encode", counted)
+    argv = ["generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
+            "--distance-spec", str(spec), "--seed", "4"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "plain.tsv"))[0] == 0
+    assert len(encoded) == 1
+    dump = tmp_path / "rankings.tsv"
+    assert run(capsys, *argv, "--out", str(tmp_path / "dumped.tsv"), "--dump-rankings", str(dump))[0] == 0
+    assert len(encoded) == 2
+    assert (tmp_path / "dumped.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    assert len(dump.read_text().splitlines()) == 1 + 5 * 4
+
+
 @pytest.mark.parametrize("kind", ["degree", "betweenness", "closeness", "pagerank", "random"])
 def test_reference_of_another_vertex_count_is_data_error(tmp_path, capsys, kind):
     reference = tmp_path / "reference.tsv"
@@ -418,17 +460,19 @@ def test_huge_finite_negative_ratio_keeps_every_non_arc(tmp_path, capsys):
     specs = []
     for ratio in ("1e308", "inf"):
         out = tmp_path / f"spec_{ratio}.json"
-        code, _, err = run(
-            capsys, "learn", "--in", str(src), "--kind", "linear-regression",
-            "--negative-ratio", ratio, "--seed", "5", "--out", str(out),
-        )
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            code, _, err = run(
+                capsys, "learn", "--in", str(src), "--kind", "linear-regression",
+                "--negative-ratio", ratio, "--seed", "5", "--out", str(out),
+            )
         assert code == 0, err
         specs.append(out.read_bytes())
     assert specs[0] == specs[1]
-    code, _, err = run(
-        capsys, "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
-        "--negative-ratio", "1e308", "--report", str(tmp_path / "report.json"),
-    )
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        code, _, err = run(
+            capsys, "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
+            "--negative-ratio", "1e308", "--report", str(tmp_path / "report.json"),
+        )
     assert code == 0, err
 
 
@@ -460,11 +504,12 @@ def test_recreate_writes_report_and_best(tmp_path, capsys):
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
     report = tmp_path / "report.json"
     best = tmp_path / "best"
-    code, _, _ = run(
-        capsys,
-        "recreate", "--in", str(src), "--runs", "3", "--pilot", "1",
-        "--seed", "7", "--report", str(report), "--emit-best", str(best),
-    )
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        code, _, _ = run(
+            capsys,
+            "recreate", "--in", str(src), "--runs", "3", "--pilot", "1",
+            "--seed", "7", "--report", str(report), "--emit-best", str(best),
+        )
     assert code == 0
     doc = json.loads(report.read_text())
     assert doc["winner"] in {c["kind"] for c in doc["candidates"]}
@@ -472,6 +517,33 @@ def test_recreate_writes_report_and_best(tmp_path, capsys):
     assert len(families) == 3
     for f in families:
         load_edge_list(f.read_text())
+
+
+def test_recreate_reads_its_attribute_table(tmp_path, capsys):
+    # the report with --attrs is the library's report on that table, and a
+    # table of another row count is a data error
+    src = tmp_path / "g.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
+    gen = RngStream(3).generator
+    rows = [f"{x!r},{y!r}" for x, y in gen.uniform(0, 1, (16, 2)).tolist()]
+    table, short = tmp_path / "attrs.csv", tmp_path / "short.csv"
+    table.write_text("\n".join(["x:continuous,y:continuous", *rows[:15]]) + "\n", encoding="utf-8")
+    short.write_text("\n".join(["x:continuous,y:continuous", *rows[:14]]) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    argv = ["recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7", "--report", str(report)]
+    assert run(capsys, *argv, "--attrs", str(table))[0] == 0
+    expected = recreate(
+        load_edge_list(src.read_text()),
+        load_attributes(table.read_text()),
+        RecreateConfig(runs=2, pilot_runs=1, seed=7),
+    )
+    assert report.read_text() == json.dumps(expected.to_json_dict(), indent=2) + "\n"
+    assert "euclidean2d" in {c["kind"] for c in json.loads(report.read_text())["candidates"]}
+    report.unlink()
+    code, _, err = run(capsys, *argv, "--attrs", str(short))
+    assert code == 2
+    assert err == "data error: attribute table has 14 rows, expected 15\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -502,11 +574,12 @@ def test_recreate_reports_unbounded_negative_ratio_as_null(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
     report = tmp_path / "report.json"
-    code, _, _ = run(
-        capsys,
-        "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
-        "--negative-ratio", "inf", "--report", str(report),
-    )
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        code, _, _ = run(
+            capsys,
+            "recreate", "--in", str(src), "--runs", "2", "--pilot", "1", "--seed", "7",
+            "--negative-ratio", "inf", "--report", str(report),
+        )
     assert code == 0
     assert '"negative_ratio": null' in report.read_text()
     assert json.loads(report.read_text())["config"]["negative_ratio"] is None

@@ -636,6 +636,8 @@ def test_every_kind_stays_finite_nonnegative():
         ]
     )
     ts = build_training_set(g, table, 1.0, RngStream(10))
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        linear = fit_linear_regression_distance(ts)
     specs = [
         RandomDistance(),
         CentralityDistance(centrality="degree"),
@@ -647,7 +649,7 @@ def test_every_kind_stays_finite_nonnegative():
         CosineDistance(attrs=("x", "y")),
         AggregateDistance(weights=(("x", 1.0), ("lab", 2.0))),
         make_hierarchical_mix_distance(0.5, list(range(n)), ("x",)),
-        fit_linear_regression_distance(ts),
+        linear,
         fit_naive_bayes_distance(ts),
     ]
     ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
@@ -918,6 +920,8 @@ def test_spec_json_round_trip():
         ]
     )
     ts = build_training_set(g, table, 1.0, RngStream(14))
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        linear = fit_linear_regression_distance(ts)
     specs = [
         RandomDistance(),
         *(CentralityDistance(centrality=c, eps=1e-5) for c in ("degree", "betweenness", "closeness", "pagerank")),
@@ -928,7 +932,7 @@ def test_spec_json_round_trip():
         AggregateDistance(weights=(("x", 1.5), ("lab", 2.0))),
         make_hierarchical_mix_distance(0.25, list(range(n)), ("x",)),
         make_hierarchical_mix_distance(0.0, list(range(n))),
-        fit_linear_regression_distance(ts),
+        linear,
         fit_naive_bayes_distance(ts),
     ]
     ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))

@@ -32,12 +32,20 @@ from priorityrank.generate import (
     gen_watts_strogatz,
     priority_rank_generate,
 )
-from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence, save_edge_list, symmetrize
-from priorityrank.metrics import CENTRALITY_KINDS, assortativity, degree_centrality, network_profile
+from priorityrank.graph import AttributeColumn, AttributeTable, Graph, out_degree_sequence, save_edge_list, symmetrize
+from priorityrank.metrics import CENTRALITY_KINDS, assortativity, degree_centrality, network_profile, transitivity
 from priorityrank.ranking import sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
-from _oracles import adjacency, arcs, lexsort_ranking, rank_space_oracle, sequential_draw_law, shared_vector_law
+from _oracles import (
+    adjacency,
+    arcs,
+    lexsort_ranking,
+    priority_rank_oracle,
+    rank_space_oracle,
+    sequential_draw_law,
+    shared_vector_law,
+)
 
 
 def attr_table(values):
@@ -78,20 +86,20 @@ def learned_case(n):
 
 
 def test_priority_rank_two_vertices():
-    g = priority_rank_generate(2, None, RandomDistance(), DegreeSpec.constant(1), seed=0)
+    g = priority_rank_generate(DistanceContext(2), RandomDistance(), DegreeSpec.constant(1), seed=0)
     assert arcs(g) == {(0, 1), (1, 0)}
 
 
 def test_priority_rank_exhaustive_k():
     n = 7
-    g = priority_rank_generate(n, None, RandomDistance(), DegreeSpec.constant(n - 1), seed=1)
+    g = priority_rank_generate(DistanceContext(n), RandomDistance(), DegreeSpec.constant(n - 1), seed=1)
     assert g.arc_count == n * (n - 1)
 
 
 def test_priority_rank_exact_out_degrees_no_self_loops():
     for k in (1, 3, 6):
         g = priority_rank_generate(
-            20, uniform_attr(20, 3), Euclidean1D(attr="x"), DegreeSpec.constant(k), seed=5
+            DistanceContext(attrs=uniform_attr(20, 3)), Euclidean1D(attr="x"), DegreeSpec.constant(k), seed=5
         )
         assert g.out_degrees.tolist() == [k] * 20
         assert all(i != j for i, j in arcs(g))
@@ -100,7 +108,7 @@ def test_priority_rank_exact_out_degrees_no_self_loops():
 def test_priority_rank_deterministic():
     attrs = uniform_attr(30, 7)
     runs = [
-        priority_rank_generate(30, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=11)
+        priority_rank_generate(DistanceContext(attrs=attrs), Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=11)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -111,14 +119,10 @@ def test_priority_rank_centrality_kind_reference_and_bootstrap():
     profile = network_profile(src)
     cents = {kind: profile[kind] for kind in CENTRALITY_KINDS}
     spec = CentralityDistance(centrality="degree")
-    a = priority_rank_generate(
-        25, None, spec, DegreeSpec.constant(3), seed=4, centralities=cents
-    )
-    b = priority_rank_generate(
-        25, None, spec, DegreeSpec.constant(3), seed=4, centralities=profile
-    )
+    a = priority_rank_generate(DistanceContext(25, centralities=cents), spec, DegreeSpec.constant(3), seed=4)
+    b = priority_rank_generate(DistanceContext(25, centralities=profile), spec, DegreeSpec.constant(3), seed=4)
     assert a == b  # precomputed centralities change nothing
-    scratch = priority_rank_generate(25, None, spec, DegreeSpec.constant(3), seed=4)
+    scratch = priority_rank_generate(DistanceContext(25), spec, DegreeSpec.constant(3), seed=4)
     assert scratch.out_degrees.tolist() == [3] * 25
 
 
@@ -128,19 +132,20 @@ def test_degree_kind_reads_its_reference_without_a_sweep_or_pagerank(bfs_calls, 
     src = gen_barabasi_albert(200, 3, seed=2)
     spec = CentralityDistance(centrality="degree")
     profile = network_profile(src)
-    g = priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, centralities=profile)
+    g = priority_rank_generate(DistanceContext(200, centralities=profile), spec, DegreeSpec.constant(4), seed=3)
     assert bfs_calls == []
     assert profile_calls["pagerank_centrality"] == []
     cents = {"degree": degree_centrality(src, "total")}
-    assert g == priority_rank_generate(200, None, spec, DegreeSpec.constant(4), seed=3, centralities=cents)
+    assert g == priority_rank_generate(DistanceContext(200, centralities=cents), spec, DegreeSpec.constant(4), seed=3)
 
 
 @pytest.mark.parametrize("length", [5, 20])
 @pytest.mark.parametrize("k", [3, 8])
 def test_pass_rejects_a_centrality_vector_of_another_shape(length, k):
     spec = CentralityDistance(centrality="degree")
+    ctx = DistanceContext(10, centralities={"degree": np.ones(length)})
     with pytest.raises(ValueError, match=rf"^degree centrality has shape \({length},\), context n=10$"):
-        priority_rank_generate(10, None, spec, DegreeSpec.constant(k), 1, centralities={"degree": np.ones(length)})
+        priority_rank_generate(ctx, spec, DegreeSpec.constant(k), 1)
     with pytest.raises(ValueError, match=r"^pagerank centrality has shape \(10, 1\), context n=10$"):
         DistanceContext(n=10, centralities={"pagerank": np.ones((10, 1))}).centrality("pagerank")
 
@@ -154,15 +159,35 @@ def test_degree_spec_resample_clamps_with_warning():
         DegreeSpec.constant(0)
     with pytest.raises(ValueError):
         DegreeSpec.resample([])
+    # a whole float is a count; any other float is refused, never truncated
+    assert DegreeSpec.constant(4.0) == DegreeSpec.constant(4)
+    assert DegreeSpec.resample([1.0, 2]) == DegreeSpec.resample([1, 2])
+    with pytest.raises(ValueError, match=r"^constant out-degree must be a whole number, got 2.7$"):
+        DegreeSpec.constant(2.7)
+    with pytest.raises(ValueError, match=r"^out-degree must be a whole number, got 1.5$"):
+        DegreeSpec.resample([1.5, 2])
 
 
 def test_priority_rank_resampled_degrees_follow_source():
     src = gen_erdos_renyi(40, 0.2, seed=9)
     degrees = DegreeSpec.resample(out_degree_sequence(src))
-    g = priority_rank_generate(40, None, RandomDistance(), degrees, seed=10, centralities=network_profile(src))
+    ctx = DistanceContext(40, centralities=network_profile(src))
+    g = priority_rank_generate(ctx, RandomDistance(), degrees, seed=10)
     assert 0 < g.arc_count < 40 * 39
     # generated out-degrees stay inside the source support
     assert set(g.out_degrees.tolist()) <= set(out_degree_sequence(src).tolist())
+
+
+def test_all_zero_out_degrees_give_an_empty_graph():
+    # no source draws: a per-source kind evaluates no row and a shared kind
+    # draws from no source
+    degrees = DegreeSpec.resample([0, 0])
+    for ctx, spec in (
+        (DistanceContext(attrs=uniform_attr(12, 1)), Euclidean1D(attr="x")),
+        (DistanceContext(12), RandomDistance()),
+    ):
+        g = priority_rank_generate(ctx, spec, degrees, seed=3)
+        assert (g.n, g.arc_count) == (12, 0)
 
 
 def test_erdos_renyi_extremes_and_count():
@@ -218,7 +243,7 @@ def centrality_graph(kind, via, seed):
     spec = RandomDistance() if kind == "random" else CentralityDistance(centrality=kind)
     degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 40, 80])
     centralities = network_profile(gen_barabasi_albert(n, 3, seed=5)) if via == "reference" else None
-    return priority_rank_generate(n, None, spec, degrees, seed, centralities=centralities)
+    return priority_rank_generate(DistanceContext(n, centralities=centralities), spec, degrees, seed)
 
 
 def exhausted_disassortative(n, seed):
@@ -306,16 +331,33 @@ def test_disassortative_warns_when_unreachable():
         gen_disassortative(100, -0.99, 3, seed=1)
 
 
+def test_pass_matches_the_oracle_in_mean_transitivity():
+    # whole graphs on criterion 4's inputs (n = 100, k = 4, Euclidean-1D on
+    # uniform attributes from seeds 4000 + s): the pass and the one vertex at
+    # a time oracle of the 1/rank law agree in mean transitivity within 3
+    # combined standard errors.  The pass read about 0.3 of them apart; a
+    # sampler that draws by 1/rank^1.1 reads about 13 apart
+    n, seeds = 100, 150
+    spec = Euclidean1D(attr="x")
+    fast, oracle = [], []
+    for s in range(seeds):
+        ctx = DistanceContext(attrs=uniform_attr(n, 4000 + s))
+        fast.append(transitivity(priority_rank_generate(ctx, spec, DegreeSpec.constant(4), seed=4100 + s)))
+        u = RngStream(4100 + s).child(9).generator.random((n, n))
+        oracle.append(transitivity(Graph(n, sorted(priority_rank_oracle(spec, ctx, np.full(n, 4), u)))))
+    gap = abs(float(np.mean(fast)) - float(np.mean(oracle)))
+    se = math.sqrt((np.var(fast, ddof=1) + np.var(oracle, ddof=1)) / seeds)
+    assert gap <= 3 * se, (np.mean(fast), np.mean(oracle), se)
+
+
 def test_locality_raises_path_length():
     ls_local, ls_random = [], []
     for s in range(20):
         attrs = uniform_attr(100, 500 + s)
         local = priority_rank_generate(
-            100, attrs, Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=600 + s
+            DistanceContext(attrs=attrs), Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=600 + s
         )
-        rand = priority_rank_generate(
-            100, None, RandomDistance(), DegreeSpec.constant(4), seed=700 + s
-        )
+        rand = priority_rank_generate(DistanceContext(100), RandomDistance(), DegreeSpec.constant(4), seed=700 + s)
         ls_local.append(network_profile(local).avg_path_length)
         ls_random.append(network_profile(rand).avg_path_length)
     assert float(np.median(ls_local)) > float(np.median(ls_random))
@@ -340,7 +382,7 @@ def test_generated_target_sets_follow_sequential_law():
         laws.append(law)
         counts.append(dict.fromkeys(law, 0))
     for seed in range(trials):
-        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(k), seed=seed)
+        g = priority_rank_generate(ctx, spec, DegreeSpec.constant(k), seed=seed)
         out_adj, _ = adjacency(g)
         for i in range(n):
             counts[i][frozenset(out_adj[i])] += 1
@@ -388,7 +430,7 @@ def test_priority_rank_independent_of_block_size(monkeypatch, case):
         for cells in (1, generate._BLOCK_CELLS, 10**12):
             monkeypatch.setattr(generate, "_BLOCK_CELLS", cells)
             graphs.append(
-                priority_rank_generate(n, attrs, spec, degrees, seed=13, centralities=centralities)
+                priority_rank_generate(DistanceContext(n, attrs, centralities), spec, degrees, seed=13)
             )
     assert graphs[0].arc_count > 0
     assert graphs[0] == graphs[1] == graphs[2]
@@ -404,12 +446,12 @@ def test_priority_rank_matches_per_vertex_oracle(case):
     # shared-vector kernel, and the law tests below check them.
     n, seed = 60, 21
     attrs, spec, degrees, centralities = CASES[case](n)
+    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = priority_rank_generate(n, attrs, spec, degrees, seed, centralities=centralities)
+        g = priority_rank_generate(ctx, spec, degrees, seed)
         stream = RngStream(seed).child(0)
         ks = degrees.draws(n, stream.child(0))
-    ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     fast = (ks > 0) & (4 * ks <= n - 1)
     gen = stream.child(2).generator
     positions = sample_shared(np.arange(n), np.full(fast.sum(), n - 1), ks[fast], gen)
@@ -433,7 +475,7 @@ def test_proof_never_changes_draws(monkeypatch, kind):
             return order, proven & keep
 
         monkeypatch.setattr(type(spec), "shared_order", partial)
-        graphs.append(priority_rank_generate(n, attrs, spec, degrees, seed=17))
+        graphs.append(priority_rank_generate(DistanceContext(attrs=attrs), spec, degrees, seed=17))
     assert graphs[0].arc_count > 0
     assert graphs[0] == graphs[1] == graphs[2]
 
@@ -449,7 +491,7 @@ def test_learned_generation_matches_golden_hashes(kind, seed):
     n = 300
     spec, attrs, _ = fitted(kind, n)
     degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 80, 150])
-    g = priority_rank_generate(n, attrs, spec, degrees, seed=seed)
+    g = priority_rank_generate(DistanceContext(attrs=attrs), spec, degrees, seed=seed)
     assert (g.out_degrees > (n - 1) // 4).any()
     digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()
     assert digest == json.loads(GOLDEN_LEARNED.read_text())[f"{kind}-{seed}"]
@@ -472,7 +514,7 @@ def test_row_generation_matches_golden_hashes(kind, seed):
     # rejection limit of n = 300 and draw keyed rows
     n = 300
     degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 80, 150])
-    g = priority_rank_generate(n, mixed_attr(n, 4), ROW_SPECS[kind], degrees, seed=seed)
+    g = priority_rank_generate(DistanceContext(attrs=mixed_attr(n, 4)), ROW_SPECS[kind], degrees, seed=seed)
     assert (g.out_degrees > (n - 1) // 4).any()
     digest = hashlib.sha256(save_edge_list(g).encode()).hexdigest()
     assert digest == json.loads(GOLDEN_ROWS.read_text())[f"{kind}-{seed}"]
@@ -486,7 +528,7 @@ def test_pass_builds_constant_rng_streams(rng_streams):
         for n in (20, 200):
             table = attrs(n, 1)
             rng_streams.clear()
-            priority_rank_generate(n, table, spec, DegreeSpec.constant(3), seed=2)
+            priority_rank_generate(DistanceContext(n, table), spec, DegreeSpec.constant(3), seed=2)
             built.append(len(rng_streams))
         assert built == [1, 1], spec.kind
 
@@ -517,7 +559,7 @@ def test_proven_and_shared_kinds_sort_no_rows(monkeypatch, ranked_rows):
         (aggregate, None, "packed"),
     ):
         ranked_rows.update(packed=0, gathered=0, sorted=0, keyed=0)
-        g = priority_rank_generate(n, attrs, spec, DegreeSpec.constant(10), seed=5, centralities=ref)
+        g = priority_rank_generate(DistanceContext(n, attrs, ref), spec, DegreeSpec.constant(10), seed=5)
         assert g.out_degrees.tolist() == [10] * n
         expected = {"packed": 0, "gathered": 0, "sorted": 0, "keyed": 0}
         if path:
@@ -526,12 +568,12 @@ def test_proven_and_shared_kinds_sort_no_rows(monkeypatch, ranked_rows):
     assert evaluated == []
 
 
-def tally_target_sets(n, spec, degrees, trials, attrs=None, **kwargs):
+def tally_target_sets(ctx, spec, degrees, trials):
     """{(source, k): [frozenset of targets, one per seed]} over ``trials``
-    single passes."""
+    single passes that read ``ctx``."""
     drawn: dict[tuple[int, int], list[frozenset]] = {}
     for seed in range(trials):
-        out_adj, _ = adjacency(priority_rank_generate(n, attrs, spec, degrees, seed=seed, **kwargs))
+        out_adj, _ = adjacency(priority_rank_generate(ctx, spec, degrees, seed=seed))
         for i, targets in enumerate(out_adj):
             drawn.setdefault((i, len(targets)), []).append(frozenset(targets))
     return drawn
@@ -564,10 +606,9 @@ def test_shared_kind_pass_follows_exact_law():
     n = 7
     scores = np.array([3.0, 1.0, 1.0, 0.0, 1.0, 5.0, 2.0])
     spec = CentralityDistance(centrality="degree")
-    distances = spec.shared_distances(DistanceContext(n=n, centralities={"degree": scores}))
-    drawn = tally_target_sets(
-        n, spec, DegreeSpec.resample([1, n - 2]), 1000, centralities={"degree": scores}
-    )
+    ctx = DistanceContext(n=n, centralities={"degree": scores})
+    distances = spec.shared_distances(ctx)
+    drawn = tally_target_sets(ctx, spec, DegreeSpec.resample([1, n - 2]), 1000)
     assert {k for _, k in drawn} == {1, n - 2}
 
     def laws(source, k):
@@ -583,7 +624,7 @@ def test_random_kind_draws_uniform_k_subsets():
     # every k-subset of the other n - 1 vertices is equally likely, for k
     # under the rejection limit of n = 7 (1) and above it (2, 4)
     n = 7
-    drawn = tally_target_sets(n, RandomDistance(), DegreeSpec.resample([1, 2, 4]), 1000)
+    drawn = tally_target_sets(DistanceContext(n), RandomDistance(), DegreeSpec.resample([1, 2, 4]), 1000)
     assert {k for _, k in drawn} == {1, 2, 4}
 
     def laws(source, k):
@@ -615,7 +656,7 @@ def test_per_source_pass_follows_exact_law():
         i for i in range(n) if len(set(np.delete(spec.rows(ctx, np.array([i]))[0], i).tolist())) < n - 1
     ]
     assert tied == [3]
-    drawn = tally_target_sets(n, spec, DegreeSpec.resample([2, 7]), 1500, attrs=attrs)
+    drawn = tally_target_sets(ctx, spec, DegreeSpec.resample([2, 7]), 1500)
     assert {k for _, k in drawn} == {2, 7}
 
     def laws(i, k):
@@ -654,12 +695,13 @@ def test_bad_distance_raises_on_every_path(monkeypatch, case, bad, message):
         return out
 
     monkeypatch.setattr(type(spec), "rows", bad_rows)
+    ctx = DistanceContext(n, attrs)
     for k in (2, 20):
         degrees = DegreeSpec.constant(k)
-        clean = priority_rank_generate(n, attrs, spec, degrees, seed=3)
+        clean = priority_rank_generate(ctx, spec, degrees, seed=3)
         corrupt["own"] = True
-        assert priority_rank_generate(n, attrs, spec, degrees, seed=3) == clean
+        assert priority_rank_generate(ctx, spec, degrees, seed=3) == clean
         corrupt["target"] = True
         with pytest.raises(ValueError, match=f"^distances must be {message}$"):
-            priority_rank_generate(n, attrs, spec, degrees, seed=3)
+            priority_rank_generate(ctx, spec, degrees, seed=3)
         corrupt.update(own=False, target=False)

@@ -54,6 +54,9 @@ def test_degree_centrality_examples():
     assert degree_centrality(Graph(2, []), "total").tolist() == [0, 0]
     star = Graph(5, [(0, i) for i in range(1, 5)])
     assert degree_centrality(star, "out")[0] == 4
+    assert degree_centrality(star, "in").tolist() == [0, 1, 1, 1, 1]
+    with pytest.raises(ValueError, match=r"^unknown degree direction 'both'$"):
+        degree_centrality(star, "both")
 
 
 def test_betweenness_examples():
@@ -236,6 +239,27 @@ def test_network_profile_sweeps_each_source_once(bfs_calls):
     prof.to_json_dict()
     prof.to_json_dict()
     assert sorted(bfs_calls) == list(range(g.n))
+
+
+def test_network_profile_is_a_mapping_of_the_centrality_kinds(bfs_calls):
+    # a key test and the length read the kinds alone, so they run no sweep
+    g = gen_dorogovtsev_goltsev_mendes(3)
+    prof = network_profile(g)
+    assert all(kind in prof for kind in metrics.CENTRALITY_KINDS)
+    assert "diameter" not in prof and 0 not in prof and prof.get("eigen") is None
+    assert len(prof) == 4 and list(prof) == list(metrics.CENTRALITY_KINDS)
+    assert bfs_calls == []
+    vectors = dict(prof)
+    assert list(vectors) == list(metrics.CENTRALITY_KINDS)
+    for kind, vector in vectors.items():
+        assert vector is getattr(prof, kind)
+    assert sorted(bfs_calls) == list(range(g.n))
+    with pytest.raises(KeyError):
+        prof["diameter"]
+    # equality and hashing stay the dataclass's, by graph
+    again = network_profile(gen_dorogovtsev_goltsev_mendes(3))
+    assert prof == again and hash(prof) == hash(again)
+    assert prof != network_profile(gen_dorogovtsev_goltsev_mendes(2))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from priorityrank import cli
+from priorityrank.distance import DistanceContext, FeatureEncoder
 from priorityrank.generate import gen_erdos_renyi
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list
 from priorityrank.metrics import degree_centrality
@@ -98,6 +99,34 @@ def test_recreate_reads_pagerank_and_transitivity_of_the_source_only(profile_cal
         recreate(g, None, RecreateConfig(runs=2, pilot_runs=1, seed=3)).to_json_dict()
     for graphs in profile_calls.values():
         assert len(graphs) == 1 and graphs[0] is g
+
+
+def test_recreate_reads_one_context_and_encodes_each_learned_kind_once(monkeypatch):
+    # every pilot and finalist run reads one context, which caches what a
+    # learned kind encodes from the attributes: the training set encodes
+    # once, and each learned candidate once over all its runs
+    built, encoded = [], []
+    init, encode = DistanceContext.__init__, FeatureEncoder.encode
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_encode(self, table):
+        encoded.append(table)
+        return encode(self, table)
+
+    monkeypatch.setattr(DistanceContext, "__init__", counted_init)
+    monkeypatch.setattr(FeatureEncoder, "encode", counted_encode)
+    g = gen_erdos_renyi(20, 0.3, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = recreate(g, None, RecreateConfig(runs=3, pilot_runs=2, seed=3))
+    learned = [c for c in report.candidates if c.kind in ("linear_regression", "naive_bayes")]
+    assert [c.error for c in learned] == [None, None]
+    assert {"linear_regression", "naive_bayes"} & {f.kind for f in report.finalists}
+    assert len(built) == 1
+    assert len(encoded) == 1 + len(learned)
 
 
 @pytest.mark.parametrize(

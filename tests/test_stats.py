@@ -78,6 +78,12 @@ def test_harmonic_values():
     assert harmonic(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25, abs=1e-15)
     with pytest.raises(ValueError):
         harmonic(0)
+    # a whole float is a count; any other float is refused, never truncated
+    assert harmonic(4.0) == harmonic(4) and harmonic_euler(4.0) == harmonic_euler(4)
+    for fn in (harmonic, harmonic_euler):
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^harmonic number n must be a whole number, got {bad}$"):
+                fn(bad)
 
 
 def test_harmonic_euler_approximation():
