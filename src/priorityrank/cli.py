@@ -55,6 +55,17 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_DISTANCES = ("random", *CENTRALITY_KINDS)
+# each baseline model: its generator, the options it needs and the options it
+# may take, each passed by its name; one left unset keeps the generator's
+# default, and "seed" is the resolved --seed
+_BASELINES = {
+    "er": (gen_erdos_renyi, ("n", "p"), ("seed",)),
+    "ws": (gen_watts_strogatz, ("n", "k_neighbors", "p_rewire"), ("seed",)),
+    "ba": (gen_barabasi_albert, ("n", "k"), ("n0", "seed")),
+    "ff": (gen_forest_fire, ("n", "p_burn"), ("ambassadors", "seed")),
+    "dgm": (gen_dorogovtsev_goltsev_mendes, ("steps",), ()),
+    "disassortative": (gen_disassortative, (), ("n", "stop_threshold", "max_rounds", "seed")),
+}
 WORKERS_HELP = "accepted and ignored; kept so older command lines still run"
 # one --dump-rankings line; %r is repr, so floats round-trip exactly
 _RANKING_LINE = "%d\t%d\t%r\t%d\t%r\n"
@@ -110,7 +121,7 @@ def _build_parser() -> _Parser:
     gen.add_argument(
         "--model",
         required=True,
-        choices=["priority-rank", "er", "ws", "ba", "ff", "dgm", "disassortative"],
+        choices=["priority-rank", *_BASELINES],
     )
     gen.add_argument("--out", required=True, help="output edge-list path")
     gen.add_argument("--seed", type=int)
@@ -217,34 +228,15 @@ def _dump_rankings(path: str, spec, ctx) -> None:
 
 def _cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
-    model = args.model
-    if model == "er":
-        if args.n is None or args.p is None:
-            raise UsageError("er needs --n and --p")
-        g = gen_erdos_renyi(args.n, args.p, seed)
-    elif model == "ws":
-        if args.n is None or args.k_neighbors is None or args.p_rewire is None:
-            raise UsageError("ws needs --n, --k-neighbors, and --p-rewire")
-        g = gen_watts_strogatz(args.n, args.k_neighbors, args.p_rewire, seed)
-    elif model == "ba":
-        if args.n is None or args.k is None:
-            raise UsageError("ba needs --n and --k")
-        g = gen_barabasi_albert(args.n, args.k, args.n0, seed)
-    elif model == "ff":
-        if args.n is None or args.p_burn is None:
-            raise UsageError("ff needs --n and --p-burn")
-        g = gen_forest_fire(args.n, args.p_burn, args.ambassadors, seed)
-    elif model == "dgm":
-        if args.steps is None:
-            raise UsageError("dgm needs --steps")
-        g = gen_dorogovtsev_goltsev_mendes(args.steps)
-    elif model == "disassortative":
-        g = gen_disassortative(
-            args.n if args.n is not None else 100,
-            args.stop_threshold,
-            args.max_rounds,
-            seed,
-        )
+    if args.model in _BASELINES:
+        build, needs, takes = _BASELINES[args.model]
+        values = {**vars(args), "seed": seed}
+        if any(values[name] is None for name in needs):
+            flags = ["--" + name.replace("_", "-") for name in needs]
+            if len(flags) > 2:
+                flags = [", ".join(flags[:-1]) + ",", flags[-1]]
+            raise UsageError(f"{args.model} needs {' and '.join(flags)}")
+        g = build(**{name: values[name] for name in needs + takes if values[name] is not None})
     else:  # priority-rank
         if args.n is None:
             raise UsageError("priority-rank needs --n")

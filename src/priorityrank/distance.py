@@ -49,7 +49,7 @@ import numpy as np
 
 from . import metrics
 from .graph import AttributeTable, Graph, _check_cells
-from .stats import RngStream
+from .stats import RngStream, _whole
 
 CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
 DEFAULT_EPS = 1e-6
@@ -72,7 +72,8 @@ def _check_eps(eps: float) -> None:
 
 class DistanceContext:
     """Evaluation context, the one input of a generation pass: vertex
-    count, attributes and centrality vectors.
+    count, attributes and centrality vectors.  The count is checked here
+    once, a whole number of at least 2, for every pass that reads it.
 
     Centrality-based kinds read the vector of their kind from
     ``centralities``, a mapping from kind to an (n,) vector such as the
@@ -95,7 +96,9 @@ class DistanceContext:
             if attrs is None:
                 raise ValueError("context needs n or attrs")
             n = attrs.n
-        self.n = int(n)
+        self.n = _whole(n, "vertex count")
+        if self.n < 2:
+            raise ValueError(f"need at least 2 vertices, got {self.n}")
         if attrs is not None and attrs.n != self.n:
             raise ValueError(f"attribute table has {attrs.n} rows, context n={self.n}")
         self.attrs = attrs
@@ -525,8 +528,6 @@ class LinearRegressionDistance(DistanceFunction):
             scores, consts = self._terms(ctx)
             order = np.argsort(scores, kind="stable")
             s = scores[order]
-            if ctx.n < 2:
-                return order, np.zeros(ctx.n, dtype=bool)
             with np.errstate(over="ignore", invalid="ignore"):
                 # rounding is monotone, so the sums s_j + c_i rise strictly
                 # along the order where every gap of s is over the spacing
@@ -680,9 +681,8 @@ class NaiveBayesDistance(DistanceFunction):
         2 K u that rounding can take back.  |D| < 700 and eps <= 1 keep
         every float step's value normal (Higham, "Accuracy and Stability of
         Numerical Algorithms", 2002, ch. 2-3)."""
-        proven = np.zeros(len(g), dtype=bool)
-        if len(g) < 2 or not (self.prior_edge > 0 and self.prior_no_edge > 0 and self.eps <= 1):
-            return proven
+        if not (self.prior_edge > 0 and self.prior_no_edge > 0 and self.eps <= 1):
+            return np.zeros(len(g), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             # A_i and B_i as rows computes them
             a = math.log(self.prior_edge) + src_edge

@@ -49,7 +49,10 @@ class DegreeSpec:
 
     @classmethod
     def resample(cls, out_degrees) -> "DegreeSpec":
-        histogram = tuple(_whole(d, "out-degree") for d in out_degrees)
+        if isinstance(out_degrees, np.ndarray) and out_degrees.dtype.kind in "iu":
+            histogram = tuple(out_degrees.tolist())
+        else:
+            histogram = tuple(_whole(d, "out-degree") for d in out_degrees)
         if not histogram:
             raise ValueError("resample spec needs a non-empty out-degree sequence")
         if any(d < 0 for d in histogram):
@@ -175,8 +178,6 @@ def priority_rank_generate(ctx: DistanceContext, spec: DistanceFunction, degrees
     Many passes may share one context and what it caches.  A centrality
     kind given a context without centralities bootstraps its own reference.
     """
-    if ctx.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {ctx.n}")
     root = RngStream(seed)
     if spec.requires_centrality and ctx.centralities is None:
         # No reference: bootstrap from a random graph of the same shape, then

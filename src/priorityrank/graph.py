@@ -44,6 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .stats import _whole
+
 ATTRIBUTE_KINDS = ("ordinal", "categorical", "continuous")
 
 
@@ -69,7 +71,7 @@ class Graph:
     stores ``n`` and ``codes``; every other attribute derives from them."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray = ()):
-        n = int(n)
+        n = _whole(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if n * n > 2**63 - 1:

@@ -446,11 +446,11 @@ class NetworkProfile(Mapping):
 
     def to_json_dict(self) -> dict:
         doc = self.scalar_dict()
-        doc["degree"] = [float(v) for v in self.degree]
-        doc["betweenness"] = [float(v) for v in self.betweenness]
-        doc["closeness"] = [float(v) for v in self.closeness]
-        doc["closeness_farness"] = [float(v) for v in self.closeness_farness]
-        doc["pagerank"] = [float(v) for v in self.pagerank]
+        doc["degree"] = self.degree.tolist()
+        doc["betweenness"] = self.betweenness.tolist()
+        doc["closeness"] = self.closeness.tolist()
+        doc["closeness_farness"] = self.closeness_farness.tolist()
+        doc["pagerank"] = self.pagerank.tolist()
         return doc
 
 

@@ -35,7 +35,7 @@ from .distance import (
 from .generate import DegreeSpec, priority_rank_generate
 from .graph import AttributeColumn, AttributeTable, Graph, out_degree_sequence
 from .metrics import NetworkProfile, network_profile
-from .stats import KsResult, RngStream, ks_two_sample
+from .stats import KsResult, RngStream, _whole, ks_two_sample
 
 
 def generate_synthetic_attributes(n: int, seed: int) -> AttributeTable:
@@ -145,6 +145,7 @@ class RecreateConfig:
 
     def __post_init__(self):
         for name in ("runs", "pilot_runs", "finalists"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_negative_ratio(self.negative_ratio)

@@ -76,7 +76,7 @@ def kolmogorov_q(lam: float) -> float:
 
 def _whole(value, what: str) -> int:
     """``value`` as an int; a float must be whole, where ``int`` would truncate it."""
-    if not (math.isfinite(value) and value == math.floor(value)):
+    if type(value) is not int and not (math.isfinite(value) and value == math.floor(value)):
         raise ValueError(f"{what} must be a whole number, got {value}")
     return int(value)
 
@@ -110,6 +110,8 @@ class RngStream:
     path: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        object.__setattr__(self, "path", tuple(_whole(p, "stream path id") for p in self.path))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if any(p < 0 for p in self.path):
@@ -120,7 +122,7 @@ class RngStream:
         return np.random.default_rng((self.seed, *self.path))
 
     def child(self, *ids: int) -> "RngStream":
-        return RngStream(self.seed, self.path + tuple(int(i) for i in ids))
+        return RngStream(self.seed, self.path + ids)
 
     def spawn_seed(self) -> int:
         """Draw a fresh 63-bit seed from this stream."""

@@ -89,6 +89,7 @@ def test_usage_errors(capsys, tmp_path):
     # every model names the arguments it misses, and writes nothing
     out = tmp_path / "g.tsv"
     for argv, message in (
+        (["er", "--p", "0.5"], "er needs --n and --p"),
         (["ws", "--n", "10", "--k-neighbors", "2"], "ws needs --n, --k-neighbors, and --p-rewire"),
         (["ba", "--k", "2"], "ba needs --n and --k"),
         (["ff", "--n", "10"], "ff needs --n and --p-burn"),

@@ -239,10 +239,46 @@ def test_hierarchical_mix():
     long = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1, 2, 3, 4), euclid_attrs=())
     with pytest.raises(ValueError, match=r"^class map has 5 ranks for 3 vertices$"):
         evaluate(long, ctx, 0, 1)
+    with pytest.raises(ValueError, match=r"^hierarchical mix with alpha > 0 needs euclidean attributes$"):
+        evaluate(make_hierarchical_mix_distance(0.5, [0, 1, 2]), ctx, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CentralityDistance(centrality="eigen"), "unknown centrality 'eigen'"),
+        (lambda: AggregateDistance(weights=()), "aggregate distance needs at least one attribute weight"),
+        (lambda: HierarchicalMixDistance(1.5, (0, 1)), "alpha must be in [0, 1], got 1.5"),
+        (lambda: make_hierarchical_mix_distance(0.5, {}), "class map is empty"),
+    ],
+    ids=["centrality", "aggregate", "hierarchical_alpha", "hierarchical_map"],
+)
+def test_specs_reject_bad_parameters(make, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        make()
 
 
 def numeric_table(values):
     return AttributeTable([AttributeColumn("x", "continuous", tuple(values))])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 10.7}, "vertex count must be a whole number, got 10.7"),
+        ({"n": 1}, "need at least 2 vertices, got 1"),
+        ({"n": 0}, "need at least 2 vertices, got 0"),
+        ({"attrs": numeric_table([1.0])}, "need at least 2 vertices, got 1"),
+        ({}, "context needs n or attrs"),
+        ({"n": 3, "attrs": numeric_table([1.0, 2.0])}, "attribute table has 2 rows, context n=3"),
+    ],
+    ids=["float", "one", "zero", "one_row_table", "nothing", "other_table"],
+)
+def test_context_checks_its_vertex_count_once(kwargs, message):
+    # a float is never truncated: DistanceContext(10.7) would generate n=10
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        DistanceContext(**kwargs)
+    assert DistanceContext(4.0).n == 4 and type(DistanceContext(4.0).n) is int
 
 
 def test_training_set_counts():
@@ -391,6 +427,26 @@ def test_training_set_errors():
     complete = Graph(3, [(i, j) for i in range(3) for j in range(3) if i != j])
     with pytest.raises(ValueError, match="complete"):
         build_training_set(complete, numeric_table([1, 2, 3]), 1.0, RngStream(0))
+    with pytest.raises(ValueError, match=r"^attribute table has 2 rows for a graph of n=3$"):
+        build_training_set(Graph(3, [(0, 1)]), numeric_table([1, 2]), 1.0, RngStream(0))
+    with pytest.raises(ValueError, match=r"^negative subsampling needs an rng stream$"):
+        build_training_set(Graph(4, [(0, 1)]), numeric_table([1, 2, 3, 4]), 1.0)
+
+
+@pytest.mark.parametrize("fit", [fit_linear_regression_distance, fit_naive_bayes_distance])
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1.0], "training set needs at least 2 rows"),
+        ([0.0, 0.0], "training set needs at least one example of each label"),
+    ],
+    ids=["one_row", "one_label"],
+)
+def test_fits_need_two_rows_and_both_labels(fit, labels, message):
+    encoder = FeatureEncoder.from_table(numeric_table([1.0]))
+    ts = TrainingSet(features=np.ones((len(labels), 2)), labels=np.array(labels), encoder=encoder)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        fit(ts)
 
 
 def test_ols_satisfies_normal_equations_and_pinv_oracle():
@@ -869,6 +925,12 @@ def test_encode_matches_the_row_loop(seed):
         assert np.array_equal(phi, one_hot_by_rows(encoder, t))
     new = np.array([v == "z" for v in other.column("lab").values])
     assert not encoder.encode(other)[new, 1:6].any()
+
+
+def test_encoder_refuses_a_column_that_changed_kind():
+    encoder = FeatureEncoder.from_table(AttributeTable([AttributeColumn("c", "categorical", ("a", "b"))]))
+    with pytest.raises(ValueError, match=r"^attribute 'c' changed kind since fitting$"):
+        encoder.encode(AttributeTable([AttributeColumn("c", "continuous", (1.0, 2.0))]))
 
 
 def test_zero_row_categorical_column_encodes_to_no_features():

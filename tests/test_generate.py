@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -166,6 +167,24 @@ def test_degree_spec_resample_clamps_with_warning():
         DegreeSpec.constant(2.7)
     with pytest.raises(ValueError, match=r"^out-degree must be a whole number, got 1.5$"):
         DegreeSpec.resample([1.5, 2])
+    with pytest.raises(ValueError, match=r"^constant out-degree 5 exceeds n-1 = 3$"):
+        DegreeSpec.constant(5).draws(4, RngStream(0))
+
+
+def test_degree_spec_resample_reads_an_integer_array_as_its_ints():
+    ints = [0, 3, 1, 3, 2]
+    for dtype in (np.int64, np.int32, np.uint8):
+        spec = DegreeSpec.resample(np.array(ints, dtype=dtype))
+        assert spec == DegreeSpec.resample(ints)
+        assert all(type(d) is int for d in spec.histogram)
+    for bad, message in (
+        (1.5, "out-degree must be a whole number, got 1.5"),
+        (-1, "out-degree sequence must be non-negative"),
+        (math.nan, "out-degree must be a whole number, got nan"),
+    ):
+        for degrees in ([2, bad], np.array([2, bad])):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                DegreeSpec.resample(degrees)
 
 
 def test_priority_rank_resampled_degrees_follow_source():
@@ -207,6 +226,27 @@ def test_erdos_renyi_past_the_cell_budget_fails_before_allocating():
 def test_erdos_renyi_names_a_negative_vertex_count():
     with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -3$"):
         gen_erdos_renyi(-3, 0.5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (gen_erdos_renyi, (10, 1.5, 1), "edge probability must be in [0, 1], got 1.5"),
+        (gen_watts_strogatz, (10, 0, 0.1, 1), "k_neighbors must be >= 1, got 0"),
+        (gen_watts_strogatz, (6, 3, 0.1, 1), "need n > 2 * k_neighbors, got n=6, k=3"),
+        (gen_watts_strogatz, (10, 2, -0.1, 1), "rewiring probability must be in [0, 1], got -0.1"),
+        (gen_barabasi_albert, (3, 3, 3, 1), "need n > n0, got n=3, n0=3"),
+        (gen_forest_fire, (10, 1.0, 1, 1), "burn probability must be in [0, 1), got 1.0"),
+        (gen_forest_fire, (10, 0.3, 0, 1), "need at least one ambassador, got 0"),
+        (gen_dorogovtsev_goltsev_mendes, (-1,), "steps must be >= 0, got -1"),
+        (gen_disassortative, (100, 0.1, 5, 1), "stop threshold must be negative, got 0.1"),
+        (gen_disassortative, (9, -0.4, 5, 1), "need n >= 10, got 9"),
+    ],
+    ids=["er_p", "ws_k", "ws_n", "ws_p", "ba_n", "ff_p", "ff_ambassadors", "dgm_steps", "dis_threshold", "dis_n"],
+)
+def test_baseline_generators_reject_bad_parameters(make, args, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        make(*args)
 
 
 def test_watts_strogatz_lattice():

@@ -111,6 +111,12 @@ def test_graph_validation():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError, match="outside"):
         Graph(2, [(0, 5)])
+    # a float vertex count is never truncated
+    with pytest.raises(ValueError, match=r"^vertex count must be a whole number, got 10.7$"):
+        Graph(10.7, [(0, 1)])
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
+        Graph(-1)
+    assert Graph(4.0, [(0, 1)]) == Graph(4, [(0, 1)]) and type(Graph(4.0).n) is int
 
 
 def test_graph_accepts_any_form_of_the_same_arcs():
@@ -243,6 +249,8 @@ def test_load_attributes_empty_body_and_errors():
         load_attributes("a:weird\n1\n")
     with pytest.raises(GraphFormatError, match=r"header cell ':continuous' has an empty name"):
         load_attributes("b:ordinal, :continuous\n1,2\n")
+    with pytest.raises(GraphFormatError, match=r"^header cell 'b' is not 'name:kind'$"):
+        load_attributes("a:ordinal,b\n1,2\n")
     for cell in ("nan", "inf", "-Infinity"):
         with pytest.raises(GraphFormatError) as info:
             load_attributes(f"a:continuous,b:ordinal\n1,2\n3, {cell}\n")
@@ -327,6 +335,10 @@ def test_attribute_table_validation():
         )
     with pytest.raises(ValueError, match="non-finite"):
         AttributeColumn("a", "continuous", (float("nan"),))
+    with pytest.raises(ValueError, match=r"^unknown attribute kind 'weird'$"):
+        AttributeColumn("a", "weird", (1.0,))
+    with pytest.raises(ValueError, match=r"^duplicate attribute names$"):
+        AttributeTable([AttributeColumn("a", "continuous", (1.0,)), AttributeColumn("a", "ordinal", (2.0,))])
 
 
 def test_leading_byte_order_mark_is_ignored():

@@ -156,6 +156,10 @@ def test_scalar_descriptors():
     assert transitivity(star_sym(5)) == 0.0
     triangle = symmetrize(Graph(3, [(0, 1), (1, 2), (2, 0)]))
     assert transitivity(triangle) == pytest.approx(1.0)
+    # graphs too small to have them
+    assert pagerank_centrality(Graph(0)).shape == (0,)
+    assert density(Graph(1)) == 0.0
+    assert freeman_centralization(Graph(2, [(0, 1), (1, 0)])) == 0.0
 
 
 def test_assortativity_undefined_is_nan():

@@ -496,6 +496,8 @@ def test_shared_kernel_exhausts_and_validates():
         sample_shared([[0.0, 1.0, 2.0]], [0], [1], gen)
     with pytest.raises(ValueError, match="one draw count per row"):
         sample_shared([0.0, 1.0, 2.0], [0, 1], [1], gen)
+    with pytest.raises(ValueError, match=r"^need one source per row, got \(1, 2\) for 1 rows$"):
+        sample_shared([0.0, 1.0, 2.0], [[0, 1]], [1], gen)
 
 
 def test_rejection_limit_reads_only_n_and_k():

@@ -135,6 +135,9 @@ def test_recreate_reads_one_context_and_encodes_each_learned_kind_once(monkeypat
         ("runs", 0),
         ("pilot_runs", 0),
         ("finalists", 0),
+        ("runs", 2.5),
+        ("pilot_runs", math.nan),
+        ("finalists", 1.5),
         ("negative_ratio", 0.0),
         ("negative_ratio", -1.0),
         ("negative_ratio", math.nan),
@@ -147,6 +150,15 @@ def test_recreate_reads_one_context_and_encodes_each_learned_kind_once(monkeypat
 def test_recreate_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         RecreateConfig(**{field: value})
+
+
+def test_recreate_config_reads_whole_counts_as_ints():
+    # runs=2.5 would otherwise fail only after every candidate is fitted
+    with pytest.raises(ValueError, match=r"^runs must be a whole number, got 2.5$"):
+        RecreateConfig(runs=2.5)
+    config = RecreateConfig(runs=4.0, pilot_runs=np.int64(1), finalists=2.0)
+    assert config == RecreateConfig(runs=4, pilot_runs=1, finalists=2)
+    assert all(type(v) is int for v in (config.runs, config.pilot_runs, config.finalists))
 
 
 def test_recreate_config_accepts_unbounded_negative_ratio():
@@ -225,6 +237,33 @@ def test_a_failing_candidate_is_recorded_and_the_race_goes_on():
     assert outcomes["cosine"].error == "vertex 4 has a zero-norm attribute vector"
     assert "cosine" not in {f.kind for f in report.finalists}
     assert len(report.finalists) == 3 and len(report.winner_graphs) == 4
+
+
+@pytest.mark.parametrize(
+    "fit, kind, error",
+    [
+        ("fit_linear_regression_distance", "linear_regression", np.linalg.LinAlgError),
+        ("fit_naive_bayes_distance", "naive_bayes", ValueError),
+    ],
+)
+def test_a_fit_that_raises_is_recorded_as_the_candidates_error(monkeypatch, fit, kind, error):
+    def fail(ts):
+        raise error("no fit")
+
+    monkeypatch.setattr(importlib.import_module("priorityrank.recreate"), fit, fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = recreate(gen_erdos_renyi(12, 0.3, seed=4), None, RecreateConfig(runs=1, pilot_runs=1, seed=2))
+    outcomes = {c.kind: c for c in report.candidates}
+    assert (outcomes[kind].pilot_statistic, outcomes[kind].error) == (None, "no fit")
+    assert kind not in {f.kind for f in report.finalists}
+
+
+def test_synthetic_attributes_and_comparisons_need_vertices():
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        generate_synthetic_attributes(0, seed=1)
+    with pytest.raises(ValueError, match=r"^cannot compare empty graphs$"):
+        compare_networks(Graph(0), Graph(3, [(0, 1)]))
 
 
 def test_every_candidate_failing_is_an_internal_error(monkeypatch, tmp_path, capsys):

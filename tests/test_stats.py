@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from priorityrank.stats import (
     RngStream,
     harmonic,
     harmonic_euler,
+    kolmogorov_q,
     ks_two_sample,
 )
 
@@ -76,14 +78,19 @@ def test_ks_rejects_bad_input():
 def test_harmonic_values():
     assert harmonic(1) == 1.0
     assert harmonic(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25, abs=1e-15)
-    with pytest.raises(ValueError):
-        harmonic(0)
+    for fn in (harmonic, harmonic_euler):
+        with pytest.raises(ValueError, match=r"^harmonic number needs n >= 1, got 0$"):
+            fn(0)
     # a whole float is a count; any other float is refused, never truncated
     assert harmonic(4.0) == harmonic(4) and harmonic_euler(4.0) == harmonic_euler(4)
     for fn in (harmonic, harmonic_euler):
         for bad in (2.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=rf"^harmonic number n must be a whole number, got {bad}$"):
                 fn(bad)
+
+
+def test_kolmogorov_q_is_one_where_lambda_is_not_positive():
+    assert kolmogorov_q(0.0) == kolmogorov_q(-1.0) == 1.0
 
 
 def test_harmonic_euler_approximation():
@@ -101,3 +108,26 @@ def test_rng_stream_determinism():
     assert not np.array_equal(a, c)
     assert RngStream(42).child(1, 2).path == (1, 2)
 
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RngStream(2.9), "seed must be a whole number, got 2.9"),
+        (lambda: RngStream(3).child(1.5), "stream path id must be a whole number, got 1.5"),
+        (lambda: RngStream(3, (math.nan,)), "stream path id must be a whole number, got nan"),
+        (lambda: RngStream(-1), "seed must be non-negative"),
+        (lambda: RngStream(3).child(-1), "stream path ids must be non-negative"),
+    ],
+    ids=["float_seed", "float_child", "nan_path", "negative_seed", "negative_path"],
+)
+def test_rng_stream_rejects_bad_seeds_and_path_ids(make, message):
+    # a float is never truncated: child(1.5) would be child(1)'s stream
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        make()
+
+
+def test_rng_stream_takes_whole_numbers_as_ints():
+    stream = RngStream(3.0).child(2.0, np.int64(1))
+    assert stream == RngStream(3, (2, 1))
+    assert type(stream.seed) is int and all(type(p) is int for p in stream.path)
+    assert np.array_equal(stream.generator.random(5), RngStream(3, (2, 1)).generator.random(5))
