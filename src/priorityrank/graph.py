@@ -14,21 +14,21 @@ vertex count.  Attribute format: CSV with ``name:kind`` headers where kind
 is one of ``ordinal``, ``categorical``, ``continuous``; one data row per
 vertex in id order.  Both readers ignore one leading byte-order mark.
 
-Two parsers read each format, and they accept the same language.  An edge
-list in the plain grammar (an optional ``n=<digits>`` header, then only
+Two parsers read an edge list, and they accept the same language.  One
+in the plain grammar (an optional ``n=<digits>`` header, then only
 ``<digits>[ \\t]+<digits>`` lines ended by LF or CRLF, each number at most
 18 ASCII digits) is checked in numpy over its bytes and parsed by
 ``np.fromstring``, and its self-loops and declared range are checked
 vectorised.  Anything else (comments, blank lines, other whitespace,
 signs, underscores, longer numbers, a failed check) goes to the line loop
 (``_edge_list_lines``), the only code that writes an edge-list error
-message, so every message names its line.  An attribute table is split
-into rows at LF and at commas where that reads as ``csv.reader`` would
-(``_plain_rows``), and by ``csv.reader`` otherwise.  ``AttributeColumn``
-then converts and checks each column once, into the read-only array that
-every reader shares; only a table with a row of the wrong length or a cell
-that fails that check reaches ``_raise_bad_row``, which names the first
-bad row by the line it starts on.
+message, so every message names its line.  An attribute table has one
+parser, ``csv.reader``, which skips blank rows and numbers none.
+``AttributeColumn`` then converts and checks each column once, into the
+read-only array that every reader shares.  Only a message reads a line
+number, so only a table that fails (a ``csv.Error``, a row of the wrong
+length or a cell that fails that check) reaches ``_row_lines``, which reads
+the text again and numbers each row by the line it starts on.
 """
 
 from __future__ import annotations
@@ -375,11 +375,27 @@ class AttributeTable:
         return col.array
 
 
-def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: list[int]) -> None:
+def _row_lines(text: str) -> list[int]:
+    """The text line that each non-blank row of ``text`` starts on; a
+    ``csv.Error`` raises here, naming the row that csv was reading."""
+    reader = csv.reader(io.StringIO(text))
+    lines = []
+    start = 1  # the text line that the next row starts on
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise GraphFormatError(f"row {start}: {exc}") from None
+    return lines
+
+
+def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], text: str) -> None:
     """Name the first bad row of a table that did not convert, by the text
     line that it starts on: a row of the wrong length, or a numeric cell
     that is not a finite number."""
-    for rowno, row in zip(lines, body):
+    for rowno, row in zip(_row_lines(text)[1:], body):
         if len(row) != len(specs):
             raise GraphFormatError(
                 f"row {rowno}: {len(row)} cells for {len(specs)} columns"
@@ -400,39 +416,14 @@ def _raise_bad_row(specs: list[tuple[str, str]], body: list[list[str]], lines: l
                 )
 
 
-def _plain_rows(text: str) -> list[list[str]] | None:
-    """The rows of ``text`` split at LF and at commas (csv keeps \\v or
-    \\x85, where ``str.splitlines`` breaks, in a cell), or None where they
-    could differ from ``csv.reader``'s: text with a quote, a CR or a line
-    over csv's field limit (no cell is longer than its line), or with a row
-    whose first cell is blank, which may be a blank row."""
-    lines = text.split("\n")
-    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    rows = [line.split(",") for line in lines]
-    if text.endswith("\n"):
-        rows.pop()
-    return rows if all(row[0].strip() for row in rows) else None
-
-
 def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
     """Parse a CSV attribute table with ``name:kind`` headers."""
     text = _as_text(stream)
-    rows = _plain_rows(text)
-    if rows is not None:
-        lines = range(1, len(rows) + 1)
-    else:
-        reader = csv.reader(io.StringIO(text))
-        rows, lines = [], []
-        start = 1  # the text line that the next row starts on
-        try:
-            for row in reader:
-                if "".join(row).strip():
-                    rows.append(row)
-                    lines.append(start)
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            raise GraphFormatError(f"row {start}: {exc}") from None
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    except csv.Error:
+        _row_lines(text)  # raises, naming the row
+        raise
     if not rows:
         raise GraphFormatError("attribute table has no header row")
     header = rows[0]
@@ -454,7 +445,7 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
             f"attribute table has {len(body)} rows, expected {expected_n}"
         )
     if set(map(len, body)) - {len(specs)}:
-        _raise_bad_row(specs, body, lines[1:])
+        _raise_bad_row(specs, body, text)
     try:
         columns = [
             AttributeColumn(
@@ -463,7 +454,7 @@ def load_attributes(stream, expected_n: int | None = None) -> AttributeTable:
             for (name, kind), cells in zip(specs, zip(*body) if body else [()] * len(specs))
         ]
     except ValueError:
-        _raise_bad_row(specs, body, lines[1:])
+        _raise_bad_row(specs, body, text)
         raise
     return AttributeTable(columns)
 

@@ -558,18 +558,18 @@ def test_attribute_fast_path_matches_the_row_loop(monkeypatch):
     gen = np.random.default_rng(77)
     texts = [_random_attribute_text(gen, perturb=trial % 2 == 1) for trial in range(1000)]
     # a cell one past csv's field limit, in a table with and without a
-    # quote, and one at the limit, which the split reads
+    # quote, and one at the limit, which loads
     limit = csv.field_size_limit()
     at_limit = f"a:categorical\n{'x' * limit}\n"
-    assert graph_mod._plain_rows(at_limit) is not None
     texts += [f"a:categorical\n{'x' * (limit + 1)}\n", f'a:categorical\n"q"\n{"x" * (limit + 1)}\n', at_limit]
     outcomes = set()
     for text in texts:
         expected = _table_view(_outcome(load_attributes_by_rows, text))
         with monkeypatch.context() as patch:
             if expected[0] is not GraphFormatError:
-                # a good table converts without calling the bad-row loop
+                # a good table converts without numbering its rows
                 patch.setattr(graph_mod, "_raise_bad_row", None)
+                patch.setattr(graph_mod, "_row_lines", None)
             assert _table_view(_outcome(load_attributes, text)) == expected, repr(text)
         outcomes.add(re.sub(r"row \d+.*: ", "", str(expected[1])) if expected[0] is GraphFormatError else "ok")
     too_long = f"field larger than field limit ({limit})"
@@ -585,18 +585,15 @@ ATTRIBUTE_SPLIT_TEXTS = (
 )
 
 
-def test_attribute_split_matches_the_csv_reader(monkeypatch):
-    # the split by LF and commas reads every text it accepts as csv.reader
-    # does: the same table, or the same error on the same line
+def test_attribute_split_matches_the_csv_reader():
+    # one csv.reader pass reads every text as the numbered row loop does:
+    # the same table, or the same error on the same line
     texts = list(ATTRIBUTE_SPLIT_TEXTS)
     gen = np.random.default_rng(78)
     texts += [_random_attribute_text(gen, perturb=trial % 2 == 1) for trial in range(1000)]
-    split = 0
     for text in texts:
-        expected = _line_loop_outcome(monkeypatch, load_attributes, "_plain_rows", text)
-        assert _table_view(_outcome(load_attributes, text)) == _table_view(expected), repr(text)
-        split += graph_mod._plain_rows(text) is not None
-    assert 500 < split < len(texts) - 100
+        expected = _table_view(_outcome(load_attributes_by_rows, text))
+        assert _table_view(_outcome(load_attributes, text)) == expected, repr(text)
 
 
 ATTRIBUTE_LINE_CASES = [
@@ -623,14 +620,28 @@ ATTRIBUTE_LINE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("text, message", ATTRIBUTE_LINE_CASES)
+# errors found before any row is read: their messages name no row
+ATTRIBUTE_HEADER_CASES = [
+    ("", "attribute table has no header row"),
+    ("\n \n", "attribute table has no header row"),
+    ("a\n1\n", "header cell 'a' is not 'name:kind'"),
+    ("a:count\n1\n", "unknown attribute kind 'count' for column 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, message", ATTRIBUTE_LINE_CASES + ATTRIBUTE_HEADER_CASES)
 def test_attribute_rows_are_numbered_by_their_text_line(monkeypatch, text, message):
     expected = _table_view(_outcome(load_attributes_by_rows, text))
+    numbered = []
+    row_lines = graph_mod._row_lines
     with monkeypatch.context() as patch:
         if message is None:
             # a good table converts without calling the bad-row loop
             patch.setattr(graph_mod, "_raise_bad_row", None)
+        patch.setattr(graph_mod, "_row_lines", lambda text: numbered.append(text) or row_lines(text))
         assert _table_view(_outcome(load_attributes, text)) == expected
+    # only a message that names a row numbers the rows, in one more pass
+    assert numbered == ([text] if message and message.startswith("row ") else [])
     if message is None:
         assert len(expected[0][0][2]) == 2
     else:
