@@ -126,36 +126,33 @@ def _generation_pass(ctx: DistanceContext, spec: DistanceFunction, degrees: Degr
     n = ctx.n
     ks = degrees.draws(n, stream.child(0))
     shared = spec.shared_distances(ctx)
-    rows = partial(spec.rows, ctx)
     sources = np.flatnonzero(ks > 0)
     fast = by_rejection(n, ks[sources])
     drawn = sources[fast]
     gen = stream.child(2).generator
+    order = None
     if shared is None:
         # a tie-free row's targets, sorted, rank 1..n-1: their slots follow
         # the law of the vector 0..n-1 seen from n - 1, the slot sorted last
-        positions = sample_shared(np.arange(n), np.full(len(drawn), n - 1), ks[drawn], gen)
+        draws = sample_shared(np.arange(n), np.full(len(drawn), n - 1), ks[drawn], gen)
         order, proven = spec.shared_order(ctx) or (None, np.zeros(n, dtype=bool))
+        slotted = fast & proven[sources]
+    else:
+        draws = sample_shared(shared, drawn, ks[drawn], gen)
+        slotted = fast
+    taken = np.repeat(slotted[fast], ks[drawn])
+    heads, tails = _row_draws(sources[~slotted], ks, draws[~taken], partial(spec.rows, ctx), stream.child(3))
+    owners = np.repeat(sources[slotted], ks[sources[slotted]])
+    targets = draws[taken]
+    if order is not None:
         # a proven row sorts its targets along the order with no tie, so
         # slot s of source i is the order's entry s, skipping i, and its row
         # is never evaluated
-        slotted = fast & proven[sources]
-        taken = np.repeat(slotted[fast], ks[drawn])
-        heads, tails = _row_draws(sources[~slotted], ks, positions[~taken], rows, stream.child(3))
-        if slotted.any():
-            place = np.empty(n, dtype=np.int64)
-            place[order] = np.arange(n)
-            owners = np.repeat(sources[slotted], ks[sources[slotted]])
-            slots = positions[taken]
-            heads.append(owners)
-            tails.append(order[slots + (slots >= place[owners])])
-    else:
-        no_slots = np.zeros(0, dtype=np.int64)
-        heads, tails = _row_draws(sources[~fast], ks, no_slots, rows, stream.child(3))
-        heads.append(np.repeat(drawn, ks[drawn]))
-        tails.append(sample_shared(shared, drawn, ks[drawn], gen))
-    if not heads:
-        return Graph(n)
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n)
+        targets = order[targets + (targets >= place[owners])]
+    heads.append(owners)
+    tails.append(targets)
     return Graph(n, np.column_stack([np.concatenate(heads), np.concatenate(tails)]))
 
 

@@ -5,9 +5,10 @@ networks.
 Protocol: synthesize vertex attributes when none are given; build every
 applicable catalog distance (fitting the learned kinds on the source
 adjacency); run a short pilot per candidate scored by the mean two-sample
-K-S statistic over the degree, betweenness, and closeness vectors; advance
-the best three to full 20-run aggregation with out-degrees resampled from
-the source; pick the winner with the smallest mean combined statistic.
+K-S statistic over the ``KS_KINDS`` vectors; advance the best
+``config.finalists`` to full ``config.runs``-run aggregation with
+out-degrees resampled from the source; pick the winner with the smallest
+mean combined statistic.
 """
 
 from __future__ import annotations
@@ -62,32 +63,26 @@ def generate_synthetic_attributes(n: int, seed: int) -> AttributeTable:
     )
 
 
+# the centrality vectors whose two-sample K-S tests score a comparison
+KS_KINDS = ("degree", "betweenness", "closeness")
+
+
 @dataclass(frozen=True)
 class ComparisonRecord:
-    """K-S outcomes for the three centrality vectors plus both profiles."""
+    """K-S outcomes for the ``KS_KINDS`` vectors plus both profiles."""
 
-    ks_degree: KsResult
-    ks_betweenness: KsResult
-    ks_closeness: KsResult
+    ks: dict[str, KsResult] = field(hash=False)
     profile_a: NetworkProfile
     profile_b: NetworkProfile
     alpha: float
 
     def passes(self) -> dict[str, bool]:
-        return {
-            "degree": self.ks_degree.p_value >= self.alpha,
-            "betweenness": self.ks_betweenness.p_value >= self.alpha,
-            "closeness": self.ks_closeness.p_value >= self.alpha,
-        }
+        return {kind: ks.p_value >= self.alpha for kind, ks in self.ks.items()}
 
     def to_json_dict(self) -> dict:
         flags = self.passes()
         doc = {"alpha": self.alpha}
-        for name, ks in (
-            ("degree", self.ks_degree),
-            ("betweenness", self.ks_betweenness),
-            ("closeness", self.ks_closeness),
-        ):
+        for name, ks in self.ks.items():
             doc[name] = {
                 "statistic": ks.statistic,
                 "p_value": ks.p_value,
@@ -100,14 +95,9 @@ class ComparisonRecord:
         return doc
 
 
-def _ks_statistics(
-    a: NetworkProfile, b: NetworkProfile
-) -> tuple[KsResult, KsResult, KsResult]:
-    """Two-sample K-S results for the degree, betweenness and closeness vectors."""
-    deg = ks_two_sample(a.degree, b.degree)
-    bet = ks_two_sample(a.betweenness, b.betweenness)
-    clo = ks_two_sample(a.closeness, b.closeness)
-    return deg, bet, clo
+def _ks_statistics(a: NetworkProfile, b: NetworkProfile) -> dict[str, KsResult]:
+    """Two-sample K-S results for the ``KS_KINDS`` vectors."""
+    return {kind: ks_two_sample(a[kind], b[kind]) for kind in KS_KINDS}
 
 
 def _check_alpha(alpha: float) -> None:
@@ -123,15 +113,7 @@ def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRec
         raise ValueError("cannot compare empty graphs")
     p1 = network_profile(g1)
     p2 = network_profile(g2)
-    deg, bet, clo = _ks_statistics(p1, p2)
-    return ComparisonRecord(
-        ks_degree=deg,
-        ks_betweenness=bet,
-        ks_closeness=clo,
-        profile_a=p1,
-        profile_b=p2,
-        alpha=alpha,
-    )
+    return ComparisonRecord(ks=_ks_statistics(p1, p2), profile_a=p1, profile_b=p2, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -177,13 +159,13 @@ class RunRecord:
 
     @classmethod
     def score(cls, seed: int, source: NetworkProfile, profile: NetworkProfile) -> "RunRecord":
-        deg, bet, clo = _ks_statistics(source, profile)
+        ks = _ks_statistics(source, profile)
         return cls(
             seed=seed,
-            statistic_mean=(deg.statistic + bet.statistic + clo.statistic) / 3.0,
-            p_degree=deg.p_value,
-            p_betweenness=bet.p_value,
-            p_closeness=clo.p_value,
+            statistic_mean=sum(r.statistic for r in ks.values()) / 3.0,
+            p_degree=ks["degree"].p_value,
+            p_betweenness=ks["betweenness"].p_value,
+            p_closeness=ks["closeness"].p_value,
             arc_count=profile.arc_count,
             diameter=profile.diameter,
             density=profile.density,
@@ -200,6 +182,7 @@ _AGGREGATE_FIELDS = tuple(f.name for f in fields(RunRecord) if f.name != "seed")
 class FinalistResult:
     kind: str
     runs: tuple[RunRecord, ...]
+    graphs: tuple[Graph, ...] = field(repr=False, compare=False, default=())
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -232,7 +215,6 @@ class RecreationReport:
     candidates: tuple[CandidateOutcome, ...]
     finalists: tuple[FinalistResult, ...]
     winner: str
-    master_seed: int
     config: RecreateConfig
     winner_graphs: tuple[Graph, ...] = field(repr=False, default=())
 
@@ -242,7 +224,7 @@ class RecreationReport:
         if math.isinf(config["negative_ratio"]):
             config["negative_ratio"] = None  # JSON has no infinity
         return {
-            "master_seed": self.master_seed,
+            "master_seed": self.config.seed,
             "config": config,
             "source_profile": self.source_profile.scalar_dict(),
             "candidates": [asdict(c) for c in self.candidates],
@@ -276,20 +258,15 @@ def _candidate_specs(
         )
     )
     try:
-        ts = build_training_set(g, attrs, negative_ratio=negative_ratio, rng=rng)
+        ts, unavailable = build_training_set(g, attrs, negative_ratio=negative_ratio, rng=rng), None
     except ValueError as exc:
-        reason = f"training set unavailable: {exc}"
-        candidates.append(("linear_regression", None, reason))
-        candidates.append(("naive_bayes", None, reason))
-        return candidates
-    try:
-        candidates.append(("linear_regression", fit_linear_regression_distance(ts), None))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        candidates.append(("linear_regression", None, str(exc)))
-    try:
-        candidates.append(("naive_bayes", fit_naive_bayes_distance(ts), None))
-    except ValueError as exc:
-        candidates.append(("naive_bayes", None, str(exc)))
+        ts, unavailable = None, f"training set unavailable: {exc}"
+    fits = (("linear_regression", fit_linear_regression_distance), ("naive_bayes", fit_naive_bayes_distance))
+    for kind, fit in fits:
+        try:
+            candidates.append((kind, None, unavailable) if unavailable else (kind, fit(ts), None))
+        except ValueError as exc:  # numpy's LinAlgError is a ValueError
+            candidates.append((kind, None, str(exc)))
     return candidates
 
 
@@ -352,11 +329,9 @@ def recreate(
     scored.sort(key=lambda item: (item[0], item[1]))
 
     finalists: list[FinalistResult] = []
-    graphs_by_kind: dict[str, tuple[Graph, ...]] = {}
     for index, (_, kind, spec) in enumerate(scored[: config.finalists]):
         graphs, runs = zip(*(one_run(spec, 3, index, run) for run in range(config.runs)))
-        finalists.append(FinalistResult(kind=kind, runs=runs))
-        graphs_by_kind[kind] = graphs
+        finalists.append(FinalistResult(kind=kind, runs=runs, graphs=graphs))
 
     winner = min(finalists, key=lambda f: (f.mean_statistic, f.kind))
     return RecreationReport(
@@ -364,7 +339,6 @@ def recreate(
         candidates=tuple(outcomes),
         finalists=tuple(finalists),
         winner=winner.kind,
-        master_seed=config.seed,
         config=config,
-        winner_graphs=graphs_by_kind[winner.kind],
+        winner_graphs=winner.graphs,
     )

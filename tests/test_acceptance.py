@@ -123,9 +123,9 @@ def test_criterion_3_random_kind_recreates_er():
             pr.DistanceContext(50, centralities=src_profile), pr.RandomDistance(), degrees, seed=1000 + s
         )
         rec = pr.compare_networks(src, g)
-        p_d.append(rec.ks_degree.p_value)
-        p_b.append(rec.ks_betweenness.p_value)
-        p_c.append(rec.ks_closeness.p_value)
+        p_d.append(rec.ks["degree"].p_value)
+        p_b.append(rec.ks["betweenness"].p_value)
+        p_c.append(rec.ks["closeness"].p_value)
         rhos.append(rec.profile_b.density)
         lengths.append(rec.profile_b.avg_path_length)
     med = (float(np.median(p_d)), float(np.median(p_b)), float(np.median(p_c)))

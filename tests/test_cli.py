@@ -19,7 +19,7 @@ from priorityrank.distance import (
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
-from priorityrank.graph import Graph, load_attributes, load_edge_list
+from priorityrank.graph import Graph, load_attributes, load_edge_list, save_edge_list
 from priorityrank.recreate import RecreateConfig, generate_synthetic_attributes, recreate
 from priorityrank.stats import RngStream
 
@@ -72,6 +72,30 @@ def test_compare_graph_with_itself(tmp_path, capsys):
     for key in ("degree", "betweenness", "closeness"):
         assert doc[key]["p_value"] == 1.0
         assert doc[key]["pass"] is True
+
+
+def test_compare_matches_golden_file(tmp_path, capsys):
+    paths = []
+    for name, g in (
+        ("er.tsv", generate_mod.gen_erdos_renyi(40, 0.1, seed=3)),
+        ("ba.tsv", generate_mod.gen_barabasi_albert(40, 2, seed=3)),
+    ):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(save_edge_list(g), encoding="utf-8")
+    golden = (Path(__file__).parent / "data" / "compare_er_ba.json").read_text(encoding="utf-8")
+    code, stdout, _ = run(capsys, "compare", "--a", str(paths[0]), "--b", str(paths[1]))
+    assert code == 0
+    assert stdout == golden
+    # at alpha 0.01 closeness (p = 0.043) passes while degree (p = 0.005) still fails
+    flipped = golden.replace('"alpha": 0.05', '"alpha": 0.01').replace(
+        '"p_value": 0.04313491121487036,\n    "pass": false',
+        '"p_value": 0.04313491121487036,\n    "pass": true',
+    )
+    assert flipped.count('"pass": true') == 1
+    out = tmp_path / "compare.json"
+    argv = ["compare", "--a", str(paths[0]), "--b", str(paths[1]), "--alpha", "0.01", "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_text(encoding="utf-8") == flipped
 
 
 def test_missing_input_is_data_error(capsys):

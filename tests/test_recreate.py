@@ -13,6 +13,7 @@ from priorityrank.generate import gen_erdos_renyi
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list
 from priorityrank.metrics import degree_centrality
 from priorityrank.recreate import (
+    KS_KINDS,
     RecreateConfig,
     compare_networks,
     generate_synthetic_attributes,
@@ -52,17 +53,20 @@ def test_synthetic_exponential_mean():
 def test_compare_network_with_itself():
     g = gen_erdos_renyi(30, 0.3, seed=1)
     rec = compare_networks(g, g)
-    for ks in (rec.ks_degree, rec.ks_betweenness, rec.ks_closeness):
-        assert ks.statistic == 0.0
-        assert ks.p_value == 1.0
+    assert list(rec.ks) == list(KS_KINDS)
+    for kind in KS_KINDS:
+        assert rec.ks[kind].statistic == 0.0
+        assert rec.ks[kind].p_value == 1.0
     assert all(rec.passes().values())
+    again = compare_networks(g, g)
+    assert rec == again and hash(rec) == hash(again)
 
 
 def test_compare_path_vs_complete_rejects_degree():
     path = Graph(10, [(i, i + 1) for i in range(9)])
     complete = Graph(10, [(i, j) for i in range(10) for j in range(10) if i != j])
     rec = compare_networks(path, complete)
-    assert rec.ks_degree.p_value < 0.05
+    assert rec.ks["degree"].p_value < 0.05
     assert not rec.passes()["degree"]
 
 
