@@ -16,8 +16,6 @@ from .distance import (
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
-    make_age_sex_distance,
-    make_hierarchical_mix_distance,
     spec_from_json_dict,
 )
 from .generate import (

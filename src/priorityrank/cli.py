@@ -200,9 +200,7 @@ def _distance_spec_from_args(args):
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"bad distance spec JSON: {exc}") from exc
         return spec_from_json_dict(doc)
-    if args.distance == "random":
-        return dist_mod.RandomDistance()
-    return dist_mod.CentralityDistance(centrality=args.distance)
+    return spec_from_json_dict({"kind": args.distance})
 
 
 def _dump_rankings(path: str, spec, ctx) -> None:

@@ -311,13 +311,6 @@ class AggregateDistance(DistanceFunction):
         return total
 
 
-def make_age_sex_distance() -> AggregateDistance:
-    """Social-affinity distance: |age_i - age_j| plus a 10-year penalty when
-    the sex labels differ.  Expects an ``age`` numeric column and a ``sex``
-    categorical column."""
-    return AggregateDistance(weights=(("age", 1.0), ("sex", 10.0)))
-
-
 @dataclass(frozen=True)
 class HierarchicalMixDistance(DistanceFunction):
     """alpha * euclidean + (1 - alpha) * |class rank difference|."""
@@ -355,28 +348,6 @@ class HierarchicalMixDistance(DistanceFunction):
         hier *= 1.0 - self.alpha
         sq += hier
         return sq
-
-
-def make_hierarchical_mix_distance(
-    alpha: float, class_map, euclid_attrs=()
-) -> HierarchicalMixDistance:
-    """Build the blend from a vertex -> integer class rank mapping."""
-    if isinstance(class_map, Mapping):
-        if not class_map:
-            raise ValueError("class map is empty")
-        n = max(class_map) + 1
-        ranks = []
-        for v in range(n):
-            if v not in class_map:
-                raise ValueError(f"vertex {v} is unmapped in the class map")
-            ranks.append(int(class_map[v]))
-    else:
-        ranks = [int(r) for r in class_map]
-    return HierarchicalMixDistance(
-        alpha=float(alpha),
-        class_ranks=tuple(ranks),
-        euclid_attrs=tuple(euclid_attrs),
-    )
 
 
 @dataclass(frozen=True)
@@ -438,10 +409,6 @@ class TrainingSet:
     features: np.ndarray
     labels: np.ndarray
     encoder: FeatureEncoder
-
-    @property
-    def pair_binary_mask(self) -> np.ndarray:
-        return np.tile(self.encoder.binary_mask, 2)
 
 
 def _check_negative_ratio(negative_ratio: float) -> None:
@@ -696,7 +663,7 @@ class NaiveBayesDistance(DistanceFunction):
             return (np.maximum(-low, high) < 700) & ((delta - 2 * err) * rho > 2.0001 * _ROW_ERROR * _UNIT)
 
 
-def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> NaiveBayesDistance:
+def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
     """Class-conditional Gaussian/Bernoulli fit; class order is (edge, no edge)."""
     if ts.features.shape[0] < 2:
         raise ValueError("training set needs at least 2 rows")
@@ -722,9 +689,8 @@ def fit_naive_bayes_distance(ts: TrainingSet, eps: float = DEFAULT_EPS) -> Naive
         means=tuple(tuple(float(v) for v in row) for row in means),
         variances=tuple(tuple(float(v) for v in row) for row in variances),
         bernoulli=tuple(tuple(float(v) for v in row) for row in bernoulli),
-        binary_mask=tuple(bool(b) for b in ts.pair_binary_mask),
+        binary_mask=tuple(bool(b) for b in np.tile(ts.encoder.binary_mask, 2)),
         encoder=ts.encoder,
-        eps=eps,
     )
 
 

@@ -292,7 +292,11 @@ def gen_forest_fire(n: int, p_burn: float, ambassadors: int = 1, seed: int = 0) 
     return Graph(n, arcs)
 
 
-def gen_dorogovtsev_goltsev_mendes(steps: int, max_vertices: int = 2_000_000) -> Graph:
+# The most vertices a DGM graph may have, checked before it is built.
+_DGM_MAX_VERTICES = 2_000_000
+
+
+def gen_dorogovtsev_goltsev_mendes(steps: int) -> Graph:
     """Deterministic pseudo-fractal: start from one symmetric edge; each step
     attaches a new vertex to both ends of every existing undirected edge.
     Counts follow V_{t+1} = V_t + E_t and E_{t+1} = 3 E_t."""
@@ -302,9 +306,9 @@ def gen_dorogovtsev_goltsev_mendes(steps: int, max_vertices: int = 2_000_000) ->
     for _ in range(steps):
         v_count += e_count
         e_count *= 3
-    if v_count > max_vertices:
+    if v_count > _DGM_MAX_VERTICES:
         raise ValueError(
-            f"{steps} steps would create {v_count} vertices, over the {max_vertices} budget"
+            f"{steps} steps would create {v_count} vertices, over the {_DGM_MAX_VERTICES} budget"
         )
     edges: list[tuple[int, int]] = [(0, 1)]
     n = 2

@@ -65,6 +65,11 @@ def _check_cells(cells: int, what: str) -> None:
         raise ValueError(f"{what} need {cells:,} cells, over the budget of {_CELL_BUDGET:,}")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Graph:
     """Immutable simple directed graph on vertices ``0..n-1``, built from any
     iterable of ``(src, dst)`` pairs or an ``(m, 2)`` integer array.  It
@@ -107,9 +112,8 @@ class Graph:
         fresh[1:] = codes[1:] != codes[:-1]
         if not fresh.all():
             codes = codes[fresh]
-        codes.flags.writeable = False
         self.n = n
-        self.codes = codes
+        self.codes = _frozen(codes)
 
     @property
     def arc_count(self) -> int:
@@ -118,26 +122,26 @@ class Graph:
     @cached_property
     def arc_array(self) -> np.ndarray:
         """Sorted arcs as an (m, 2) int array; shape (0, 2) when empty."""
-        return np.stack(np.divmod(self.codes, max(self.n, 1)), axis=1)
+        return _frozen(np.stack(np.divmod(self.codes, max(self.n, 1)), axis=1))
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.arc_array[:, 0], minlength=self.n)
+        return _frozen(np.bincount(self.arc_array[:, 0], minlength=self.n))
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.arc_array[:, 1], minlength=self.n)
+        return _frozen(np.bincount(self.arc_array[:, 1], minlength=self.n))
 
     @cached_property
     def total_degrees(self) -> np.ndarray:
-        return self.out_degrees + self.in_degrees
+        return _frozen(self.out_degrees + self.in_degrees)
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Out-arcs in CSR form (starts, degrees, heads): the heads of v's
         arcs are ``heads[starts[v]:starts[v] + degrees[v]]``, in id order."""
         degrees = self.out_degrees
-        return np.cumsum(degrees) - degrees, degrees, self.arc_array[:, 1]
+        return _frozen(np.cumsum(degrees) - degrees), degrees, self.arc_array[:, 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -325,10 +329,9 @@ class AttributeColumn:
             array = np.array(values, dtype=np.float64)
             if not np.isfinite(array).all():
                 raise ValueError(f"non-finite value in numeric column {self.name!r}")
-        array.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "array", _frozen(array))
 
     @property
     def is_numeric(self) -> bool:

@@ -33,8 +33,7 @@ Count-mode betweenness is exact.  Path counts are integers, and float64
 sums of integers are exact below 2**53, so the result does not depend on
 how the sources are chunked.  A chunk whose betweenness reaches 2**53 is
 redone with Python integers, and the running betweenness switches to them
-too.  Fractional betweenness is a float sum in scatter order; it may differ
-in its last bits from versions that summed in another order.
+too.  Fractional betweenness is a float sum in scatter order.
 
 ``network_profile`` returns a lazy view that holds every measure in its
 default mode: each field is computed on first read, at most once, so a

@@ -51,10 +51,6 @@ along the packed order, which puts tied targets by id, and must then be
 non-decreasing; a row that is not is argsorted by a stable sort, which
 puts tied targets by id too.  So every row held in full lists its targets
 as a stable argsort does, tied targets by id.
-
-Seeded priority-rank graphs changed when the keys replaced a draw-by-draw
-``cumsum`` walk, again for the kinds that ``sample_shared`` serves, and
-again when tie-free per-source rows moved to it.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ class KsResult:
 
     statistic: float
     p_value: float
-    n: int
-    m: int
 
 
 def ks_two_sample(a, b) -> KsResult:
@@ -47,10 +45,10 @@ def ks_two_sample(a, b) -> KsResult:
     cdf_b = np.searchsorted(b_sorted, pooled, side="right") / m
     statistic = float(np.max(np.abs(cdf_a - cdf_b)))
     if statistic == 0.0:
-        return KsResult(0.0, 1.0, n, m)
+        return KsResult(0.0, 1.0)
     n_eff = n * m / (n + m)
     lam = (math.sqrt(n_eff) + 0.12 + 0.11 / math.sqrt(n_eff)) * statistic
-    return KsResult(statistic, kolmogorov_q(lam), n, m)
+    return KsResult(statistic, kolmogorov_q(lam))
 
 
 def kolmogorov_q(lam: float) -> float:

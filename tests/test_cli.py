@@ -231,6 +231,19 @@ def test_long_inline_distance_spec_is_read_as_json(tmp_path, capsys):
     assert load_edge_list(out.read_text()).arc_count == 10
 
 
+@pytest.mark.parametrize("kind", cli.DEFAULT_DISTANCES)
+def test_distance_choice_is_the_spec_of_its_kind(kind):
+    args = cli._build_parser().parse_args(
+        ["generate", "--model", "priority-rank", "--out", "g.tsv", "--distance", kind]
+    )
+    spec = cli._distance_spec_from_args(args)
+    assert spec == spec_from_json_dict({"kind": kind})
+    assert spec.kind == kind
+    if kind in metrics.CENTRALITY_KINDS:
+        assert spec == CentralityDistance(centrality=kind)
+        assert CentralityDistance(centrality=kind).kind == kind
+
+
 def test_seed_is_printed_when_absent(tmp_path, capsys):
     out = tmp_path / "g.tsv"
     code, _, err = run(capsys, "generate", "--model", "er", "--n", "10", "--p", "0.2", "--out", str(out))

@@ -25,8 +25,6 @@ from priorityrank.distance import (
     build_training_set,
     fit_linear_regression_distance,
     fit_naive_bayes_distance,
-    make_age_sex_distance,
-    make_hierarchical_mix_distance,
     spec_from_json_dict,
 )
 from priorityrank.generate import gen_barabasi_albert
@@ -49,9 +47,12 @@ def people_table():
 
 ALICE, BOB, CECIL, DIANE, EVE = range(5)
 
+# |age_i - age_j| plus a 10-year penalty when the sex labels differ
+AGE_SEX = AggregateDistance(weights=(("age", 1.0), ("sex", 10.0)))
+
 
 def test_age_sex_distance_reproduces_social_example():
-    spec = make_age_sex_distance()
+    spec = AGE_SEX
     ctx = DistanceContext(attrs=people_table())
     assert evaluate(spec, ctx, ALICE, EVE) == 5.0
     assert evaluate(spec, ctx, ALICE, BOB) == 20.0
@@ -67,14 +68,14 @@ def test_age_sex_distance_identical_rows():
             AttributeColumn("sex", "categorical", ("x", "x")),
         ]
     )
-    spec = make_age_sex_distance()
+    spec = AGE_SEX
     assert evaluate(spec, DistanceContext(attrs=table), 0, 1) == 0.0
 
 
 def test_missing_column_raises():
     table = AttributeTable([AttributeColumn("height", "continuous", (1.0, 2.0))])
     with pytest.raises(ValueError, match="no attribute named"):
-        evaluate(make_age_sex_distance(), DistanceContext(attrs=table), 0, 1)
+        evaluate(AGE_SEX, DistanceContext(attrs=table), 0, 1)
 
 
 def test_degree_distance_value():
@@ -225,14 +226,12 @@ def test_aggregate_weights_must_be_finite_and_non_negative(recwarn, weight):
 def test_hierarchical_mix():
     table = AttributeTable([AttributeColumn("x", "continuous", (0.0, 4.0, 8.0))])
     ctx = DistanceContext(attrs=table)
-    pure_euclid = make_hierarchical_mix_distance(1.0, [0, 1, 2], ("x",))
+    pure_euclid = HierarchicalMixDistance(1.0, (0, 1, 2), ("x",))
     assert evaluate(pure_euclid, ctx, 0, 1) == 4.0
-    same_class = make_hierarchical_mix_distance(0.0, [1, 1, 2], ())
+    same_class = HierarchicalMixDistance(0.0, (1, 1, 2), ())
     assert evaluate(same_class, ctx, 0, 1) == 0.0
-    blend = make_hierarchical_mix_distance(0.5, [0, 1, 2], ("x",))
+    blend = HierarchicalMixDistance(0.5, (0, 1, 2), ("x",))
     assert evaluate(blend, ctx, 0, 2) == pytest.approx(0.5 * 8.0 + 0.5 * 2.0)
-    with pytest.raises(ValueError, match="unmapped"):
-        make_hierarchical_mix_distance(0.5, {0: 0, 2: 1}, ("x",))
     short = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1), euclid_attrs=())
     with pytest.raises(ValueError, match="unmapped"):
         evaluate(short, ctx, 0, 1)
@@ -240,7 +239,7 @@ def test_hierarchical_mix():
     with pytest.raises(ValueError, match=r"^class map has 5 ranks for 3 vertices$"):
         evaluate(long, ctx, 0, 1)
     with pytest.raises(ValueError, match=r"^hierarchical mix with alpha > 0 needs euclidean attributes$"):
-        evaluate(make_hierarchical_mix_distance(0.5, [0, 1, 2]), ctx, 0, 1)
+        evaluate(HierarchicalMixDistance(0.5, (0, 1, 2)), ctx, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -249,9 +248,8 @@ def test_hierarchical_mix():
         (lambda: CentralityDistance(centrality="eigen"), "unknown centrality 'eigen'"),
         (lambda: AggregateDistance(weights=()), "aggregate distance needs at least one attribute weight"),
         (lambda: HierarchicalMixDistance(1.5, (0, 1)), "alpha must be in [0, 1], got 1.5"),
-        (lambda: make_hierarchical_mix_distance(0.5, {}), "class map is empty"),
     ],
-    ids=["centrality", "aggregate", "hierarchical_alpha", "hierarchical_map"],
+    ids=["centrality", "aggregate", "hierarchical_alpha"],
 )
 def test_specs_reject_bad_parameters(make, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -704,7 +702,7 @@ def test_every_kind_stays_finite_nonnegative():
         Euclidean2D(attr1="x", attr2="y"),
         CosineDistance(attrs=("x", "y")),
         AggregateDistance(weights=(("x", 1.0), ("lab", 2.0))),
-        make_hierarchical_mix_distance(0.5, list(range(n)), ("x",)),
+        HierarchicalMixDistance(0.5, tuple(range(n)), ("x",)),
         linear,
         fit_naive_bayes_distance(ts),
     ]
@@ -756,8 +754,8 @@ def catalog(n, gen):
         Euclidean2D(attr1="x", attr2="y"),
         CosineDistance(attrs=("x", "y")),
         AggregateDistance(weights=(("x", 1.0), ("lab", 2.0), ("y", 0.5))),
-        make_hierarchical_mix_distance(0.0, classes),
-        make_hierarchical_mix_distance(0.5, classes, ("x", "y")),
+        HierarchicalMixDistance(0.0, tuple(classes)),
+        HierarchicalMixDistance(0.5, tuple(classes), ("x", "y")),
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
@@ -992,8 +990,8 @@ def test_spec_json_round_trip():
         CosineDistance(attrs=("x",)),
         CosineDistance(),
         AggregateDistance(weights=(("x", 1.5), ("lab", 2.0))),
-        make_hierarchical_mix_distance(0.25, list(range(n)), ("x",)),
-        make_hierarchical_mix_distance(0.0, list(range(n))),
+        HierarchicalMixDistance(0.25, tuple(range(n)), ("x",)),
+        HierarchicalMixDistance(0.0, tuple(range(n))),
         linear,
         fit_naive_bayes_distance(ts),
     ]

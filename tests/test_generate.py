@@ -354,8 +354,9 @@ def test_dgm_counts():
         g = gen_dorogovtsev_goltsev_mendes(steps)
         assert g.n == expected_v[steps]
         assert g.arc_count == 2 * expected_e[steps]
-    with pytest.raises(ValueError, match="budget"):
-        gen_dorogovtsev_goltsev_mendes(20, max_vertices=10_000)
+    # checked before the graph is built
+    with pytest.raises(ValueError, match=r"^14 steps would create 2391486 vertices, over the 2000000 budget$"):
+        gen_dorogovtsev_goltsev_mendes(14)
 
 
 def test_disassortative_reaches_threshold():

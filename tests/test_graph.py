@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from priorityrank import graph as graph_mod
+from priorityrank.metrics import network_profile
 from priorityrank.graph import (
     AttributeColumn,
     AttributeTable,
@@ -149,6 +150,20 @@ def test_graph_codes_match_a_set_oracle_on_shuffled_repeats():
         assert codes.dtype == np.int64 and not codes.flags.writeable
         assert codes.tolist() == expected
     assert Graph(4, arcs[:0]).codes.dtype == Graph(4).codes.dtype == np.int64
+
+
+def test_graph_arrays_are_read_only():
+    # a graph is shared, so a write to one of its arrays would change every
+    # measure read after it
+    g = Graph(3, [(0, 1), (0, 2)])
+    for array in (g.codes, g.arc_array, g.out_degrees, g.in_degrees, g.total_degrees, *g.csr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    assert network_profile(g).to_json_dict() == network_profile(Graph(3, [(0, 1), (0, 2)])).to_json_dict()
+    assert network_profile(g).degree.tolist() == [2.0, 1.0, 1.0]
+    copied = out_degree_sequence(g)
+    copied[0] = 7
+    assert g.out_degrees.tolist() == [2, 0, 0]
 
 
 def test_graph_names_the_first_bad_arc_in_input_order():

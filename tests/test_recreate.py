@@ -343,3 +343,14 @@ def test_recreate_report_matches_golden_file(tmp_path, workers):
     assert cli.main(argv + ["--workers", workers, "--report", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "recreate_er20.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        exec(code, scope)
+    assert scope["report"].winner == "random"
+    assert scope["g"].n == 50
