@@ -35,7 +35,6 @@ from .graph import (
     GraphFormatError,
     load_attributes,
     load_edge_list,
-    out_degree_sequence,
     save_attributes,
     save_edge_list,
     symmetrize,
@@ -45,7 +44,6 @@ from .metrics import (
     NetworkProfile,
     assortativity,
     betweenness_centrality,
-    degree_centrality,
     density,
     freeman_centralization,
     network_profile,
@@ -66,7 +64,6 @@ from .stats import (
     KsResult,
     RngStream,
     harmonic,
-    harmonic_euler,
     ks_two_sample,
 )
 

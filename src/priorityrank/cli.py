@@ -33,7 +33,6 @@ from .graph import (
     GraphFormatError,
     load_attributes,
     load_edge_list,
-    out_degree_sequence,
     save_attributes,
     save_edge_list,
     symmetrize,
@@ -180,7 +179,6 @@ def _build_parser() -> _Parser:
     rec.add_argument("--report", help="report JSON path (default stdout)")
     rec.add_argument("--emit-best", help="directory for the winner's edge lists")
     rec.add_argument("--negative-ratio", type=float, default=1.0)
-    rec.add_argument("--alpha", type=float, default=0.05)
     rec.add_argument("--symmetrize", action="store_true")
     return parser
 
@@ -243,7 +241,7 @@ def _cmd_generate(args) -> int:
         if attrs is None and spec.requires_attributes:
             attrs = generate_synthetic_attributes(args.n, RngStream(seed).child(9).spawn_seed())
         if args.degrees_from:
-            degrees = DegreeSpec.resample(out_degree_sequence(_load_graph(args.degrees_from)))
+            degrees = DegreeSpec.resample(_load_graph(args.degrees_from).out_degrees)
         elif args.k is not None:
             degrees = DegreeSpec.constant(args.k)
         else:
@@ -316,7 +314,6 @@ def _cmd_recreate(args) -> int:
             pilot_runs=args.pilot,
             seed=seed,
             negative_ratio=args.negative_ratio,
-            alpha=args.alpha,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -40,24 +40,32 @@ class DegreeSpec:
     k: int | None = None
     histogram: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.mode == "constant":
+            k = _whole(self.k, "constant out-degree")
+            if k < 1:
+                raise ValueError(f"constant out-degree must be >= 1, got {k}")
+            object.__setattr__(self, "k", k)
+        elif self.mode == "resample":
+            if isinstance(self.histogram, np.ndarray) and self.histogram.dtype.kind in "iu":
+                histogram = tuple(self.histogram.tolist())
+            else:
+                histogram = tuple(_whole(d, "out-degree") for d in self.histogram)
+            if not histogram:
+                raise ValueError("resample spec needs a non-empty out-degree sequence")
+            if any(d < 0 for d in histogram):
+                raise ValueError("out-degree sequence must be non-negative")
+            object.__setattr__(self, "histogram", histogram)
+        else:
+            raise ValueError(f"unknown degree mode {self.mode!r}")
+
     @classmethod
     def constant(cls, k: int) -> "DegreeSpec":
-        k = _whole(k, "constant out-degree")
-        if k < 1:
-            raise ValueError(f"constant out-degree must be >= 1, got {k}")
         return cls(mode="constant", k=k)
 
     @classmethod
     def resample(cls, out_degrees) -> "DegreeSpec":
-        if isinstance(out_degrees, np.ndarray) and out_degrees.dtype.kind in "iu":
-            histogram = tuple(out_degrees.tolist())
-        else:
-            histogram = tuple(_whole(d, "out-degree") for d in out_degrees)
-        if not histogram:
-            raise ValueError("resample spec needs a non-empty out-degree sequence")
-        if any(d < 0 for d in histogram):
-            raise ValueError("out-degree sequence must be non-negative")
-        return cls(mode="resample", histogram=histogram)
+        return cls(mode="resample", histogram=out_degrees)
 
     def draws(self, n: int, rng: RngStream) -> np.ndarray:
         if self.mode == "constant":

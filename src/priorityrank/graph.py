@@ -496,8 +496,3 @@ def save_attributes(table: AttributeTable) -> str:
 def symmetrize(g: Graph) -> Graph:
     """Add the reverse of every arc; idempotent."""
     return Graph(g.n, np.vstack([g.arc_array, g.arc_array[:, ::-1]]))
-
-
-def out_degree_sequence(g: Graph) -> np.ndarray:
-    """Out-degree of every vertex, in vertex order."""
-    return g.out_degrees.copy()

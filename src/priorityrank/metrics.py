@@ -40,8 +40,8 @@ default mode: each field is computed on first read, at most once, so a
 caller pays only for what it reads (``recreate`` scores a generated graph
 without its pagerank, transitivity or assortativity).  A module function
 stays beside it only for a mode or knob that the profile lacks: fractional
-betweenness, in- and out-degree, pagerank's damping, tolerance and iteration
-limit.
+betweenness, pagerank's damping, tolerance and iteration limit.  In- and
+out-degree are the graph's own ``in_degrees`` and ``out_degrees``.
 """
 
 from __future__ import annotations
@@ -179,16 +179,6 @@ def _add_counts(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     if summed.dtype == object or not _exact(summed):
         summed = np.array([int(a) + int(b) for a, b in zip(total, part)], dtype=object)
     return summed
-
-
-def degree_centrality(g: Graph, direction: str = "total") -> np.ndarray:
-    if direction == "in":
-        return g.in_degrees.astype(np.float64)
-    if direction == "out":
-        return g.out_degrees.astype(np.float64)
-    if direction == "total":
-        return g.total_degrees.astype(np.float64)
-    raise ValueError(f"unknown degree direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -410,8 +400,8 @@ class NetworkProfile(Mapping):
     betweenness = property(lambda self: self._sweep.betweenness)
     closeness = property(lambda self: self._sweep.closeness)
     closeness_farness = property(lambda self: self._sweep.farness)
+    degree = cached_property(lambda self: self.graph.total_degrees.astype(np.float64))
     # each lambda below calls the module-level function, not the field
-    degree = cached_property(lambda self: degree_centrality(self.graph, "total"))
     pagerank = cached_property(lambda self: pagerank_centrality(self.graph))
     density = cached_property(lambda self: density(self.graph))
     reciprocity = cached_property(lambda self: reciprocity(self.graph))

@@ -6,7 +6,7 @@ Protocol: synthesize vertex attributes when none are given; build every
 applicable catalog distance (fitting the learned kinds on the source
 adjacency); run a short pilot per candidate scored by the mean two-sample
 K-S statistic over the ``KS_KINDS`` vectors; advance the best
-``config.finalists`` to full ``config.runs``-run aggregation with
+``_FINALISTS`` to full ``config.runs``-run aggregation with
 out-degrees resampled from the source; pick the winner with the smallest
 mean combined statistic.
 """
@@ -34,7 +34,7 @@ from .distance import (
     fit_naive_bayes_distance,
 )
 from .generate import DegreeSpec, priority_rank_generate
-from .graph import AttributeColumn, AttributeTable, Graph, out_degree_sequence
+from .graph import AttributeColumn, AttributeTable, Graph
 from .metrics import NetworkProfile, network_profile
 from .stats import KsResult, RngStream, _whole, ks_two_sample
 
@@ -65,6 +65,8 @@ def generate_synthetic_attributes(n: int, seed: int) -> AttributeTable:
 
 # the centrality vectors whose two-sample K-S tests score a comparison
 KS_KINDS = ("degree", "betweenness", "closeness")
+# how many of the best pilot candidates go on to full aggregation
+_FINALISTS = 3
 
 
 @dataclass(frozen=True)
@@ -120,18 +122,15 @@ def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRec
 class RecreateConfig:
     runs: int = 20
     pilot_runs: int = 3
-    finalists: int = 3
     seed: int = 0
     negative_ratio: float = 1.0
-    alpha: float = 0.05
 
     def __post_init__(self):
-        for name in ("runs", "pilot_runs", "finalists"):
+        for name in ("runs", "pilot_runs"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_negative_ratio(self.negative_ratio)
-        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class RunRecord:
         ks = _ks_statistics(source, profile)
         return cls(
             seed=seed,
-            statistic_mean=sum(r.statistic for r in ks.values()) / 3.0,
+            statistic_mean=sum(r.statistic for r in ks.values()) / len(KS_KINDS),
             p_degree=ks["degree"].p_value,
             p_betweenness=ks["betweenness"].p_value,
             p_closeness=ks["closeness"].p_value,
@@ -294,7 +293,7 @@ def recreate(
     source_profile = network_profile(g)
     # one context for every run: it checks the table, and each learned kind encodes once
     ctx = DistanceContext(g.n, attrs, source_profile)
-    degrees = DegreeSpec.resample(out_degree_sequence(g))
+    degrees = DegreeSpec.resample(g.out_degrees)
     candidates = _candidate_specs(g, attrs, config.negative_ratio, master.child(1))
 
     used_seeds: set[int] = set()
@@ -329,7 +328,7 @@ def recreate(
     scored.sort(key=lambda item: (item[0], item[1]))
 
     finalists: list[FinalistResult] = []
-    for index, (_, kind, spec) in enumerate(scored[: config.finalists]):
+    for index, (_, kind, spec) in enumerate(scored[:_FINALISTS]):
         graphs, runs = zip(*(one_run(spec, 3, index, run) for run in range(config.runs)))
         finalists.append(FinalistResult(kind=kind, runs=runs, graphs=graphs))
 

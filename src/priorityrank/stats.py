@@ -8,10 +8,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Euler-Mascheroni constant, 5-decimal truncation used by the closed-form
-# harmonic approximation.
-EULER_MASCHERONI = 0.57722
-
 _SERIES_CUTOFF = 1e-12
 
 
@@ -85,14 +81,6 @@ def harmonic(n: int) -> float:
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
     return math.fsum(1.0 / k for k in range(1, n + 1))
-
-
-def harmonic_euler(n: int) -> float:
-    """Closed-form approximation H_n ~ ln(n) + 1/(2n) + gamma."""
-    n = _whole(n, "harmonic number n")
-    if n < 1:
-        raise ValueError(f"harmonic number needs n >= 1, got {n}")
-    return math.log(n) + 1.0 / (2.0 * n) + EULER_MASCHERONI
 
 
 @dataclass(frozen=True)

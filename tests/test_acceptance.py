@@ -10,7 +10,7 @@ import pytest
 import priorityrank as pr
 from priorityrank.cli import main as cli_main
 from priorityrank.generate import DegreeSpec
-from priorityrank.graph import AttributeColumn, AttributeTable, out_degree_sequence
+from priorityrank.graph import AttributeColumn, AttributeTable
 from priorityrank.metrics import betweenness_centrality
 from priorityrank.ranking import sample_shared
 from priorityrank.stats import ks_two_sample
@@ -116,7 +116,7 @@ def test_criterion_2_pmf_law():
 def test_criterion_3_random_kind_recreates_er():
     src = pr.gen_erdos_renyi(50, 0.4, seed=11)
     src_profile = pr.network_profile(src)
-    degrees = DegreeSpec.resample(out_degree_sequence(src))
+    degrees = DegreeSpec.resample(src.out_degrees)
     p_d, p_b, p_c, rhos, lengths = [], [], [], [], []
     for s in range(20):
         g = pr.priority_rank_generate(

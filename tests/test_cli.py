@@ -591,9 +591,9 @@ def test_recreate_reads_its_attribute_table(tmp_path, capsys):
         ("--pilot", "0"),
         ("--negative-ratio", "0"),
         ("--negative-ratio", "-1.5"),
-        ("--alpha", "2"),
-        ("--alpha", "0"),
         ("--seed", "-1"),
+        # alpha sets compare's pass flags; no recreate decision reads one
+        ("--alpha", "0.1"),
     ],
 )
 def test_recreate_rejects_bad_settings_up_front(tmp_path, capsys, flag, value):
@@ -664,8 +664,9 @@ def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit):
         main(["recreate", "--help"])
     text = capsys.readouterr().out
-    for flag in ("--runs", "--pilot", "--report", "--emit-best", "--negative-ratio", "--alpha", "--symmetrize"):
+    for flag in ("--runs", "--pilot", "--report", "--emit-best", "--negative-ratio", "--symmetrize"):
         assert flag in text
+    assert "--alpha" not in text
 
 
 def test_workers_env_default(tmp_path, capsys, monkeypatch):

@@ -33,8 +33,8 @@ from priorityrank.generate import (
     gen_watts_strogatz,
     priority_rank_generate,
 )
-from priorityrank.graph import AttributeColumn, AttributeTable, Graph, out_degree_sequence, save_edge_list, symmetrize
-from priorityrank.metrics import CENTRALITY_KINDS, assortativity, degree_centrality, network_profile, transitivity
+from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list, symmetrize
+from priorityrank.metrics import CENTRALITY_KINDS, assortativity, network_profile, transitivity
 from priorityrank.ranking import sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
@@ -83,7 +83,7 @@ def fitted(kind, n):
 def learned_case(n):
     """A naive-Bayes distance fitted on an ER graph, with its out-degrees."""
     spec, attrs, g = fitted("naive_bayes", n)
-    return attrs, spec, DegreeSpec.resample(out_degree_sequence(g)), None
+    return attrs, spec, DegreeSpec.resample(g.out_degrees), None
 
 
 def test_priority_rank_two_vertices():
@@ -136,7 +136,7 @@ def test_degree_kind_reads_its_reference_without_a_sweep_or_pagerank(bfs_calls, 
     g = priority_rank_generate(DistanceContext(200, centralities=profile), spec, DegreeSpec.constant(4), seed=3)
     assert bfs_calls == []
     assert profile_calls["pagerank_centrality"] == []
-    cents = {"degree": degree_centrality(src, "total")}
+    cents = {"degree": src.total_degrees.astype(np.float64)}
     assert g == priority_rank_generate(DistanceContext(200, centralities=cents), spec, DegreeSpec.constant(4), seed=3)
 
 
@@ -171,6 +171,23 @@ def test_degree_spec_resample_clamps_with_warning():
         DegreeSpec.constant(5).draws(4, RngStream(0))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"mode": "constant", "k": 0}, "constant out-degree must be >= 1, got 0"),
+        ({"mode": "constant", "k": -3}, "constant out-degree must be >= 1, got -3"),
+        ({"mode": "constant", "k": 2.5}, "constant out-degree must be a whole number, got 2.5"),
+        ({"mode": "resample", "histogram": (-2, 3)}, "out-degree sequence must be non-negative"),
+        ({"mode": "bogus", "k": 3}, "unknown degree mode 'bogus'"),
+    ],
+    ids=["k-zero", "k-negative", "k-fractional", "negative-histogram", "unknown-mode"],
+)
+def test_degree_spec_constructor_makes_the_factory_checks(fields, message):
+    # the constructor is the one check path: a bad spec never reaches a pass
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        DegreeSpec(**fields)
+
+
 def test_degree_spec_resample_reads_an_integer_array_as_its_ints():
     ints = [0, 3, 1, 3, 2]
     for dtype in (np.int64, np.int32, np.uint8):
@@ -189,12 +206,12 @@ def test_degree_spec_resample_reads_an_integer_array_as_its_ints():
 
 def test_priority_rank_resampled_degrees_follow_source():
     src = gen_erdos_renyi(40, 0.2, seed=9)
-    degrees = DegreeSpec.resample(out_degree_sequence(src))
+    degrees = DegreeSpec.resample(src.out_degrees)
     ctx = DistanceContext(40, centralities=network_profile(src))
     g = priority_rank_generate(ctx, RandomDistance(), degrees, seed=10)
     assert 0 < g.arc_count < 40 * 39
     # generated out-degrees stay inside the source support
-    assert set(g.out_degrees.tolist()) <= set(out_degree_sequence(src).tolist())
+    assert set(g.out_degrees.tolist()) <= set(src.out_degrees.tolist())
 
 
 def test_all_zero_out_degrees_give_an_empty_graph():
@@ -262,7 +279,7 @@ def test_watts_strogatz_rewiring_breaks_regularity():
     for s in range(20):
         g = gen_watts_strogatz(50, 3, 1.0, seed=s)
         assert g.arc_count == 150  # rewiring moves heads, never the count
-        variances.append(float(np.var(degree_centrality(g, "total"))))
+        variances.append(float(np.var(g.total_degrees)))
     assert min(variances) > 0.0
 
 
@@ -321,11 +338,7 @@ def test_barabasi_albert_degree_self_consistency():
     for s in range(20):
         a = gen_barabasi_albert(50, 3, None, seed=2 * s)
         b = gen_barabasi_albert(50, 3, None, seed=2 * s + 1)
-        pvals.append(
-            ks_two_sample(
-                degree_centrality(a, "total"), degree_centrality(b, "total")
-            ).p_value
-        )
+        pvals.append(ks_two_sample(a.total_degrees, b.total_degrees).p_value)
     assert float(np.median(pvals)) > 0.05
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from priorityrank import graph as graph_mod
+from priorityrank.generate import DegreeSpec
 from priorityrank.metrics import network_profile
 from priorityrank.graph import (
     AttributeColumn,
@@ -15,7 +16,6 @@ from priorityrank.graph import (
     GraphFormatError,
     load_attributes,
     load_edge_list,
-    out_degree_sequence,
     save_attributes,
     save_edge_list,
     symmetrize,
@@ -161,9 +161,6 @@ def test_graph_arrays_are_read_only():
             array[0] = 7
     assert network_profile(g).to_json_dict() == network_profile(Graph(3, [(0, 1), (0, 2)])).to_json_dict()
     assert network_profile(g).degree.tolist() == [2.0, 1.0, 1.0]
-    copied = out_degree_sequence(g)
-    copied[0] = 7
-    assert g.out_degrees.tolist() == [2, 0, 0]
 
 
 def test_graph_names_the_first_bad_arc_in_input_order():
@@ -227,11 +224,15 @@ def test_symmetrize_and_idempotence():
 
 
 def test_out_degree_sequence():
+    # a resample spec reads the graph's own read-only out-degrees, no copy
     g = Graph(3, [(0, 1), (0, 2)])
-    assert out_degree_sequence(g).tolist() == [2, 0, 0]
+    assert g.out_degrees.tolist() == [2, 0, 0]
+    assert not g.out_degrees.flags.writeable
+    assert DegreeSpec.resample(g.out_degrees).histogram == (2, 0, 0)
+    assert g.out_degrees.tolist() == [2, 0, 0]
     complete = Graph(4, [(i, j) for i in range(4) for j in range(4) if i != j])
-    assert out_degree_sequence(complete).tolist() == [3, 3, 3, 3]
-    assert out_degree_sequence(Graph(3, [])).tolist() == [0, 0, 0]
+    assert complete.out_degrees.tolist() == [3, 3, 3, 3]
+    assert Graph(3, []).out_degrees.tolist() == [0, 0, 0]
 
 
 def test_out_degree_sum_equals_arc_count():
@@ -243,7 +244,7 @@ def test_out_degree_sum_equals_arc_count():
         }
         arcs = {(i, j) for i, j in arcs if i != j}
         g = Graph(n, arcs)
-        assert int(out_degree_sequence(g).sum()) == g.arc_count
+        assert int(g.out_degrees.sum()) == g.arc_count
 
 
 def test_load_attributes_parses_kinds():

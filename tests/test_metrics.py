@@ -15,7 +15,6 @@ from priorityrank.graph import Graph, save_edge_list, symmetrize
 from priorityrank.metrics import (
     assortativity,
     betweenness_centrality,
-    degree_centrality,
     density,
     freeman_centralization,
     network_profile,
@@ -50,13 +49,14 @@ def star_sym(n):
 
 
 def test_degree_centrality_examples():
-    assert degree_centrality(path3(), "total").tolist() == [1, 2, 1]
-    assert degree_centrality(Graph(2, []), "total").tolist() == [0, 0]
+    assert path3().total_degrees.tolist() == [1, 2, 1]
+    assert Graph(2, []).total_degrees.tolist() == [0, 0]
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    assert degree_centrality(star, "out")[0] == 4
-    assert degree_centrality(star, "in").tolist() == [0, 1, 1, 1, 1]
-    with pytest.raises(ValueError, match=r"^unknown degree direction 'both'$"):
-        degree_centrality(star, "both")
+    assert star.out_degrees.tolist() == [4, 0, 0, 0, 0]
+    assert star.in_degrees.tolist() == [0, 1, 1, 1, 1]
+    # the profile's degree is the total degree as floats
+    degree = network_profile(star).degree
+    assert degree.dtype == np.float64 and degree.tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_betweenness_examples():

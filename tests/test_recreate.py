@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from priorityrank import cli
 from priorityrank.distance import DistanceContext, FeatureEncoder
 from priorityrank.generate import gen_erdos_renyi
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list
-from priorityrank.metrics import degree_centrality
 from priorityrank.recreate import (
     KS_KINDS,
     RecreateConfig,
@@ -75,9 +75,7 @@ def test_er_same_distribution_self_test():
     for s in range(20):
         a = gen_erdos_renyi(50, 0.4, seed=2 * s + 100)
         b = gen_erdos_renyi(50, 0.4, seed=2 * s + 101)
-        pvals.append(
-            ks_two_sample(degree_centrality(a, "total"), degree_centrality(b, "total")).p_value
-        )
+        pvals.append(ks_two_sample(a.total_degrees, b.total_degrees).p_value)
     assert float(np.median(pvals)) > 0.05
 
 
@@ -138,17 +136,11 @@ def test_recreate_reads_one_context_and_encodes_each_learned_kind_once(monkeypat
     [
         ("runs", 0),
         ("pilot_runs", 0),
-        ("finalists", 0),
         ("runs", 2.5),
         ("pilot_runs", math.nan),
-        ("finalists", 1.5),
         ("negative_ratio", 0.0),
         ("negative_ratio", -1.0),
         ("negative_ratio", math.nan),
-        ("alpha", 0.0),
-        ("alpha", 1.0),
-        ("alpha", 2.0),
-        ("alpha", math.nan),
     ],
 )
 def test_recreate_config_rejects_bad_values(field, value):
@@ -160,13 +152,32 @@ def test_recreate_config_reads_whole_counts_as_ints():
     # runs=2.5 would otherwise fail only after every candidate is fitted
     with pytest.raises(ValueError, match=r"^runs must be a whole number, got 2.5$"):
         RecreateConfig(runs=2.5)
-    config = RecreateConfig(runs=4.0, pilot_runs=np.int64(1), finalists=2.0)
-    assert config == RecreateConfig(runs=4, pilot_runs=1, finalists=2)
-    assert all(type(v) is int for v in (config.runs, config.pilot_runs, config.finalists))
+    config = RecreateConfig(runs=4.0, pilot_runs=np.int64(1))
+    assert config == RecreateConfig(runs=4, pilot_runs=1)
+    assert all(type(v) is int for v in (config.runs, config.pilot_runs))
 
 
 def test_recreate_config_accepts_unbounded_negative_ratio():
     assert RecreateConfig(negative_ratio=math.inf).negative_ratio == math.inf
+
+
+def test_every_recreate_config_field_reaches_the_report():
+    # a field that changes only its own echo in the report steers nothing
+    g = gen_erdos_renyi(20, 0.3, seed=3)
+    base = RecreateConfig(runs=2, pilot_runs=1, seed=5)
+    changed = {"runs": 3, "pilot_runs": 2, "seed": 6, "negative_ratio": 3.0}
+    assert set(changed) == {f.name for f in fields(RecreateConfig)}
+
+    def outcome(config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc = recreate(g, None, config).to_json_dict()
+        del doc["config"], doc["master_seed"]
+        return doc
+
+    before = outcome(base)
+    for name, value in changed.items():
+        assert outcome(replace(base, **{name: value})) != before, name
 
 
 def test_recreate_report_reproducible_byte_for_byte():

@@ -7,7 +7,6 @@ import pytest
 from priorityrank.stats import (
     RngStream,
     harmonic,
-    harmonic_euler,
     kolmogorov_q,
     ks_two_sample,
 )
@@ -78,26 +77,17 @@ def test_ks_rejects_bad_input():
 def test_harmonic_values():
     assert harmonic(1) == 1.0
     assert harmonic(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25, abs=1e-15)
-    for fn in (harmonic, harmonic_euler):
-        with pytest.raises(ValueError, match=r"^harmonic number needs n >= 1, got 0$"):
-            fn(0)
+    with pytest.raises(ValueError, match=r"^harmonic number needs n >= 1, got 0$"):
+        harmonic(0)
     # a whole float is a count; any other float is refused, never truncated
-    assert harmonic(4.0) == harmonic(4) and harmonic_euler(4.0) == harmonic_euler(4)
-    for fn in (harmonic, harmonic_euler):
-        for bad in (2.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match=rf"^harmonic number n must be a whole number, got {bad}$"):
-                fn(bad)
+    assert harmonic(4.0) == harmonic(4)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^harmonic number n must be a whole number, got {bad}$"):
+            harmonic(bad)
 
 
 def test_kolmogorov_q_is_one_where_lambda_is_not_positive():
     assert kolmogorov_q(0.0) == kolmogorov_q(-1.0) == 1.0
-
-
-def test_harmonic_euler_approximation():
-    assert abs(harmonic_euler(100) - harmonic(100)) < 1e-4
-    for n in (100, 1000, 10000):
-        assert abs(harmonic_euler(n) - harmonic(n)) < 1e-4
-    assert harmonic_euler(100) == pytest.approx(math.log(100) + 0.005 + 0.57722)
 
 
 def test_rng_stream_determinism():
