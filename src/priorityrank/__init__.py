@@ -42,14 +42,8 @@ from .graph import (
 from .metrics import (
     ConvergenceError,
     NetworkProfile,
-    assortativity,
     betweenness_centrality,
-    density,
-    freeman_centralization,
-    network_profile,
     pagerank_centrality,
-    reciprocity,
-    transitivity,
 )
 from .ranking import selection_probabilities
 from .recreate import (
@@ -63,7 +57,6 @@ from .recreate import (
 from .stats import (
     KsResult,
     RngStream,
-    harmonic,
     ks_two_sample,
 )
 

@@ -37,7 +37,7 @@ from .graph import (
     save_edge_list,
     symmetrize,
 )
-from .metrics import ConvergenceError, NetworkProfile, network_profile
+from .metrics import ConvergenceError, NetworkProfile
 from .ranking import competition_ranks, selection_probabilities, sort_block
 from .recreate import (
     RecreateConfig,
@@ -139,10 +139,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--p-rewire", type=float, help="rewiring probability (ws)")
     gen.add_argument("--n0", type=int, help="seed clique size (ba)")
     gen.add_argument("--p-burn", type=float, help="burn probability (ff)")
-    gen.add_argument("--ambassadors", type=int, default=1, help="ambassadors (ff)")
+    gen.add_argument("--ambassadors", type=int, help="ambassadors (ff)")
     gen.add_argument("--steps", type=int, help="growth steps (dgm)")
-    gen.add_argument("--stop-threshold", type=float, default=-0.4)
-    gen.add_argument("--max-rounds", type=int, default=200)
+    gen.add_argument("--stop-threshold", type=float)
+    gen.add_argument("--max-rounds", type=int)
 
     prof = sub.add_parser("profile", help="network metrics as JSON")
     prof.add_argument("--in", dest="infile", required=True)
@@ -253,7 +253,6 @@ def _cmd_generate(args) -> int:
             reference = _load_graph(args.reference)
             if reference.n != args.n:
                 raise ValueError(f"reference graph has n={reference.n}, context n={args.n}")
-            # the class: benchmarks/probe.py counts network_profile as a sweep
             centralities = NetworkProfile(reference)
         # the pass and the dump share one context: its lazy vectors and caches
         ctx = dist_mod.DistanceContext(n=args.n, attrs=attrs, centralities=centralities)
@@ -268,7 +267,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_profile(args) -> int:
     g = _load_graph(args.infile, args.symmetrize)
-    _write_json(network_profile(g).to_json_dict(), args.out)
+    _write_json(NetworkProfile(g).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -324,7 +323,8 @@ def _cmd_recreate(args) -> int:
     if args.emit_best:
         directory = Path(args.emit_best)
         directory.mkdir(parents=True, exist_ok=True)
-        for index, graph in enumerate(report.winner_graphs):
+        winner = next(f for f in report.finalists if f.kind == report.winner)
+        for index, graph in enumerate(winner.graphs):
             (directory / f"run_{index:02d}.tsv").write_text(
                 save_edge_list(graph), encoding="utf-8"
             )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .distance import DistanceContext, DistanceFunction, RandomDistance
 from .graph import Graph, _check_cells, symmetrize
-from .metrics import NetworkProfile, assortativity
+from .metrics import NetworkProfile
 from .ranking import by_rejection, sample_shared, sample_sorted, sort_block
 from .stats import RngStream, _whole
 
@@ -41,12 +41,19 @@ class DegreeSpec:
     histogram: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.mode not in ("constant", "resample"):
+            raise ValueError(f"unknown degree mode {self.mode!r}")
+        reads, unread = ("k", "histogram") if self.mode == "constant" else ("histogram", "k")
+        if getattr(self, reads) is None:
+            raise ValueError(f"{self.mode} degree spec needs {reads}")
+        if getattr(self, unread) is not None:
+            raise ValueError(f"{self.mode} degree spec reads no {unread}")
         if self.mode == "constant":
             k = _whole(self.k, "constant out-degree")
             if k < 1:
                 raise ValueError(f"constant out-degree must be >= 1, got {k}")
             object.__setattr__(self, "k", k)
-        elif self.mode == "resample":
+        else:
             if isinstance(self.histogram, np.ndarray) and self.histogram.dtype.kind in "iu":
                 histogram = tuple(self.histogram.tolist())
             else:
@@ -56,8 +63,6 @@ class DegreeSpec:
             if any(d < 0 for d in histogram):
                 raise ValueError("out-degree sequence must be non-negative")
             object.__setattr__(self, "histogram", histogram)
-        else:
-            raise ValueError(f"unknown degree mode {self.mode!r}")
 
     @classmethod
     def constant(cls, k: int) -> "DegreeSpec":
@@ -365,7 +370,7 @@ def gen_disassortative(
                     if int(t) != i:
                         arcs.add((i, int(t)))
         graph = Graph(n, arcs)
-        r = assortativity(symmetrize(graph))
+        r = NetworkProfile(symmetrize(graph)).assortativity
         if r < stop_threshold:
             return graph
     warnings.warn(

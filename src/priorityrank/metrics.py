@@ -35,13 +35,14 @@ how the sources are chunked.  A chunk whose betweenness reaches 2**53 is
 redone with Python integers, and the running betweenness switches to them
 too.  Fractional betweenness is a float sum in scatter order.
 
-``network_profile`` returns a lazy view that holds every measure in its
-default mode: each field is computed on first read, at most once, so a
-caller pays only for what it reads (``recreate`` scores a generated graph
-without its pagerank, transitivity or assortativity).  A module function
-stays beside it only for a mode or knob that the profile lacks: fractional
-betweenness, pagerank's damping, tolerance and iteration limit.  In- and
-out-degree are the graph's own ``in_degrees`` and ``out_degrees``.
+``NetworkProfile(g)`` is the one route to every measure in its default
+mode: a lazy view whose fields are each computed on first read, at most
+once, so a caller pays only for what it reads (``recreate`` scores a
+generated graph without its pagerank, transitivity or assortativity).  A
+module function stays beside it only for a mode or knob that the profile
+lacks: fractional betweenness, pagerank's damping, tolerance and iteration
+limit.  In- and out-degree are the graph's own ``in_degrees`` and
+``out_degrees``.
 """
 
 from __future__ import annotations
@@ -286,94 +287,10 @@ def pagerank_centrality(
     )
 
 
-def density(g: Graph) -> float:
-    if g.n < 2:
-        return 0.0
-    return g.arc_count / (g.n * (g.n - 1))
-
-
 def _count_members(codes: np.ndarray, queries: np.ndarray) -> int:
     """How many ``queries`` occur in the sorted, non-empty ``codes``."""
     pos = np.minimum(np.searchsorted(codes, queries), len(codes) - 1)
     return int(np.count_nonzero(codes[pos] == queries))
-
-
-def reciprocity(g: Graph) -> float:
-    """Fraction of arcs whose reverse arc is also present."""
-    if not g.arc_count:
-        return 0.0
-    src, dst = g.arc_array.T
-    return _count_members(g.codes, dst * g.n + src) / g.arc_count
-
-
-def assortativity(g: Graph) -> float:
-    """Pearson correlation of (total degree of source, total degree of target)
-    over arcs.  Returns NaN when either side has zero variance."""
-    if g.n < 2 or not g.arc_count:
-        return math.nan
-    deg = g.total_degrees.astype(np.float64)
-    x = deg[g.arc_array[:, 0]]
-    y = deg[g.arc_array[:, 1]]
-    sx = float(np.std(x))
-    sy = float(np.std(y))
-    if sx == 0.0 or sy == 0.0:
-        return math.nan
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-
-
-def freeman_centralization(g: Graph) -> float:
-    """Degree centralization: total gap to the maximum total degree,
-    normalized by the largest gap attainable in a simple directed graph
-    (a bidirectional star), 2(n-1)(n-2)."""
-    n = g.n
-    if n < 3:
-        return 0.0
-    deg = g.total_degrees
-    gap = int(deg.max()) * n - int(deg.sum())
-    return gap / (2 * (n - 1) * (n - 2))
-
-
-def transitivity(g: Graph) -> float:
-    """Global clustering coefficient, 3 * triangles / connected triples,
-    computed on the symmetrized graph.
-
-    Each edge is oriented toward its higher (degree, id) end, so a triangle
-    is found once, from its lowest vertex, as a pair of that vertex's
-    oriented out-neighbours that are themselves joined.  The pairs are
-    listed for a block of whole sources at a time: fewer than
-    ``_CHUNK_BYTES // _PAIR_BYTES`` pairs plus those of the block's last
-    source.  The d oriented out-neighbours of a source each have degree at
-    least d, so d is at most sqrt(m) for the m symmetrized arcs, and one
-    source has fewer than m / 2 pairs.  The triangle count is an integer,
-    so the result does not depend on the blocks.
-    """
-    sym = symmetrize(g)
-    n = sym.n
-    degrees = sym.out_degrees
-    triples = int(np.sum(degrees * (degrees - 1) // 2))
-    if triples == 0:
-        return 0.0
-    order = degrees * n + np.arange(n)
-    src, dst = sym.arc_array.T
-    up = order[src] < order[dst]
-    src, dst = src[up], dst[up]
-    codes = src * n + dst  # sorted: a subsequence of sym.codes
-    # oriented arc a opens later[a] pairs (a, b), one per later arc b of its
-    # source; a block starts at the first source whose pairs before it pass
-    # a multiple of the block size
-    later = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
-    first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-    block = np.r_[0, np.cumsum(later)][first] // max(1, _CHUNK_BYTES // _PAIR_BYTES)
-    cuts = np.r_[first[np.unique(block, return_index=True)[1]], len(src)]
-    triangles = 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        count = later[lo:hi]
-        a = np.repeat(np.arange(lo, hi), count)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-        v, w = dst[a], dst[b]
-        closing = np.where(order[v] < order[w], v * n + w, w * n + v)
-        triangles += _count_members(codes, closing)
-    return 3 * triangles / triples
 
 
 @dataclass(frozen=True)
@@ -401,13 +318,95 @@ class NetworkProfile(Mapping):
     closeness = property(lambda self: self._sweep.closeness)
     closeness_farness = property(lambda self: self._sweep.farness)
     degree = cached_property(lambda self: self.graph.total_degrees.astype(np.float64))
-    # each lambda below calls the module-level function, not the field
     pagerank = cached_property(lambda self: pagerank_centrality(self.graph))
-    density = cached_property(lambda self: density(self.graph))
-    reciprocity = cached_property(lambda self: reciprocity(self.graph))
-    assortativity = cached_property(lambda self: assortativity(self.graph))
-    centralization = cached_property(lambda self: freeman_centralization(self.graph))
-    transitivity = cached_property(lambda self: transitivity(self.graph))
+
+    @cached_property
+    def density(self) -> float:
+        g = self.graph
+        if g.n < 2:
+            return 0.0
+        return g.arc_count / (g.n * (g.n - 1))
+
+    @cached_property
+    def reciprocity(self) -> float:
+        """Fraction of arcs whose reverse arc is also present."""
+        g = self.graph
+        if not g.arc_count:
+            return 0.0
+        src, dst = g.arc_array.T
+        return _count_members(g.codes, dst * g.n + src) / g.arc_count
+
+    @cached_property
+    def assortativity(self) -> float:
+        """Pearson correlation of (total degree of source, total degree of
+        target) over arcs.  Returns NaN when either side has zero variance."""
+        g = self.graph
+        if g.n < 2 or not g.arc_count:
+            return math.nan
+        deg = g.total_degrees.astype(np.float64)
+        x = deg[g.arc_array[:, 0]]
+        y = deg[g.arc_array[:, 1]]
+        sx = float(np.std(x))
+        sy = float(np.std(y))
+        if sx == 0.0 or sy == 0.0:
+            return math.nan
+        return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+
+    @cached_property
+    def centralization(self) -> float:
+        """Freeman degree centralization: total gap to the maximum total
+        degree, normalized by the largest gap attainable in a simple directed
+        graph (a bidirectional star), 2(n-1)(n-2)."""
+        g = self.graph
+        n = g.n
+        if n < 3:
+            return 0.0
+        deg = g.total_degrees
+        gap = int(deg.max()) * n - int(deg.sum())
+        return gap / (2 * (n - 1) * (n - 2))
+
+    @cached_property
+    def transitivity(self) -> float:
+        """Global clustering coefficient, 3 * triangles / connected triples,
+        computed on the symmetrized graph.
+
+        Each edge is oriented toward its higher (degree, id) end, so a triangle
+        is found once, from its lowest vertex, as a pair of that vertex's
+        oriented out-neighbours that are themselves joined.  The pairs are
+        listed for a block of whole sources at a time: fewer than
+        ``_CHUNK_BYTES // _PAIR_BYTES`` pairs plus those of the block's last
+        source.  The d oriented out-neighbours of a source each have degree at
+        least d, so d is at most sqrt(m) for the m symmetrized arcs, and one
+        source has fewer than m / 2 pairs.  The triangle count is an integer,
+        so the result does not depend on the blocks.
+        """
+        sym = symmetrize(self.graph)
+        n = sym.n
+        degrees = sym.out_degrees
+        triples = int(np.sum(degrees * (degrees - 1) // 2))
+        if triples == 0:
+            return 0.0
+        order = degrees * n + np.arange(n)
+        src, dst = sym.arc_array.T
+        up = order[src] < order[dst]
+        src, dst = src[up], dst[up]
+        codes = src * n + dst  # sorted: a subsequence of sym.codes
+        # oriented arc a opens later[a] pairs (a, b), one per later arc b of its
+        # source; a block starts at the first source whose pairs before it pass
+        # a multiple of the block size
+        later = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
+        first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+        block = np.r_[0, np.cumsum(later)][first] // max(1, _CHUNK_BYTES // _PAIR_BYTES)
+        cuts = np.r_[first[np.unique(block, return_index=True)[1]], len(src)]
+        triangles = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            count = later[lo:hi]
+            a = np.repeat(np.arange(lo, hi), count)
+            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+            v, w = dst[a], dst[b]
+            closing = np.where(order[v] < order[w], v * n + w, w * n + v)
+            triangles += _count_members(codes, closing)
+        return 3 * triangles / triples
 
     def scalar_dict(self) -> dict:
         return {
@@ -441,8 +440,3 @@ class NetworkProfile(Mapping):
         doc["closeness_farness"] = self.closeness_farness.tolist()
         doc["pagerank"] = self.pagerank.tolist()
         return doc
-
-
-def network_profile(g: Graph) -> NetworkProfile:
-    """The lazy profile of ``g``."""
-    return NetworkProfile(g)

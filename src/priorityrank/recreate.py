@@ -35,7 +35,7 @@ from .distance import (
 )
 from .generate import DegreeSpec, priority_rank_generate
 from .graph import AttributeColumn, AttributeTable, Graph
-from .metrics import NetworkProfile, network_profile
+from .metrics import NetworkProfile
 from .stats import KsResult, RngStream, _whole, ks_two_sample
 
 
@@ -113,8 +113,8 @@ def compare_networks(g1: Graph, g2: Graph, alpha: float = 0.05) -> ComparisonRec
     _check_alpha(alpha)
     if g1.n == 0 or g2.n == 0:
         raise ValueError("cannot compare empty graphs")
-    p1 = network_profile(g1)
-    p2 = network_profile(g2)
+    p1 = NetworkProfile(g1)
+    p2 = NetworkProfile(g2)
     return ComparisonRecord(ks=_ks_statistics(p1, p2), profile_a=p1, profile_b=p2, alpha=alpha)
 
 
@@ -215,7 +215,6 @@ class RecreationReport:
     finalists: tuple[FinalistResult, ...]
     winner: str
     config: RecreateConfig
-    winner_graphs: tuple[Graph, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
         config = asdict(self.config)
@@ -290,7 +289,7 @@ def recreate(
     master = RngStream(config.seed)
     if attrs is None:
         attrs = generate_synthetic_attributes(g.n, master.child(0).spawn_seed())
-    source_profile = network_profile(g)
+    source_profile = NetworkProfile(g)
     # one context for every run: it checks the table, and each learned kind encodes once
     ctx = DistanceContext(g.n, attrs, source_profile)
     degrees = DegreeSpec.resample(g.out_degrees)
@@ -303,7 +302,7 @@ def recreate(
         stage 2 draws pilot seeds, stage 3 finalist seeds."""
         seed = _draw_distinct_seed(master.child(stage, index, run), used_seeds)
         generated = priority_rank_generate(ctx, spec, degrees, seed)
-        return generated, RunRecord.score(seed, source_profile, network_profile(generated))
+        return generated, RunRecord.score(seed, source_profile, NetworkProfile(generated))
 
     outcomes: list[CandidateOutcome] = []
     scored: list[tuple[float, str, DistanceFunction]] = []
@@ -332,12 +331,10 @@ def recreate(
         graphs, runs = zip(*(one_run(spec, 3, index, run) for run in range(config.runs)))
         finalists.append(FinalistResult(kind=kind, runs=runs, graphs=graphs))
 
-    winner = min(finalists, key=lambda f: (f.mean_statistic, f.kind))
     return RecreationReport(
         source_profile=source_profile,
         candidates=tuple(outcomes),
         finalists=tuple(finalists),
-        winner=winner.kind,
+        winner=min(finalists, key=lambda f: (f.mean_statistic, f.kind)).kind,
         config=config,
-        winner_graphs=winner.graphs,
     )

@@ -1,4 +1,4 @@
-"""Two-sample Kolmogorov-Smirnov test, harmonic numbers, and seeded RNG streams."""
+"""Two-sample Kolmogorov-Smirnov test and seeded RNG streams."""
 
 from __future__ import annotations
 
@@ -73,14 +73,6 @@ def _whole(value, what: str) -> int:
     if type(value) is not int and not (math.isfinite(value) and value == math.floor(value)):
         raise ValueError(f"{what} must be a whole number, got {value}")
     return int(value)
-
-
-def harmonic(n: int) -> float:
-    """Exact partial sum H_n = 1 + 1/2 + ... + 1/n."""
-    n = _whole(n, "harmonic number n")
-    if n < 1:
-        raise ValueError(f"harmonic number needs n >= 1, got {n}")
-    return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)

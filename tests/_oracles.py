@@ -161,6 +161,12 @@ def random_digraph(gen: np.random.Generator, n: int, p: float) -> Graph:
     return Graph(n, zip(src.tolist(), dst.tolist()))
 
 
+def harmonic(n: int) -> float:
+    """The partial sum H_n = 1 + 1/2 + ... + 1/n, correctly rounded: the
+    normalizer of the 1/rank law over n untied positions."""
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
 class LocalRanking(NamedTuple):
     """One vertex's view of all others, sorted by distance: aligned arrays,
     tied targets by id."""

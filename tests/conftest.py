@@ -3,6 +3,7 @@ from functools import cached_property
 import pytest
 
 from priorityrank import metrics, ranking
+from priorityrank.metrics import NetworkProfile
 from priorityrank.stats import RngStream
 
 
@@ -35,21 +36,19 @@ def sweep_chunks(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def profile_calls(monkeypatch) -> dict[str, list]:
-    """Log of the graphs that ``metrics.pagerank_centrality`` and
-    ``metrics.transitivity`` run on, by function name."""
+    """Log of the graphs whose ``NetworkProfile`` computes its ``pagerank``
+    ("pagerank_centrality") or its ``transitivity`` ("transitivity")."""
     calls = {"pagerank_centrality": [], "transitivity": []}
+    for key, name in (("pagerank_centrality", "pagerank"), ("transitivity", "transitivity")):
+        compute = NetworkProfile.__dict__[name].func
 
-    def logged(name):
-        fn = getattr(metrics, name)
+        def logging(profile, log=calls[key], compute=compute):
+            log.append(profile.graph)
+            return compute(profile)
 
-        def logging(g, *args, **kwargs):
-            calls[name].append(g)
-            return fn(g, *args, **kwargs)
-
-        return logging
-
-    for name in calls:
-        monkeypatch.setattr(metrics, name, logged(name))
+        prop = cached_property(logging)
+        prop.__set_name__(NetworkProfile, name)
+        monkeypatch.setattr(NetworkProfile, name, prop)
     return calls
 
 

@@ -19,6 +19,7 @@ from _oracles import (
     arcs,
     betweenness_count_oracle,
     betweenness_fractional_oracle,
+    harmonic,
     ks_statistic_oracle,
     random_digraph,
     sample_rows,
@@ -36,7 +37,7 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_worked_example_rankings(tmp_path, capsys):
-    h4 = pr.harmonic(4)
+    h4 = harmonic(4)
     exact_alice = np.array([1.0 / (h4 * i) for i in range(1, 5)])
 
     # through the CLI ranking dump
@@ -115,7 +116,7 @@ def test_criterion_2_pmf_law():
 
 def test_criterion_3_random_kind_recreates_er():
     src = pr.gen_erdos_renyi(50, 0.4, seed=11)
-    src_profile = pr.network_profile(src)
+    src_profile = pr.NetworkProfile(src)
     degrees = DegreeSpec.resample(src.out_degrees)
     p_d, p_b, p_c, rhos, lengths = [], [], [], [], []
     for s in range(20):
@@ -146,23 +147,23 @@ def test_criterion_4_clustering_triplet():
         u = pr.RngStream(4000 + s).generator.uniform(0, 1, 100)
         attrs = AttributeTable([AttributeColumn("x", "continuous", tuple(u))])
         euclid.append(
-            pr.transitivity(
+            pr.NetworkProfile(
                 pr.priority_rank_generate(
                     pr.DistanceContext(attrs=attrs), pr.Euclidean1D(attr="x"), deg4, seed=4100 + s
                 )
-            )
+            ).transitivity
         )
         degree.append(
-            pr.transitivity(
+            pr.NetworkProfile(
                 pr.priority_rank_generate(
                     pr.DistanceContext(100), pr.CentralityDistance(centrality="degree"), deg4, seed=4200 + s
                 )
-            )
+            ).transitivity
         )
         random_.append(
-            pr.transitivity(
+            pr.NetworkProfile(
                 pr.priority_rank_generate(pr.DistanceContext(100), pr.RandomDistance(), deg4, seed=4300 + s)
-            )
+            ).transitivity
         )
     m_e, m_d, m_r = (float(np.mean(v)) for v in (euclid, degree, random_))
     ok_e = abs(m_e - 0.41) <= 0.10
@@ -191,7 +192,7 @@ def test_criterion_6_disassortative_terminates():
         warnings.simplefilter("ignore")
         for s in range(20):
             g = pr.gen_disassortative(100, -0.4, 200, seed=s)
-            if pr.assortativity(pr.symmetrize(g)) < -0.4:
+            if pr.NetworkProfile(pr.symmetrize(g)).assortativity < -0.4:
                 successes += 1
     ok = successes >= 18
     assert report(6, ok, f"{successes}/20 seeded runs reached assortativity < -0.4")

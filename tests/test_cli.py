@@ -63,6 +63,30 @@ def test_generate_dgm_and_profile(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "model, flags, build",
+    [
+        ("er", ["--n", "30", "--p", "0.2"], lambda: generate_mod.gen_erdos_renyi(30, 0.2, seed=1)),
+        (
+            "ws",
+            ["--n", "30", "--k-neighbors", "4", "--p-rewire", "0.1"],
+            lambda: generate_mod.gen_watts_strogatz(30, 4, 0.1, seed=1),
+        ),
+        ("ba", ["--n", "30", "--k", "2"], lambda: generate_mod.gen_barabasi_albert(30, 2, seed=1)),
+        ("ff", ["--n", "30", "--p-burn", "0.3"], lambda: generate_mod.gen_forest_fire(30, 0.3, seed=1)),
+        ("dgm", ["--steps", "3"], lambda: generate_mod.gen_dorogovtsev_goltsev_mendes(3)),
+        ("disassortative", [], lambda: generate_mod.gen_disassortative(seed=1)),
+    ],
+    ids=["er", "ws", "ba", "ff", "dgm", "disassortative"],
+)
+def test_baseline_with_only_its_required_flags_is_the_library_call(tmp_path, capsys, model, flags, build):
+    # an option left unset takes the generator's own default
+    out = tmp_path / "g.tsv"
+    code, _, _ = run(capsys, "generate", "--model", model, *flags, "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == save_edge_list(build()).encode("utf-8")
+
+
 def test_compare_graph_with_itself(tmp_path, capsys):
     out = tmp_path / "g.tsv"
     run(capsys, "generate", "--model", "er", "--n", "20", "--p", "0.3", "--seed", "2", "--out", str(out))
@@ -699,7 +723,7 @@ def test_profile_rejects_ids_too_large_for_arc_codes(tmp_path, capsys):
 
 def _dump_rankings_by_lines(path, spec, attrs, n, reference=None):
     """The ranking dump built as one list of f-string lines, for byte comparison."""
-    centralities = None if reference is None else metrics.network_profile(reference)
+    centralities = None if reference is None else metrics.NetworkProfile(reference)
     ctx = DistanceContext(n=n, attrs=attrs, centralities=centralities)
     lines = ["source\ttarget\tdistance\trank\tprobability"]
     for i in range(n):

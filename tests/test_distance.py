@@ -29,7 +29,7 @@ from priorityrank.distance import (
 )
 from priorityrank.generate import gen_barabasi_albert
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph
-from priorityrank.metrics import CENTRALITY_KINDS, network_profile
+from priorityrank.metrics import CENTRALITY_KINDS, NetworkProfile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
@@ -88,7 +88,7 @@ def test_centrality_distance_source_independent():
     gen = np.random.default_rng(2)
     g = random_digraph(gen, 12, 0.3)
     for kind in ("degree", "betweenness", "closeness", "pagerank"):
-        ctx = DistanceContext(n=g.n, centralities=network_profile(g))
+        ctx = DistanceContext(n=g.n, centralities=NetworkProfile(g))
         spec = CentralityDistance(centrality=kind)
         for j in range(1, 12):
             vals = {evaluate(spec, ctx, i, j) for i in range(12) if i != j}
@@ -97,18 +97,18 @@ def test_centrality_distance_source_independent():
 
 def test_context_sweeps_its_reference_once(bfs_calls):
     g = gen_barabasi_albert(60, 2, seed=5)
-    ctx = DistanceContext(n=g.n, centralities=network_profile(g))
+    ctx = DistanceContext(n=g.n, centralities=NetworkProfile(g))
     ctx.centrality("betweenness")
     ctx.centrality("closeness")
     assert sorted(bfs_calls) == list(range(g.n))
-    expected = network_profile(g)
+    expected = NetworkProfile(g)
     for kind in CENTRALITY_KINDS:
         assert np.array_equal(ctx.centrality(kind), expected[kind])
 
 
 def test_context_rejects_unknown_kind_and_missing_reference(bfs_calls):
     with pytest.raises(ValueError, match="unknown centrality kind 'eigen'"):
-        DistanceContext(n=10, centralities=network_profile(gen_barabasi_albert(10, 2, seed=1))).centrality("eigen")
+        DistanceContext(n=10, centralities=NetworkProfile(gen_barabasi_albert(10, 2, seed=1))).centrality("eigen")
     with pytest.raises(ValueError, match="needs a reference graph or precomputed centralities"):
         DistanceContext(n=10).centrality("degree")
     assert bfs_calls == []
@@ -117,7 +117,7 @@ def test_context_rejects_unknown_kind_and_missing_reference(bfs_calls):
 def test_degree_distance_orders_by_descending_degree():
     gen = np.random.default_rng(8)
     g = random_digraph(gen, 15, 0.3)
-    ctx = DistanceContext(n=g.n, centralities=network_profile(g))
+    ctx = DistanceContext(n=g.n, centralities=NetworkProfile(g))
     row = CentralityDistance(centrality="degree").rows(ctx, np.array([0]))[0]
     deg = g.total_degrees
     order = np.argsort(row, kind="stable")
@@ -706,7 +706,7 @@ def test_every_kind_stays_finite_nonnegative():
         linear,
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
+    ctx = DistanceContext(n=n, attrs=table, centralities=NetworkProfile(g))
     for spec in specs:
         rows = np.vstack([spec.rows(ctx, np.array([i]))[0] for i in range(n)])
         off_diag = rows[~np.eye(n, dtype=bool)]
@@ -720,7 +720,7 @@ def test_row_matches_pairwise_evaluate():
     g = random_digraph(gen, n, 0.4)
     table = numeric_table(gen.normal(size=n))
     ts = build_training_set(g, table, 1.0, RngStream(12))
-    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
+    ctx = DistanceContext(n=n, attrs=table, centralities=NetworkProfile(g))
     for spec in (
         CentralityDistance(centrality="pagerank"),
         Euclidean1D(attr="x"),
@@ -759,7 +759,7 @@ def catalog(n, gen):
         fit_linear_regression_distance(ts),
         fit_naive_bayes_distance(ts),
     ]
-    return DistanceContext(n=n, attrs=table, centralities=network_profile(g)), specs
+    return DistanceContext(n=n, attrs=table, centralities=NetworkProfile(g)), specs
 
 
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
@@ -995,7 +995,7 @@ def test_spec_json_round_trip():
         linear,
         fit_naive_bayes_distance(ts),
     ]
-    ctx = DistanceContext(n=n, attrs=table, centralities=network_profile(g))
+    ctx = DistanceContext(n=n, attrs=table, centralities=NetworkProfile(g))
     assert RandomDistance().to_json_dict() == {"kind": "random"}
     for spec in specs:
         doc = json.loads(json.dumps(spec.to_json_dict()))

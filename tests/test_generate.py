@@ -34,7 +34,7 @@ from priorityrank.generate import (
     priority_rank_generate,
 )
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph, save_edge_list, symmetrize
-from priorityrank.metrics import CENTRALITY_KINDS, assortativity, network_profile, transitivity
+from priorityrank.metrics import CENTRALITY_KINDS, NetworkProfile
 from priorityrank.ranking import sample_shared
 from priorityrank.stats import RngStream, ks_two_sample
 
@@ -117,7 +117,7 @@ def test_priority_rank_deterministic():
 
 def test_priority_rank_centrality_kind_reference_and_bootstrap():
     src = gen_erdos_renyi(25, 0.3, seed=2)
-    profile = network_profile(src)
+    profile = NetworkProfile(src)
     cents = {kind: profile[kind] for kind in CENTRALITY_KINDS}
     spec = CentralityDistance(centrality="degree")
     a = priority_rank_generate(DistanceContext(25, centralities=cents), spec, DegreeSpec.constant(3), seed=4)
@@ -132,7 +132,7 @@ def test_degree_kind_reads_its_reference_without_a_sweep_or_pagerank(bfs_calls, 
     # degrees alone, never the path sweep or pagerank of the reference
     src = gen_barabasi_albert(200, 3, seed=2)
     spec = CentralityDistance(centrality="degree")
-    profile = network_profile(src)
+    profile = NetworkProfile(src)
     g = priority_rank_generate(DistanceContext(200, centralities=profile), spec, DegreeSpec.constant(4), seed=3)
     assert bfs_calls == []
     assert profile_calls["pagerank_centrality"] == []
@@ -179,8 +179,15 @@ def test_degree_spec_resample_clamps_with_warning():
         ({"mode": "constant", "k": 2.5}, "constant out-degree must be a whole number, got 2.5"),
         ({"mode": "resample", "histogram": (-2, 3)}, "out-degree sequence must be non-negative"),
         ({"mode": "bogus", "k": 3}, "unknown degree mode 'bogus'"),
+        ({"mode": "constant"}, "constant degree spec needs k"),
+        ({"mode": "resample"}, "resample degree spec needs histogram"),
+        ({"mode": "constant", "k": 3, "histogram": (1, 2)}, "constant degree spec reads no histogram"),
+        ({"mode": "resample", "k": 5, "histogram": (1, 2)}, "resample degree spec reads no k"),
     ],
-    ids=["k-zero", "k-negative", "k-fractional", "negative-histogram", "unknown-mode"],
+    ids=[
+        "k-zero", "k-negative", "k-fractional", "negative-histogram", "unknown-mode",
+        "constant-without-k", "resample-without-histogram", "constant-with-histogram", "resample-with-k",
+    ],
 )
 def test_degree_spec_constructor_makes_the_factory_checks(fields, message):
     # the constructor is the one check path: a bad spec never reaches a pass
@@ -207,7 +214,7 @@ def test_degree_spec_resample_reads_an_integer_array_as_its_ints():
 def test_priority_rank_resampled_degrees_follow_source():
     src = gen_erdos_renyi(40, 0.2, seed=9)
     degrees = DegreeSpec.resample(src.out_degrees)
-    ctx = DistanceContext(40, centralities=network_profile(src))
+    ctx = DistanceContext(40, centralities=NetworkProfile(src))
     g = priority_rank_generate(ctx, RandomDistance(), degrees, seed=10)
     assert 0 < g.arc_count < 40 * 39
     # generated out-degrees stay inside the source support
@@ -271,7 +278,7 @@ def test_watts_strogatz_lattice():
     assert g.arc_count == 150
     assert set(g.out_degrees.tolist()) == {3}
     # circulant diameter: ceil(floor(n/2) / k) hops around the ring
-    assert network_profile(symmetrize(g)).diameter == 9
+    assert NetworkProfile(symmetrize(g)).diameter == 9
 
 
 def test_watts_strogatz_rewiring_breaks_regularity():
@@ -299,7 +306,7 @@ def centrality_graph(kind, via, seed):
     n = 120
     spec = RandomDistance() if kind == "random" else CentralityDistance(centrality=kind)
     degrees = DegreeSpec.resample([1, 2, 4, 6, 10, 40, 80])
-    centralities = network_profile(gen_barabasi_albert(n, 3, seed=5)) if via == "reference" else None
+    centralities = NetworkProfile(gen_barabasi_albert(n, 3, seed=5)) if via == "reference" else None
     return priority_rank_generate(DistanceContext(n, centralities=centralities), spec, degrees, seed)
 
 
@@ -374,9 +381,9 @@ def test_dgm_counts():
 
 def test_disassortative_reaches_threshold():
     g = gen_disassortative(100, -0.4, 200, seed=0)
-    assert assortativity(symmetrize(g)) < -0.4
+    assert NetworkProfile(symmetrize(g)).assortativity < -0.4
     assert g.arc_count >= 300  # 10 hubs x >=30 draws, minus collisions, plus the rest
-    assert assortativity(g) < 0  # directed view stays disassortative
+    assert NetworkProfile(g).assortativity < 0  # directed view stays disassortative
     assert abs(g.arc_count / (100 * 99) - 0.05) <= 0.025  # density band
 
 
@@ -396,9 +403,11 @@ def test_pass_matches_the_oracle_in_mean_transitivity():
     fast, oracle = [], []
     for s in range(seeds):
         ctx = DistanceContext(attrs=uniform_attr(n, 4000 + s))
-        fast.append(transitivity(priority_rank_generate(ctx, spec, DegreeSpec.constant(4), seed=4100 + s)))
+        g = priority_rank_generate(ctx, spec, DegreeSpec.constant(4), seed=4100 + s)
+        fast.append(NetworkProfile(g).transitivity)
         u = RngStream(4100 + s).child(9).generator.random((n, n))
-        oracle.append(transitivity(Graph(n, sorted(priority_rank_oracle(spec, ctx, np.full(n, 4), u)))))
+        drawn = sorted(priority_rank_oracle(spec, ctx, np.full(n, 4), u))
+        oracle.append(NetworkProfile(Graph(n, drawn)).transitivity)
     gap = abs(float(np.mean(fast)) - float(np.mean(oracle)))
     se = math.sqrt((np.var(fast, ddof=1) + np.var(oracle, ddof=1)) / seeds)
     assert gap <= 3 * se, (np.mean(fast), np.mean(oracle), se)
@@ -412,8 +421,8 @@ def test_locality_raises_path_length():
             DistanceContext(attrs=attrs), Euclidean1D(attr="x"), DegreeSpec.constant(4), seed=600 + s
         )
         rand = priority_rank_generate(DistanceContext(100), RandomDistance(), DegreeSpec.constant(4), seed=700 + s)
-        ls_local.append(network_profile(local).avg_path_length)
-        ls_random.append(network_profile(rand).avg_path_length)
+        ls_local.append(NetworkProfile(local).avg_path_length)
+        ls_random.append(NetworkProfile(rand).avg_path_length)
     assert float(np.median(ls_local)) > float(np.median(ls_random))
 
 
@@ -468,7 +477,7 @@ CASES = {
         None,
         CentralityDistance(centrality="degree"),
         DegreeSpec.resample([0, 0, 1, 2, 7, n + 5]),
-        network_profile(gen_erdos_renyi(n, 0.1, seed=8)),
+        NetworkProfile(gen_erdos_renyi(n, 0.1, seed=8)),
     ),
     "naive_bayes": learned_case,
 }
@@ -607,7 +616,7 @@ def test_proven_and_shared_kinds_sort_no_rows(monkeypatch, ranked_rows):
 
     monkeypatch.setattr(type(learned), "rows", counted)
     for spec, ref, path in (
-        (CentralityDistance(centrality="degree"), network_profile(reference), None),
+        (CentralityDistance(centrality="degree"), NetworkProfile(reference), None),
         (learned, None, None),
         (RandomDistance(), None, None),
         (aggregate, None, "packed"),

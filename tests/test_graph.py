@@ -8,7 +8,7 @@ import pytest
 
 from priorityrank import graph as graph_mod
 from priorityrank.generate import DegreeSpec
-from priorityrank.metrics import network_profile
+from priorityrank.metrics import NetworkProfile
 from priorityrank.graph import (
     AttributeColumn,
     AttributeTable,
@@ -159,8 +159,8 @@ def test_graph_arrays_are_read_only():
     for array in (g.codes, g.arc_array, g.out_degrees, g.in_degrees, g.total_degrees, *g.csr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
-    assert network_profile(g).to_json_dict() == network_profile(Graph(3, [(0, 1), (0, 2)])).to_json_dict()
-    assert network_profile(g).degree.tolist() == [2.0, 1.0, 1.0]
+    assert NetworkProfile(g).to_json_dict() == NetworkProfile(Graph(3, [(0, 1), (0, 2)])).to_json_dict()
+    assert NetworkProfile(g).degree.tolist() == [2.0, 1.0, 1.0]
 
 
 def test_graph_names_the_first_bad_arc_in_input_order():

@@ -12,16 +12,7 @@ from priorityrank.generate import (
     gen_erdos_renyi,
 )
 from priorityrank.graph import Graph, save_edge_list, symmetrize
-from priorityrank.metrics import (
-    assortativity,
-    betweenness_centrality,
-    density,
-    freeman_centralization,
-    network_profile,
-    pagerank_centrality,
-    reciprocity,
-    transitivity,
-)
+from priorityrank.metrics import NetworkProfile, betweenness_centrality, pagerank_centrality
 
 from _oracles import (
     adjacency,
@@ -55,7 +46,7 @@ def test_degree_centrality_examples():
     assert star.out_degrees.tolist() == [4, 0, 0, 0, 0]
     assert star.in_degrees.tolist() == [0, 1, 1, 1, 1]
     # the profile's degree is the total degree as floats
-    degree = network_profile(star).degree
+    degree = NetworkProfile(star).degree
     assert degree.dtype == np.float64 and degree.tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
 
 
@@ -85,10 +76,10 @@ def test_betweenness_matches_enumeration_small():
 
 
 def test_closeness_examples():
-    farness = network_profile(path3()).closeness_farness
+    farness = NetworkProfile(path3()).closeness_farness
     assert farness[0] == pytest.approx((1 + 2) / 3)
-    assert np.allclose(network_profile(complete(4)).closeness, 1.0)
-    isolated = network_profile(Graph(2, []))
+    assert np.allclose(NetworkProfile(complete(4)).closeness, 1.0)
+    isolated = NetworkProfile(Graph(2, []))
     assert isolated.closeness.tolist() == [0.0, 0.0]
     assert isolated.closeness_farness.tolist() == [0.0, 0.0]
 
@@ -100,7 +91,7 @@ def test_closeness_conventions_are_order_inverse_when_strongly_connected():
         ring = [(i, (i + 1) % n) for i in range(n)]
         g = random_digraph(gen, n, 0.3)
         g = Graph(n, set(arcs(g)) | set(ring))  # ring guarantees strong connectivity
-        prof = network_profile(g)
+        prof = NetworkProfile(g)
         assert np.array_equal(np.argsort(prof.closeness), np.argsort(-prof.closeness_farness))
 
 
@@ -139,32 +130,32 @@ def test_pagerank_validates_and_reports_nonconvergence():
 def test_diameter_and_path_length():
     for n in (2, 5, 10):
         path = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        assert network_profile(path).diameter == n - 1
-    assert network_profile(complete(4)).diameter == 1
-    assert network_profile(complete(4)).avg_path_length == 1.0
-    two_cycles = network_profile(Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+        assert NetworkProfile(path).diameter == n - 1
+    assert NetworkProfile(complete(4)).diameter == 1
+    assert NetworkProfile(complete(4)).avg_path_length == 1.0
+    two_cycles = NetworkProfile(Graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
     assert two_cycles.diameter == 1
     assert two_cycles.avg_path_length == 1.0
-    assert network_profile(Graph(3, [])).diameter == 0
+    assert NetworkProfile(Graph(3, [])).diameter == 0
 
 
 def test_scalar_descriptors():
     c5 = complete(5)
-    assert density(c5) == 1.0
-    assert reciprocity(c5) == 1.0
-    assert freeman_centralization(star_sym(5)) == pytest.approx(1.0)
-    assert transitivity(star_sym(5)) == 0.0
+    assert NetworkProfile(c5).density == 1.0
+    assert NetworkProfile(c5).reciprocity == 1.0
+    assert NetworkProfile(star_sym(5)).centralization == pytest.approx(1.0)
+    assert NetworkProfile(star_sym(5)).transitivity == 0.0
     triangle = symmetrize(Graph(3, [(0, 1), (1, 2), (2, 0)]))
-    assert transitivity(triangle) == pytest.approx(1.0)
+    assert NetworkProfile(triangle).transitivity == pytest.approx(1.0)
     # graphs too small to have them
     assert pagerank_centrality(Graph(0)).shape == (0,)
-    assert density(Graph(1)) == 0.0
-    assert freeman_centralization(Graph(2, [(0, 1), (1, 0)])) == 0.0
+    assert NetworkProfile(Graph(1)).density == 0.0
+    assert NetworkProfile(Graph(2, [(0, 1), (1, 0)])).centralization == 0.0
 
 
 def test_assortativity_undefined_is_nan():
-    assert math.isnan(assortativity(Graph(2, [(0, 1), (1, 0)])))
-    assert math.isnan(assortativity(Graph(3, [])))
+    assert math.isnan(NetworkProfile(Graph(2, [(0, 1), (1, 0)])).assortativity)
+    assert math.isnan(NetworkProfile(Graph(3, [])).assortativity)
 
 
 def test_density_monotone_under_arc_addition():
@@ -178,7 +169,7 @@ def test_density_monotone_under_arc_addition():
             continue
         extra = non_arcs[int(gen.integers(len(non_arcs)))]
         g2 = Graph(8, set(arcs(g)) | {extra})
-        assert density(g2) >= density(g)
+        assert NetworkProfile(g2).density >= NetworkProfile(g).density
 
 
 def test_symmetrized_reciprocity_is_one():
@@ -186,7 +177,7 @@ def test_symmetrized_reciprocity_is_one():
     for _ in range(10):
         g = symmetrize(random_digraph(gen, 10, 0.2))
         if arcs(g):
-            assert reciprocity(g) == 1.0
+            assert NetworkProfile(g).reciprocity == 1.0
 
 
 @pytest.mark.parametrize(
@@ -210,14 +201,14 @@ def test_transitivity_and_reciprocity_match_networkx(g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(arcs(g))
-    assert transitivity(g) == pytest.approx(nx.transitivity(G.to_undirected()))
+    assert NetworkProfile(g).transitivity == pytest.approx(nx.transitivity(G.to_undirected()))
     expected = nx.overall_reciprocity(G) if g.arc_count else 0.0
-    assert reciprocity(g) == pytest.approx(expected)
+    assert NetworkProfile(g).reciprocity == pytest.approx(expected)
 
 
 def test_network_profile_er_scale():
     g = gen_erdos_renyi(50, 0.4, seed=11)
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     assert abs(prof.density - 0.40) < 0.05
     assert prof.diameter in (2, 3)
     assert abs(prof.avg_path_length - 1.6) < 0.1
@@ -229,15 +220,15 @@ def test_network_profile_er_scale():
 
 def test_network_profile_path_and_dgm():
     path10 = Graph(10, [(i, i + 1) for i in range(9)])
-    assert network_profile(path10).diameter == 9
+    assert NetworkProfile(path10).diameter == 9
     g = gen_dorogovtsev_goltsev_mendes(5)
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     assert prof.density == pytest.approx(g.arc_count / (123 * 122))
 
 
 def test_network_profile_sweeps_each_source_once(bfs_calls):
     g = gen_dorogovtsev_goltsev_mendes(3)
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     prof.degree
     assert bfs_calls == []
     prof.to_json_dict()
@@ -248,7 +239,7 @@ def test_network_profile_sweeps_each_source_once(bfs_calls):
 def test_network_profile_is_a_mapping_of_the_centrality_kinds(bfs_calls):
     # a key test and the length read the kinds alone, so they run no sweep
     g = gen_dorogovtsev_goltsev_mendes(3)
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     assert all(kind in prof for kind in metrics.CENTRALITY_KINDS)
     assert "diameter" not in prof and 0 not in prof and prof.get("eigen") is None
     assert len(prof) == 4 and list(prof) == list(metrics.CENTRALITY_KINDS)
@@ -261,9 +252,9 @@ def test_network_profile_is_a_mapping_of_the_centrality_kinds(bfs_calls):
     with pytest.raises(KeyError):
         prof["diameter"]
     # equality and hashing stay the dataclass's, by graph
-    again = network_profile(gen_dorogovtsev_goltsev_mendes(3))
+    again = NetworkProfile(gen_dorogovtsev_goltsev_mendes(3))
     assert prof == again and hash(prof) == hash(again)
-    assert prof != network_profile(gen_dorogovtsev_goltsev_mendes(2))
+    assert prof != NetworkProfile(gen_dorogovtsev_goltsev_mendes(2))
 
 
 @pytest.mark.parametrize(
@@ -285,7 +276,7 @@ def test_path_metrics_match_networkx(g):
     bet = nx.betweenness_centrality(G, normalized=False)
     assert betweenness_centrality(g, "fractional") == pytest.approx([bet[v] for v in range(g.n)])
     clo = nx.closeness_centrality(G.reverse(), wf_improved=False)
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     assert prof.closeness == pytest.approx([clo[v] for v in range(g.n)])
     pr = nx.pagerank(G, alpha=0.85, tol=1e-12)
     assert pagerank_centrality(g, tol=1e-12) == pytest.approx([pr[v] for v in range(g.n)], rel=1e-6)
@@ -333,7 +324,7 @@ def test_count_betweenness_exact_above_2_53(monkeypatch, budget):
     oracle = betweenness_count_brandes(g)
     assert max(oracle) > 2**53
     assert betweenness_centrality(g, "count").tolist() == [float(x) for x in oracle]
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     assert prof.betweenness.tolist() == [float(x) for x in oracle]
     expected = expected_path_metrics(g)
     assert prof.closeness.tolist() == expected["closeness"]
@@ -363,7 +354,7 @@ EDGE_CASES = {
 def test_path_metrics_edge_cases(monkeypatch, budget, name):
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
     g = EDGE_CASES[name]
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     expected = expected_path_metrics(g)
     assert prof.betweenness.tolist() == betweenness_count_oracle(g).tolist()
     assert prof.closeness.tolist() == expected["closeness"]
@@ -430,10 +421,10 @@ def test_path_sweep_matches_oracles(monkeypatch, budget, name):
     ids=["er", "ba", "dgm", "unreachable"],
 )
 def test_profile_independent_of_chunk_size(monkeypatch, g):
-    default = network_profile(g).to_json_dict()
+    default = NetworkProfile(g).to_json_dict()
     for budget in (1, 10**12):
         monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
-        assert network_profile(g).to_json_dict() == default
+        assert NetworkProfile(g).to_json_dict() == default
 
 
 # one source per chunk runs n levels per source, so its cycle is shorter
@@ -443,7 +434,7 @@ def test_profile_independent_of_chunk_size(monkeypatch, g):
 def test_directed_cycle_matches_closed_forms(monkeypatch, sweep_chunks, budget, n):
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
     g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     # every source reaches the others once each, at hops 1..n-1
     assert prof.closeness.tolist() == [2 / n] * n
     assert prof.closeness_farness.tolist() == [(n - 1) / 2] * n
@@ -466,7 +457,7 @@ def test_directed_cycle_matches_closed_forms(monkeypatch, sweep_chunks, budget, 
 def test_directed_path_matches_closed_forms(monkeypatch, budget, n):
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
     g = Graph(n, [(v, v + 1) for v in range(n - 1)])
-    prof = network_profile(g)
+    prof = NetworkProfile(g)
     # vertex i is interior to the one path s -> t exactly when s < i < t
     assert prof.betweenness.tolist() == [i * (n - 1 - i) for i in range(n)]
     assert prof.diameter == n - 1
@@ -481,8 +472,8 @@ def test_directed_path_matches_closed_forms(monkeypatch, budget, n):
 # each measure with the name of its test case
 MEASURES = {
     "betweenness_centrality": betweenness_centrality,
-    "closeness_centrality": lambda g: network_profile(g).closeness,
-    "diameter": lambda g: network_profile(g).diameter,
+    "closeness_centrality": lambda g: NetworkProfile(g).closeness,
+    "diameter": lambda g: NetworkProfile(g).diameter,
 }
 # each graph with the sizes of its chunks under the default budget
 BUDGET_GRAPHS = {
@@ -517,14 +508,14 @@ def test_sweep_chunks_hold_one_source_past_the_budget_and_none_when_empty(
     monkeypatch, sweep_chunks
 ):
     g = gen_barabasi_albert(40, 2, seed=4)
-    default = network_profile(g).to_json_dict()
+    default = NetworkProfile(g).to_json_dict()
     sweep_chunks.clear()
     # one source needs 32 * n + 8 * m bytes, one more than this budget
     monkeypatch.setattr(metrics, "_CHUNK_BYTES", 32 * g.n + 8 * g.arc_count - 1)
-    assert network_profile(g).to_json_dict() == default
+    assert NetworkProfile(g).to_json_dict() == default
     assert sweep_chunks == [1] * g.n
     sweep_chunks.clear()
-    network_profile(Graph(0)).diameter  # its values: test_path_metrics_edge_cases
+    NetworkProfile(Graph(0)).diameter  # its values: test_path_metrics_edge_cases
     assert sweep_chunks == []
 
 
@@ -549,7 +540,7 @@ def test_transitivity_memory_stays_near_the_budget(monkeypatch):
     g = complete(200)
     tracemalloc.start()
     try:
-        value = transitivity(g)
+        value = NetworkProfile(g).transitivity
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,7 +548,7 @@ def test_transitivity_memory_stays_near_the_budget(monkeypatch):
     assert peak < 1.75 * metrics._CHUNK_BYTES
     # a graph of the profile workload's size runs in one block
     blocks = log_pair_blocks(monkeypatch)
-    transitivity(BUDGET_GRAPHS["er"][0])
+    NetworkProfile(BUDGET_GRAPHS["er"][0]).transitivity
     assert len(blocks) == 1 and blocks[0] > 20_000
 
 
@@ -584,7 +575,7 @@ def test_transitivity_blocks_split_mid_graph(monkeypatch, g):
     for pairs in (10**12, 1, 2, 5, 50):
         monkeypatch.setattr(metrics, "_CHUNK_BYTES", pairs * metrics._PAIR_BYTES)
         blocks.clear()
-        results[pairs] = transitivity(g), sum(blocks), len(blocks)
+        results[pairs] = NetworkProfile(g).transitivity, sum(blocks), len(blocks)
     value, listed, count = results.pop(10**12)
     assert count == 1
     assert value == pytest.approx(nx.transitivity(G))

@@ -11,10 +11,11 @@ from priorityrank.ranking import (
     sample_shared,
     selection_probabilities,
 )
-from priorityrank.stats import RngStream, harmonic
+from priorityrank.stats import RngStream
 
 from _oracles import (
     chisquare_pvalue,
+    harmonic,
     lexsort_ranking,
     packed_keys,
     sample_rows,

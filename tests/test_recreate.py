@@ -209,7 +209,7 @@ def test_recreate_winner_has_smallest_mean_statistic():
     for f in report.finalists:
         assert winner.mean_statistic <= f.mean_statistic + 1e-15
     assert len(report.finalists) == 3
-    assert len(report.winner_graphs) == 4
+    assert len(winner.graphs) == 4
 
 
 def test_recreate_synthesizes_attributes_only_when_absent():
@@ -251,7 +251,8 @@ def test_a_failing_candidate_is_recorded_and_the_race_goes_on():
     assert outcomes["cosine"].pilot_statistic is None
     assert outcomes["cosine"].error == "vertex 4 has a zero-norm attribute vector"
     assert "cosine" not in {f.kind for f in report.finalists}
-    assert len(report.finalists) == 3 and len(report.winner_graphs) == 4
+    winner = next(f for f in report.finalists if f.kind == report.winner)
+    assert len(report.finalists) == 3 and len(winner.graphs) == 4
 
 
 @pytest.mark.parametrize(
