@@ -89,6 +89,21 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+def _given(values: dict, *names) -> dict:
+    """The options among ``names`` that ``values`` sets, by name; one left
+    unset keeps the library's default."""
+    return {name: values[name] for name in names if values[name] is not None}
+
+
+def _usage_check(check, *args, **kwargs):
+    """``check(*args, **kwargs)`` on the command line's values, before any
+    file is read: a ``ValueError`` it raises is a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _read_file(path: str) -> str:
     p = Path(path)
     if not p.exists():
@@ -153,7 +168,7 @@ def _build_parser() -> _Parser:
     comp.add_argument("--a", required=True)
     comp.add_argument("--b", required=True)
     comp.add_argument("--out")
-    comp.add_argument("--alpha", type=float, default=0.05)
+    comp.add_argument("--alpha", type=float)
     comp.add_argument("--symmetrize", action="store_true")
 
     learn = sub.add_parser("learn", help="fit a distance function to a network")
@@ -164,7 +179,7 @@ def _build_parser() -> _Parser:
         required=True,
         choices=["linear-regression", "naive-bayes"],
     )
-    learn.add_argument("--negative-ratio", type=float, default=1.0)
+    learn.add_argument("--negative-ratio", type=float)
     learn.add_argument("--seed", type=int)
     learn.add_argument("--out")
     learn.add_argument("--symmetrize", action="store_true")
@@ -172,13 +187,13 @@ def _build_parser() -> _Parser:
     rec = sub.add_parser("recreate", help="fit, race, and regenerate a network family")
     rec.add_argument("--in", dest="infile", required=True)
     rec.add_argument("--attrs")
-    rec.add_argument("--runs", type=int, default=20)
-    rec.add_argument("--pilot", type=int, default=3)
+    rec.add_argument("--runs", type=int)
+    rec.add_argument("--pilot", dest="pilot_runs", metavar="PILOT", type=int)
     rec.add_argument("--seed", type=int)
     rec.add_argument("--workers", type=int, help=WORKERS_HELP)
     rec.add_argument("--report", help="report JSON path (default stdout)")
     rec.add_argument("--emit-best", help="directory for the winner's edge lists")
-    rec.add_argument("--negative-ratio", type=float, default=1.0)
+    rec.add_argument("--negative-ratio", type=float)
     rec.add_argument("--symmetrize", action="store_true")
     return parser
 
@@ -223,17 +238,18 @@ def _dump_rankings(path: str, spec, ctx) -> None:
 
 
 def _cmd_generate(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.model in _BASELINES:
         build, needs, takes = _BASELINES[args.model]
-        values = {**vars(args), "seed": seed}
+        # a model that reads no seed (dgm) neither draws nor prints one
+        values = {**vars(args), "seed": _resolve_seed(args.seed) if "seed" in takes else None}
         if any(values[name] is None for name in needs):
             flags = ["--" + name.replace("_", "-") for name in needs]
             if len(flags) > 2:
                 flags = [", ".join(flags[:-1]) + ",", flags[-1]]
             raise UsageError(f"{args.model} needs {' and '.join(flags)}")
-        g = build(**{name: values[name] for name in needs + takes if values[name] is not None})
+        g = build(**_given(values, *needs, *takes))
     else:  # priority-rank
+        seed = _resolve_seed(args.seed)
         if args.n is None:
             raise UsageError("priority-rank needs --n")
         attrs = load_attributes(_read_file(args.attrs), expected_n=args.n) if args.attrs else None
@@ -272,31 +288,26 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        _check_alpha(args.alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.alpha is not None:
+        _usage_check(_check_alpha, args.alpha)
     ga = _load_graph(args.a, args.symmetrize)
     gb = _load_graph(args.b, args.symmetrize)
-    record = compare_networks(ga, gb, alpha=args.alpha)
+    record = compare_networks(ga, gb, **_given(vars(args), "alpha"))
     _write_json(record.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_learn(args) -> int:
-    try:
-        dist_mod._check_negative_ratio(args.negative_ratio)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.negative_ratio is not None:
+        _usage_check(dist_mod._check_negative_ratio, args.negative_ratio)
     seed = _resolve_seed(args.seed)
     g = _load_graph(args.infile, args.symmetrize)
     if args.attrs:
         attrs = load_attributes(_read_file(args.attrs), expected_n=g.n)
     else:
         attrs = generate_synthetic_attributes(g.n, RngStream(seed).child(0).spawn_seed())
-    ts = dist_mod.build_training_set(
-        g, attrs, negative_ratio=args.negative_ratio, rng=RngStream(seed).child(1)
-    )
+    options = _given(vars(args), "negative_ratio")
+    ts = dist_mod.build_training_set(g, attrs, rng=RngStream(seed).child(1), **options)
     if args.kind == "linear-regression":
         spec = dist_mod.fit_linear_regression_distance(ts)
     else:
@@ -307,15 +318,8 @@ def _cmd_learn(args) -> int:
 
 def _cmd_recreate(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        config = RecreateConfig(
-            runs=args.runs,
-            pilot_runs=args.pilot,
-            seed=seed,
-            negative_ratio=args.negative_ratio,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    options = _given(vars(args), "runs", "pilot_runs", "negative_ratio")
+    config = _usage_check(RecreateConfig, seed=seed, **options)
     g = _load_graph(args.infile, args.symmetrize)
     attrs = load_attributes(_read_file(args.attrs), expected_n=g.n) if args.attrs else None
     report = recreate(g, attrs, config)

@@ -460,6 +460,20 @@ def build_training_set(
     return TrainingSet(features=phi[pairs].reshape(len(pairs), -1), labels=labels, encoder=encoder)
 
 
+def _encoder_array(spec: DistanceFunction, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The learned field ``name`` of ``spec`` as a float array, which must
+    have ``shape``: the widths that the spec's encoder sets."""
+    try:
+        array = np.array(getattr(spec, name), dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{spec.kind} spec field {name!r} must be an array of numbers: {exc}") from exc
+    if array.shape != shape:
+        raise ValueError(
+            f"{spec.kind} spec field {name!r} must have shape {shape} for its encoder, got {array.shape}"
+        )
+    return array
+
+
 @dataclass(frozen=True)
 class LinearRegressionDistance(DistanceFunction):
     """Least-squares fit of 1 - adjacency on pair features; negative raw
@@ -477,7 +491,7 @@ class LinearRegressionDistance(DistanceFunction):
         def make():
             phi = self.encoder.encode(ctx.table)
             p = phi.shape[1]
-            beta = np.array(self.beta, dtype=np.float64)
+            beta = _encoder_array(self, "beta", (2 * p + 1,))
             # one dot product per source: a block product may round
             # differently, and rows must not depend on the block
             consts = np.array([float(phi[i] @ beta[:p]) for i in range(ctx.n)]) + beta[2 * p]
@@ -560,7 +574,6 @@ class NaiveBayesDistance(DistanceFunction):
     means: tuple        # (edge, no-edge) rows over 2p pair features
     variances: tuple
     bernoulli: tuple
-    binary_mask: tuple
     eps: float = DEFAULT_EPS
     encoder: FeatureEncoder = field(kw_only=True)  # after eps in the JSON form
     kind: ClassVar[str] = "naive_bayes"
@@ -571,12 +584,10 @@ class NaiveBayesDistance(DistanceFunction):
 
     @cached_property
     def _params(self):
-        return (
-            np.array(self.means),
-            np.array(self.variances),
-            np.array(self.bernoulli),
-            np.array(self.binary_mask, dtype=bool),
-        )
+        # the Bernoulli slots are the encoder's categorical ones, in both halves
+        mask = np.tile(self.encoder.binary_mask, 2)
+        arrays = (_encoder_array(self, name, (2, len(mask))) for name in ("means", "variances", "bernoulli"))
+        return (*arrays, mask)
 
     def _half_scores(self, phi: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex class log-likelihoods for one half of the pair features."""
@@ -689,7 +700,6 @@ def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
         means=tuple(tuple(float(v) for v in row) for row in means),
         variances=tuple(tuple(float(v) for v in row) for row in variances),
         bernoulli=tuple(tuple(float(v) for v in row) for row in bernoulli),
-        binary_mask=tuple(bool(b) for b in np.tile(ts.encoder.binary_mask, 2)),
         encoder=ts.encoder,
     )
 

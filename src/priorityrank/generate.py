@@ -33,22 +33,17 @@ from .stats import RngStream, _whole
 
 @dataclass(frozen=True)
 class DegreeSpec:
-    """Out-degree budget per vertex: a constant k, or i.i.d. resampling from
-    a source network's out-degree sequence."""
+    """Out-degree budget per vertex: a constant ``k``, or i.i.d. resampling
+    from a source network's out-degree sequence ``histogram``.  A spec holds
+    exactly one of the two."""
 
-    mode: str
     k: int | None = None
     histogram: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("constant", "resample"):
-            raise ValueError(f"unknown degree mode {self.mode!r}")
-        reads, unread = ("k", "histogram") if self.mode == "constant" else ("histogram", "k")
-        if getattr(self, reads) is None:
-            raise ValueError(f"{self.mode} degree spec needs {reads}")
-        if getattr(self, unread) is not None:
-            raise ValueError(f"{self.mode} degree spec reads no {unread}")
-        if self.mode == "constant":
+        if (self.k is None) == (self.histogram is None):
+            raise ValueError("degree spec needs exactly one of k and histogram")
+        if self.k is not None:
             k = _whole(self.k, "constant out-degree")
             if k < 1:
                 raise ValueError(f"constant out-degree must be >= 1, got {k}")
@@ -66,14 +61,14 @@ class DegreeSpec:
 
     @classmethod
     def constant(cls, k: int) -> "DegreeSpec":
-        return cls(mode="constant", k=k)
+        return cls(k=k)
 
     @classmethod
     def resample(cls, out_degrees) -> "DegreeSpec":
-        return cls(mode="resample", histogram=out_degrees)
+        return cls(histogram=out_degrees)
 
     def draws(self, n: int, rng: RngStream) -> np.ndarray:
-        if self.mode == "constant":
+        if self.k is not None:
             if self.k > n - 1:
                 raise ValueError(f"constant out-degree {self.k} exceeds n-1 = {n - 1}")
             return np.full(n, self.k, dtype=np.int64)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from priorityrank.distance import (
     DistanceContext,
     FeatureEncoder,
     build_training_set,
+    fit_linear_regression_distance,
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
@@ -240,6 +242,46 @@ def test_eps_that_is_not_finite_and_positive_is_data_error(tmp_path, capsys, rec
     assert not recwarn.list
 
 
+@pytest.mark.parametrize(
+    "kind, name, edit, message",
+    [
+        ("linear_regression", "beta", lambda value: value[:-3], "must have shape (7,) for its encoder, got (4,)\n"),
+        ("linear_regression", "beta", lambda value: value + [0.0, 0.0], "must have shape (7,) for its encoder, got (9,)\n"),
+        (
+            "naive_bayes", "bernoulli", lambda value: [row + [0.5] for row in value],
+            "must have shape (2, 6) for its encoder, got (2, 7)\n",
+        ),
+        (
+            "naive_bayes", "means", lambda value: [row[:-2] for row in value],
+            "must have shape (2, 6) for its encoder, got (2, 4)\n",
+        ),
+        ("naive_bayes", "variances", lambda value: [value[0], value[1][:-1]], "must be an array of numbers: "),
+    ],
+    ids=["beta-short", "beta-long", "bernoulli-long", "means-short", "variances-ragged"],
+)
+def test_learned_spec_of_another_width_than_its_encoder_is_data_error(tmp_path, capsys, kind, name, edit, message):
+    # PEOPLE_CSV encodes 3 features per vertex (age and two sex slots): beta
+    # holds 2 * 3 + 1 entries, and each naive-Bayes table 2 rows of 2 * 3
+    attrs = tmp_path / "people.csv"
+    attrs.write_text(PEOPLE_CSV)
+    cycle = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    ts = build_training_set(cycle, load_attributes(PEOPLE_CSV), negative_ratio=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-hot columns make the design rank-deficient
+        fit = fit_linear_regression_distance if kind == "linear_regression" else fit_naive_bayes_distance
+        doc = fit(ts).to_json_dict()
+    doc[name] = edit(doc[name])
+    out = tmp_path / "g.tsv"
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
+        "--distance-spec", json.dumps(doc), "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith(f"data error: {kind} spec field {name!r} {message}"), err
+    assert not out.exists()
+
+
 def test_long_inline_distance_spec_is_read_as_json(tmp_path, capsys):
     # longer than a file name may be, so it must never reach the file system
     spec = json.dumps({"kind": "aggregate", "weights": [["age", 1.0]] * 40})
@@ -273,6 +315,25 @@ def test_seed_is_printed_when_absent(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--model", "er", "--n", "10", "--p", "0.2", "--out", str(out))
     assert code == 0
     assert "seed:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reads_seed",
+    [
+        (["--model", "dgm", "--steps", "0"], False),
+        (["--model", "ba", "--n", "10", "--k", "2"], True),
+        (["--model", "priority-rank", "--n", "10", "--k", "2"], True),
+    ],
+    ids=["dgm", "ba", "priority-rank"],
+)
+def test_a_seed_is_drawn_only_for_a_model_that_reads_one(tmp_path, capsys, argv, reads_seed):
+    out = tmp_path / "g.tsv"
+    code, _, err = run(capsys, "generate", *argv, "--out", str(out))
+    assert code == 0
+    if reads_seed:
+        assert err.startswith("seed: ")
+    else:
+        assert err == ""
 
 
 def test_seedless_run_draws_a_63_bit_seed_without_importing_secrets(tmp_path):
@@ -645,6 +706,50 @@ def test_recreate_reports_unbounded_negative_ratio_as_null(tmp_path, capsys):
     assert code == 0
     assert '"negative_ratio": null' in report.read_text()
     assert json.loads(report.read_text())["config"]["negative_ratio"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (
+            ["recreate", "--in", "SRC", "--seed", "7", "--report"],
+            ["--runs", "20", "--pilot", "3", "--negative-ratio", "1"],
+        ),
+        (["learn", "--in", "SRC", "--kind", "naive-bayes", "--seed", "7", "--out"], ["--negative-ratio", "1"]),
+        (["compare", "--a", "SRC", "--b", "SRC", "--out"], ["--alpha", "0.05"]),
+    ],
+    ids=["recreate", "learn", "compare"],
+)
+def test_an_unset_option_is_the_library_default(tmp_path, capsys, recwarn, argv, defaults):
+    src = tmp_path / "g.tsv"
+    run(capsys, "generate", "--model", "er", "--n", "15", "--p", "0.3", "--seed", "6", "--out", str(src))
+    argv = [str(src) if arg == "SRC" else arg for arg in argv]
+    outputs = []
+    for index, extra in enumerate(([], defaults)):
+        out = tmp_path / f"out{index}.json"
+        code, _, _ = run(capsys, *argv, str(out), *extra)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recreate", "--in", "SRC", "--seed", "7", "--runs", "0"], "runs must be >= 1, got 0"),
+        (["recreate", "--in", "SRC", "--seed", "7", "--pilot", "0"], "pilot_runs must be >= 1, got 0"),
+        (["recreate", "--in", "SRC", "--seed", "7", "--negative-ratio", "0"], "negative_ratio must be > 0, got 0.0"),
+        (["learn", "--in", "SRC", "--kind", "naive-bayes", "--negative-ratio", "nan"], "negative_ratio must be > 0, got nan"),
+        (["compare", "--a", "SRC", "--b", "SRC", "--alpha", "1"], "alpha must lie in (0, 1), got 1.0"),
+    ],
+    ids=["runs", "pilot", "recreate-negative-ratio", "learn-negative-ratio", "alpha"],
+)
+def test_a_bad_option_value_is_the_library_check_as_a_usage_error(tmp_path, capsys, argv, message):
+    # the input does not exist: each check runs before it is read
+    argv = [str(tmp_path / "missing.tsv") if arg == "SRC" else arg for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["2", "1", "0", "-0.5", "nan"])

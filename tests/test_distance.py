@@ -600,7 +600,6 @@ def test_naive_bayes_gaussian_likelihood_oracle():
         means=((10.0, 10.0), (0.0, 0.0)),
         variances=((1.0, 1.0), (1.0, 1.0)),
         bernoulli=((0.5, 0.5), (0.5, 0.5)),
-        binary_mask=(False, False),
         encoder=encoder,
     )
     table = numeric_table([0.0, 0.0, 10.0, 10.0])
@@ -792,7 +791,7 @@ def strict_rows_along_order(spec, ctx):
 def naive_bayes_terms(a, b, e, f, eps=1e-6):
     """A naive-Bayes distance and a context in which source i's class terms
     are a[i], b[i] and target j's are e[j], f[j]: priors of 1 add log 1 = 0."""
-    spec = NaiveBayesDistance(1.0, 1.0, (), (), (), (), eps=eps, encoder=FeatureEncoder(columns=()))
+    spec = NaiveBayesDistance(1.0, 1.0, (), (), (), eps=eps, encoder=FeatureEncoder(columns=()))
     n = max(np.size(v) for v in (a, b, e, f))
     ctx = DistanceContext(n=n)
     ctx._scores[spec] = tuple(np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (a, b, e, f))
@@ -951,7 +950,7 @@ GATED_SPECS = [
     HierarchicalMixDistance(alpha=0.5, class_ranks=(0, 1, 2, 3), euclid_attrs=("x",)),
     LinearRegressionDistance(beta=(1.0, 1.0, 0.0), encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
     NaiveBayesDistance(0.5, 0.5, ((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)), ((0.5, 0.5), (0.5, 0.5)),
-                       (False, False), encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
+                       encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
 ]
 
 
@@ -1015,10 +1014,28 @@ def test_spec_json_round_trip():
         evaluate(clone, ctx, 0, 1)
     # the learned kinds keep their key order, so `learn` output is unchanged
     assert list(specs[-1].to_json_dict()) == [
-        "kind", "prior_edge", "prior_no_edge", "means", "variances", "bernoulli",
-        "binary_mask", "eps", "encoder",
+        "kind", "prior_edge", "prior_no_edge", "means", "variances", "bernoulli", "eps", "encoder",
     ]
     assert list(specs[-2].to_json_dict()) == ["kind", "beta", "encoder"]
+
+
+def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
+    # the mask is the encoder's categorical slots once per half of the pair,
+    # so the document holds no copy of it that could disagree
+    n = 12
+    table = AttributeTable([
+        AttributeColumn("x", "continuous", tuple(float(v) for v in range(n))),
+        AttributeColumn("lab", "categorical", tuple("xyz"[v % 3] for v in range(n))),
+    ])
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    spec = fit_naive_bayes_distance(build_training_set(g, table, 1.0, RngStream(3)))
+    assert spec._params[3].tolist() == [False, True, True, True] * 2
+    doc = json.loads(json.dumps(spec.to_json_dict()))
+    assert "binary_mask" not in doc
+    assert spec_from_json_dict(doc) == spec
+    doc["binary_mask"] = [False, True, True, True] * 2
+    with pytest.raises(ValueError, match=r"^naive_bayes spec has no field 'binary_mask'$"):
+        spec_from_json_dict(doc)
 
 
 def test_spec_null_or_missing_fields_take_defaults():

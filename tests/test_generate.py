@@ -174,18 +174,17 @@ def test_degree_spec_resample_clamps_with_warning():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"mode": "constant", "k": 0}, "constant out-degree must be >= 1, got 0"),
-        ({"mode": "constant", "k": -3}, "constant out-degree must be >= 1, got -3"),
-        ({"mode": "constant", "k": 2.5}, "constant out-degree must be a whole number, got 2.5"),
-        ({"mode": "resample", "histogram": (-2, 3)}, "out-degree sequence must be non-negative"),
-        ({"mode": "bogus", "k": 3}, "unknown degree mode 'bogus'"),
-        ({"mode": "constant"}, "constant degree spec needs k"),
-        ({"mode": "resample"}, "resample degree spec needs histogram"),
-        ({"mode": "constant", "k": 3, "histogram": (1, 2)}, "constant degree spec reads no histogram"),
-        ({"mode": "resample", "k": 5, "histogram": (1, 2)}, "resample degree spec reads no k"),
+        ({"k": 0}, "constant out-degree must be >= 1, got 0"),
+        ({"k": -3}, "constant out-degree must be >= 1, got -3"),
+        ({"k": 2.5}, "constant out-degree must be a whole number, got 2.5"),
+        ({"histogram": (-2, 3)}, "out-degree sequence must be non-negative"),
+        ({"k": None}, "degree spec needs exactly one of k and histogram"),
+        ({"histogram": None}, "degree spec needs exactly one of k and histogram"),
+        ({"k": 3, "histogram": (1, 2)}, "degree spec needs exactly one of k and histogram"),
+        ({"k": 5, "histogram": np.array([1, 2])}, "degree spec needs exactly one of k and histogram"),
     ],
     ids=[
-        "k-zero", "k-negative", "k-fractional", "negative-histogram", "unknown-mode",
+        "k-zero", "k-negative", "k-fractional", "negative-histogram",
         "constant-without-k", "resample-without-histogram", "constant-with-histogram", "resample-with-k",
     ],
 )
@@ -193,6 +192,11 @@ def test_degree_spec_constructor_makes_the_factory_checks(fields, message):
     # the constructor is the one check path: a bad spec never reaches a pass
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         DegreeSpec(**fields)
+
+
+def test_degree_spec_is_its_one_field():
+    assert DegreeSpec(k=3) == DegreeSpec.constant(3)
+    assert DegreeSpec(histogram=(1, 2)) == DegreeSpec.resample([1, 2])
 
 
 def test_degree_spec_resample_reads_an_integer_array_as_its_ints():
