@@ -581,13 +581,25 @@ class NaiveBayesDistance(DistanceFunction):
 
     def __post_init__(self):
         _check_eps(self.eps)
+        for name in ("prior_edge", "prior_no_edge"):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{self.kind} spec field {name!r} must be positive and finite, got {value}")
 
     @cached_property
     def _params(self):
-        # the Bernoulli slots are the encoder's categorical ones, in both halves
+        # the Bernoulli slots are the encoder's categorical ones, in both halves;
+        # their rates on continuous slots are placeholders and go unchecked
         mask = np.tile(self.encoder.binary_mask, 2)
-        arrays = (_encoder_array(self, name, (2, len(mask))) for name in ("means", "variances", "bernoulli"))
-        return (*arrays, mask)
+        means, variances, bern = (
+            _encoder_array(self, name, (2, len(mask))) for name in ("means", "variances", "bernoulli")
+        )
+        if not np.isfinite(means).all():
+            raise ValueError(f"{self.kind} spec field 'means' must be finite")
+        if not (np.isfinite(variances) & (variances > 0)).all():
+            raise ValueError(f"{self.kind} spec field 'variances' must be positive and finite")
+        return means, variances, bern, mask
 
     def _half_scores(self, phi: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex class log-likelihoods for one half of the pair features."""
@@ -659,7 +671,7 @@ class NaiveBayesDistance(DistanceFunction):
         2 K u that rounding can take back.  |D| < 700 and eps <= 1 keep
         every float step's value normal (Higham, "Accuracy and Stability of
         Numerical Algorithms", 2002, ch. 2-3)."""
-        if not (self.prior_edge > 0 and self.prior_no_edge > 0 and self.eps <= 1):
+        if not self.eps <= 1:
             return np.zeros(len(g), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             # A_i and B_i as rows computes them
@@ -713,8 +725,15 @@ _KINDS.update((c.kind, c) for c in DistanceFunction.__subclasses__() if c is not
 _JSON_TYPES = {"float": ((int, float), "a number"), "str": (str, "a string")}
 
 
-def _spec_value(value):
-    return tuple(_spec_value(v) for v in value) if isinstance(value, list) else value
+def _spec_value(value, name: str):
+    """``value`` with its lists as tuples; a JSON object inside a list
+    raises ``ValueError`` naming the field ``name``."""
+    if not isinstance(value, list):
+        return value
+    for v in value:
+        if isinstance(v, dict):
+            raise ValueError(f"{name} must hold no JSON object, got {v!r}")
+    return tuple(_spec_value(v, name) for v in value)
 
 
 def spec_from_json_dict(doc) -> DistanceFunction:
@@ -741,7 +760,7 @@ def spec_from_json_dict(doc) -> DistanceFunction:
                 continue
             if value is None:
                 raise ValueError(f"{kind} spec needs field {f.name!r}")
-            value = _spec_value(value)
+            value = _spec_value(value, f"{kind} spec field {f.name!r}")
             types, what = _JSON_TYPES.get(f.type.split("[")[0], (tuple, "a list"))
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"{kind} spec field {f.name!r} must be {what}, got {value!r}")

@@ -274,8 +274,8 @@ def pagerank_centrality(
     dangling = outdeg == 0
     safe_out = np.where(dangling, 1.0, outdeg)
     for _ in range(max_iter):
-        contrib = x[src] / safe_out[src] if len(src) else np.zeros(0)
-        incoming = np.bincount(dst, weights=contrib, minlength=n) if len(src) else np.zeros(n)
+        contrib = x[src] / safe_out[src]
+        incoming = np.bincount(dst, weights=contrib, minlength=n)
         dangling_mass = float(x[dangling].sum())
         x_new = damping * (incoming + dangling_mass / n) + base
         residual = float(np.abs(x_new - x).sum())

@@ -39,12 +39,13 @@ of the rows; the source's key is +inf.  The keys are sorted as float64: a
 finite non-negative distance's key is a finite non-negative float, and such
 floats order like their bit patterns.  A negative or -0.0 key sorts first,
 and an infinite or NaN one beside or after the source's +inf, so the first
-and last keys of each sorted row check the whole row.  Only a flagged row
-is rebuilt from a ``+ 0.0`` copy, in which -0.0 reads +0.0, and checked
-entry by entry for the usual errors.  The source's key, last, is dropped.
-A row whose sorted keys, read as integers, rise strictly above the id bits
-is strictly increasing in distance: tie-free, and sorted exactly, whatever
-the float sort did.  Such a row reads its targets from its keys and never
+and last keys of each sorted row check the whole row.  A flagged row is
+unproven and goes, like a row that fails the order check below, to the
+stable argsort, which checks it entry by entry for the usual errors.  The
+source's key, last in every other row, is dropped.  A row whose sorted
+keys, read as integers, rise strictly above the id bits is strictly
+increasing in distance: tie-free, and sorted exactly, whatever the float
+sort did.  Such a row reads its targets from its keys and never
 gathers a distance.  Every other row (true ties, distances that differ only
 in the id bits, and any row the caller needs in full) gathers its distances
 along the packed order, which puts tied targets by id, and must then be
@@ -139,44 +140,34 @@ def _rows_by_sort(distances: np.ndarray, sources: np.ndarray):
     return perm, np.take_along_axis(distances, perm, axis=1)
 
 
-def _sorted_keys(distances: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Every row's packed keys, the source's +inf, sorted in float order."""
+def _odd(keys: np.ndarray) -> np.ndarray:
+    """Rows of sorted kept keys whose first or last key, read unsigned, is
+    at or above +inf's: rows with a negative, -0.0, infinite or NaN entry."""
+    return (keys[:, 0] >= _INF_KEY) | (keys[:, -1] >= _INF_KEY)
+
+
+def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
+    """Every row's packed target keys (see the module docstring), sorted,
+    and whether the row is not odd and its distance bits strictly increase,
+    which proves it tie-free."""
     b, n = distances.shape
     keys = distances.view(np.uint64) & ~np.uint64(_id_mask(n))
     keys |= np.arange(n, dtype=np.uint64)
     keys[np.arange(b), sources] = _INF_KEY
     keys.view(np.float64).sort(axis=1)
-    return keys
-
-
-def _rows_by_keys(distances: np.ndarray, sources: np.ndarray):
-    """Every row's packed target keys (see the module docstring), sorted,
-    and whether their distance bits strictly increase, which proves the
-    row tie-free."""
-    n = distances.shape[1]
-    keys = _sorted_keys(distances, sources)
     kept = keys[:, :-1]
-    # read unsigned, the key of a finite non-negative distance lies below
-    # +inf's; a negative or -0.0 key sorts first, and an inf or NaN one
-    # leaves a key at or above +inf's last among the kept keys
-    odd = ((kept[:, :1] >= _INF_KEY) | (kept[:, -1:] >= _INF_KEY)).any(axis=1)
-    if odd.any():
-        rows = np.flatnonzero(odd)
-        fixed = distances[rows] + 0.0  # a copy, in which -0.0 reads +0.0
-        fixed[np.arange(len(rows)), sources[rows]] = 0.0
-        _check_distances(fixed)
-        keys[rows] = _sorted_keys(fixed, sources[rows])
     high = keys >> np.uint64((n - 1).bit_length())
-    return kept, (high[:, 1:-1] > high[:, :-2]).all(axis=1)
+    return kept, ~_odd(kept) & (high[:, 1:-1] > high[:, :-2]).all(axis=1)
 
 
 def _rows_along_keys(distances: np.ndarray, sources: np.ndarray, keys: np.ndarray):
     """``(perm, ordered)`` in the order of sorted packed keys.  Ties among
-    the kept distance bits come out by id; a row that this leaves
-    decreasing (distances that differ only in the id bits) is argsorted."""
+    the kept distance bits come out by id; an odd row, and a row that this
+    leaves decreasing (distances that differ only in the id bits), is
+    argsorted, which checks it entry by entry."""
     perm = keys.view(np.int64) & _id_mask(distances.shape[1])
     ordered = np.take_along_axis(distances, perm, axis=1)
-    wrong = ~_non_decreasing(ordered)
+    wrong = _odd(keys) | ~_non_decreasing(ordered)
     if wrong.any():
         perm[wrong], ordered[wrong] = _rows_by_sort(distances[wrong], sources[wrong])
     return perm, ordered

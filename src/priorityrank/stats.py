@@ -40,8 +40,6 @@ def ks_two_sample(a, b) -> KsResult:
     cdf_a = np.searchsorted(a_sorted, pooled, side="right") / n
     cdf_b = np.searchsorted(b_sorted, pooled, side="right") / m
     statistic = float(np.max(np.abs(cdf_a - cdf_b)))
-    if statistic == 0.0:
-        return KsResult(0.0, 1.0)
     n_eff = n * m / (n + m)
     lam = (math.sqrt(n_eff) + 0.12 + 0.11 / math.sqrt(n_eff)) * statistic
     return KsResult(statistic, kolmogorov_q(lam))

@@ -321,10 +321,11 @@ def sample_rows(distances, sources, ks, u) -> np.ndarray:
 
 
 def packed_keys(distances, sources):
-    """The packed keys of ``ranking._rows_by_keys``, built the first way:
-    the bits of a ``+ 0.0`` copy checked in full, all ones for the source,
-    one uint64 sort, and tie-free where no two neighbouring keys agree
-    above the id bits.  The errors are those of ``sort_block``."""
+    """The packed keys of ``ranking._rows_by_keys`` on rows with no odd
+    entry, built the first way: the bits of a ``+ 0.0`` copy checked in
+    full, all ones for the source, one uint64 sort, and tie-free where no
+    two neighbouring keys agree above the id bits.  The errors are those of
+    ``sort_block``."""
     b, n = distances.shape
     rows = np.arange(b)
     keys = distances + 0.0

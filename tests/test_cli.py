@@ -242,6 +242,36 @@ def test_eps_that_is_not_finite_and_positive_is_data_error(tmp_path, capsys, rec
     assert not recwarn.list
 
 
+def learned_doc(kind):
+    """The JSON document of a ``kind`` spec fitted to a 5-cycle over
+    PEOPLE_CSV, which encodes 3 features per vertex (age and two sex slots):
+    beta holds 2 * 3 + 1 entries, and each naive-Bayes table 2 rows of 2 * 3."""
+    cycle = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    ts = build_training_set(cycle, load_attributes(PEOPLE_CSV), negative_ratio=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the one-hot columns make the design rank-deficient
+        fit = fit_linear_regression_distance if kind == "linear_regression" else fit_naive_bayes_distance
+        return fit(ts).to_json_dict()
+
+
+def generate_with_spec(tmp_path, capsys, doc, n=5):
+    """``generate`` with the spec ``doc`` over PEOPLE_CSV (n=5) or synthetic
+    attributes: the exit code and stderr, after checking that a failure
+    writes no graph."""
+    out = tmp_path / "g.tsv"
+    attrs = []
+    if n == 5:
+        (tmp_path / "people.csv").write_text(PEOPLE_CSV)
+        attrs = ["--attrs", str(tmp_path / "people.csv")]
+    code, _, err = run(
+        capsys,
+        "generate", "--model", "priority-rank", "--n", str(n), "--k", "2", *attrs,
+        "--distance-spec", json.dumps(doc), "--seed", "1", "--out", str(out),
+    )
+    assert code == 0 or not out.exists()
+    return code, err
+
+
 @pytest.mark.parametrize(
     "kind, name, edit, message",
     [
@@ -260,26 +290,70 @@ def test_eps_that_is_not_finite_and_positive_is_data_error(tmp_path, capsys, rec
     ids=["beta-short", "beta-long", "bernoulli-long", "means-short", "variances-ragged"],
 )
 def test_learned_spec_of_another_width_than_its_encoder_is_data_error(tmp_path, capsys, kind, name, edit, message):
-    # PEOPLE_CSV encodes 3 features per vertex (age and two sex slots): beta
-    # holds 2 * 3 + 1 entries, and each naive-Bayes table 2 rows of 2 * 3
-    attrs = tmp_path / "people.csv"
-    attrs.write_text(PEOPLE_CSV)
-    cycle = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
-    ts = build_training_set(cycle, load_attributes(PEOPLE_CSV), negative_ratio=math.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the one-hot columns make the design rank-deficient
-        fit = fit_linear_regression_distance if kind == "linear_regression" else fit_naive_bayes_distance
-        doc = fit(ts).to_json_dict()
+    doc = learned_doc(kind)
     doc[name] = edit(doc[name])
-    out = tmp_path / "g.tsv"
-    code, _, err = run(
-        capsys,
-        "generate", "--model", "priority-rank", "--n", "5", "--k", "2", "--attrs", str(attrs),
-        "--distance-spec", json.dumps(doc), "--seed", "1", "--out", str(out),
-    )
+    code, err = generate_with_spec(tmp_path, capsys, doc)
     assert code == 2
     assert err.startswith(f"data error: {kind} spec field {name!r} {message}"), err
-    assert not out.exists()
+
+
+def with_value(doc, name, index, value):
+    """``doc`` with ``value`` in field ``name``, or at ``index`` of its table."""
+    if index is None:
+        doc[name] = value
+    else:
+        table = np.array(doc[name])
+        table[index] = value
+        doc[name] = table.tolist()
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, index, value, message",
+    [
+        ("prior_edge", None, -0.5, "must be positive and finite, got -0.5"),
+        ("prior_no_edge", None, 0.0, "must be positive and finite, got 0.0"),
+        ("variances", (1, 2), -1.0, "must be positive and finite"),
+    ],
+    ids=["prior-edge-negative", "prior-no-edge-zero", "variance-negative"],
+)
+def test_naive_bayes_value_out_of_range_is_data_error(tmp_path, capsys, recwarn, name, index, value, message):
+    # checked when the spec is read or first used, before any row is evaluated
+    doc = with_value(learned_doc("naive_bayes"), name, index, value)
+    code, err = generate_with_spec(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == f"data error: naive_bayes spec field {name!r} {message}\n"
+    assert not recwarn.list
+
+
+def test_naive_bayes_placeholder_rates_go_unchecked(tmp_path, capsys):
+    # the Bernoulli rates of the continuous slots (age, in both halves) are
+    # never read
+    doc = with_value(learned_doc("naive_bayes"), "bernoulli", (0, 0), -7.0)
+    assert generate_with_spec(tmp_path, capsys, doc) == (0, "")
+
+
+def beta_with_object(doc):
+    doc["beta"][2] = {}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, name",
+    [
+        ({"kind": "hierarchical_mix", "alpha": 0.0, "class_ranks": [{}, 1, 2, 3, 4, 5]}, "class_ranks"),
+        ({"kind": "aggregate", "weights": [[{}, 1.0]]}, "weights"),
+        (beta_with_object(learned_doc("linear_regression")), "beta"),
+        ({"kind": "cosine", "attrs": [{}]}, "attrs"),
+    ],
+    ids=["class-ranks", "aggregate-weights", "beta", "cosine-attrs"],
+)
+def test_json_object_inside_a_list_field_is_data_error(tmp_path, capsys, recwarn, doc, name):
+    n = 5 if doc["kind"] == "linear_regression" else 6
+    code, err = generate_with_spec(tmp_path, capsys, doc, n=n)
+    assert code == 2
+    assert err == f"data error: {doc['kind']} spec field {name!r} must hold no JSON object, got {{}}\n"
+    assert not recwarn.list
 
 
 def test_long_inline_distance_spec_is_read_as_json(tmp_path, capsys):

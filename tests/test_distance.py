@@ -1038,6 +1038,41 @@ def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
         spec_from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "name, index, value, message",
+    [
+        ("prior_edge", None, math.inf, "must be positive and finite, got inf"),
+        ("prior_no_edge", None, math.nan, "must be positive and finite, got nan"),
+        ("variances", (0, 0), math.nan, "must be positive and finite"),
+        ("variances", (1, 5), 0.0, "must be positive and finite"),
+        ("means", (0, 4), -math.inf, "must be finite"),
+    ],
+    ids=["prior-edge-inf", "prior-no-edge-nan", "variance-nan", "variance-zero", "mean-inf"],
+)
+def test_naive_bayes_value_out_of_range_names_its_field(recwarn, name, index, value, message):
+    # a prior fails when the spec is read, a table entry when it is first
+    # used, before any row is evaluated
+    n = 12
+    table = AttributeTable([
+        AttributeColumn("x", "continuous", tuple(float(v) for v in range(n))),
+        AttributeColumn("lab", "categorical", tuple("xyz"[v % 3] for v in range(n))),
+    ])
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    doc = fit_naive_bayes_distance(build_training_set(g, table, 1.0, RngStream(3))).to_json_dict()
+    if index is None:
+        doc[name] = value
+    else:
+        values = np.array(doc[name])
+        values[index] = value
+        doc[name] = values.tolist()
+    pattern = re.escape(f"naive_bayes spec field {name!r} {message}") + "$"
+    with pytest.raises(ValueError, match=pattern):
+        spec_from_json_dict(doc).rows(DistanceContext(attrs=table), np.arange(n))
+    with pytest.raises(ValueError, match=pattern):
+        spec_from_json_dict(doc).shared_order(DistanceContext(attrs=table))
+    assert not recwarn.list
+
+
 def test_spec_null_or_missing_fields_take_defaults():
     assert spec_from_json_dict({"kind": "cosine", "attrs": None}) == CosineDistance()
     assert spec_from_json_dict({"kind": "degree", "eps": None}) == CentralityDistance(centrality="degree")
