@@ -30,6 +30,14 @@ permutation.  The other sources evaluate their rows, which
 ``ranking.sort_block`` sorts by packed keys like every other kind's; ranks
 depend only on the distances, so the draws never depend on the proof.
 
+No row reaches BLAS.  The cosine products, both linear-regression terms
+and the Euclidean sums are added one attribute or feature column at a
+time, in column order, with elementwise ufuncs that round each step on
+their own, so their bits depend on no block of sources, BLAS kernel or
+SIMD width.  The linear-regression fit's ``np.linalg.eigh`` is the one
+BLAS-kernel-dependent step left; the naive-Bayes rows' ``np.exp`` follows
+numpy's SIMD dispatch.
+
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
 centrality.  ``spec_from_json_dict`` reads a missing or null field as its
@@ -40,6 +48,7 @@ with a key that is not among the kind's fields.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
@@ -236,11 +245,18 @@ class Euclidean2D(DistanceFunction):
     requires_attributes: ClassVar[bool] = True
 
     def rows(self, ctx, sources):
-        a = ctx.table.numeric_array(self.attr1)
-        b = ctx.table.numeric_array(self.attr2)
-        out = np.square(np.subtract(a, a[sources, None]))
-        out += np.square(np.subtract(b, b[sources, None]))
-        return np.sqrt(out, out=out)
+        return _euclidean(ctx, (self.attr1, self.attr2), sources)
+
+
+def _euclidean(ctx, names, sources) -> np.ndarray:
+    """The square root of the squared differences over the numeric
+    attributes ``names``, summed in their order."""
+    out = np.zeros((len(sources), ctx.n))
+    for name in names:
+        vals = ctx.table.numeric_array(name)
+        term = np.subtract(vals, vals[sources, None])
+        out += np.square(term, out=term)
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -264,11 +280,9 @@ class CosineDistance(DistanceFunction):
         if (norms == 0.0).any():
             bad = int(np.argmin(norms))
             raise ValueError(f"vertex {bad} has a zero-norm attribute vector")
-        out = np.empty((len(sources), ctx.n))
-        for r, i in enumerate(sources.tolist()):
-            # one product per source: a block matrix product may round
-            # differently, and rows must not depend on the block
-            np.matmul(mat, mat[i], out=out[r])
+        out = np.zeros((len(sources), ctx.n))
+        for col in mat.T:
+            out += col * col[sources, None]
         out /= norms * norms[sources, None]
         np.subtract(1.0, out, out=out)
         return np.maximum(out, 0.0, out=out)
@@ -286,7 +300,10 @@ class AggregateDistance(DistanceFunction):
     def __post_init__(self):
         if not self.weights:
             raise ValueError("aggregate distance needs at least one attribute weight")
-        for name, w in self.weights:
+        for item in self.weights:
+            if not (isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str)):
+                raise ValueError(f"{self.kind} spec field 'weights' must hold (name, number) pairs, got {item!r}")
+            name, w = item
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"aggregate weight of {name!r} must be finite and non-negative, got {w}")
 
@@ -324,6 +341,13 @@ class HierarchicalMixDistance(DistanceFunction):
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        for rank in self.class_ranks:
+            try:
+                finite = isinstance(rank, numbers.Real) and not isinstance(rank, bool) and math.isfinite(rank)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{self.kind} spec field 'class_ranks' must hold finite numbers, got {rank!r}")
 
     def rows(self, ctx, sources):
         mapped = len(self.class_ranks)
@@ -335,15 +359,9 @@ class HierarchicalMixDistance(DistanceFunction):
         np.abs(hier, out=hier)
         if self.alpha == 0.0:
             return hier
-        cols = [ctx.table.numeric_array(name) for name in self.euclid_attrs]
-        if not cols:
+        if not self.euclid_attrs:
             raise ValueError("hierarchical mix with alpha > 0 needs euclidean attributes")
-        sq = np.zeros_like(hier)
-        term = np.empty_like(hier)
-        for vals in cols:
-            np.subtract(vals, vals[sources, None], out=term)
-            sq += np.square(term, out=term)
-        np.sqrt(sq, out=sq)
+        sq = _euclidean(ctx, self.euclid_attrs, sources)
         sq *= self.alpha
         hier *= 1.0 - self.alpha
         sq += hier
@@ -492,10 +510,9 @@ class LinearRegressionDistance(DistanceFunction):
             phi = self.encoder.encode(ctx.table)
             p = phi.shape[1]
             beta = _encoder_array(self, "beta", (2 * p + 1,))
-            # one dot product per source: a block product may round
-            # differently, and rows must not depend on the block
-            consts = np.array([float(phi[i] @ beta[:p]) for i in range(ctx.n)]) + beta[2 * p]
-            return phi @ beta[p : 2 * p], consts
+            def dot(b):  # the features times b, summed in column order
+                return sum((col * w for col, w in zip(phi.T, b)), np.zeros(ctx.n))
+            return dot(beta[p : 2 * p]), dot(beta[:p]) + beta[2 * p]
 
         return ctx.cached(self, make)
 

@@ -349,8 +349,12 @@ def gen_disassortative(
     that passes is returned as-is.  Other n scale the three bands
     proportionally (10% / 40% / 50%).
     """
-    if stop_threshold >= 0:
+    # written so that NaN fails too
+    if not stop_threshold < 0:
         raise ValueError(f"stop threshold must be negative, got {stop_threshold}")
+    max_rounds = _whole(max_rounds, "max_rounds")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if n < 10:
         raise ValueError(f"need n >= 10, got {n}")
     gen = RngStream(seed).generator

@@ -356,6 +356,53 @@ def aggregate_rows(spec, ctx, sources) -> np.ndarray:
     return total
 
 
+def _column_sum(xs, ys) -> float:
+    """The products x * y summed with Python floats in column order."""
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
+
+
+def _attribute_vectors(ctx, names) -> list[list[float]]:
+    return [list(row) for row in zip(*(ctx.attrs.numeric_array(name).tolist() for name in names))]
+
+
+def cosine_rows_by_floats(spec, ctx, sources) -> np.ndarray:
+    """``CosineDistance.rows`` entry by entry with Python floats: each
+    product and each squared norm summed column by column."""
+    names = spec.attrs if spec.attrs is not None else ctx.attrs.numeric_names()
+    vectors = _attribute_vectors(ctx, names)
+    norms = [math.sqrt(_column_sum(v, v)) for v in vectors]
+    return np.array(
+        [[max(1.0 - _column_sum(vectors[i], v) / (norm * norms[i]), 0.0) for v, norm in zip(vectors, norms)]
+         for i in sources.tolist()]
+    )
+
+
+def euclidean_rows_by_floats(ctx, names, sources) -> np.ndarray:
+    """The Euclidean distances over the numeric attributes ``names`` with
+    Python floats: the squared differences summed column by column."""
+    vectors = _attribute_vectors(ctx, names)
+    rows = []
+    for i in sources.tolist():
+        diffs = [[a - b for a, b in zip(v, vectors[i])] for v in vectors]
+        rows.append([math.sqrt(_column_sum(d, d)) for d in diffs])
+    return np.array(rows)
+
+
+def linear_regression_terms_by_floats(spec, ctx) -> tuple[np.ndarray, np.ndarray]:
+    """``LinearRegressionDistance._terms`` with Python floats over the
+    features of ``one_hot_by_rows``: each vertex's target score and source
+    constant, its features times their weights summed column by column."""
+    phi = one_hot_by_rows(spec.encoder, ctx.attrs).tolist()
+    p = len(spec.encoder.binary_mask)
+    beta = list(spec.beta)
+    scores = [_column_sum(row, beta[p : 2 * p]) for row in phi]
+    consts = [_column_sum(row, beta[:p]) + beta[2 * p] for row in phi]
+    return np.array(scores), np.array(consts)
+
+
 def edge_list_text(g: Graph) -> str:
     """``save_edge_list`` written with one ``%`` format of every arc."""
     arcs = g.arc_array

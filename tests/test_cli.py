@@ -255,9 +255,9 @@ def learned_doc(kind):
 
 
 def generate_with_spec(tmp_path, capsys, doc, n=5):
-    """``generate`` with the spec ``doc`` over PEOPLE_CSV (n=5) or synthetic
-    attributes: the exit code and stderr, after checking that a failure
-    writes no graph."""
+    """``generate`` with the spec ``doc``, a document or its JSON text, over
+    PEOPLE_CSV (n=5) or synthetic attributes: the exit code and stderr,
+    after checking that a failure writes no graph."""
     out = tmp_path / "g.tsv"
     attrs = []
     if n == 5:
@@ -266,7 +266,7 @@ def generate_with_spec(tmp_path, capsys, doc, n=5):
     code, _, err = run(
         capsys,
         "generate", "--model", "priority-rank", "--n", str(n), "--k", "2", *attrs,
-        "--distance-spec", json.dumps(doc), "--seed", "1", "--out", str(out),
+        "--distance-spec", doc if isinstance(doc, str) else json.dumps(doc), "--seed", "1", "--out", str(out),
     )
     assert code == 0 or not out.exists()
     return code, err
@@ -353,6 +353,54 @@ def test_json_object_inside_a_list_field_is_data_error(tmp_path, capsys, recwarn
     code, err = generate_with_spec(tmp_path, capsys, doc, n=n)
     assert code == 2
     assert err == f"data error: {doc['kind']} spec field {name!r} must hold no JSON object, got {{}}\n"
+    assert not recwarn.list
+
+
+CLASS_RANKS = "hierarchical_mix spec field 'class_ranks'"
+
+
+def hierarchical_mix_text(first):
+    """A hierarchical-mix document for n=6 whose first class rank is the
+    JSON text ``first``."""
+    return f'{{"kind": "hierarchical_mix", "alpha": 0.0, "class_ranks": [{first}, 1, 2, 3, 4, 5]}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        *(
+            (hierarchical_mix_text(first), f"{CLASS_RANKS} must hold finite numbers, got {got}")
+            for first, got in (("null", "None"), ("[1]", "(1,)"), ('"a"', "'a'"), ("1e999", "inf"), ("true", "True"))
+        ),
+        (
+            '{"kind": "aggregate", "weights": [["a"]]}',
+            "aggregate spec field 'weights' must hold (name, number) pairs, got ('a',)",
+        ),
+    ],
+    ids=["rank-null", "rank-list", "rank-string", "rank-infinite", "rank-bool", "aggregate-single"],
+)
+def test_malformed_list_item_is_data_error(tmp_path, capsys, recwarn, text, message):
+    code, err = generate_with_spec(tmp_path, capsys, text, n=6)
+    assert code == 2
+    assert err == f"data error: {message}\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--stop-threshold", "nan"], "stop threshold must be negative, got nan"),
+        (["--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
+        (["--max-rounds", "-3"], "max_rounds must be >= 1, got -3"),
+    ],
+    ids=["nan-threshold", "zero-rounds", "negative-rounds"],
+)
+def test_disassortative_bad_parameter_is_data_error(tmp_path, capsys, recwarn, flags, message):
+    out = tmp_path / "g.tsv"
+    code, _, err = run(capsys, "generate", "--model", "disassortative", *flags, "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert err == f"data error: {message}\n"
+    assert not out.exists()
     assert not recwarn.list
 
 

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +32,22 @@ from priorityrank.distance import (
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
-from priorityrank.generate import gen_barabasi_albert
+from priorityrank.generate import DegreeSpec, gen_barabasi_albert, priority_rank_generate
 from priorityrank.graph import AttributeColumn, AttributeTable, Graph
 from priorityrank.metrics import CENTRALITY_KINDS, NetworkProfile
 from priorityrank.recreate import generate_synthetic_attributes
 from priorityrank.stats import RngStream
 
-from _oracles import aggregate_rows, arcs, evaluate, one_hot_by_rows, random_digraph
+from _oracles import (
+    aggregate_rows,
+    arcs,
+    cosine_rows_by_floats,
+    euclidean_rows_by_floats,
+    evaluate,
+    linear_regression_terms_by_floats,
+    one_hot_by_rows,
+    random_digraph,
+)
 
 
 def people_table():
@@ -248,8 +262,12 @@ def test_hierarchical_mix():
         (lambda: CentralityDistance(centrality="eigen"), "unknown centrality 'eigen'"),
         (lambda: AggregateDistance(weights=()), "aggregate distance needs at least one attribute weight"),
         (lambda: HierarchicalMixDistance(1.5, (0, 1)), "alpha must be in [0, 1], got 1.5"),
+        (
+            lambda: HierarchicalMixDistance(0.0, (0, 10**400)),
+            f"hierarchical_mix spec field 'class_ranks' must hold finite numbers, got {10**400}",
+        ),
     ],
-    ids=["centrality", "aggregate", "hierarchical_alpha"],
+    ids=["centrality", "aggregate", "hierarchical_alpha", "hierarchical_huge_rank"],
 )
 def test_specs_reject_bad_parameters(make, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -774,6 +792,85 @@ def test_rows_match_row_bitwise():
         expected = np.stack([spec.rows(ctx, np.array([int(i)]))[0] for i in sources])
         assert block.tobytes() == expected.tobytes(), spec.kind
         assert spec.rows(ctx, np.array([], dtype=np.int64)).shape == (0, n), spec.kind
+
+
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+def test_column_sums_match_python_floats():
+    # every product over attribute or feature columns is added column by
+    # column in column order, so each entry is the Python float sum to the bit
+    n = 50
+    ctx, specs = catalog(n, np.random.default_rng(31))
+    sources = np.arange(n)
+    checked = set()
+    for spec in specs:
+        if isinstance(spec, CosineDistance):
+            pairs = [(spec.rows(ctx, sources), cosine_rows_by_floats(spec, ctx, sources))]
+        elif isinstance(spec, Euclidean2D):
+            pairs = [(spec.rows(ctx, sources), euclidean_rows_by_floats(ctx, (spec.attr1, spec.attr2), sources))]
+        elif isinstance(spec, HierarchicalMixDistance) and spec.alpha > 0:
+            euclid = euclidean_rows_by_floats(ctx, spec.euclid_attrs, sources)
+            ranks = np.array(spec.class_ranks, dtype=np.float64)
+            hier = np.abs(ranks - ranks[:, None])
+            pairs = [(spec.rows(ctx, sources), euclid * spec.alpha + hier * (1.0 - spec.alpha))]
+        elif isinstance(spec, LinearRegressionDistance):
+            pairs = list(zip(spec._terms(ctx), linear_regression_terms_by_floats(spec, ctx)))
+        else:
+            continue
+        checked.add(spec.kind)
+        for got, expected in pairs:
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), spec.kind
+    assert checked == {"cosine", "euclidean2d", "hierarchical_mix", "linear_regression"}
+
+
+# a hand-written linear-regression spec over the features of
+# ``generate_synthetic_attributes``: ordinal, five categories, lognormal and
+# exponential, in both halves, then the intercept
+KERNEL_BETA = (
+    0.31, -1.7, 0.043, 2.9, -0.55, 1.13, -0.0071, 0.86,
+    -0.27, 0.61, -1.4, 0.095, 0.77, -2.3, 0.018, 1.9,
+    0.5,
+)
+
+
+def kernel_hashes() -> dict[str, str]:
+    """sha256 of the cosine rows of every source, the linear-regression
+    terms of ``KERNEL_BETA``, and one seeded graph of each kind, at n=2,000
+    over synthetic attributes."""
+    n = 2000
+    table = generate_synthetic_attributes(n, 3)
+    specs = {
+        "cosine": CosineDistance(),
+        "linear_regression": LinearRegressionDistance(beta=KERNEL_BETA, encoder=FeatureEncoder.from_table(table)),
+    }
+    ctx = DistanceContext(attrs=table)
+    rows = hashlib.sha256()
+    for start in range(0, n, 250):
+        rows.update(specs["cosine"].rows(ctx, np.arange(start, start + 250)).tobytes())
+    hashes = {"cosine rows": rows.hexdigest()}
+    for name, term in zip(("scores", "constants"), specs["linear_regression"]._terms(ctx)):
+        hashes[f"linear_regression {name}"] = hashlib.sha256(term.tobytes()).hexdigest()
+    for kind, spec in specs.items():
+        g = priority_rank_generate(DistanceContext(attrs=table), spec, DegreeSpec.constant(10), 5)
+        hashes[f"{kind} graph"] = hashlib.sha256(g.codes.tobytes()).hexdigest()
+    return hashes
+
+
+def test_rows_do_not_depend_on_the_blas_kernel():
+    """A subprocess whose OpenBLAS runs its Sandybridge kernels computes the
+    rows, terms and graphs of ``kernel_hashes`` to this process's bits.  On
+    a BLAS that does not read ``OPENBLAS_CORETYPE`` (an OpenBLAS built
+    without ``DYNAMIC_ARCH``, or another BLAS) both processes run one
+    kernel, and the test passes trivially."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    script = "import json, test_distance; print(json.dumps(test_distance.kernel_hashes()))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge", "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == kernel_hashes()
 
 
 def strict_rows_along_order(spec, ctx):

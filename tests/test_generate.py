@@ -269,8 +269,15 @@ def test_erdos_renyi_names_a_negative_vertex_count():
         (gen_dorogovtsev_goltsev_mendes, (-1,), "steps must be >= 0, got -1"),
         (gen_disassortative, (100, 0.1, 5, 1), "stop threshold must be negative, got 0.1"),
         (gen_disassortative, (9, -0.4, 5, 1), "need n >= 10, got 9"),
+        (gen_disassortative, (100, math.nan, 5, 1), "stop threshold must be negative, got nan"),
+        (gen_disassortative, (100, -0.4, 0, 1), "max_rounds must be >= 1, got 0"),
+        (gen_disassortative, (100, -0.4, -3, 1), "max_rounds must be >= 1, got -3"),
+        (gen_disassortative, (100, -0.4, 2.5, 1), "max_rounds must be a whole number, got 2.5"),
     ],
-    ids=["er_p", "ws_k", "ws_n", "ws_p", "ba_n", "ff_p", "ff_ambassadors", "dgm_steps", "dis_threshold", "dis_n"],
+    ids=[
+        "er_p", "ws_k", "ws_n", "ws_p", "ba_n", "ff_p", "ff_ambassadors", "dgm_steps", "dis_threshold", "dis_n",
+        "dis_nan_threshold", "dis_zero_rounds", "dis_negative_rounds", "dis_fractional_rounds",
+    ],
 )
 def test_baseline_generators_reject_bad_parameters(make, args, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
