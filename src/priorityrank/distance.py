@@ -40,24 +40,26 @@ numpy's SIMD dispatch.
 
 Each kind is a frozen dataclass whose fields, in order and with tuples as
 lists, are its JSON form after ``"kind"``; a centrality kind's kind is its
-centrality.  ``spec_from_json_dict`` reads a missing or null field as its
-default and raises ``ValueError`` on a malformed document, such as one
-with a key that is not among the kind's fields.
+centrality.  The constructor checks each field against its annotation,
+then the kind's ranges, raising ``ValueError`` that names the kind and the
+field; ``spec_from_json_dict`` adds only JSON's rules: a missing or null
+field takes its default, and a key must be one of the kind's fields.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
-from typing import ClassVar, Mapping
+from functools import cache, cached_property
+from typing import ClassVar, Mapping, get_args, get_type_hints
 
 import numpy as np
 
 from . import metrics
-from .graph import AttributeTable, Graph, _check_cells
+from .graph import ATTRIBUTE_KINDS, AttributeTable, Graph, _check_cells
 from .stats import RngStream, _whole
 
 CENTRALITY_KINDS = metrics.CENTRALITY_KINDS
@@ -71,12 +73,6 @@ _VAR_FLOOR = 1e-9
 # the five roundings after it come to at most 30 u.
 _UNIT = 2.0**-53
 _ROW_ERROR = 32
-
-
-def _check_eps(eps: float) -> None:
-    # written so that NaN fails too
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 class DistanceContext:
@@ -172,6 +168,24 @@ class DistanceFunction:
         with the law of ranking the vertices j != i by d[j], or None."""
         return None
 
+    def __post_init__(self):
+        for name, hint in _hints(type(self)).items():
+            fault = _mismatch(getattr(self, name), hint)
+            if fault is not None:
+                self._require(False, name + fault[0], *fault[1:])
+        self._check_ranges()
+
+    def _check_ranges(self) -> None:
+        """The kind's own checks, run once every field has its type."""
+
+    def _require(self, ok: bool, name: str, what: str, got=MISSING) -> None:
+        """Raise ``ValueError`` naming the kind and ``name``, a field or an
+        item in one such as ``weights[0][1]``, unless ``ok``; ``got``
+        defaults to the field."""
+        if not ok:
+            got = getattr(self, name) if got is MISSING else got
+            raise ValueError(f"{self.kind} spec field {name!r} must {what}, got {got!r}")
+
     def to_json_dict(self) -> dict:
         """``{"kind": ...}`` then every field in field order, tuples as lists."""
         return {"kind": self.kind, **{f.name: _json_value(getattr(self, f.name)) for f in fields(self)}}
@@ -179,8 +193,44 @@ class DistanceFunction:
 
 def _json_value(value):
     if isinstance(value, FeatureEncoder):
-        return value.to_json()
+        value = value.columns
     return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+@cache
+def _hints(cls) -> dict:
+    """The annotation of each field of the dataclass ``cls``, by name,
+    resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _mismatch(value, hint) -> tuple[str, str, object] | None:
+    """Where ``value`` first departs from the annotation ``hint``, as
+    ``(item path such as "[0][1]", what it must do, the value there)``, or
+    None.  A ``float`` is a finite real number that is not a bool;
+    ``X | None``, ``tuple[T, ...]`` and ``tuple[A, B]`` are checked item by
+    item, and a ``FeatureEncoder`` by its own columns."""
+    if hint is float:
+        # a bool is a number to Python but not to a spec; NaN fails the bound
+        finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+        return None if finite and not isinstance(value, bool) else ("", "be a finite number", value)
+    if hint is str:
+        return None if isinstance(value, str) else ("", "be a string", value)
+    if hint is FeatureEncoder:
+        return value._column_mismatch() if isinstance(value, FeatureEncoder) else ("", "be an encoder", value)
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _mismatch(value, args[0])
+    if not isinstance(value, tuple):
+        return "", "be a list", value
+    if args[-1] is not Ellipsis and len(value) != len(args):
+        return "", f"be a list of {len(args)} items", value
+    for k, item in enumerate(value):
+        fault = _mismatch(item, args[0] if args[-1] is Ellipsis else args[k])
+        if fault is not None:
+            return f"[{k}]{fault[0]}", *fault[1:]
+    return None
 
 
 @dataclass(frozen=True)
@@ -205,10 +255,9 @@ class CentralityDistance(DistanceFunction):
     eps: float = DEFAULT_EPS
     requires_centrality: ClassVar[bool] = True
 
-    def __post_init__(self):
-        if self.centrality not in CENTRALITY_KINDS:
-            raise ValueError(f"unknown centrality {self.centrality!r}")
-        _check_eps(self.eps)
+    def _check_ranges(self):
+        self._require(self.centrality in CENTRALITY_KINDS, "centrality", "be a known centrality")
+        self._require(self.eps > 0, "eps", "be positive")
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -297,15 +346,10 @@ class AggregateDistance(DistanceFunction):
     kind: ClassVar[str] = "aggregate"
     requires_attributes: ClassVar[bool] = True
 
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("aggregate distance needs at least one attribute weight")
-        for item in self.weights:
-            if not (isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str)):
-                raise ValueError(f"{self.kind} spec field 'weights' must hold (name, number) pairs, got {item!r}")
-            name, w = item
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"aggregate weight of {name!r} must be finite and non-negative, got {w}")
+    def _check_ranges(self):
+        self._require(len(self.weights) > 0, "weights", "hold at least one weight")
+        low = min(w for _, w in self.weights)
+        self._require(low >= 0, "weights", "hold non-negative weights", low)
 
     def rows(self, ctx, sources):
         table = ctx.table
@@ -333,21 +377,14 @@ class HierarchicalMixDistance(DistanceFunction):
     """alpha * euclidean + (1 - alpha) * |class rank difference|."""
 
     alpha: float
-    class_ranks: tuple[int, ...]
+    class_ranks: tuple[float, ...]
     euclid_attrs: tuple[str, ...] = ()
     kind: ClassVar[str] = "hierarchical_mix"
     requires_attributes: ClassVar[bool] = True
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        for rank in self.class_ranks:
-            try:
-                finite = isinstance(rank, numbers.Real) and not isinstance(rank, bool) and math.isfinite(rank)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{self.kind} spec field 'class_ranks' must hold finite numbers, got {rank!r}")
+    def _check_ranges(self):
+        self._require(0.0 <= self.alpha <= 1.0, "alpha", "be in [0, 1]")
+        self._require(self.alpha == 0 or self.euclid_attrs != (), "euclid_attrs", "be non-empty if alpha > 0")
 
     def rows(self, ctx, sources):
         mapped = len(self.class_ranks)
@@ -359,8 +396,6 @@ class HierarchicalMixDistance(DistanceFunction):
         np.abs(hier, out=hier)
         if self.alpha == 0.0:
             return hier
-        if not self.euclid_attrs:
-            raise ValueError("hierarchical mix with alpha > 0 needs euclidean attributes")
         sq = _euclidean(ctx, self.euclid_attrs, sources)
         sq *= self.alpha
         hier *= 1.0 - self.alpha
@@ -409,14 +444,17 @@ class FeatureEncoder:
                 blocks.append(table.numeric_array(name).reshape(-1, 1))
         return np.hstack(blocks) if blocks else np.zeros((table.n, 0))
 
-    def to_json(self) -> list:
-        return [[name, kind, list(labels)] for name, kind, labels in self.columns]
-
-    @classmethod
-    def from_json(cls, doc) -> "FeatureEncoder":
-        return cls(
-            columns=tuple((name, kind, tuple(labels)) for name, kind, labels in doc)
-        )
+    def _column_mismatch(self) -> tuple[str, str, object] | None:
+        """Where the columns first depart from ``(name, kind, labels)``
+        triples of strings, with a kind of ``graph.ATTRIBUTE_KINDS`` and
+        labels only on a categorical column, as ``_mismatch`` reports it."""
+        fault = _mismatch(self.columns, _hints(FeatureEncoder)["columns"])
+        for k, (_, kind, labels) in enumerate(() if fault else self.columns):
+            if kind not in ATTRIBUTE_KINDS:
+                return f"[{k}][1]", f"be one of {', '.join(ATTRIBUTE_KINDS)}", kind
+            if labels and kind != "categorical":
+                return f"[{k}][2]", "have no labels on a numeric column", labels
+        return fault
 
 
 @dataclass(frozen=True)
@@ -478,20 +516,6 @@ def build_training_set(
     return TrainingSet(features=phi[pairs].reshape(len(pairs), -1), labels=labels, encoder=encoder)
 
 
-def _encoder_array(spec: DistanceFunction, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The learned field ``name`` of ``spec`` as a float array, which must
-    have ``shape``: the widths that the spec's encoder sets."""
-    try:
-        array = np.array(getattr(spec, name), dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"{spec.kind} spec field {name!r} must be an array of numbers: {exc}") from exc
-    if array.shape != shape:
-        raise ValueError(
-            f"{spec.kind} spec field {name!r} must have shape {shape} for its encoder, got {array.shape}"
-        )
-    return array
-
-
 @dataclass(frozen=True)
 class LinearRegressionDistance(DistanceFunction):
     """Least-squares fit of 1 - adjacency on pair features; negative raw
@@ -502,6 +526,11 @@ class LinearRegressionDistance(DistanceFunction):
     kind: ClassVar[str] = "linear_regression"
     requires_attributes: ClassVar[bool] = True
 
+    def _check_ranges(self):
+        width = 2 * len(self.encoder.binary_mask) + 1
+        self._require(len(self.beta) == width, "beta", f"hold {width} numbers for its encoder",
+                      len(self.beta))
+
     def _terms(self, ctx) -> tuple[np.ndarray, np.ndarray]:
         """The target scores phi(j) . beta_target and the source constants
         phi(i) . beta_source + intercept of every vertex, once per context."""
@@ -509,10 +538,9 @@ class LinearRegressionDistance(DistanceFunction):
         def make():
             phi = self.encoder.encode(ctx.table)
             p = phi.shape[1]
-            beta = _encoder_array(self, "beta", (2 * p + 1,))
             def dot(b):  # the features times b, summed in column order
                 return sum((col * w for col, w in zip(phi.T, b)), np.zeros(ctx.n))
-            return dot(beta[p : 2 * p]), dot(beta[:p]) + beta[2 * p]
+            return dot(self.beta[p : 2 * p]), dot(self.beta[:p]) + self.beta[2 * p]
 
         return ctx.cached(self, make)
 
@@ -588,35 +616,30 @@ class NaiveBayesDistance(DistanceFunction):
 
     prior_edge: float
     prior_no_edge: float
-    means: tuple        # (edge, no-edge) rows over 2p pair features
-    variances: tuple
-    bernoulli: tuple
+    means: tuple[tuple[float, ...], tuple[float, ...]]  # (edge, no-edge) rows over 2p pair features
+    variances: tuple[tuple[float, ...], tuple[float, ...]]
+    bernoulli: tuple[tuple[float, ...], tuple[float, ...]]
     eps: float = DEFAULT_EPS
     encoder: FeatureEncoder = field(kw_only=True)  # after eps in the JSON form
     kind: ClassVar[str] = "naive_bayes"
     requires_attributes: ClassVar[bool] = True
 
-    def __post_init__(self):
-        _check_eps(self.eps)
-        for name in ("prior_edge", "prior_no_edge"):
-            value = getattr(self, name)
-            # written so that NaN fails too
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{self.kind} spec field {name!r} must be positive and finite, got {value}")
+    def _check_ranges(self):
+        width = 2 * len(self.encoder.binary_mask)
+        what = f"hold {width} numbers for its encoder"
+        for name in ("means", "variances", "bernoulli"):
+            for k, row in enumerate(getattr(self, name)):
+                self._require(len(row) == width, f"{name}[{k}]", what, len(row))
+        low = min((v for row in self.variances for v in row), default=1.0)
+        self._require(low > 0, "variances", "hold positive numbers", low)
+        for name in ("prior_edge", "prior_no_edge", "eps"):
+            self._require(getattr(self, name) > 0, name, "be positive")
 
     @cached_property
     def _params(self):
-        # the Bernoulli slots are the encoder's categorical ones, in both halves;
-        # their rates on continuous slots are placeholders and go unchecked
+        # the Bernoulli slots are the encoder's categorical ones, in both halves
         mask = np.tile(self.encoder.binary_mask, 2)
-        means, variances, bern = (
-            _encoder_array(self, name, (2, len(mask))) for name in ("means", "variances", "bernoulli")
-        )
-        if not np.isfinite(means).all():
-            raise ValueError(f"{self.kind} spec field 'means' must be finite")
-        if not (np.isfinite(variances) & (variances > 0)).all():
-            raise ValueError(f"{self.kind} spec field 'variances' must be positive and finite")
-        return means, variances, bern, mask
+        return (*np.array((self.means, self.variances, self.bernoulli), dtype=np.float64), mask)
 
     def _half_scores(self, phi: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex class log-likelihoods for one half of the pair features."""
@@ -631,8 +654,7 @@ class NaiveBayesDistance(DistanceFunction):
             rate = np.clip(bern[c, cols], 1e-12, 1.0 - 1e-12)
             gauss = -0.5 * (np.log(2.0 * math.pi * var) + (phi - mu) ** 2 / var)
             berno = phi * np.log(rate) + (1.0 - phi) * np.log(1.0 - rate)
-            half_mask = mask[cols]
-            out.append(np.where(half_mask, berno, gauss).sum(axis=1))
+            out.append(np.where(mask[cols], berno, gauss).sum(axis=1))
         return out[0], out[1]
 
     def _scores(self, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -724,11 +746,9 @@ def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
         variances.append(np.maximum(dev.sum(axis=0) / count, _VAR_FLOOR))
         bernoulli.append((sums + 1.0) / (count + 2.0))
     return NaiveBayesDistance(
-        prior_edge=counts[0] / total,
-        prior_no_edge=counts[1] / total,
-        means=tuple(tuple(float(v) for v in row) for row in means),
-        variances=tuple(tuple(float(v) for v in row) for row in variances),
-        bernoulli=tuple(tuple(float(v) for v in row) for row in bernoulli),
+        counts[0] / total,
+        counts[1] / total,
+        *(tuple(tuple(map(float, row)) for row in table) for table in (means, variances, bernoulli)),
         encoder=ts.encoder,
     )
 
@@ -736,10 +756,6 @@ def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
 # every catalog class by kind; a centrality kind's class holds it as a field
 _KINDS = dict.fromkeys(CENTRALITY_KINDS, CentralityDistance)
 _KINDS.update((c.kind, c) for c in DistanceFunction.__subclasses__() if c is not CentralityDistance)
-
-
-# a field's JSON type by the head of its annotation; any other field is a list
-_JSON_TYPES = {"float": ((int, float), "a number"), "str": (str, "a string")}
 
 
 def _spec_value(value, name: str):
@@ -756,9 +772,10 @@ def _spec_value(value, name: str):
 def spec_from_json_dict(doc) -> DistanceFunction:
     """Rebuild a distance function from its JSON document.
 
-    Each field of the kind's class is read by name, lists as tuples; a
-    missing or null field takes its default.  A malformed document, or a key
-    that is no field of the kind, raises ``ValueError``."""
+    Each field of the kind's class is read by name, lists as tuples and an
+    encoder's columns as a ``FeatureEncoder``; a missing or null field takes
+    its default.  A key that is no field of the kind, or a value that the
+    kind's constructor rejects, raises ``ValueError``."""
     if not isinstance(doc, dict):
         raise ValueError(f"distance spec must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
@@ -766,22 +783,15 @@ def spec_from_json_dict(doc) -> DistanceFunction:
     if cls is None:
         raise ValueError(f"unknown distance kind {kind!r}")
     values = {"centrality": kind} if cls is CentralityDistance else {}
-    known = {"kind"} | {f.name for f in fields(cls)} - values.keys()
-    unknown = [key for key in doc if key not in known]
+    hints = _hints(cls)
+    unknown = [key for key in doc if key != "kind" and (key not in hints or key in values)]
     if unknown:
         raise ValueError(f"{kind} spec has no field {unknown[0]!r}")
-    try:
-        for f in fields(cls):
-            value = doc.get(f.name)
-            if f.name in values or (value is None and f.default is not MISSING):
-                continue
-            if value is None:
-                raise ValueError(f"{kind} spec needs field {f.name!r}")
-            value = _spec_value(value, f"{kind} spec field {f.name!r}")
-            types, what = _JSON_TYPES.get(f.type.split("[")[0], (tuple, "a list"))
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{kind} spec field {f.name!r} must be {what}, got {value!r}")
-            values[f.name] = FeatureEncoder.from_json(value) if f.name == "encoder" else value
-        return cls(**values)
-    except TypeError as exc:
-        raise ValueError(f"bad {kind} spec: {exc}") from exc
+    for name, value in doc.items():
+        if name != "kind" and value is not None:
+            value = _spec_value(value, f"{kind} spec field {name!r}")
+            values[name] = FeatureEncoder(value) if hints[name] is FeatureEncoder else value
+    missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{kind} spec needs field {missing[0]!r}")
+    return cls(**values)

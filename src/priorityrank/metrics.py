@@ -29,11 +29,11 @@ each reached vertex, which is what a deep graph such as a long directed
 cycle stores.  The arc term holds a level's byte rows and the further DAG
 arcs of a shallow graph.
 
-Count-mode betweenness is exact.  Path counts are integers, and float64
-sums of integers are exact below 2**53, so the result does not depend on
-how the sources are chunked.  A chunk whose betweenness reaches 2**53 is
-redone with Python integers, and the running betweenness switches to them
-too.  Fractional betweenness is a float sum in scatter order.
+Count-mode betweenness is the exact count rounded once to float64: path
+counts are integers, float64 sums of integers are exact below 2**53, and a
+chunk whose betweenness reaches 2**53 is redone with Python integers, as is
+the running betweenness from then on, so the count never depends on the
+chunking.  Fractional betweenness is a float sum in scatter order.
 
 ``NetworkProfile(g)`` is the one route to every measure in its default
 mode: a lazy view whose fields are each computed on first read, at most

@@ -236,25 +236,13 @@ def _candidate_specs(
 ) -> list[tuple[str, DistanceFunction | None, str | None]]:
     """Every applicable catalog kind as (kind, spec, fit-error)."""
     numeric = attrs.numeric_names()
-    candidates: list[tuple[str, DistanceFunction | None, str | None]] = [
-        ("random", RandomDistance(), None)
-    ]
-    for centrality in CENTRALITY_KINDS:
-        candidates.append((centrality, CentralityDistance(centrality=centrality), None))
+    specs: list[DistanceFunction] = [RandomDistance(), *map(CentralityDistance, CENTRALITY_KINDS)]
     if len(numeric) >= 1:
-        candidates.append(("euclidean1d", Euclidean1D(attr=numeric[0]), None))
+        specs.append(Euclidean1D(attr=numeric[0]))
     if len(numeric) >= 2:
-        candidates.append(
-            ("euclidean2d", Euclidean2D(attr1=numeric[0], attr2=numeric[1]), None)
-        )
-        candidates.append(("cosine", CosineDistance(attrs=tuple(numeric)), None))
-    candidates.append(
-        (
-            "aggregate",
-            AggregateDistance(weights=tuple((name, 1.0) for name in attrs.names)),
-            None,
-        )
-    )
+        specs += [Euclidean2D(attr1=numeric[0], attr2=numeric[1]), CosineDistance(attrs=tuple(numeric))]
+    specs.append(AggregateDistance(weights=tuple((name, 1.0) for name in attrs.names)))
+    candidates: list[tuple[str, DistanceFunction | None, str | None]] = [(s.kind, s, None) for s in specs]
     try:
         ts, unavailable = build_training_set(g, attrs, negative_ratio=negative_ratio, rng=rng), None
     except ValueError as exc:

@@ -232,7 +232,11 @@ def test_aggregate_rows_match_the_weighted_sum(weights):
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])
 def test_aggregate_weights_must_be_finite_and_non_negative(recwarn, weight):
-    with pytest.raises(ValueError, match="weight of 'age' must be finite and non-negative"):
+    # a weight that is not finite fails its type, at its place in the list
+    finite = np.isfinite(weight)
+    rule = "'weights' must hold non-negative weights" if finite else "'weights[1][1]' must be a finite number"
+    message = f"aggregate spec field {rule}, got {weight}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         AggregateDistance(weights=(("sex", 1.0), ("age", weight)))
     assert not recwarn.list
 
@@ -252,19 +256,24 @@ def test_hierarchical_mix():
     long = HierarchicalMixDistance(alpha=0.0, class_ranks=(0, 1, 2, 3, 4), euclid_attrs=())
     with pytest.raises(ValueError, match=r"^class map has 5 ranks for 3 vertices$"):
         evaluate(long, ctx, 0, 1)
-    with pytest.raises(ValueError, match=r"^hierarchical mix with alpha > 0 needs euclidean attributes$"):
-        evaluate(HierarchicalMixDistance(0.5, (0, 1, 2)), ctx, 0, 1)
+    # an empty euclid_attrs fails when alpha > 0 as the spec is built
+    message = "hierarchical_mix spec field 'euclid_attrs' must be non-empty if alpha > 0, got ()"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        HierarchicalMixDistance(0.5, (0, 1, 2))
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: CentralityDistance(centrality="eigen"), "unknown centrality 'eigen'"),
-        (lambda: AggregateDistance(weights=()), "aggregate distance needs at least one attribute weight"),
-        (lambda: HierarchicalMixDistance(1.5, (0, 1)), "alpha must be in [0, 1], got 1.5"),
+        (
+            lambda: CentralityDistance(centrality="eigen"),
+            "eigen spec field 'centrality' must be a known centrality, got 'eigen'",
+        ),
+        (lambda: AggregateDistance(weights=()), "aggregate spec field 'weights' must hold at least one weight, got ()"),
+        (lambda: HierarchicalMixDistance(1.5, (0, 1)), "hierarchical_mix spec field 'alpha' must be in [0, 1], got 1.5"),
         (
             lambda: HierarchicalMixDistance(0.0, (0, 10**400)),
-            f"hierarchical_mix spec field 'class_ranks' must hold finite numbers, got {10**400}",
+            f"hierarchical_mix spec field 'class_ranks[1]' must be a finite number, got {10**400}",
         ),
     ],
     ids=["centrality", "aggregate", "hierarchical_alpha", "hierarchical_huge_rank"],
@@ -491,10 +500,13 @@ def ols_design(ts):
 
 
 def random_training_set(gen, m, p, scale=1.0):
+    """m rows of p random pair features, an odd p rounded up, since a pair
+    has two halves, and the encoder of p / 2 numeric columns that fits them."""
     labels = np.zeros(m)
     labels[: m // 3] = 1.0
-    encoder = FeatureEncoder.from_table(numeric_table([0.0, 1.0]))
-    return TrainingSet(features=gen.normal(size=(m, p)) * scale, labels=labels, encoder=encoder)
+    half = (p + 1) // 2
+    encoder = FeatureEncoder(columns=tuple((f"x{c}", "continuous", ()) for c in range(half)))
+    return TrainingSet(features=gen.normal(size=(m, 2 * half)) * scale, labels=labels, encoder=encoder)
 
 
 @pytest.mark.parametrize("m, p", [(5, 3), (40, 6), (400, 16), (2000, 30)])
@@ -888,7 +900,7 @@ def strict_rows_along_order(spec, ctx):
 def naive_bayes_terms(a, b, e, f, eps=1e-6):
     """A naive-Bayes distance and a context in which source i's class terms
     are a[i], b[i] and target j's are e[j], f[j]: priors of 1 add log 1 = 0."""
-    spec = NaiveBayesDistance(1.0, 1.0, (), (), (), eps=eps, encoder=FeatureEncoder(columns=()))
+    spec = NaiveBayesDistance(1.0, 1.0, ((), ()), ((), ()), ((), ()), eps=eps, encoder=FeatureEncoder(columns=()))
     n = max(np.size(v) for v in (a, b, e, f))
     ctx = DistanceContext(n=n)
     ctx._scores[spec] = tuple(np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)) for v in (a, b, e, f))
@@ -1138,17 +1150,16 @@ def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
 @pytest.mark.parametrize(
     "name, index, value, message",
     [
-        ("prior_edge", None, math.inf, "must be positive and finite, got inf"),
-        ("prior_no_edge", None, math.nan, "must be positive and finite, got nan"),
-        ("variances", (0, 0), math.nan, "must be positive and finite"),
-        ("variances", (1, 5), 0.0, "must be positive and finite"),
-        ("means", (0, 4), -math.inf, "must be finite"),
+        ("prior_edge", None, math.inf, "'prior_edge' must be a finite number, got inf"),
+        ("prior_no_edge", None, math.nan, "'prior_no_edge' must be a finite number, got nan"),
+        ("variances", (0, 0), math.nan, "'variances[0][0]' must be a finite number, got nan"),
+        ("variances", (1, 5), 0.0, "'variances' must hold positive numbers, got 0.0"),
+        ("means", (0, 4), -math.inf, "'means[0][4]' must be a finite number, got -inf"),
     ],
     ids=["prior-edge-inf", "prior-no-edge-nan", "variance-nan", "variance-zero", "mean-inf"],
 )
 def test_naive_bayes_value_out_of_range_names_its_field(recwarn, name, index, value, message):
-    # a prior fails when the spec is read, a table entry when it is first
-    # used, before any row is evaluated
+    # every value fails when the spec is read, before any row is evaluated
     n = 12
     table = AttributeTable([
         AttributeColumn("x", "continuous", tuple(float(v) for v in range(n))),
@@ -1162,12 +1173,17 @@ def test_naive_bayes_value_out_of_range_names_its_field(recwarn, name, index, va
         values = np.array(doc[name])
         values[index] = value
         doc[name] = values.tolist()
-    pattern = re.escape(f"naive_bayes spec field {name!r} {message}") + "$"
+    pattern = re.escape(f"naive_bayes spec field {message}") + "$"
     with pytest.raises(ValueError, match=pattern):
         spec_from_json_dict(doc).rows(DistanceContext(attrs=table), np.arange(n))
     with pytest.raises(ValueError, match=pattern):
         spec_from_json_dict(doc).shared_order(DistanceContext(attrs=table))
     assert not recwarn.list
+
+
+def encoder_doc(column):
+    """A linear-regression document whose encoder is the one ``column``."""
+    return {"kind": "linear_regression", "beta": [0.0, 0.0, 0.0], "encoder": [column]}
 
 
 def test_spec_null_or_missing_fields_take_defaults():
@@ -1189,25 +1205,82 @@ def test_spec_null_or_missing_fields_take_defaults():
         ({"kind": "nope"}, "unknown distance kind 'nope'"),
         ({"kind": ["degree"]}, "unknown distance kind"),
         ({}, "unknown distance kind None"),
-        ({"kind": "degree", "eps": "x"}, "degree spec field 'eps' must be a number"),
-        ({"kind": "degree", "eps": True}, "degree spec field 'eps' must be a number"),
+        ({"kind": "degree", "eps": "x"}, "degree spec field 'eps' must be a finite number, got 'x'"),
+        ({"kind": "degree", "eps": True}, "degree spec field 'eps' must be a finite number, got True"),
         ({"kind": "euclidean1d", "attr": 3}, "euclidean1d spec field 'attr' must be a string"),
         ({"kind": "cosine", "attrs": "xy"}, "cosine spec field 'attrs' must be a list"),
         ({"kind": "linear_regression", "beta": [1.0], "encoder": 5}, "field 'encoder' must be a list"),
-        ({"kind": "linear_regression", "beta": [1.0], "encoder": [5]}, "bad linear_regression spec"),
-        ({"kind": "aggregate", "weights": [["x", "1"]]}, "bad aggregate spec"),
-        ({"kind": "degree", "eps": 0}, "eps must be positive"),
+        ({"kind": "linear_regression", "beta": [1.0], "encoder": [5]}, "field 'encoder[0]' must be a list, got 5"),
+        ({"kind": "aggregate", "weights": [["x", "1"]]}, "field 'weights[0][1]' must be a finite number, got '1'"),
+        ({"kind": "degree", "eps": 0}, "degree spec field 'eps' must be positive, got 0"),
         ({"kind": "degree", "esp": 0.5}, "degree spec has no field 'esp'"),
         ({"kind": "random", "mu": 0.0, "sigma": 1.0}, "random spec has no field 'mu'"),
         ({"kind": "pagerank", "centrality": "degree"}, "pagerank spec has no field 'centrality'"),
+        ({"kind": "aggregate", "weights": [["a", True]]}, "field 'weights[0][1]' must be a finite number, got True"),
+        ({"kind": "cosine", "attrs": ["a", 1]}, "cosine spec field 'attrs[1]' must be a string, got 1"),
+        (encoder_doc(["a", "categorical", "xy"]), "field 'encoder[0][2]' must be a list, got 'xy'"),
+        (
+            encoder_doc(["a", "bogus", []]),
+            "field 'encoder[0][1]' must be one of ordinal, categorical, continuous, got 'bogus'",
+        ),
+        (encoder_doc(["a", "numeric"]), "field 'encoder[0]' must be a list of 3 items, got ('a', 'numeric')"),
+        (encoder_doc(["a", "continuous", ["x"]]), "field 'encoder[0][2]' must have no labels on a numeric column"),
     ],
     ids=[
         "missing_field", "null_required_field", "array", "string", "unknown_kind", "list_kind",
         "no_kind", "string_number", "bool_number", "number_string", "string_list", "number_encoder",
         "bad_encoder_column", "string_weight", "post_init_check", "unknown_field",
-        "random_mu_sigma", "implied_centrality",
+        "random_mu_sigma", "implied_centrality", "bool_weight", "number_attr", "string_labels",
+        "unknown_column_kind", "short_column", "numeric_labels",
     ],
 )
 def test_malformed_spec_raises_value_error(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json_dict(doc)
+
+
+BOGUS_KIND = "must be one of ordinal, categorical, continuous, got 'bogus'"
+
+
+@pytest.mark.parametrize(
+    "make, doc, message",
+    [
+        (
+            lambda: CentralityDistance(centrality="degree", eps=True),
+            {"kind": "degree", "eps": True},
+            "degree spec field 'eps' must be a finite number, got True",
+        ),
+        (
+            lambda: Euclidean1D(attr=5),
+            {"kind": "euclidean1d", "attr": 5},
+            "euclidean1d spec field 'attr' must be a string, got 5",
+        ),
+        (
+            lambda: CosineDistance(attrs=("a", 1)),
+            {"kind": "cosine", "attrs": ["a", 1]},
+            "cosine spec field 'attrs[1]' must be a string, got 1",
+        ),
+        (
+            lambda: AggregateDistance(weights=(("a", True),)),
+            {"kind": "aggregate", "weights": [["a", True]]},
+            "aggregate spec field 'weights[0][1]' must be a finite number, got True",
+        ),
+        (
+            lambda: HierarchicalMixDistance(alpha=0.0, class_ranks=(True,)),
+            {"kind": "hierarchical_mix", "alpha": 0.0, "class_ranks": [True]},
+            "hierarchical_mix spec field 'class_ranks[0]' must be a finite number, got True",
+        ),
+        (
+            lambda: LinearRegressionDistance(beta=(0.0, 0.0, 0.0), encoder=FeatureEncoder(columns=(("a", "bogus", ()),))),
+            encoder_doc(["a", "bogus", []]),
+            f"linear_regression spec field 'encoder[0][1]' {BOGUS_KIND}",
+        ),
+    ],
+    ids=["bool_eps", "number_attr", "number_in_attrs", "bool_weight", "bool_class_rank", "unknown_column_kind"],
+)
+def test_constructor_and_json_document_reject_alike(make, doc, message):
+    # one check runs for both routes, so each raises the same message
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        make()
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         spec_from_json_dict(doc)

@@ -158,6 +158,24 @@ def test_assortativity_undefined_is_nan():
     assert math.isnan(NetworkProfile(Graph(3, [])).assortativity)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_assortativity_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    # symmetrized, total degree is twice the undirected degree, and a
+    # correlation does not see the scale
+    g = symmetrize(gen_barabasi_albert(200, 3, seed=seed))
+    undirected = nx.Graph(arcs(g))
+    undirected.add_nodes_from(range(g.n))
+    assert abs(NetworkProfile(g).assortativity - nx.degree_assortativity_coefficient(undirected)) < 1e-12
+    # directed: the correlation of total degree across each arc
+    g = gen_erdos_renyi(100, 0.05, seed=seed)
+    directed = nx.DiGraph(arcs(g))
+    directed.add_nodes_from(range(g.n))
+    nx.set_node_attributes(directed, dict(enumerate(g.total_degrees.tolist())), "degree")
+    expected = nx.numeric_assortativity_coefficient(directed, "degree")
+    assert abs(NetworkProfile(g).assortativity - expected) < 1e-12
+
+
 def test_density_monotone_under_arc_addition():
     gen = np.random.default_rng(41)
     for _ in range(20):
@@ -326,6 +344,9 @@ def test_count_betweenness_exact_above_2_53(monkeypatch, budget):
     assert betweenness_centrality(g, "count").tolist() == [float(x) for x in oracle]
     prof = NetworkProfile(g)
     assert prof.betweenness.tolist() == [float(x) for x in oracle]
+    # the count is exact, but the float64 result rounds it once: 179 of the
+    # 181 values are not the exact integers
+    assert sum(int(v) != x for v, x in zip(prof.betweenness.tolist(), oracle)) == 179
     expected = expected_path_metrics(g)
     assert prof.closeness.tolist() == expected["closeness"]
     assert prof.diameter == expected["diameter"] == 120

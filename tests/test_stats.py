@@ -82,6 +82,13 @@ def test_kolmogorov_q_is_one_where_lambda_is_not_positive():
     assert kolmogorov_q(0.0) == kolmogorov_q(-1.0) == 1.0
 
 
+def test_kolmogorov_q_matches_scipy():
+    # the series stops at a term below 1e-12; allow twice that
+    special = pytest.importorskip("scipy.special")
+    for lam in np.linspace(0.01, 3.0, 300):
+        assert abs(kolmogorov_q(float(lam)) - float(special.kolmogorov(lam))) < 2e-12, lam
+
+
 def test_rng_stream_determinism():
     a = RngStream(42, (1, 2)).generator.random(100)
     b = RngStream(42, (1, 2)).generator.random(100)
