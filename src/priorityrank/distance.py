@@ -447,13 +447,16 @@ class FeatureEncoder:
     def _column_mismatch(self) -> tuple[str, str, object] | None:
         """Where the columns first depart from ``(name, kind, labels)``
         triples of strings, with a kind of ``graph.ATTRIBUTE_KINDS`` and
-        labels only on a categorical column, as ``_mismatch`` reports it."""
+        labels only on a categorical column, strictly increasing as
+        ``from_table`` writes them, as ``_mismatch`` reports it."""
         fault = _mismatch(self.columns, _hints(FeatureEncoder)["columns"])
         for k, (_, kind, labels) in enumerate(() if fault else self.columns):
             if kind not in ATTRIBUTE_KINDS:
                 return f"[{k}][1]", f"be one of {', '.join(ATTRIBUTE_KINDS)}", kind
             if labels and kind != "categorical":
                 return f"[{k}][2]", "have no labels on a numeric column", labels
+            if any(a >= b for a, b in zip(labels, labels[1:])):
+                return f"[{k}][2]", "hold distinct labels in sorted order", labels
         return fault
 
 
@@ -616,7 +619,9 @@ class NaiveBayesDistance(DistanceFunction):
 
     prior_edge: float
     prior_no_edge: float
-    means: tuple[tuple[float, ...], tuple[float, ...]]  # (edge, no-edge) rows over 2p pair features
+    # (edge, no-edge) rows, each the source half then the target half: the
+    # Gaussian tables over the numeric slots, the rates over the one-hot ones
+    means: tuple[tuple[float, ...], tuple[float, ...]]
     variances: tuple[tuple[float, ...], tuple[float, ...]]
     bernoulli: tuple[tuple[float, ...], tuple[float, ...]]
     eps: float = DEFAULT_EPS
@@ -625,43 +630,39 @@ class NaiveBayesDistance(DistanceFunction):
     requires_attributes: ClassVar[bool] = True
 
     def _check_ranges(self):
-        width = 2 * len(self.encoder.binary_mask)
-        what = f"hold {width} numbers for its encoder"
-        for name in ("means", "variances", "bernoulli"):
+        mask = self.encoder.binary_mask
+        for name, slots in (("means", ~mask), ("variances", ~mask), ("bernoulli", mask)):
+            width = 2 * int(slots.sum())
+            what = f"hold {width} numbers for its encoder"
             for k, row in enumerate(getattr(self, name)):
                 self._require(len(row) == width, f"{name}[{k}]", what, len(row))
         low = min((v for row in self.variances for v in row), default=1.0)
         self._require(low > 0, "variances", "hold positive numbers", low)
+        # a rate in (0, 1) keeps both of its logs finite
+        bad = next((v for row in self.bernoulli for v in row if not 0 < v < 1), None)
+        self._require(bad is None, "bernoulli", "hold numbers in (0, 1)", bad)
         for name in ("prior_edge", "prior_no_edge", "eps"):
             self._require(getattr(self, name) > 0, name, "be positive")
 
-    @cached_property
-    def _params(self):
-        # the Bernoulli slots are the encoder's categorical ones, in both halves
-        mask = np.tile(self.encoder.binary_mask, 2)
-        return (*np.array((self.means, self.variances, self.bernoulli), dtype=np.float64), mask)
-
-    def _half_scores(self, phi: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex class log-likelihoods for one half of the pair features."""
-        means, variances, bern, mask = self._params
-        p = phi.shape[1]
-        cols = slice(offset, offset + p)
+    def _half_scores(self, phi: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex class log-likelihoods for one half of the pair
+        features: each slot's one likelihood, in encoder order, summed once."""
+        mask = self.encoder.binary_mask
+        x, bits = phi[:, ~mask], phi[:, mask]
         out = []
         for c in range(2):
-            mu = means[c, cols]
-            var = variances[c, cols]
-            # rates for continuous slots are placeholders; clip keeps log finite
-            rate = np.clip(bern[c, cols], 1e-12, 1.0 - 1e-12)
-            gauss = -0.5 * (np.log(2.0 * math.pi * var) + (phi - mu) ** 2 / var)
-            berno = phi * np.log(rate) + (1.0 - phi) * np.log(1.0 - rate)
-            out.append(np.where(mask[cols], berno, gauss).sum(axis=1))
+            mu, var, rate = (np.array(table[c], dtype=np.float64).reshape(2, -1)[half]
+                             for table in (self.means, self.variances, self.bernoulli))
+            logs = np.empty_like(phi)
+            logs[:, ~mask] = -0.5 * (np.log(2.0 * math.pi * var) + (x - mu) ** 2 / var)
+            logs[:, mask] = bits * np.log(rate) + (1.0 - bits) * np.log(1.0 - rate)
+            out.append(logs.sum(axis=1))
         return out[0], out[1]
 
     def _scores(self, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         def make():
             phi = self.encoder.encode(ctx.table)
-            p = phi.shape[1]
-            return self._half_scores(phi, 0) + self._half_scores(phi, p)
+            return self._half_scores(phi, 0) + self._half_scores(phi, 1)
 
         return ctx.cached(self, make)
 
@@ -733,6 +734,7 @@ def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
     if min(counts) < 1:
         raise ValueError("training set needs at least one example of each label")
     total = ts.features.shape[0]
+    one_hot = np.tile(ts.encoder.binary_mask, 2)
     means, variances, bernoulli = [], [], []
     # each class is summed once; these are the ufunc calls that rows.mean,
     # rows.var and rows.sum make, so the fit is the same to the bit
@@ -742,9 +744,9 @@ def fit_naive_bayes_distance(ts: TrainingSet) -> NaiveBayesDistance:
         mean = sums / count
         dev = rows - mean
         dev *= dev
-        means.append(mean)
-        variances.append(np.maximum(dev.sum(axis=0) / count, _VAR_FLOOR))
-        bernoulli.append((sums + 1.0) / (count + 2.0))
+        means.append(mean[~one_hot])
+        variances.append(np.maximum(dev.sum(axis=0) / count, _VAR_FLOOR)[~one_hot])
+        bernoulli.append(((sums + 1.0) / (count + 2.0))[one_hot])
     return NaiveBayesDistance(
         counts[0] / total,
         counts[1] / total,

@@ -506,3 +506,39 @@ def one_hot_by_rows(encoder, table: AttributeTable) -> np.ndarray:
         else:
             blocks.append(np.array(col.values, dtype=np.float64).reshape(-1, 1))
     return np.hstack(blocks) if blocks else np.zeros((table.n, 0))
+
+
+
+def naive_bayes_full_tables(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spec's means, variances and rates spread over all 2p pair slots,
+    as full-width tables held them, with placeholders (mean 0, variance 1,
+    rate 0.5) where the other model's parameters would sit."""
+    mask = np.tile(spec.encoder.binary_mask, 2)
+    tables = []
+    for table, slots, placeholder in ((spec.means, ~mask, 0.0), (spec.variances, ~mask, 1.0),
+                                      (spec.bernoulli, mask, 0.5)):
+        full = np.full((2, len(mask)), placeholder)
+        full[:, slots] = table
+        tables.append(full)
+    return tuple(tables)
+
+
+def naive_bayes_scores_by_two_likelihoods(spec, ctx) -> tuple[np.ndarray, ...]:
+    """``NaiveBayesDistance._scores`` over ``naive_bayes_full_tables``: both
+    likelihoods of every slot, the rates clipped off 0 and 1, and the one
+    that the encoder's mask names kept by ``np.where``, in the order
+    (source edge, source no-edge, target edge, target no-edge)."""
+    means, variances, bern = naive_bayes_full_tables(spec)
+    mask = np.tile(spec.encoder.binary_mask, 2)
+    phi = one_hot_by_rows(spec.encoder, ctx.attrs)
+    p = phi.shape[1]
+    scores = []
+    for offset in (0, p):
+        cols = slice(offset, offset + p)
+        for c in range(2):
+            mu, var = means[c, cols], variances[c, cols]
+            rate = np.clip(bern[c, cols], 1e-12, 1.0 - 1e-12)
+            gauss = -0.5 * (np.log(2.0 * math.pi * var) + (phi - mu) ** 2 / var)
+            berno = phi * np.log(rate) + (1.0 - phi) * np.log(1.0 - rate)
+            scores.append(np.where(mask[cols], berno, gauss).sum(axis=1))
+    return tuple(scores)

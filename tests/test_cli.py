@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -21,11 +22,11 @@ from priorityrank.distance import (
     fit_naive_bayes_distance,
     spec_from_json_dict,
 )
-from priorityrank.graph import Graph, load_attributes, load_edge_list, save_edge_list
+from priorityrank.graph import Graph, load_attributes, load_edge_list, save_attributes, save_edge_list
 from priorityrank.recreate import RecreateConfig, generate_synthetic_attributes, recreate
 from priorityrank.stats import RngStream
 
-from _oracles import lexsort_ranking
+from _oracles import lexsort_ranking, naive_bayes_full_tables
 
 PEOPLE_CSV = (
     "age:continuous,sex:categorical\n"
@@ -180,10 +181,13 @@ LR_ENCODER = '{"kind": "linear_regression", "beta": [0.0, 0.0, 0.0], "encoder": 
         (LR_ENCODER % '["a", "categorical", "xy"]', ["linear_regression", "'encoder[0][2]'", "'xy'"]),
         (LR_ENCODER % '["a", "bogus", []]', ["linear_regression", "'encoder[0][1]'", "'bogus'"]),
         (LR_ENCODER % '["a", "numeric"]', ["linear_regression", "'encoder[0]'", "3 items"]),
+        (LR_ENCODER % '["c", "categorical", ["a", "a"]]', ["linear_regression", "'encoder[0][2]'", "sorted"]),
+        (LR_ENCODER % '["c", "categorical", ["b", "a"]]', ["linear_regression", "'encoder[0][2]'", "sorted"]),
     ],
     ids=[
         "missing_field", "array", "wrong_type", "unknown_kind", "unknown_field", "not_json", "bool_weight",
         "number_attr", "bool_eps", "number_string", "string_labels", "unknown_column_kind", "short_column",
+        "repeated_labels", "unsorted_labels",
     ],
 )
 def test_malformed_distance_spec_is_data_error(tmp_path, capsys, doc, names):
@@ -259,7 +263,8 @@ def test_eps_that_is_not_finite_and_positive_is_data_error(tmp_path, capsys, rec
 def learned_doc(kind):
     """The JSON document of a ``kind`` spec fitted to a 5-cycle over
     PEOPLE_CSV, which encodes 3 features per vertex (age and two sex slots):
-    beta holds 2 * 3 + 1 entries, and each naive-Bayes table 2 rows of 2 * 3."""
+    beta holds 2 * 3 + 1 entries, the naive-Bayes means and variances 2
+    rows of 2 * 1 (age), and its rates 2 rows of 2 * 2 (sex)."""
     cycle = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
     ts = build_training_set(cycle, load_attributes(PEOPLE_CSV), negative_ratio=math.inf)
     with warnings.catch_warnings():
@@ -296,16 +301,17 @@ def generate_with_spec(tmp_path, capsys, doc, n=5):
         ),
         (
             "naive_bayes", "bernoulli", lambda value: [row + [0.5] for row in value],
-            "'bernoulli[0]' must hold 6 numbers for its encoder, got 7",
+            "'bernoulli[0]' must hold 4 numbers for its encoder, got 5",
         ),
         (
-            "naive_bayes", "means", lambda value: [row[:-2] for row in value],
-            "'means[0]' must hold 6 numbers for its encoder, got 4",
+            "naive_bayes", "means", lambda value: [row[:-1] for row in value],
+            "'means[0]' must hold 2 numbers for its encoder, got 1",
         ),
         (
             "naive_bayes", "variances", lambda value: [value[0], value[1][:-1]],
-            "'variances[1]' must hold 6 numbers for its encoder, got 5",
+            "'variances[1]' must hold 2 numbers for its encoder, got 1",
         ),
+
     ],
     ids=["beta-short", "beta-long", "bernoulli-long", "means-short", "variances-ragged"],
 )
@@ -315,6 +321,16 @@ def test_learned_spec_of_another_width_than_its_encoder_is_data_error(tmp_path, 
     code, err = generate_with_spec(tmp_path, capsys, doc)
     assert code == 2
     assert err == f"data error: {kind} spec field {message}\n"
+
+
+def test_full_width_naive_bayes_spec_is_data_error(tmp_path, capsys):
+    # the earlier format held a mean, a variance and a rate for every slot
+    doc = learned_doc("naive_bayes")
+    full = naive_bayes_full_tables(spec_from_json_dict(doc))
+    doc.update(zip(("means", "variances", "bernoulli"), (table.tolist() for table in full)))
+    code, err = generate_with_spec(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == "data error: naive_bayes spec field 'means[0]' must hold 2 numbers for its encoder, got 6\n"
 
 
 def with_value(doc, name, index, value):
@@ -333,9 +349,13 @@ def with_value(doc, name, index, value):
     [
         ("prior_edge", None, -0.5, "must be positive, got -0.5"),
         ("prior_no_edge", None, 0.0, "must be positive, got 0.0"),
-        ("variances", (1, 2), -1.0, "must hold positive numbers, got -1.0"),
+        ("variances", (1, 1), -1.0, "must hold positive numbers, got -1.0"),
+        # a rate of 0 or 1 would make a log infinite
+        ("bernoulli", (0, 0), 0.0, "must hold numbers in (0, 1), got 0.0"),
+        ("bernoulli", (0, 0), 1.0, "must hold numbers in (0, 1), got 1.0"),
+        ("bernoulli", (0, 0), 1.5, "must hold numbers in (0, 1), got 1.5"),
     ],
-    ids=["prior-edge-negative", "prior-no-edge-zero", "variance-negative"],
+    ids=["prior-edge-negative", "prior-no-edge-zero", "variance-negative", "rate-zero", "rate-one", "rate-over-one"],
 )
 def test_naive_bayes_value_out_of_range_is_data_error(tmp_path, capsys, recwarn, name, index, value, message):
     # checked when the spec is read, before any row is evaluated
@@ -344,13 +364,6 @@ def test_naive_bayes_value_out_of_range_is_data_error(tmp_path, capsys, recwarn,
     assert code == 2
     assert err == f"data error: naive_bayes spec field {name!r} {message}\n"
     assert not recwarn.list
-
-
-def test_naive_bayes_placeholder_rates_go_unchecked(tmp_path, capsys):
-    # the Bernoulli rates of the continuous slots (age, in both halves) are
-    # never read, so only their type is checked: any finite number passes
-    doc = with_value(learned_doc("naive_bayes"), "bernoulli", (0, 0), -7.0)
-    assert generate_with_spec(tmp_path, capsys, doc) == (0, "")
 
 
 def beta_with_object(doc):
@@ -1043,6 +1056,29 @@ def test_dump_rankings_bytes_match_a_line_by_line_dump(
         ranks.setdefault(source, []).append(int(rank))
     assert len(ranks) == n
     assert any(len(set(r)) < n - 1 for r in ranks.values()) == tied
+
+
+# sha256 of the --dump-rankings file below, whose distances are written
+# with %r; taken from the full-width naive-Bayes tables this format replaced
+NAIVE_BAYES_DUMP_SHA256 = "95876024f2b073fc5efff5c5a9ed340dba39386ef7db2870bfc266e2704e91d7"
+
+
+def test_naive_bayes_dump_rankings_match_golden_hash(tmp_path, capsys):
+    # every source's row is evaluated, so the hash pins every distance's
+    # bits; their np.exp follows numpy's SIMD dispatch (ROADMAP item 6), and
+    # the hash was taken under its AVX-512 loops
+    ref, attrs, spec, dump = (tmp_path / name for name in ("ba.tsv", "attrs.csv", "spec.json", "rankings.tsv"))
+    ref.write_text(save_edge_list(generate_mod.gen_barabasi_albert(120, 3, seed=4)))
+    attrs.write_text(save_attributes(generate_synthetic_attributes(120, 5)))
+    code, _, err = run(capsys, "learn", "--in", str(ref), "--attrs", str(attrs), "--kind", "naive-bayes",
+                       "--seed", "6", "--out", str(spec))
+    assert code == 0, err
+    code, _, err = run(
+        capsys, "generate", "--model", "priority-rank", "--n", "120", "--k", "4", "--attrs", str(attrs),
+        "--distance-spec", str(spec), "--seed", "7", "--out", str(tmp_path / "g.tsv"), "--dump-rankings", str(dump),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == NAIVE_BAYES_DUMP_SHA256
 
 
 def test_learn_and_generate_read_comments_crlf_and_bom_as_the_plain_file(tmp_path, capsys):

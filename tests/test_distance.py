@@ -45,6 +45,8 @@ from _oracles import (
     euclidean_rows_by_floats,
     evaluate,
     linear_regression_terms_by_floats,
+    naive_bayes_full_tables,
+    naive_bayes_scores_by_two_likelihoods,
     one_hot_by_rows,
     random_digraph,
 )
@@ -629,7 +631,7 @@ def test_naive_bayes_gaussian_likelihood_oracle():
         prior_no_edge=0.5,
         means=((10.0, 10.0), (0.0, 0.0)),
         variances=((1.0, 1.0), (1.0, 1.0)),
-        bernoulli=((0.5, 0.5), (0.5, 0.5)),
+        bernoulli=((), ()),
         encoder=encoder,
     )
     table = numeric_table([0.0, 0.0, 10.0, 10.0])
@@ -674,9 +676,16 @@ def test_naive_bayes_fit_separates_cluster_from_background():
 
 
 def test_naive_bayes_fit_matches_numpy_mean_var_and_sum():
+    # the Gaussian tables keep the numeric slots, the rates the one-hot ones
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    base = build_training_set(g, numeric_table([0.0, 1.0, 2.0, 3.0]), math.inf, RngStream(8))
+    table = AttributeTable([
+        AttributeColumn("x", "continuous", (0.0, 1.0, 2.0, 3.0)),
+        AttributeColumn("lab", "categorical", ("a", "b", "a", "b")),
+    ])
+    base = build_training_set(g, table, math.inf, RngStream(8))
     width = base.features.shape[1]
+    one_hot = np.tile(base.encoder.binary_mask, 2)
+    assert one_hot.tolist() == [False, True, True] * 2
     gen = np.random.default_rng(41)
     for trial in range(60):
         size = int(gen.integers(2, 40))
@@ -687,12 +696,13 @@ def test_naive_bayes_fit_matches_numpy_mean_var_and_sum():
             labels = 1.0 - labels
         scale = 10.0 ** gen.integers(-3, 6, size=width)
         features = gen.normal(gen.normal(0, 1e3, size=width), scale, size=(size, width))
+        features[:, one_hot] = gen.integers(0, 2, size=(size, int(one_hot.sum())))
         spec = fit_naive_bayes_distance(TrainingSet(features, labels, base.encoder))
         for c, label in enumerate((1.0, 0.0)):
             rows = features[labels == label]
-            assert spec.means[c] == tuple(rows.mean(axis=0).tolist())
-            assert spec.variances[c] == tuple(np.maximum(rows.var(axis=0), 1e-9).tolist())
-            assert spec.bernoulli[c] == tuple(((rows.sum(axis=0) + 1.0) / (len(rows) + 2.0)).tolist())
+            assert spec.means[c] == tuple(rows.mean(axis=0)[~one_hot].tolist())
+            assert spec.variances[c] == tuple(np.maximum(rows.var(axis=0), 1e-9)[~one_hot].tolist())
+            assert spec.bernoulli[c] == tuple(((rows.sum(axis=0) + 1.0) / (len(rows) + 2.0))[one_hot].tolist())
 
 
 def test_naive_bayes_uninformative_features_give_prior_ratio():
@@ -705,6 +715,23 @@ def test_naive_bayes_uninformative_features_give_prior_ratio():
     expected = (1 - p_edge) / (p_edge + spec.eps)
     for i, j in ((0, 1), (0, 3), (2, 0)):
         assert evaluate(spec, ctx, i, j) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("columns", ["mixed", "numeric", "categorical"])
+def test_naive_bayes_scores_match_the_two_likelihood_formula(columns):
+    # each slot's one likelihood, summed in encoder order, gives the class
+    # scores of full-width tables that compute both and keep one; a table
+    # of one kind of column leaves the other model no slot
+    n = 2000
+    table = generate_synthetic_attributes(n, 7)
+    if columns != "mixed":
+        table = AttributeTable([c for c in table.columns if c.is_numeric == (columns == "numeric")])
+    spec = fit_naive_bayes_distance(build_training_set(gen_barabasi_albert(n, 3, seed=5), table, 1.0, RngStream(2)))
+    widths = {"mixed": (6, 10), "numeric": (6, 0), "categorical": (0, 10)}[columns]
+    assert (len(spec.means[0]), len(spec.bernoulli[0])) == widths
+    ctx = DistanceContext(attrs=table)
+    for got, expected in zip(spec._scores(ctx), naive_bayes_scores_by_two_likelihoods(spec, ctx), strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_every_kind_stays_finite_nonnegative():
@@ -843,16 +870,34 @@ KERNEL_BETA = (
     0.5,
 )
 
+# a hand-written naive-Bayes spec over the same features: per class, the
+# numeric slots (ordinal, lognormal, exponential) in both halves, and the
+# rates of the five one-hot slots in both halves
+KERNEL_NAIVE_BAYES = dict(
+    prior_edge=0.3,
+    prior_no_edge=0.7,
+    means=((4.1, 1.9, 0.8, 5.2, 2.4, 1.3), (4.6, 1.6, 1.1, 4.4, 1.5, 0.9)),
+    variances=((7.9, 3.1, 0.7, 8.6, 4.8, 1.6), (8.3, 4.4, 1.2, 8.1, 3.9, 0.95)),
+    bernoulli=(
+        (0.13, 0.27, 0.21, 0.19, 0.2, 0.31, 0.12, 0.18, 0.22, 0.17),
+        (0.2, 0.2, 0.19, 0.22, 0.19, 0.21, 0.18, 0.2, 0.2, 0.21),
+    ),
+)
+
 
 def kernel_hashes() -> dict[str, str]:
     """sha256 of the cosine rows of every source, the linear-regression
-    terms of ``KERNEL_BETA``, and one seeded graph of each kind, at n=2,000
-    over synthetic attributes."""
+    terms of ``KERNEL_BETA``, the naive-Bayes class scores of
+    ``KERNEL_NAIVE_BAYES``, and one seeded graph of each kind, at n=2,000
+    over synthetic attributes.  The naive-Bayes rows are left out: their
+    ``np.exp`` follows numpy's SIMD dispatch."""
     n = 2000
     table = generate_synthetic_attributes(n, 3)
+    encoder = FeatureEncoder.from_table(table)
     specs = {
         "cosine": CosineDistance(),
-        "linear_regression": LinearRegressionDistance(beta=KERNEL_BETA, encoder=FeatureEncoder.from_table(table)),
+        "linear_regression": LinearRegressionDistance(beta=KERNEL_BETA, encoder=encoder),
+        "naive_bayes": NaiveBayesDistance(**KERNEL_NAIVE_BAYES, encoder=encoder),
     }
     ctx = DistanceContext(attrs=table)
     rows = hashlib.sha256()
@@ -861,6 +906,9 @@ def kernel_hashes() -> dict[str, str]:
     hashes = {"cosine rows": rows.hexdigest()}
     for name, term in zip(("scores", "constants"), specs["linear_regression"]._terms(ctx)):
         hashes[f"linear_regression {name}"] = hashlib.sha256(term.tobytes()).hexdigest()
+    for name, score in zip(("source edge", "source no-edge", "target edge", "target no-edge"),
+                           specs["naive_bayes"]._scores(ctx)):
+        hashes[f"naive_bayes {name}"] = hashlib.sha256(score.tobytes()).hexdigest()
     for kind, spec in specs.items():
         g = priority_rank_generate(DistanceContext(attrs=table), spec, DegreeSpec.constant(10), 5)
         hashes[f"{kind} graph"] = hashlib.sha256(g.codes.tobytes()).hexdigest()
@@ -1058,7 +1106,7 @@ GATED_SPECS = [
     AggregateDistance(weights=(("x", 1.0),)),
     HierarchicalMixDistance(alpha=0.5, class_ranks=(0, 1, 2, 3), euclid_attrs=("x",)),
     LinearRegressionDistance(beta=(1.0, 1.0, 0.0), encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
-    NaiveBayesDistance(0.5, 0.5, ((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)), ((0.5, 0.5), (0.5, 0.5)),
+    NaiveBayesDistance(0.5, 0.5, ((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)), ((), ()),
                        encoder=FeatureEncoder(columns=(("x", "continuous", ()),))),
 ]
 
@@ -1128,22 +1176,44 @@ def test_spec_json_round_trip():
     assert list(specs[-2].to_json_dict()) == ["kind", "beta", "encoder"]
 
 
-def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
-    # the mask is the encoder's categorical slots once per half of the pair,
-    # so the document holds no copy of it that could disagree
+def cycle_naive_bayes():
+    """A naive-Bayes spec fitted to a 12-cycle over a numeric column and a
+    three-label one, so 2 Gaussian slots and 6 rates per class, and its
+    attribute table."""
     n = 12
     table = AttributeTable([
         AttributeColumn("x", "continuous", tuple(float(v) for v in range(n))),
         AttributeColumn("lab", "categorical", tuple("xyz"[v % 3] for v in range(n))),
     ])
     g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
-    spec = fit_naive_bayes_distance(build_training_set(g, table, 1.0, RngStream(3)))
-    assert spec._params[3].tolist() == [False, True, True, True] * 2
+    return fit_naive_bayes_distance(build_training_set(g, table, 1.0, RngStream(3))), table
+
+
+def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
+    # the encoder's numeric slots hold the Gaussian tables and its one-hot
+    # slots the rates, once per half of the pair, so the document holds no
+    # mask that could disagree
+    spec, _ = cycle_naive_bayes()
+    assert [len(row) for row in spec.means + spec.variances + spec.bernoulli] == [2, 2, 2, 2, 6, 6]
     doc = json.loads(json.dumps(spec.to_json_dict()))
     assert "binary_mask" not in doc
     assert spec_from_json_dict(doc) == spec
     doc["binary_mask"] = [False, True, True, True] * 2
     with pytest.raises(ValueError, match=r"^naive_bayes spec has no field 'binary_mask'$"):
+        spec_from_json_dict(doc)
+
+
+def test_full_width_naive_bayes_spec_is_refused():
+    # the earlier format held a mean, a variance and a rate for every slot;
+    # the constructor and the JSON route refuse it by the same width check
+    spec, _ = cycle_naive_bayes()
+    full = [tuple(map(tuple, t.tolist())) for t in naive_bayes_full_tables(spec)]
+    message = re.escape("naive_bayes spec field 'means[0]' must hold 2 numbers for its encoder, got 8")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NaiveBayesDistance(spec.prior_edge, spec.prior_no_edge, *full, encoder=spec.encoder)
+    doc = json.loads(json.dumps(spec.to_json_dict()))
+    doc.update(zip(("means", "variances", "bernoulli"), full))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         spec_from_json_dict(doc)
 
 
@@ -1153,20 +1223,16 @@ def test_naive_bayes_reads_its_bernoulli_slots_from_its_encoder():
         ("prior_edge", None, math.inf, "'prior_edge' must be a finite number, got inf"),
         ("prior_no_edge", None, math.nan, "'prior_no_edge' must be a finite number, got nan"),
         ("variances", (0, 0), math.nan, "'variances[0][0]' must be a finite number, got nan"),
-        ("variances", (1, 5), 0.0, "'variances' must hold positive numbers, got 0.0"),
-        ("means", (0, 4), -math.inf, "'means[0][4]' must be a finite number, got -inf"),
+        ("variances", (1, 1), 0.0, "'variances' must hold positive numbers, got 0.0"),
+        ("means", (0, 1), -math.inf, "'means[0][1]' must be a finite number, got -inf"),
+        ("bernoulli", (1, 5), 1.0, "'bernoulli' must hold numbers in (0, 1), got 1.0"),
     ],
-    ids=["prior-edge-inf", "prior-no-edge-nan", "variance-nan", "variance-zero", "mean-inf"],
+    ids=["prior-edge-inf", "prior-no-edge-nan", "variance-nan", "variance-zero", "mean-inf", "rate-one"],
 )
 def test_naive_bayes_value_out_of_range_names_its_field(recwarn, name, index, value, message):
     # every value fails when the spec is read, before any row is evaluated
-    n = 12
-    table = AttributeTable([
-        AttributeColumn("x", "continuous", tuple(float(v) for v in range(n))),
-        AttributeColumn("lab", "categorical", tuple("xyz"[v % 3] for v in range(n))),
-    ])
-    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
-    doc = fit_naive_bayes_distance(build_training_set(g, table, 1.0, RngStream(3))).to_json_dict()
+    spec, table = cycle_naive_bayes()
+    doc = spec.to_json_dict()
     if index is None:
         doc[name] = value
     else:
@@ -1175,7 +1241,7 @@ def test_naive_bayes_value_out_of_range_names_its_field(recwarn, name, index, va
         doc[name] = values.tolist()
     pattern = re.escape(f"naive_bayes spec field {message}") + "$"
     with pytest.raises(ValueError, match=pattern):
-        spec_from_json_dict(doc).rows(DistanceContext(attrs=table), np.arange(n))
+        spec_from_json_dict(doc).rows(DistanceContext(attrs=table), np.arange(table.n))
     with pytest.raises(ValueError, match=pattern):
         spec_from_json_dict(doc).shared_order(DistanceContext(attrs=table))
     assert not recwarn.list
@@ -1225,13 +1291,21 @@ def test_spec_null_or_missing_fields_take_defaults():
         ),
         (encoder_doc(["a", "numeric"]), "field 'encoder[0]' must be a list of 3 items, got ('a', 'numeric')"),
         (encoder_doc(["a", "continuous", ["x"]]), "field 'encoder[0][2]' must have no labels on a numeric column"),
+        (
+            encoder_doc(["c", "categorical", ["a", "a"]]),
+            "field 'encoder[0][2]' must hold distinct labels in sorted order, got ('a', 'a')",
+        ),
+        (
+            encoder_doc(["c", "categorical", ["b", "a"]]),
+            "field 'encoder[0][2]' must hold distinct labels in sorted order, got ('b', 'a')",
+        ),
     ],
     ids=[
         "missing_field", "null_required_field", "array", "string", "unknown_kind", "list_kind",
         "no_kind", "string_number", "bool_number", "number_string", "string_list", "number_encoder",
         "bad_encoder_column", "string_weight", "post_init_check", "unknown_field",
         "random_mu_sigma", "implied_centrality", "bool_weight", "number_attr", "string_labels",
-        "unknown_column_kind", "short_column", "numeric_labels",
+        "unknown_column_kind", "short_column", "numeric_labels", "repeated_labels", "unsorted_labels",
     ],
 )
 def test_malformed_spec_raises_value_error(doc, message):
